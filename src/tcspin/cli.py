@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .dynamics import (
+    EIGENSTATE_RESIDUAL_TOL,
     TimeGrid,
     correlator_krylov,
     correlator_krylov_general,
@@ -196,7 +197,18 @@ def _resolve_config(raw: dict, command: str) -> dict:
         osc.setdefault("max_peaks", 8)
         resolved["oscillation"] = osc
         _read_time_grid(resolved["time_grid"], "config.time_grid")
-        _read_model(resolved["model"], "config.model")
+        model = _read_model(resolved["model"], "config.model")
+        if state["type"] == "basis":
+            index = state["index"]
+            if not isinstance(index, int) or not 0 <= index < (1 << model.n_sites):
+                raise ConfigError(
+                    f"config.initial_state.index must be an integer in [0, {1 << model.n_sites}), got {index!r}"
+                )
+            if solver["method"] in ("spectral", "both") and _basis_state(_build_operator(resolved), index)[1] is None:
+                raise ConfigError(
+                    f"the spectral route needs an eigenstate initial state, and basis state {index} "
+                    "is not one; use solver.method 'krylov'"
+                )
     elif command == "baseline":
         _check_keys(resolved, {"command", "oscillator", "time_grid"}, {"oscillator", "time_grid"}, "config")
         osc = dict(resolved["oscillator"])
@@ -289,16 +301,20 @@ def cmd_spectrum(resolved: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
+def _basis_state(op: Operator, index: int) -> tuple[StateVector, float | None]:
+    """Basis state ``index`` and its energy, or None when it is not an eigenstate."""
+    psi = StateVector.basis_state(op.n_sites, index)
+    h_psi = op.matvec(psi.amplitudes)
+    energy = float(np.vdot(psi.amplitudes, h_psi).real)
+    residual = float(np.linalg.norm(h_psi - energy * psi.amplitudes))
+    return psi, energy if residual <= EIGENSTATE_RESIDUAL_TOL else None
+
+
 def _initial_state(resolved: dict, op: Operator) -> tuple[StateVector, float | None]:
     """The configured initial state and its energy when it is an eigenstate."""
     state_cfg = resolved["initial_state"]
     if state_cfg["type"] == "basis":
-        index = int(state_cfg["index"])
-        if not 0 <= index < (1 << op.n_sites):
-            raise ConfigError(f"initial_state.index {index} out of range for N={op.n_sites}")
-        psi = StateVector.basis_state(op.n_sites, index)
-        energy = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
-        return psi, energy
+        return _basis_state(op, int(state_cfg["index"]))
     solver = resolved["solver"]
     if op.n_sites <= dense_cap():
         spectrum = dense_spectrum(op)

@@ -175,12 +175,15 @@ def correlator_spectral(
 
 
 def _lanczos_expm_step(
-    op: Operator, amps: np.ndarray, dt: float, krylov_dim: int
+    op: Operator, amps: np.ndarray, dt: float, krylov_dim: int, step_tol: float
 ) -> tuple[np.ndarray, float]:
     """One Krylov approximation of e^{-i H dt} amps with an error estimate.
 
     The estimate is the coefficient-space distance to the answer one Krylov
-    dimension smaller; a happy breakdown makes the result exact.
+    dimension smaller; a happy breakdown makes the result exact. A start
+    vector x that is an eigenvector up to rounding stops after one matvec
+    once beta * b * |dt| <= step_tol, where beta * b = ||(H - alpha) x||:
+    by Duhamel's formula ||e^{-iH dt} x - e^{-i alpha dt} x|| <= |dt| ||(H - alpha) x||.
     """
     beta = float(np.linalg.norm(amps))
     if beta == 0.0:
@@ -192,6 +195,7 @@ def _lanczos_expm_step(
     alphas: list[float] = []
     betas: list[float] = []
     breakdown = False
+    err = 0.0
     m = 0
     for j in range(m_cap):
         w = op.matvec(basis[j])
@@ -202,12 +206,16 @@ def _lanczos_expm_step(
             w = w - betas[j - 1] * basis[j - 1]
         # full reorthogonalization; ghost modes would wreck the phase accuracy
         for _ in range(2):
-            coeffs = basis[: j + 1].conj() @ w
+            coeffs = (basis[: j + 1] @ w.conj()).conj()
             w = w - basis[: j + 1].T @ coeffs
         b = float(np.linalg.norm(w))
         m = j + 1
         if b < 1e-14 * max(1.0, abs(alpha)):
             breakdown = True
+            break
+        if j == 0 and beta * b * abs(dt) <= step_tol:
+            breakdown = True
+            err = beta * b * abs(dt)
             break
         if j == m_cap - 1:
             break
@@ -218,7 +226,7 @@ def _lanczos_expm_step(
     coeff = s @ (np.exp(-1j * theta * dt) * s[0, :])
     result = beta * (basis[:m].T @ coeff)
     if breakdown or m == 1:
-        return result, 0.0
+        return result, err
     theta2, s2 = scipy.linalg.eigh_tridiagonal(alphas[: m - 1], betas[: m - 2])
     coeff2 = np.zeros(m, dtype=np.complex128)
     coeff2[: m - 1] = s2 @ (np.exp(-1j * theta2 * dt) * s2[0, :])
@@ -242,7 +250,7 @@ def _propagate(
     cur = amps
     while i < n_sub:
         dt = t / n_sub
-        stepped, err = _lanczos_expm_step(op, cur, dt, krylov_dim)
+        stepped, err = _lanczos_expm_step(op, cur, dt, krylov_dim, step_tol)
         if err <= step_tol:
             cur = stepped
             i += 1
@@ -334,14 +342,15 @@ def correlator_krylov_general(
         raise ValueError(f"krylov_dim must be >= 4, got {krylov_dim}")
     times = grid.times()
     values = np.empty(len(times), dtype=np.complex128)
+    a_dag = a.dagger()
     top = _propagate(op, psi.amplitudes, float(times[0]), krylov_dim, step_tol)
     chi = _propagate(op, b.matvec(psi.amplitudes), float(times[0]), krylov_dim, step_tol)
-    values[0] = np.vdot(a.dagger().matvec(top), chi)
+    values[0] = np.vdot(a_dag.matvec(top), chi)
     for i in range(1, len(times)):
         dt = float(times[i] - times[i - 1])
         top = _propagate(op, top, dt, krylov_dim, step_tol)
         chi = _propagate(op, chi, dt, krylov_dim, step_tol)
-        values[i] = np.vdot(a.dagger().matvec(top), chi)
+        values[i] = np.vdot(a_dag.matvec(top), chi)
     return CorrelationSeries(grid=grid, values=values, method="krylov_general")
 
 

@@ -9,8 +9,12 @@ Conventions, used everywhere in this package:
 * A Pauli string is stored as two N-bit masks: ``x_mask`` marks sites with
   an X component (X or Y), ``z_mask`` marks sites with a Z component
   (Z or Y). A site with both bits set carries Y. The phase i^{#Y} is
-  derived at application time, so the stored letter product is always the
-  Hermitian matrix product of I/X/Y/Z factors.
+  folded in when an operator is compiled, so the stored letter product is
+  always the Hermitian matrix product of I/X/Y/Z factors.
+* An :class:`Operator` is compiled once, on first use, into one coefficient
+  vector per distinct ``x_mask`` (bit representation as in Sandvik, AIP
+  Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec`` and ``to_dense`` both
+  read that form.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -18,6 +22,7 @@ Y|0> = i|1>, Y|1> = -i|0>.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -37,9 +42,10 @@ DEFAULT_DENSE_CAP = 14
 def dense_cap() -> int:
     """Largest site count for which dense 2^N x 2^N matrices may be built.
 
-    The default of 14 corresponds to a 16384 x 16384 complex matrix
-    (about 4 GiB). Override with the TCSPIN_DENSE_CAP environment variable.
-    The dense path is an oracle for testing, not the workhorse.
+    The default of 14 corresponds to a 16384 x 16384 matrix: 2 GiB as
+    float64 for a real operator, 4 GiB as complex128 otherwise. Override
+    with the TCSPIN_DENSE_CAP environment variable. The dense path is an
+    oracle for testing, not the workhorse.
     """
     raw = os.environ.get("TCSPIN_DENSE_CAP")
     return DEFAULT_DENSE_CAP if raw is None else int(raw)
@@ -189,26 +195,45 @@ class Operator:
         """Sum of |coeff| over canonical terms; an upper bound on the operator norm."""
         return sum(abs(t.coeff) for t in self.canonicalize().terms)
 
-    def matvec(self, amps: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a raw amplitude array.
+    @functools.cached_property
+    def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """The compiled form: one (coefficients, gather index) pair per x_mask.
 
-        Terms are accumulated in their stored order, so the result is
+        Groups come in ascending x_mask order. Group x acts as
+        out[r] += c[r] * amps[r ^ x], where c[r] sums coeff * i^{#Y} *
+        (-1)^{popcount((r ^ x) & z_mask)} over the terms with that x_mask, in
+        their stored order. The diagonal group (x = 0) has no gather index.
+        The coefficients are float64 when every group is real, complex128
+        otherwise. Built on first use and kept for the life of the instance.
+        """
+        dim = 1 << self.n_sites
+        idx = np.arange(dim, dtype=np.intp)
+        coeffs: dict[int, np.ndarray] = {}
+        for t in self.terms:
+            c = coeffs.setdefault(t.x_mask, np.zeros(dim, dtype=np.complex128))
+            if t.z_mask:
+                parity = np.bitwise_count((idx ^ t.x_mask) & t.z_mask) & 1
+                c += (t.coeff * t.phase) * (1.0 - 2.0 * parity)
+            else:
+                c += t.coeff * t.phase
+        real = not any(c.imag.any() for c in coeffs.values())
+        return tuple(
+            (c.real.copy() if real else c, idx ^ x if x else None)
+            for x, c in sorted(coeffs.items())
+        )
+
+    def matvec(self, amps: np.ndarray) -> np.ndarray:
+        """Matrix-free action on a raw amplitude array; always complex128.
+
+        Groups are accumulated in ascending x_mask order, so the result is
         bit-deterministic regardless of any outer worker pool.
         """
         dim = 1 << self.n_sites
         if amps.shape != (dim,):
             raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
         out = np.zeros(dim, dtype=np.complex128)
-        idx = np.arange(dim, dtype=np.uint64)
-        for t in self.terms:
-            vals = (t.coeff * t.phase) * amps
-            if t.z_mask:
-                parity = np.bitwise_count(idx & np.uint64(t.z_mask)) & 1
-                vals = vals * (1.0 - 2.0 * parity)
-            if t.x_mask:
-                out[idx ^ np.uint64(t.x_mask)] += vals
-            else:
-                out += vals
+        for c, perm in self._groups:
+            out += c * (amps if perm is None else amps[perm])
         return out
 
     def expectation(self, amps: np.ndarray) -> complex:
@@ -327,21 +352,21 @@ def apply_operator(op: Operator, v: StateVector) -> StateVector:
 def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:
     """Dense 2^N x 2^N matrix of an operator; the test oracle path.
 
-    Refuses to build beyond ``cap`` sites (default :func:`dense_cap`).
+    Filled from the same compiled groups as :meth:`Operator.matvec`, so it is
+    float64 when every group is real (real weights on strings with an even
+    number of Y letters, such as the TC chain, Heisenberg exchange and x or z
+    fields) and complex128 otherwise. Refuses to build beyond ``cap`` sites
+    (default :func:`dense_cap`).
     """
     limit = dense_cap() if cap is None else cap
     if op.n_sites > limit:
         raise DenseCapError(f"dense matrix at N={op.n_sites} exceeds cap {limit}")
     dim = 1 << op.n_sites
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    idx = np.arange(dim, dtype=np.uint64)
-    for t in op.terms:
-        vals = np.full(dim, t.coeff * t.phase, dtype=np.complex128)
-        if t.z_mask:
-            parity = np.bitwise_count(idx & np.uint64(t.z_mask)) & 1
-            vals = vals * (1.0 - 2.0 * parity)
-        rows = idx ^ np.uint64(t.x_mask)
-        mat[rows, idx] += vals
+    groups = op._groups
+    mat = np.zeros((dim, dim), dtype=groups[0][0].dtype if groups else np.float64)
+    idx = np.arange(dim, dtype=np.intp)
+    for c, perm in groups:
+        mat[idx, idx if perm is None else perm] = c
     return mat
 
 

@@ -78,8 +78,9 @@ def _residuals(op: Operator, eigenvalues: np.ndarray, vectors: np.ndarray) -> np
 def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResult:
     """Full Hermitian eigendecomposition via a dense matrix.
 
-    Oracle path: subject to the dense site cap. Raises ModelError for a
-    non-Hermitian operator.
+    Oracle path: subject to the dense site cap. A real operator (see
+    :func:`to_dense`) is diagonalized in real arithmetic, so its eigenvectors
+    come back as float64. Raises ModelError for a non-Hermitian operator.
     """
     if not op.is_hermitian(hermiticity_tol):
         raise ModelError("dense_spectrum requires a Hermitian operator")
@@ -101,7 +102,7 @@ def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResu
 def _orthogonalize(w: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     """Two rounds of classical Gram-Schmidt against the first n basis rows."""
     for _ in range(2):
-        coeffs = basis[:n].conj() @ w
+        coeffs = (basis[:n] @ w.conj()).conj()
         w = w - basis[:n].T @ coeffs
     return w
 
@@ -118,8 +119,8 @@ def _orthogonalize_joint(
     """
     for _ in range(2):
         if n_deflate:
-            w = w - deflate[:n_deflate].T @ (deflate[:n_deflate].conj() @ w)
-        w = w - basis[:n_basis].T @ (basis[:n_basis].conj() @ w)
+            w = w - deflate[:n_deflate].T @ (deflate[:n_deflate] @ w.conj()).conj()
+        w = w - basis[:n_basis].T @ (basis[:n_basis] @ w.conj()).conj()
     return w
 
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from tcspin.cli import main
+from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.pauli import to_dense
 
 TWO_LEVEL_CORRELATE = {
     "command": "correlate",
@@ -290,3 +292,41 @@ class TestInitialStateRouting:
         out = tmp_path / "out"
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "correlation.csv").exists()
+
+    @staticmethod
+    def _basis_doc(method):
+        # basis state 0 (all spins up) is not an eigenstate of the N=6 chain at J=0.5
+        return {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "basis", "index": 0},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": method, "step_tol": 1e-12},
+        }
+
+    def test_non_eigenstate_basis_runs_on_krylov_route(self, tmp_path):
+        cfg = write_config(tmp_path, self._basis_doc("krylov"))
+        assert main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+        osc = json.loads((out / "oscillation.json").read_text())
+        assert osc["method"] == "krylov_general"
+        t, values = read_series_csv(out / "correlation.csv")
+        energies, vecs = np.linalg.eigh(to_dense(build_tc_hamiltonian(TCModelConfig(6, 0.5))))
+        m_z = to_dense(magnetization_operator(6, "z"))
+        psi = np.zeros(64)
+        psi[0] = 1.0
+        exact = []
+        for time in t:
+            u = (vecs * np.exp(-1j * energies * time)) @ vecs.conj().T
+            exact.append(np.vdot(u @ psi, m_z @ (u @ (m_z @ psi))))
+        assert np.max(np.abs(values - np.array(exact))) < 1e-8
+
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_non_eigenstate_basis_rejected_up_front_on_spectral_routes(self, tmp_path, method):
+        cfg = write_config(tmp_path, self._basis_doc(method))
+        assert main(["validate", "--config", cfg]) == 2
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()

@@ -165,6 +165,31 @@ class TestEvolve:
             evolve(SIGMA_Z, StateVector(1, np.array([2.0, 0.0], dtype=complex)), 1.0)
 
 
+class TestKrylovStepBreakdown:
+    def test_rounding_level_residual_takes_one_matvec(self, monkeypatch):
+        # an eigenvector carrying a rounding-level component elsewhere in the
+        # spectrum: the a-priori bound |dt| * ||(H - alpha) x|| is far below
+        # step_tol, so the step must not build a Krylov space from noise
+        op = build_tc_hamiltonian(TCModelConfig(10, 0.5))
+        energies, vecs = np.linalg.eigh(to_dense(op))
+        amps = vecs[:, 0] + 3e-13 * vecs[:, -1]
+        v = StateVector(10, amps / np.linalg.norm(amps))
+        t = 2.0
+        exact = vecs @ (np.exp(-1j * energies * t) * (vecs.conj().T @ v.amplitudes))
+        calls = []
+        matvec = Operator.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(Operator, "matvec", counting)
+        out = evolve(op, v, t)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert np.max(np.abs(out.amplitudes - exact)) < 1e-12
+
+
 class TestExtractOscillation:
     def test_single_mode(self):
         grid = TimeGrid(0.0, 20 * np.pi, 4096)

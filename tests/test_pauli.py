@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcspin.errors import DenseCapError, DimensionError
-from tcspin.models import TCModelConfig, build_tc_hamiltonian
+from tcspin.models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian
 from tcspin.pauli import (
     Operator,
     PauliString,
@@ -138,6 +138,80 @@ class TestToDense:
         op = Operator.from_label_terms([(1.0, "XXXXX")])
         with pytest.raises(DenseCapError):
             to_dense(op, cap=4)
+
+
+def _letters(n: int, placed: dict[int, str]) -> str:
+    return "".join(placed.get(site, "I") for site in range(n))
+
+
+def shared_group_mixes(n: int) -> dict[str, list[tuple[complex, str]]]:
+    """Term lists whose strings share x_mask groups."""
+    fields = [(0.3 * (j + 1), _letters(n, {j: "Z"})) for j in range(n)]
+    mixes = {
+        # one x_mask (all sites) holding one Y, n Ys and no Y
+        "odd_and_even_y": [(1.0, "X" * n), (0.5, "Y" + "X" * (n - 1)), (-0.25, "Y" * n)] + fields,
+        "complex_weights": [(0.5 + 0.25j, "X" * n), (-0.75j, "Y" * n), (1.0 - 1.0j, "Z" * n), (0.2j, "I" * n)],
+    }
+    if n >= 2:
+        mixes["exchange_with_fields"] = [
+            (0.7, _letters(n, {0: "X", 1: "X"})),
+            (0.7, _letters(n, {0: "Y", 1: "Y"})),
+            (-1.0, _letters(n, {0: "Z", 1: "Z"})),
+        ] + fields
+    return mixes
+
+
+class TestCompiledGroups:
+    @pytest.mark.parametrize("n_sites", range(1, 9))
+    def test_shared_groups_match_kron_oracle(self, n_sites):
+        rng = np.random.default_rng(200 + n_sites)
+        v = random_state(rng, n_sites).amplitudes
+        for name, terms in shared_group_mixes(n_sites).items():
+            op = Operator.from_label_terms(terms)
+            oracle = kron_dense(op)
+            mat = to_dense(op)
+            assert np.max(np.abs(mat - oracle)) < 1e-13, name
+            assert np.max(np.abs(op.matvec(v) - oracle @ v)) < 1e-13, name
+            # real storage exactly when the oracle has no imaginary entry
+            assert (mat.dtype == np.float64) == (not oracle.imag.any()), name
+
+    @pytest.mark.parametrize("n_sites", range(4, 9))
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            None,
+            PerturbationSpec("heisenberg_exchange", 0.05),
+            PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3),
+            PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3),
+        ],
+    )
+    def test_chain_and_perturbations_are_real(self, n_sites, spec):
+        op = build_tc_hamiltonian(TCModelConfig(n_sites, 0.5))
+        if spec is not None:
+            op = (op + build_perturbation(n_sites, spec)).canonicalize()
+        mat = to_dense(op)
+        assert mat.dtype == np.float64
+        assert np.max(np.abs(mat - kron_dense(op))) < 1e-13
+
+    @pytest.mark.parametrize("terms", [[(1.0, "Y")], [(1.0, "XI"), (0.5j, "ZZ")], [(1.0, "XX"), (1.0, "XY")]])
+    def test_lone_y_or_complex_weight_is_complex(self, terms):
+        op = Operator.from_label_terms(terms)
+        mat = to_dense(op)
+        assert mat.dtype == np.complex128
+        assert np.max(np.abs(mat - kron_dense(op))) < 1e-13
+
+    def test_matvec_always_returns_complex128(self):
+        real_op = build_tc_hamiltonian(TCModelConfig(4, 0.5))
+        complex_op = Operator.from_label_terms([(1.0, "YIII")])
+        real_amps = np.linspace(-1.0, 1.0, 16)
+        for op in (real_op, complex_op):
+            for amps in (real_amps, real_amps.astype(np.complex128)):
+                assert op.matvec(amps).dtype == np.complex128
+
+    def test_empty_operator(self):
+        op = Operator(3, ())
+        assert np.array_equal(op.matvec(np.ones(8)), np.zeros(8))
+        assert np.array_equal(to_dense(op), np.zeros((8, 8)))
 
 
 class TestStringsCommute:
