@@ -206,7 +206,7 @@ def _resolve_config(raw: dict, command: str) -> dict:
                 )
             if solver["method"] in ("spectral", "both") and _basis_state(_build_operator(resolved), index)[1] is None:
                 raise ConfigError(
-                    f"the spectral route needs an eigenstate initial state, and basis state {index} "
+                    f"the spectral route needs an eigenstate initial state and basis state {index} "
                     "is not one; use solver.method 'krylov'"
                 )
     elif command == "baseline":

@@ -210,12 +210,9 @@ class Operator:
         idx = np.arange(dim, dtype=np.intp)
         coeffs: dict[int, np.ndarray] = {}
         for t in self.terms:
+            parity = np.bitwise_count((idx ^ t.x_mask) & t.z_mask) & 1
             c = coeffs.setdefault(t.x_mask, np.zeros(dim, dtype=np.complex128))
-            if t.z_mask:
-                parity = np.bitwise_count((idx ^ t.x_mask) & t.z_mask) & 1
-                c += (t.coeff * t.phase) * (1.0 - 2.0 * parity)
-            else:
-                c += t.coeff * t.phase
+            c += (t.coeff * t.phase) * (1.0 - 2.0 * parity)
         real = not any(c.imag.any() for c in coeffs.values())
         return tuple(
             (c.real.copy() if real else c, idx ^ x if x else None)
