@@ -41,7 +41,7 @@ from .models import (
 )
 from .oscillator import OscillatorConfig, baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
 from .pauli import Operator, StateVector, dense_cap
-from .spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
+from .spectra import SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
 from .sweep import SweepPlan, fit_power_law, records_to_csv, run_sweep, summarize_sweep
 
 log = logging.getLogger("tcspin")
@@ -310,11 +310,14 @@ def _basis_state(op: Operator, index: int) -> tuple[StateVector, float | None]:
     return psi, energy if residual <= EIGENSTATE_RESIDUAL_TOL else None
 
 
-def _initial_state(resolved: dict, op: Operator) -> tuple[StateVector, float | None]:
-    """The configured initial state and its energy when it is an eigenstate."""
+def _initial_state(
+    resolved: dict, op: Operator
+) -> tuple[StateVector, float | None, SpectrumResult | None]:
+    """The configured initial state, its energy when it is an eigenstate, and
+    the spectrum computed to prepare it (None for a basis state)."""
     state_cfg = resolved["initial_state"]
     if state_cfg["type"] == "basis":
-        return _basis_state(op, int(state_cfg["index"]))
+        return (*_basis_state(op, int(state_cfg["index"])), None)
     solver = resolved["solver"]
     if op.n_sites <= dense_cap():
         spectrum = dense_spectrum(op)
@@ -327,10 +330,10 @@ def _initial_state(resolved: dict, op: Operator) -> tuple[StateVector, float | N
             seed=solver["lanczos_seed"],
         )
     if state_cfg["type"] == "ground":
-        return spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        return spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), spectrum
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
-    return StateVector(op.n_sites, pair).normalized(), None
+    return StateVector(op.n_sites, pair).normalized(), None, spectrum
 
 
 def cmd_correlate(resolved: dict, out_dir: Path) -> int:
@@ -338,7 +341,7 @@ def cmd_correlate(resolved: dict, out_dir: Path) -> int:
     observable, obs_label = _read_observable(resolved["observable"], op.n_sites, "config.observable")
     grid = _read_time_grid(resolved["time_grid"], "config.time_grid")
     solver = resolved["solver"]
-    psi, energy = _initial_state(resolved, op)
+    psi, energy, spectrum = _initial_state(resolved, op)
 
     method = solver["method"]
     series_spectral = None
@@ -369,7 +372,8 @@ def cmd_correlate(resolved: dict, out_dir: Path) -> int:
     # the check compares peaks against E_n - E_0 gaps, which is the Lehmann
     # structure only when the initial state is the ground state
     if energy is not None and op.n_sites <= dense_cap():
-        spectrum = dense_spectrum(op)
+        if spectrum is None:
+            spectrum = dense_spectrum(op)
         if abs(energy - float(spectrum.eigenvalues[0])) <= 1e-8:
             payload["gap_frequency_consistent"] = gap_frequency_consistency(
                 spectrum, report, tol=1e-6

@@ -1,9 +1,13 @@
 """Two-time correlation functions and oscillation-content analysis.
 
 Correlators are C(t) = <psi| A(t) B(0) |psi> with A(t) = e^{iHt} A e^{-iHt}
-and hbar = 1, so every frequency is an energy gap. Two independent routes are
+and hbar = 1, so every frequency is an energy gap. Independent routes are
 provided: an exact spectral (Lehmann) summation over the dense eigenbasis,
-and matrix-free Krylov propagation for sizes the dense path cannot reach.
+and two matrix-free routes for sizes the dense path cannot reach. An
+eigenstate correlator is a Chebyshev-moment sum with an a-priori Bessel tail
+bound (:func:`correlator_krylov`); :func:`evolve` and the correlator of an
+arbitrary state (:func:`correlator_krylov_general`) step with Krylov
+propagation under a per-step error estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceError, DimensionError, EigenstateError
+from .errors import ConvergenceError, DimensionError, EigenstateError, ModelError
 from .pauli import Operator, StateVector, to_dense
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
@@ -280,6 +284,81 @@ def evolve(
     return StateVector(v.n_sites, _propagate(op, v.amplitudes, t, krylov_dim, step_tol))
 
 
+def _bessel_table(z: np.ndarray) -> np.ndarray:
+    """J_k(z_j) for z_j >= 0: one column per z_j, rows k = 0 .. max start order.
+
+    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, seeded with
+    1 at order floor(z + 30 + 8 z^{1/3}) in each column, where J_k(z) is far
+    below double precision, and normalized by J_0 + 2 sum_k J_{2k} = 1. A
+    column that grows past 2^500 is scaled by 2^-500, rows already computed
+    included, so nothing overflows. Rows above a column's seed are zero, and
+    z <= 1e-30 gives J_k = delta_k0 to double precision.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    tiny = z <= 1e-30
+    safe = np.where(tiny, 1.0, z)
+    seeds = (safe + 30.0 + 8.0 * np.cbrt(safe)).astype(np.intp)
+    top = int(seeds.max())
+    table = np.zeros((top + 2, len(z)))
+    two_over_z = 2.0 / safe
+    for k in range(top, 0, -1):
+        table[k, seeds == k] = 1.0
+        table[k - 1] = (k * two_over_z) * table[k] - table[k + 1]
+        big = np.abs(table[k - 1]) > 2.0**500
+        if big.any():
+            table[k - 1 :, big] *= 2.0**-500
+    table = table[: top + 1]
+    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
+    table[:, tiny] = 0.0
+    table[0, tiny] = 1.0
+    return table
+
+
+def _chebyshev_vectors(op: Operator, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float):
+    """phi_k = T_k(H~) phi for k = 0, 1, ... with H~ = (H - centre) / half_width.
+
+    ``h_phi`` = H phi gives phi_1 without a matvec; each later vector costs
+    one, and only when it is asked for.
+    """
+    prev, cur = phi, (h_phi - centre * phi) / half_width
+    yield prev
+    while True:
+        yield cur
+        nxt = op.matvec(cur)
+        nxt -= centre * cur
+        nxt *= 2.0 / half_width
+        nxt -= prev
+        prev, cur = cur, nxt
+
+
+def _chebyshev_moments(
+    op: Operator, w: np.ndarray, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
+) -> np.ndarray:
+    """mu_k = <w|T_k(H~)|phi> for k = 0 .. order.
+
+    When w is phi, T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k+1 T_k - T_1 give two
+    moments per vector (Weisse et al., Rev. Mod. Phys. 78, 275 (2006),
+    Sec. II), so ceil(order / 2) matvecs do, counting the one that made
+    ``h_phi``; otherwise order matvecs.
+    """
+    mu = np.empty(order + 1, dtype=np.complex128)
+    vectors = _chebyshev_vectors(op, phi, h_phi, centre, half_width)
+    if np.array_equal(w, phi):
+        prev = next(vectors)
+        mu[0] = np.vdot(prev, prev)
+        for k in range(1, (order + 1) // 2 + 1):
+            cur = next(vectors)
+            overlap = np.vdot(cur, prev)
+            mu[2 * k - 1] = overlap if k == 1 else 2.0 * overlap - mu[1]
+            if 2 * k <= order:
+                mu[2 * k] = 2.0 * np.vdot(cur, cur) - mu[0]
+            prev = cur
+    else:
+        for k, vec in zip(range(order + 1), vectors):
+            mu[k] = np.vdot(w, vec)
+    return mu
+
+
 def correlator_krylov(
     op: Operator,
     a: Operator,
@@ -291,30 +370,74 @@ def correlator_krylov(
     step_tol: float = 1e-10,
     residual_tol: float = EIGENSTATE_RESIDUAL_TOL,
 ) -> CorrelationSeries:
-    """C(t) = e^{+i E_psi t} <psi| A e^{-iHt} B |psi> by Krylov propagation.
+    """C(t) = e^{+i E_psi t} <psi| A e^{-iHt} B |psi> from Chebyshev moments.
 
-    The workhorse for sizes beyond the dense cap: only |phi> = B|psi> is
-    propagated, and each grid interval is substepped until the local Krylov
-    error estimate meets ``step_tol``.
+    The workhorse for sizes beyond the dense cap. With w = A^dag psi,
+    phi = B psi and H~ = (H - c) / a,
+
+        C(t) = e^{i (E_psi - c) t} sum_k (2 - delta_k0) (-i)^k J_k(a t) mu_k,
+        mu_k = <w|T_k(H~)|phi>
+
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), so one moment
+    recursion serves every sample: about a * max|t| / 2 matvecs when A = B is
+    Hermitian (moment doubling), a * max|t| otherwise.
+
+    * [c - a, c + a] is the Gershgorin enclosure of H's spectrum
+      (:meth:`Operator.gershgorin_interval`) with its half-width padded by a
+      relative 1e-4, so |mu_k| <= ||w|| ||phi||.
+    * The series stops at the smallest K > a max|t| with
+      2 ||w|| ||phi|| sum_{k>K} |J_k(a max|t|)| <= B, B = (n_samples - 1) *
+      ``step_tol``. For k > z, J_k(z) grows with z, so B bounds the
+      truncation error of every sample.
+    * Shortcut: one matvec gives alpha = <phi|H|phi> / <phi|phi> and
+      r = ||(H - alpha) phi||. If ||w|| max|t| r <= B, phi is an eigenvector
+      to that accuracy (Duhamel) and C(t) = <w|phi> e^{i (E_psi - alpha) t}.
+
+    ``krylov_dim`` is only validated; it sizes the Krylov steps of
+    :func:`evolve` and :func:`correlator_krylov_general`. Raises ModelError
+    for a non-Hermitian ``op``.
     """
     if krylov_dim < 4:
         raise ValueError(f"krylov_dim must be >= 4, got {krylov_dim}")
+    if not step_tol > 0.0:
+        raise ValueError(f"step_tol must be positive, got {step_tol}")
     for o in (a, b):
         if o.n_sites != op.n_sites:
             raise DimensionError("A, B and H must act on the same number of sites")
     if psi.n_sites != op.n_sites:
         raise DimensionError("state and operators act on different site counts")
+    if not op.is_hermitian():
+        raise ModelError("correlator_krylov requires a Hermitian operator")
     _check_eigenstate(op, psi, e_psi, residual_tol)
 
     w = a.dagger().matvec(psi.amplitudes)  # <psi|A = (A^dag psi)^dag
     phi = b.matvec(psi.amplitudes)
     times = grid.times()
-    values = np.empty(len(times), dtype=np.complex128)
-    phi = _propagate(op, phi, float(times[0]), krylov_dim, step_tol)
-    values[0] = np.exp(1j * e_psi * times[0]) * np.vdot(w, phi)
-    for i in range(1, len(times)):
-        phi = _propagate(op, phi, float(times[i] - times[i - 1]), krylov_dim, step_tol)
-        values[i] = np.exp(1j * e_psi * times[i]) * np.vdot(w, phi)
+    t_max = float(np.max(np.abs(times)))
+    budget = (grid.n_samples - 1) * step_tol
+    norm_w = float(np.linalg.norm(w))
+    norm_phi = float(np.linalg.norm(phi))
+    h_phi = op.matvec(phi)
+    alpha = float(np.vdot(phi, h_phi).real) / norm_phi**2 if norm_phi else 0.0
+    if norm_w * t_max * float(np.linalg.norm(h_phi - alpha * phi)) <= budget:
+        values = np.vdot(w, phi) * np.exp(1j * (e_psi - alpha) * times)
+    else:
+        lo, hi = op.gershgorin_interval()
+        centre = 0.5 * (lo + hi)
+        half_width = 0.5 * (hi - lo) * (1.0 + 1e-4)
+        table = _bessel_table(half_width * np.abs(times))
+        z_max = half_width * t_max
+        col = np.abs(table[:, int(np.argmax(np.abs(times)))])
+        tail = np.append(np.cumsum(col[::-1])[::-1][1:], 0.0)  # tail[k] = sum_{j>k}
+        order = int(z_max) + 1
+        order += int(np.argmax(2.0 * norm_w * norm_phi * tail[order:] <= budget))
+        mu = _chebyshev_moments(op, w, phi, h_phi, centre, half_width, order)
+        coeffs = mu * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
+        coeffs[1:] *= 2.0
+        table = table[: order + 1]
+        table[1::2, times < 0] *= -1.0  # J_k(-z) = (-1)^k J_k(z)
+        re, im = np.stack([coeffs.real, coeffs.imag]) @ table
+        values = (re + 1j * im) * np.exp(1j * (e_psi - centre) * times)
     return CorrelationSeries(
         grid=grid,
         values=values,

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from tcspin import cli
 from tcspin.cli import main
 from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
 from tcspin.pauli import to_dense
@@ -133,6 +134,30 @@ class TestCorrelateCommand:
         osc = json.loads((out / "oscillation.json").read_text())
         assert osc["cross_method_max_abs_diff"] < 1e-8
         assert osc["gap_frequency_consistent"] is True
+
+    def test_ground_state_krylov_diagonalizes_once(self, tmp_path, monkeypatch):
+        # the gap check reuses the spectrum that prepared the ground state
+        calls = []
+        dense = cli.dense_spectrum
+
+        def counting(op):
+            calls.append(op.n_sites)
+            return dense(op)
+
+        monkeypatch.setattr(cli, "dense_spectrum", counting)
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": "krylov", "step_tol": 1e-12},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [6]
+        assert json.loads((out / "oscillation.json").read_text())["gap_frequency_consistent"] is True
 
     def test_bad_basis_index_is_config_error(self, tmp_path):
         doc = dict(TWO_LEVEL_CORRELATE)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
+    _bessel_table,
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
@@ -14,10 +16,16 @@ from tcspin.dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from tcspin.errors import EigenstateError
-from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.errors import EigenstateError, ModelError
+from tcspin.models import (
+    PerturbationSpec,
+    TCModelConfig,
+    build_perturbation,
+    build_tc_hamiltonian,
+    magnetization_operator,
+)
 from tcspin.pauli import Operator, StateVector, to_dense
-from tcspin.spectra import dense_spectrum
+from tcspin.spectra import dense_spectrum, lanczos_extremal
 
 from conftest import random_state
 
@@ -125,6 +133,88 @@ class TestKrylovCorrelator:
         )
         two_track = correlator_krylov_general(op, m, m, psi, grid, step_tol=1e-12)
         assert np.max(np.abs(one_track.values - two_track.values)) < 1e-9
+
+
+def _chain(n_sites, spec):
+    op = build_tc_hamiltonian(TCModelConfig(n_sites, 0.5))
+    return op if spec is None else (op + build_perturbation(n_sites, spec)).canonicalize()
+
+
+def _count_matvecs_of(monkeypatch, target):
+    calls = []
+    matvec = Operator.matvec
+
+    def counting(self, x):
+        if self is target:
+            calls.append(1)
+        return matvec(self, x)
+
+    monkeypatch.setattr(Operator, "matvec", counting)
+    return calls
+
+
+PERTURBATIONS = [
+    None,
+    PerturbationSpec("heisenberg_exchange", 0.05),
+    PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3),
+]
+
+
+class TestChebyshevCorrelator:
+    @pytest.mark.parametrize("z", [0.0, 0.3, 50.0, 780.0])
+    def test_bessel_table_matches_scipy(self, z):
+        column = _bessel_table(np.array([z]))[:, 0]
+        orders = np.arange(len(column))
+        assert np.max(np.abs(column - scipy.special.jv(orders, z))) < 1e-13
+
+    @pytest.mark.parametrize("spec", PERTURBATIONS)
+    @pytest.mark.parametrize("observables", ["zz", "xx", "xz", "z,z+x/2"])
+    @pytest.mark.parametrize("grid", [TimeGrid(-12.0, 12.0, 49), TimeGrid(5.0, 120.0, 192)])
+    def test_agrees_with_spectral_route_within_budget(self, spec, observables, grid):
+        op = _chain(8, spec)
+        spectrum = dense_spectrum(op)
+        psi = spectrum.state(0).normalized()
+        m_x, m_z = magnetization_operator(8, "x"), magnetization_operator(8, "z")
+        # "z,z+x/2" makes w differ from phi without a vanishing correlator
+        a, b = {"zz": (m_z, m_z), "xx": (m_x, m_x), "xz": (m_x, m_z), "z,z+x/2": (m_z, m_z + 0.5 * m_x)}[observables]
+        step_tol = 1e-10
+        chebyshev = correlator_krylov(op, a, b, psi, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
+        spectral = correlator_spectral(op, a, b, psi, grid)
+        budget = (grid.n_samples - 1) * step_tol
+        norm_w = np.linalg.norm(a.dagger().matvec(psi.amplitudes))
+        assert np.max(np.abs(chebyshev.values - spectral.values)) <= budget * norm_w
+
+    def test_eigenvector_takes_the_shortcut(self, monkeypatch):
+        # m_z maps the chain's ground state onto an eigenvector: one matvec
+        # for the eigenstate check and one for the residual of phi
+        op = _chain(8, None)
+        spectrum = dense_spectrum(op)
+        m = magnetization_operator(8, "z")
+        calls = _count_matvecs_of(monkeypatch, op)
+        series = correlator_krylov(
+            op, m, m, spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]),
+            TimeGrid(0.0, 240.0, 512), step_tol=1e-12,
+        )
+        assert len(calls) <= 2
+        assert np.ptp(np.abs(series.values)) < 1e-12
+
+    def test_perturbed_chain_needs_about_half_a_t_max_matvecs(self, monkeypatch):
+        op = _chain(10, PerturbationSpec("heisenberg_exchange", 0.05))
+        spectrum = lanczos_extremal(op, k=2)
+        m = magnetization_operator(10, "z")
+        lo, hi = op.gershgorin_interval()
+        grid = TimeGrid(0.0, 60.0, 128)
+        calls = _count_matvecs_of(monkeypatch, op)
+        correlator_krylov(
+            op, m, m, spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), grid, step_tol=1e-12
+        )
+        half_width = 0.5 * (hi - lo)
+        assert len(calls) <= half_width * grid.t_end / 2 + 64
+
+    def test_rejects_non_hermitian_hamiltonian(self):
+        op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])
+        with pytest.raises(ModelError):
+            correlator_krylov(op, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
 
 
 class TestEvolve:
