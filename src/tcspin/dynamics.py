@@ -284,34 +284,70 @@ def evolve(
     return StateVector(v.n_sites, _propagate(op, v.amplitudes, t, krylov_dim, step_tol))
 
 
-def _bessel_table(z: np.ndarray) -> np.ndarray:
-    """J_k(z_j) for z_j >= 0: one column per z_j, rows k = 0 .. max start order.
+def _miller_start(z: np.ndarray) -> np.ndarray:
+    """Start order of Miller's recurrence for J_k(z), z > 0: there J_k(z) is
+    far below double precision relative to the largest J_k(z)."""
+    return (z + 30.0 + 8.0 * np.cbrt(z)).astype(np.intp)
+
+
+def _bessel_column(z: float) -> np.ndarray:
+    """J_k(z) for k = 0 .. the start order, z >= 0.
 
     Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, seeded with
-    1 at order floor(z + 30 + 8 z^{1/3}) in each column, where J_k(z) is far
-    below double precision, and normalized by J_0 + 2 sum_k J_{2k} = 1. A
-    column that grows past 2^500 is scaled by 2^-500, rows already computed
-    included, so nothing overflows. Rows above a column's seed are zero, and
-    z <= 1e-30 gives J_k = delta_k0 to double precision.
+    1 at the start order and normalized by J_0 + 2 sum_k J_{2k} = 1. Values
+    past 2^500 scale the column by 2^-500, so nothing overflows. z <= 1e-30
+    gives J_0 = 1 alone.
     """
-    z = np.asarray(z, dtype=np.float64)
-    tiny = z <= 1e-30
-    safe = np.where(tiny, 1.0, z)
-    seeds = (safe + 30.0 + 8.0 * np.cbrt(safe)).astype(np.intp)
-    top = int(seeds.max())
-    table = np.zeros((top + 2, len(z)))
-    two_over_z = 2.0 / safe
+    if z <= 1e-30:
+        return np.ones(1)
+    top = int(_miller_start(np.float64(z)))
+    col = np.zeros(top + 2)
+    col[top] = 1.0
     for k in range(top, 0, -1):
-        table[k, seeds == k] = 1.0
-        table[k - 1] = (k * two_over_z) * table[k] - table[k + 1]
-        big = np.abs(table[k - 1]) > 2.0**500
+        col[k - 1] = (2.0 * k / z) * col[k] - col[k + 1]
+        if abs(col[k - 1]) > 2.0**500:
+            col[k - 1 :] *= 2.0**-500
+    col = col[: top + 1]
+    return col / (col[0] + 2.0 * col[2::2].sum())
+
+
+def _bessel_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] J_k(z_j) for every z_j, in O(len(z) + len(coeffs)) memory.
+
+    The recurrence of :func:`_bessel_column`, vectorized over z with each
+    column seeded at its own start order. The unnormalized sum and the
+    normalization J_0 + 2 sum_k J_{2k} are both linear in the column, so
+    they accumulate as the orders go down (and take the column's 2^-500
+    rescalings) and are divided once at the end; no table of orders by
+    samples is stored. Even and odd orders are summed apart, so that
+    J_k(-z) = (-1)^k J_k(z) gives negative z. |z| <= 1e-30 gives coeffs[0].
+    """
+    x = np.abs(z)
+    tiny = x <= 1e-30
+    x = np.where(tiny, 1.0, x)
+    starts = _miller_start(x)
+    two_over_x = 2.0 / x
+    sums = np.zeros((2, len(z)), dtype=np.complex128)  # even and odd orders
+    norm = np.zeros(len(z))
+    above = np.zeros(len(z))  # unnormalized J_{k+1}
+    cur = np.zeros(len(z))  # unnormalized J_k
+    for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
+        cur[starts == k] = 1.0
+        if k < len(coeffs):
+            sums[k % 2] += coeffs[k] * cur
+        if k % 2 == 0:
+            norm += cur if k == 0 else 2.0 * cur
+        if k == 0:
+            break
+        below = (k * two_over_x) * cur - above
+        big = np.abs(below) > 2.0**500
         if big.any():
-            table[k - 1 :, big] *= 2.0**-500
-    table = table[: top + 1]
-    table /= table[0] + 2.0 * table[2::2].sum(axis=0)
-    table[:, tiny] = 0.0
-    table[0, tiny] = 1.0
-    return table
+            for arr in (below, cur, sums[0], sums[1], norm):
+                arr[big] *= 2.0**-500
+        above, cur = cur, below
+    values = (sums[0] + np.sign(z) * sums[1]) / norm
+    values[tiny] = coeffs[0]
+    return values
 
 
 def _chebyshev_vectors(op: Operator, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float):
@@ -425,19 +461,15 @@ def correlator_krylov(
         lo, hi = op.gershgorin_interval()
         centre = 0.5 * (lo + hi)
         half_width = 0.5 * (hi - lo) * (1.0 + 1e-4)
-        table = _bessel_table(half_width * np.abs(times))
         z_max = half_width * t_max
-        col = np.abs(table[:, int(np.argmax(np.abs(times)))])
+        col = np.abs(_bessel_column(z_max))
         tail = np.append(np.cumsum(col[::-1])[::-1][1:], 0.0)  # tail[k] = sum_{j>k}
         order = int(z_max) + 1
         order += int(np.argmax(2.0 * norm_w * norm_phi * tail[order:] <= budget))
         mu = _chebyshev_moments(op, w, phi, h_phi, centre, half_width, order)
         coeffs = mu * np.array([1.0, -1j, -1.0, 1j])[np.arange(order + 1) % 4]
         coeffs[1:] *= 2.0
-        table = table[: order + 1]
-        table[1::2, times < 0] *= -1.0  # J_k(-z) = (-1)^k J_k(z)
-        re, im = np.stack([coeffs.real, coeffs.imag]) @ table
-        values = (re + 1j * im) * np.exp(1j * (e_psi - centre) * times)
+        values = _bessel_series(half_width * times, coeffs) * np.exp(1j * (e_psi - centre) * times)
     return CorrelationSeries(
         grid=grid,
         values=values,

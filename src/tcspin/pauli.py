@@ -220,23 +220,17 @@ class Operator:
         )
 
     def matvec(self, amps: np.ndarray) -> np.ndarray:
-        """Matrix-free action on the last axis of an amplitude array; always complex128.
+        """Matrix-free action on a raw amplitude array; always complex128.
 
-        ``amps`` is one state of shape (2^N,) or a block of shape (..., 2^N),
-        one state per row. Groups are accumulated in ascending x_mask order
-        and every row sees the same elementwise arithmetic, so a row of a
-        block result is bit-identical to the single-state result, regardless
-        of any outer worker pool.
+        Groups are accumulated in ascending x_mask order, so the result is
+        bit-deterministic regardless of any outer worker pool.
         """
         dim = 1 << self.n_sites
-        if amps.ndim == 0 or amps.shape[-1] != dim:
-            raise DimensionError(f"state has shape {amps.shape}, expected (..., {dim})")
-        out = np.zeros(amps.shape, dtype=np.complex128)
-        # gather on the leading axis of the transpose: for one state that is
-        # numpy's fast 1-D gather (amps[..., perm] doubles its cost)
-        states = amps.T
+        if amps.shape != (dim,):
+            raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
+        out = np.zeros(dim, dtype=np.complex128)
         for c, perm in self._groups:
-            out += c * (amps if perm is None else states[perm].T)
+            out += c * (amps if perm is None else amps[perm])
         return out
 
     def gershgorin_interval(self) -> tuple[float, float]:

@@ -1,5 +1,7 @@
 """Correlators (spectral vs Krylov), Krylov propagation, oscillation analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,7 +10,8 @@ import scipy.special
 from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
-    _bessel_table,
+    _bessel_column,
+    _bessel_series,
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
@@ -162,10 +165,23 @@ PERTURBATIONS = [
 
 class TestChebyshevCorrelator:
     @pytest.mark.parametrize("z", [0.0, 0.3, 50.0, 780.0])
-    def test_bessel_table_matches_scipy(self, z):
-        column = _bessel_table(np.array([z]))[:, 0]
+    def test_bessel_column_matches_scipy(self, z):
+        column = _bessel_column(z)
         orders = np.arange(len(column))
         assert np.max(np.abs(column - scipy.special.jv(orders, z))) < 1e-13
+
+    def test_bessel_series_matches_scipy(self):
+        z = np.array([0.0, 0.3, -0.3, 50.0, -50.0, 780.0, -780.0, 1e-40])
+        rng = np.random.default_rng(5)
+        coeffs = rng.normal(size=900) + 1j * rng.normal(size=900)
+        orders = np.arange(len(coeffs))
+        expected = [np.sum(coeffs * scipy.special.jv(orders, x)) for x in z]
+        # each J_k is within about 1e-14, and the 900 coefficients are O(1)
+        assert np.max(np.abs(_bessel_series(z, coeffs) - expected)) < 1e-12
+        for k in (0, 1, 2, 799):
+            unit = np.zeros(k + 1)
+            unit[k] = 1.0
+            assert np.max(np.abs(_bessel_series(z, unit) - scipy.special.jv(k, z))) < 1e-13
 
     @pytest.mark.parametrize("spec", PERTURBATIONS)
     @pytest.mark.parametrize("observables", ["zz", "xx", "xz", "z,z+x/2"])
@@ -183,6 +199,25 @@ class TestChebyshevCorrelator:
         budget = (grid.n_samples - 1) * step_tol
         norm_w = np.linalg.norm(a.dagger().matvec(psi.amplitudes))
         assert np.max(np.abs(chebyshev.values - spectral.values)) <= budget * norm_w
+
+    def test_long_grid_needs_no_table_of_orders_by_samples(self):
+        # K is about 7 500 here: a table of K x 4001 floats would take 240 MB
+        op = _chain(4, PerturbationSpec("heisenberg_exchange", 0.05))
+        spectrum = dense_spectrum(op)
+        psi = spectrum.state(0).normalized()
+        m = magnetization_operator(4, "x")
+        grid = TimeGrid(0.0, 1500.0, 4001)
+        step_tol = 1e-12
+        tracemalloc.start()
+        try:
+            chebyshev = correlator_krylov(op, m, m, psi, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        spectral = correlator_spectral(op, m, m, psi, grid)
+        norm_w = np.linalg.norm(m.matvec(psi.amplitudes))
+        assert np.max(np.abs(chebyshev.values - spectral.values)) <= (grid.n_samples - 1) * step_tol * norm_w
 
     def test_eigenvector_takes_the_shortcut(self, monkeypatch):
         # m_z maps the chain's ground state onto an eigenvector: one matvec

@@ -213,24 +213,6 @@ class TestCompiledGroups:
         assert np.array_equal(op.matvec(np.ones(8)), np.zeros(8))
         assert np.array_equal(to_dense(op), np.zeros((8, 8)))
 
-    @pytest.mark.parametrize("hermitian", [True, False])
-    def test_block_rows_match_single_state_matvec(self, hermitian):
-        rng = np.random.default_rng(31)
-        op = random_operator(rng, 6, 12, hermitian=hermitian)
-        block = np.stack([random_state(rng, 6).amplitudes for _ in range(5)])
-        out = op.matvec(block)
-        assert out.shape == block.shape
-        for i in range(5):
-            assert np.array_equal(out[i], op.matvec(block[i]))
-        real_block = block.real.reshape(5, 1, 64)
-        assert np.array_equal(op.matvec(real_block)[3, 0], op.matvec(real_block[3, 0]))
-
-    @pytest.mark.parametrize("shape", [(64, 5), (5, 32), ()])
-    def test_block_with_wrong_last_axis_is_rejected(self, shape):
-        op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
-        with pytest.raises(DimensionError):
-            op.matvec(np.zeros(shape))
-
     @pytest.mark.parametrize("seed", range(4))
     def test_gershgorin_interval_encloses_spectrum(self, seed):
         rng = np.random.default_rng(seed)
