@@ -22,15 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .dynamics import (
-    EIGENSTATE_RESIDUAL_TOL,
-    TimeGrid,
-    correlator_krylov,
-    correlator_krylov_general,
-    correlator_spectral,
-    extract_oscillation,
-    gap_frequency_consistency,
-)
+from .dynamics import TimeGrid
 from .errors import ConfigError, TcspinError
 from .models import (
     PerturbationSpec,
@@ -40,9 +32,18 @@ from .models import (
     magnetization_operator,
 )
 from .oscillator import OscillatorConfig, baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
-from .pauli import Operator, StateVector, dense_cap
-from .spectra import SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
-from .sweep import SweepPlan, fit_power_law, records_to_csv, run_sweep, summarize_sweep
+from .pauli import Operator, dense_cap
+from .spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
+from .sweep import (
+    SolverSettings,
+    SweepPlan,
+    basis_state,
+    fit_power_law,
+    records_to_csv,
+    run_point,
+    run_sweep,
+    summarize_sweep,
+)
 
 log = logging.getLogger("tcspin")
 
@@ -105,18 +106,17 @@ def _read_perturbations(entries, n_sites: int, boundary: str, where: str) -> Ope
     return combined
 
 
-def _read_observable(section: dict, n_sites: int, where: str) -> tuple[Operator, str]:
+def _read_observable(section: dict, n_sites: int, where: str) -> Operator:
     kind = section.get("type", "magnetization")
     if kind == "magnetization":
         _check_keys(section, {"type", "axis"}, {"axis"}, where)
         axis = section["axis"]
         if axis not in ("x", "y", "z"):
             raise ConfigError(f"{where}.axis must be x/y/z, got {axis!r}")
-        return magnetization_operator(n_sites, axis), f"m_{axis}"
+        return magnetization_operator(n_sites, axis)
     if kind == "pauli_terms":
         _check_keys(section, {"type", "terms"}, {"terms"}, where)
-        op = Operator.from_json(json.dumps(section["terms"]), n_sites=n_sites)
-        return op, "pauli_terms"
+        return Operator.from_json(json.dumps(section["terms"]), n_sites=n_sites)
     raise ConfigError(f"{where}.type must be 'magnetization' or 'pauli_terms', got {kind!r}")
 
 
@@ -198,13 +198,18 @@ def _resolve_config(raw: dict, command: str) -> dict:
         resolved["oscillation"] = osc
         _read_time_grid(resolved["time_grid"], "config.time_grid")
         model = _read_model(resolved["model"], "config.model")
+        if solver["method"] in ("spectral", "both") and model.n_sites > dense_cap():
+            raise ConfigError(
+                f"the spectral route at N={model.n_sites} exceeds the dense cap {dense_cap()}; "
+                "use solver.method 'krylov'"
+            )
         if state["type"] == "basis":
             index = state["index"]
             if not isinstance(index, int) or not 0 <= index < (1 << model.n_sites):
                 raise ConfigError(
                     f"config.initial_state.index must be an integer in [0, {1 << model.n_sites}), got {index!r}"
                 )
-            if solver["method"] in ("spectral", "both") and _basis_state(_build_operator(resolved), index)[1] is None:
+            if solver["method"] in ("spectral", "both") and basis_state(_build_operator(resolved), index)[1] is None:
                 raise ConfigError(
                     f"the spectral route needs an eigenstate initial state and basis state {index} "
                     "is not one; use solver.method 'krylov'"
@@ -301,87 +306,35 @@ def cmd_spectrum(resolved: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def _basis_state(op: Operator, index: int) -> tuple[StateVector, float | None]:
-    """Basis state ``index`` and its energy, or None when it is not an eigenstate."""
-    psi = StateVector.basis_state(op.n_sites, index)
-    h_psi = op.matvec(psi.amplitudes)
-    energy = float(np.vdot(psi.amplitudes, h_psi).real)
-    residual = float(np.linalg.norm(h_psi - energy * psi.amplitudes))
-    return psi, energy if residual <= EIGENSTATE_RESIDUAL_TOL else None
-
-
-def _initial_state(
-    resolved: dict, op: Operator
-) -> tuple[StateVector, float | None, SpectrumResult | None]:
-    """The configured initial state, its energy when it is an eigenstate, and
-    the spectrum computed to prepare it (None for a basis state)."""
-    state_cfg = resolved["initial_state"]
-    if state_cfg["type"] == "basis":
-        return (*_basis_state(op, int(state_cfg["index"])), None)
-    solver = resolved["solver"]
-    if op.n_sites <= dense_cap():
-        spectrum = dense_spectrum(op)
-    else:
-        spectrum = lanczos_extremal(
-            op,
-            k=solver["lanczos_k"],
-            tol=solver["lanczos_tol"],
-            max_iter=solver["lanczos_max_iter"],
-            seed=solver["lanczos_seed"],
-        )
-    if state_cfg["type"] == "ground":
-        return spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), spectrum
-    ghz = ghz_overlap_report(spectrum, op.n_sites)
-    pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
-    return StateVector(op.n_sites, pair).normalized(), None, spectrum
-
-
 def cmd_correlate(resolved: dict, out_dir: Path) -> int:
     op = _build_operator(resolved)
-    observable, obs_label = _read_observable(resolved["observable"], op.n_sites, "config.observable")
-    grid = _read_time_grid(resolved["time_grid"], "config.time_grid")
-    solver = resolved["solver"]
-    psi, energy, spectrum = _initial_state(resolved, op)
-
-    method = solver["method"]
-    series_spectral = None
-    series_krylov = None
-    if method in ("spectral", "both"):
-        series_spectral = correlator_spectral(op, observable, observable, psi, grid)
-    if method in ("krylov", "both"):
-        if energy is not None:
-            series_krylov = correlator_krylov(
-                op, observable, observable, psi, energy, grid,
-                krylov_dim=solver["krylov_dim"], step_tol=solver["step_tol"],
-            )
-        else:
-            series_krylov = correlator_krylov_general(
-                op, observable, observable, psi, grid,
-                krylov_dim=solver["krylov_dim"], step_tol=solver["step_tol"],
-            )
-    primary = series_spectral if series_spectral is not None else series_krylov
-    primary.observable_a = obs_label
-    primary.observable_b = obs_label
-
-    report = extract_oscillation(primary, max_peaks=resolved["oscillation"]["max_peaks"])
-    payload: dict = {"oscillation": json.loads(report.to_json()), "method": primary.method}
-    if series_spectral is not None and series_krylov is not None:
+    solver = dict(resolved["solver"])
+    method = solver.pop("method")
+    settings = SolverSettings(
+        dense_max_sites=dense_cap(), max_peaks=resolved["oscillation"]["max_peaks"], **solver
+    )
+    state = resolved["initial_state"]
+    methods = ("spectral", "krylov") if method == "both" else (method,)
+    point = run_point(
+        op,
+        _read_observable(resolved["observable"], op.n_sites, "config.observable"),
+        _read_time_grid(resolved["time_grid"], "config.time_grid"),
+        state["index"] if state["type"] == "basis" else state["type"],
+        settings,
+        methods,
+    )
+    primary = point.series[methods[0]]
+    payload: dict = {"oscillation": json.loads(point.report.to_json()), "method": primary.method}
+    if method == "both":
         payload["cross_method_max_abs_diff"] = float(
-            np.max(np.abs(series_spectral.values - series_krylov.values))
+            np.max(np.abs(point.series["spectral"].values - point.series["krylov"].values))
         )
-    # the check compares peaks against E_n - E_0 gaps, which is the Lehmann
-    # structure only when the initial state is the ground state
-    if energy is not None and op.n_sites <= dense_cap():
-        if spectrum is None:
-            spectrum = dense_spectrum(op)
-        if abs(energy - float(spectrum.eigenvalues[0])) <= 1e-8:
-            payload["gap_frequency_consistent"] = gap_frequency_consistency(
-                spectrum, report, tol=1e-6
-            )
+    if point.gap_consistent is not None:
+        payload["gap_frequency_consistent"] = point.gap_consistent
 
     _write_csv(out_dir / "correlation.csv", resolved, primary.to_csv())
-    if series_spectral is not None and series_krylov is not None:
-        _write_csv(out_dir / "correlation_krylov.csv", resolved, series_krylov.to_csv())
+    if method == "both":
+        _write_csv(out_dir / "correlation_krylov.csv", resolved, point.series["krylov"].to_csv())
     _write_json(out_dir / "oscillation.json", resolved, payload)
     log.info("wrote correlation.csv and oscillation.json to %s", out_dir)
     return EXIT_OK

@@ -20,7 +20,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceError, DimensionError, EigenstateError, ModelError
-from .pauli import Operator, StateVector, to_dense
+from .pauli import Operator, StateVector, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .spectra import SpectrumResult
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
 
@@ -133,35 +134,36 @@ def _check_eigenstate(op: Operator, psi: StateVector, energy: float, tol: float)
 
 def correlator_spectral(
     op: Operator,
+    spectrum: SpectrumResult,
     a: Operator,
     b: Operator,
     psi: StateVector,
     grid: TimeGrid,
     residual_tol: float = EIGENSTATE_RESIDUAL_TOL,
 ) -> CorrelationSeries:
-    """Exact Lehmann summation over the full dense spectrum.
+    """Exact Lehmann summation over the full dense spectrum of ``op``.
 
-    C(t) = sum_n <psi|A|n><n|B|psi> e^{-i (E_n - E_psi) t}; requires psi to
-    be an eigenstate of ``op`` (checked by residual) and the system to fit
-    under the dense cap.
+    C(t) = sum_n <psi|A|n><n|B|psi> e^{-i (E_n - E_psi) t}, with E_n and |n>
+    read from ``spectrum`` (a :class:`~tcspin.spectra.SpectrumResult` holding
+    every eigenpair of ``op``, as :func:`~tcspin.spectra.dense_spectrum`
+    returns it). psi must be an eigenstate of ``op`` (checked by residual);
+    E_psi = <psi|H|psi> comes from one matvec.
     """
     for o in (a, b):
         if o.n_sites != op.n_sites:
             raise DimensionError("A, B and H must act on the same number of sites")
     if psi.n_sites != op.n_sites:
         raise DimensionError("state and operators act on different site counts")
+    if spectrum.n_sites != op.n_sites or spectrum.n_pairs != 1 << op.n_sites:
+        raise DimensionError("the spectral route needs every eigenpair of H")
     e_psi = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
     _check_eigenstate(op, psi, e_psi, residual_tol)
 
-    mat = to_dense(op)
-    energies, columns = np.linalg.eigh(mat)
-    a_dag_psi = a.dagger().matvec(psi.amplitudes)
-    b_psi = b.matvec(psi.amplitudes)
-    amp_a = columns.conj().T @ a_dag_psi  # <A^dag psi|n> conj -> <psi|A|n>
-    amp_a = amp_a.conj()
-    amp_b = columns.conj().T @ b_psi  # <n|B psi>
+    vectors = spectrum.vectors  # row n holds the amplitudes of |n>
+    amp_a = vectors @ a.dagger().matvec(psi.amplitudes).conj()  # <psi|A|n>
+    amp_b = (vectors @ b.matvec(psi.amplitudes).conj()).conj()  # <n|B psi>
     weights = amp_a * amp_b
-    gaps = energies - e_psi
+    gaps = spectrum.eigenvalues - e_psi
     times = grid.times()
     values = np.zeros(len(times), dtype=np.complex128)
     # chunk the eigenstate sum to bound the phase-matrix size
@@ -651,7 +653,7 @@ def extract_oscillation(series: CorrelationSeries, max_peaks: int = 8) -> Oscill
     )
 
 
-def gap_frequency_consistency(spec, report: OscillationReport, tol: float) -> bool:
+def gap_frequency_consistency(spec: SpectrumResult, report: OscillationReport, tol: float) -> bool:
     """True iff every reported peak matches some eigenvalue gap E_n - E_0."""
     if report.n_peaks == 0:
         return True

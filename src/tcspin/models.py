@@ -208,18 +208,6 @@ def magnetization_operator(n: int, axis: Axis) -> Operator:
     return Operator(n, tuple(_single_site(n, j, axis, coeff) for j in range(1, n + 1)))
 
 
-def center_of_mass_operator(n: int):
-    """Symbol mapping only: the center-of-mass coordinate has no spin-space form.
-
-    The harmonic-oscillator counterexample is handled analytically and in a
-    truncated number basis by :mod:`tcspin.oscillator`.
-    """
-    raise NotImplementedError(
-        "the center-of-mass coordinate is not a spin operator; "
-        "see tcspin.oscillator for the analytic and truncated-Fock treatments"
-    )
-
-
 def perturbation_fingerprint(n: int, spec: PerturbationSpec, boundary: Boundary = "periodic") -> str:
     """Serialized term list; identical inputs produce identical text."""
     return json.dumps(

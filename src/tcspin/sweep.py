@@ -2,7 +2,8 @@
 
 A sweep plan fixes a grid of (N, J) points, an observable, a time grid,
 solver settings and optional perturbation families; every grid point runs
-spectrum -> correlator -> oscillation report and lands in one record. Rows
+spectrum -> correlator -> oscillation report through :func:`run_point`, the
+pipeline ``tcspin correlate`` shares, and lands in one record. Rows
 are pure functions of their inputs, so a plan rerun reproduces the results
 CSV byte for byte. Wall times are kept out of the deterministic outputs.
 """
@@ -17,6 +18,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dynamics import (
+    EIGENSTATE_RESIDUAL_TOL,
+    CorrelationSeries,
+    OscillationReport,
     TimeGrid,
     correlator_krylov,
     correlator_krylov_general,
@@ -27,16 +31,17 @@ from .dynamics import (
 from .errors import PlanError, TcspinError
 from .models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian, magnetization_operator
 from .oscillator import OscillatorConfig, cm_correlator_numeric
-from .pauli import StateVector, dense_cap
-from .spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
+from .pauli import Operator, StateVector, dense_cap
+from .spectra import GHZReport, SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
 
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Route selection and iterative-solver knobs for sweep rows.
+    """Route selection and iterative-solver knobs of :func:`run_point`.
 
-    Rows at N <= dense_max_sites use the dense spectrum and the spectral
-    correlator; larger rows use Lanczos plus Krylov propagation.
+    Points at N <= dense_max_sites use the dense spectrum, larger ones
+    Lanczos; sweep rows on the dense route correlate the ground state with
+    the spectral correlator.
     """
 
     dense_max_sites: int = 10
@@ -335,6 +340,88 @@ def _enumerate_points(plan: SweepPlan) -> list[SweepRecord]:
     return rows
 
 
+def basis_state(op: Operator, index: int) -> tuple[StateVector, float | None]:
+    """Basis state ``index`` and its energy, or None when it is not an eigenstate."""
+    psi = StateVector.basis_state(op.n_sites, index)
+    h_psi = op.matvec(psi.amplitudes)
+    energy = float(np.vdot(psi.amplitudes, h_psi).real)
+    residual = float(np.linalg.norm(h_psi - energy * psi.amplitudes))
+    return psi, energy if residual <= EIGENSTATE_RESIDUAL_TOL else None
+
+
+@dataclass
+class PointResult:
+    spectrum: SpectrumResult | None  # None for a basis state that needed none
+    ghz: GHZReport | None  # of ``spectrum``
+    psi: StateVector
+    energy: float | None  # E_psi when psi is an eigenstate
+    series: dict[str, CorrelationSeries]  # by correlator method, in the order asked
+    report: OscillationReport  # of the first series
+    gap_consistent: bool | None  # None when the gap check does not apply
+
+
+def run_point(
+    op: Operator,
+    observable: Operator,
+    grid: TimeGrid,
+    initial_state: str | int,
+    settings: SolverSettings,
+    methods: tuple[str, ...],
+) -> PointResult:
+    """Spectrum -> initial state -> correlators -> oscillation report for one H.
+
+    ``initial_state`` is 'ground', 'ghz_pair' (the normalized sum of the two
+    best-GHZ-overlap eigenstates) or a basis index; a basis state takes a
+    spectrum only when it is an eigenstate on the dense route. The spectrum
+    is dense at N <= ``settings.dense_max_sites``, Lanczos otherwise (a
+    TcspinError if it converges fewer than ``lanczos_k`` pairs). ``methods``
+    holds 'spectral' and/or 'krylov' (:func:`correlator_krylov` for an
+    eigenstate, :func:`correlator_krylov_general` otherwise), each the
+    autocorrelator of ``observable``. Peaks are checked against the gaps
+    E_n - E_0 only when the spectrum is dense and psi is an eigenstate within
+    1e-8 of E_0: only then are those gaps the Lehmann frequencies.
+    """
+    dense = op.n_sites <= settings.dense_max_sites
+    spectrum = ghz = None
+    if isinstance(initial_state, str):
+        if dense:
+            spectrum = dense_spectrum(op)
+        else:
+            spectrum = lanczos_extremal(
+                op, k=settings.lanczos_k, tol=settings.lanczos_tol,
+                max_iter=settings.lanczos_max_iter, seed=settings.lanczos_seed,
+            )
+            if spectrum.n_converged < settings.lanczos_k:
+                raise TcspinError(f"Lanczos converged {spectrum.n_converged}/{settings.lanczos_k} pairs")
+        ghz = ghz_overlap_report(spectrum, op.n_sites)
+        if initial_state == "ground":
+            psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        else:
+            pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
+            psi, energy = StateVector(op.n_sites, pair).normalized(), None
+    else:
+        psi, energy = basis_state(op, initial_state)
+        if dense and energy is not None:
+            spectrum = dense_spectrum(op)
+
+    krylov = {"krylov_dim": settings.krylov_dim, "step_tol": settings.step_tol}
+    series: dict[str, CorrelationSeries] = {}
+    for method in methods:
+        if method == "spectral":
+            if spectrum is None:
+                raise TcspinError("the spectral correlator needs a dense spectrum and an eigenstate")
+            series[method] = correlator_spectral(op, spectrum, observable, observable, psi, grid)
+        elif energy is not None:
+            series[method] = correlator_krylov(op, observable, observable, psi, energy, grid, **krylov)
+        else:
+            series[method] = correlator_krylov_general(op, observable, observable, psi, grid, **krylov)
+    report = extract_oscillation(series[methods[0]], max_peaks=settings.max_peaks)
+    gap_consistent = None
+    if dense and energy is not None and abs(energy - float(spectrum.eigenvalues[0])) <= 1e-8:
+        gap_consistent = gap_frequency_consistency(spectrum, report, tol=1e-6)
+    return PointResult(spectrum, ghz, psi, energy, series, report, gap_consistent)
+
+
 def _execute_row(row: SweepRecord, plan: SweepPlan) -> SweepRecord:
     t0 = time.perf_counter()
     try:
@@ -350,62 +437,24 @@ def _execute_row(row: SweepRecord, plan: SweepPlan) -> SweepRecord:
             )
             op = (op + build_perturbation(row.n_sites, spec, row.boundary)).canonicalize()
 
-        settings = plan.solver
-        if row.solver == "dense":
-            spectrum = dense_spectrum(op)
-        else:
-            spectrum = lanczos_extremal(
-                op,
-                k=settings.lanczos_k,
-                tol=settings.lanczos_tol,
-                max_iter=settings.lanczos_max_iter,
-                seed=settings.lanczos_seed,
-            )
-            if spectrum.n_converged < settings.lanczos_k:
-                raise TcspinError(
-                    f"Lanczos converged {spectrum.n_converged}/{settings.lanczos_k} pairs"
-                )
-        row.ground_energy = float(spectrum.eigenvalues[0])
-        row.energy_gap = float(spectrum.eigenvalues[1] - spectrum.eigenvalues[0])
-        ghz = ghz_overlap_report(spectrum, row.n_sites)
-        row.ghz_gap = ghz.ghz_gap
-        row.ghz_overlap_plus = ghz.entries[ghz.best_plus_index].overlap_plus
-        row.ghz_overlap_minus = ghz.entries[ghz.best_minus_index].overlap_minus
-
-        observable = magnetization_operator(row.n_sites, row.axis)
-        if row.initial_state == "ground":
-            psi = spectrum.state(0).normalized()
-            if row.solver == "dense":
-                series = correlator_spectral(op, observable, observable, psi, plan.grid)
-            else:
-                series = correlator_krylov(
-                    op,
-                    observable,
-                    observable,
-                    psi,
-                    row.ground_energy,
-                    plan.grid,
-                    krylov_dim=settings.krylov_dim,
-                    step_tol=settings.step_tol,
-                )
-        else:
-            pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
-            psi = StateVector(row.n_sites, pair).normalized()
-            series = correlator_krylov_general(
-                op,
-                observable,
-                observable,
-                psi,
-                plan.grid,
-                krylov_dim=settings.krylov_dim,
-                step_tol=settings.step_tol,
-            )
-        report = extract_oscillation(series, max_peaks=settings.max_peaks)
-        row.dominant_frequency = report.dominant_frequency
-        row.dominant_amplitude = report.dominant_amplitude
-        row.residual_fraction = report.residual_fraction
-        if row.solver == "dense":
-            row.gap_consistent = gap_frequency_consistency(spectrum, report, tol=1e-6)
+        spectral = row.solver == "dense" and row.initial_state == "ground"
+        point = run_point(
+            op,
+            magnetization_operator(row.n_sites, row.axis),
+            plan.grid,
+            row.initial_state,
+            plan.solver,
+            ("spectral",) if spectral else ("krylov",),
+        )
+        row.ground_energy = float(point.spectrum.eigenvalues[0])
+        row.energy_gap = float(point.spectrum.eigenvalues[1] - point.spectrum.eigenvalues[0])
+        row.ghz_gap = point.ghz.ghz_gap
+        row.ghz_overlap_plus = point.ghz.entries[point.ghz.best_plus_index].overlap_plus
+        row.ghz_overlap_minus = point.ghz.entries[point.ghz.best_minus_index].overlap_minus
+        row.dominant_frequency = point.report.dominant_frequency
+        row.dominant_amplitude = point.report.dominant_amplitude
+        row.residual_fraction = point.report.residual_fraction
+        row.gap_consistent = point.gap_consistent
         row.status = "ok"
     except Exception as exc:  # per-row failures are recorded, not fatal
         row.status = "failed"

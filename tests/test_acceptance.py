@@ -179,7 +179,7 @@ def test_criterion_5_dynamics_consistency():
         psi = spec.state(0).normalized()
         m = magnetization_operator(n, "z")
         grid = TimeGrid(0.0, 120.0, 128)
-        spectral = correlator_spectral(op, m, m, psi, grid)
+        spectral = correlator_spectral(op, spec, m, m, psi, grid)
         krylov = correlator_krylov(
             op, m, m, psi, float(spec.eigenvalues[0]), grid, krylov_dim=30, step_tol=1e-12
         )
@@ -197,7 +197,7 @@ def test_criterion_5_dynamics_consistency():
         if drift > 1e-10:
             failures.append(f"N={n}: unitarity drift {drift:.2e}")
         long_grid = TimeGrid(0.0, 300.0, 1024)
-        report = extract_oscillation(correlator_spectral(op, m, m, psi, long_grid), 8)
+        report = extract_oscillation(correlator_spectral(op, spec, m, m, psi, long_grid), 8)
         if report.n_peaks == 0:
             failures.append(f"N={n}: no oscillation peaks found")
         if not gap_frequency_consistency(spec, report, tol=1e-6):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tcspin import cli
+from tcspin import sweep
 from tcspin.cli import main
 from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
 from tcspin.pauli import to_dense
@@ -138,13 +138,13 @@ class TestCorrelateCommand:
     def test_ground_state_krylov_diagonalizes_once(self, tmp_path, monkeypatch):
         # the gap check reuses the spectrum that prepared the ground state
         calls = []
-        dense = cli.dense_spectrum
+        dense = sweep.dense_spectrum
 
         def counting(op):
             calls.append(op.n_sites)
             return dense(op)
 
-        monkeypatch.setattr(cli, "dense_spectrum", counting)
+        monkeypatch.setattr(sweep, "dense_spectrum", counting)
         doc = {
             "command": "correlate",
             "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
@@ -158,6 +158,63 @@ class TestCorrelateCommand:
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
         assert calls == [6]
         assert json.loads((out / "oscillation.json").read_text())["gap_frequency_consistent"] is True
+
+    def test_dense_both_run_diagonalizes_once(self, tmp_path, monkeypatch):
+        # the spectral correlator reads the spectrum that prepared the state
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": "both", "step_tol": 1e-12},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize("max_iter", [8, 30])
+    def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter):
+        # 8 matvecs converge no pair, 30 converge one of the four asked for
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": "krylov", "lanczos_max_iter": max_iter},
+        }
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 3
+        assert "Lanczos converged" in capsys.readouterr().err
+        assert not (out / "oscillation.json").exists()
+
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_spectral_route_above_dense_cap_is_config_error(self, tmp_path, monkeypatch, method):
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": method},
+        }
+        cfg = write_config(tmp_path, doc)
+        assert main(["validate", "--config", cfg]) == 2
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_bad_basis_index_is_config_error(self, tmp_path):
         doc = dict(TWO_LEVEL_CORRELATE)

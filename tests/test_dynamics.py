@@ -19,7 +19,7 @@ from tcspin.dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from tcspin.errors import EigenstateError, ModelError
+from tcspin.errors import DimensionError, EigenstateError, ModelError
 from tcspin.models import (
     PerturbationSpec,
     TCModelConfig,
@@ -52,41 +52,51 @@ class TestTimeGrid:
 class TestSpectralCorrelator:
     def test_two_level_phase(self):
         grid = TimeGrid(0.0, 20.0, 64)
-        series = correlator_spectral(SIGMA_Z, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), grid)
+        series = correlator_spectral(SIGMA_Z, dense_spectrum(SIGMA_Z), SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), grid)
         assert np.max(np.abs(series.values - np.exp(-2j * grid.times()))) < 1e-12
 
     def test_identity_observables_give_unity(self):
         eye = Operator.from_label_terms([(1.0, "I")])
         grid = TimeGrid(0.0, 5.0, 32)
-        series = correlator_spectral(SIGMA_Z, eye, eye, StateVector.basis_state(1, 0), grid)
+        series = correlator_spectral(SIGMA_Z, dense_spectrum(SIGMA_Z), eye, eye, StateVector.basis_state(1, 0), grid)
         assert np.max(np.abs(series.values - 1.0)) < 1e-12
 
     def test_rejects_non_eigenstate(self):
         plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(EigenstateError):
-            correlator_spectral(SIGMA_Z, SIGMA_X, SIGMA_X, plus, TimeGrid(0, 1, 16))
+            correlator_spectral(SIGMA_Z, dense_spectrum(SIGMA_Z), SIGMA_X, SIGMA_X, plus, TimeGrid(0, 1, 16))
+
+    def test_rejects_a_partial_spectrum(self):
+        op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
+        partial = lanczos_extremal(op, k=2, seed=0)
+        m = magnetization_operator(6, "z")
+        with pytest.raises(DimensionError):
+            correlator_spectral(op, partial, m, m, partial.state(0).normalized(), TimeGrid(0, 1, 16))
 
     def test_value_at_zero_is_static_expectation(self):
         op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
-        psi = dense_spectrum(op).state(0).normalized()
+        spec = dense_spectrum(op)
+        psi = spec.state(0).normalized()
         m = magnetization_operator(6, "z")
-        series = correlator_spectral(op, m, m, psi, TimeGrid(0.0, 10.0, 16))
+        series = correlator_spectral(op, spec, m, m, psi, TimeGrid(0.0, 10.0, 16))
         static = np.vdot(psi.amplitudes, m.matvec(m.matvec(psi.amplitudes)))
         assert abs(series.values[0] - static) < 1e-10
 
     def test_time_reversal_conjugates_hermitian_autocorrelator(self):
         op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
-        psi = dense_spectrum(op).state(0).normalized()
+        spec = dense_spectrum(op)
+        psi = spec.state(0).normalized()
         m = magnetization_operator(6, "z")
         grid = TimeGrid(-12.0, 12.0, 49)  # symmetric, includes t=0
-        series = correlator_spectral(op, m, m, psi, grid)
+        series = correlator_spectral(op, spec, m, m, psi, grid)
         assert np.max(np.abs(series.values - np.conj(series.values[::-1]))) < 1e-10
 
     def test_bounded_by_operator_norms(self):
         op = build_tc_hamiltonian(TCModelConfig(6, 1.0))
-        psi = dense_spectrum(op).state(0).normalized()
+        spec = dense_spectrum(op)
+        psi = spec.state(0).normalized()
         m = magnetization_operator(6, "x")
-        series = correlator_spectral(op, m, m, psi, TimeGrid(0.0, 50.0, 128))
+        series = correlator_spectral(op, spec, m, m, psi, TimeGrid(0.0, 50.0, 128))
         assert np.max(np.abs(series.values)) <= m.one_norm() ** 2 + 1e-12
 
 
@@ -105,7 +115,7 @@ class TestKrylovCorrelator:
         psi = spec.state(0).normalized()
         m = magnetization_operator(8, "z")
         grid = TimeGrid(0.0, 120.0, 192)
-        spectral = correlator_spectral(op, m, m, psi, grid)
+        spectral = correlator_spectral(op, spec, m, m, psi, grid)
         krylov = correlator_krylov(
             op, m, m, psi, float(spec.eigenvalues[0]), grid, krylov_dim=30, step_tol=1e-12
         )
@@ -195,7 +205,7 @@ class TestChebyshevCorrelator:
         a, b = {"zz": (m_z, m_z), "xx": (m_x, m_x), "xz": (m_x, m_z), "z,z+x/2": (m_z, m_z + 0.5 * m_x)}[observables]
         step_tol = 1e-10
         chebyshev = correlator_krylov(op, a, b, psi, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
-        spectral = correlator_spectral(op, a, b, psi, grid)
+        spectral = correlator_spectral(op, spectrum, a, b, psi, grid)
         budget = (grid.n_samples - 1) * step_tol
         norm_w = np.linalg.norm(a.dagger().matvec(psi.amplitudes))
         assert np.max(np.abs(chebyshev.values - spectral.values)) <= budget * norm_w
@@ -215,7 +225,7 @@ class TestChebyshevCorrelator:
         finally:
             tracemalloc.stop()
         assert peak < 20e6
-        spectral = correlator_spectral(op, m, m, psi, grid)
+        spectral = correlator_spectral(op, spectrum, m, m, psi, grid)
         norm_w = np.linalg.norm(m.matvec(psi.amplitudes))
         assert np.max(np.abs(chebyshev.values - spectral.values)) <= (grid.n_samples - 1) * step_tol * norm_w
 
@@ -380,7 +390,7 @@ class TestGapConsistency:
     def test_two_level_peak_matches_gap(self):
         spec = dense_spectrum(SIGMA_Z)
         grid = TimeGrid(0.0, 40.0, 512)
-        series = correlator_spectral(SIGMA_Z, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), grid)
+        series = correlator_spectral(SIGMA_Z, spec, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), grid)
         rep = extract_oscillation(series, 2)
         assert gap_frequency_consistency(spec, rep, tol=1e-3)
         assert gap_frequency_consistency(spec, rep, tol=1e-8)
@@ -402,7 +412,7 @@ class TestGapConsistency:
         spec = dense_spectrum(op)
         psi = spec.state(0).normalized()
         m = magnetization_operator(8, "z")
-        series = correlator_spectral(op, m, m, psi, TimeGrid(0.0, 200.0, 512))
+        series = correlator_spectral(op, spec, m, m, psi, TimeGrid(0.0, 200.0, 512))
         rep = extract_oscillation(series, 8)
         assert rep.n_peaks >= 1
         assert gap_frequency_consistency(spec, rep, tol=1e-6)

@@ -10,7 +10,6 @@ from tcspin.models import (
     build_ghz,
     build_perturbation,
     build_tc_hamiltonian,
-    center_of_mass_operator,
     magnetization_operator,
     perturbation_fingerprint,
 )
@@ -185,8 +184,3 @@ class TestMagnetization:
         for t in m.terms:
             assert t.coeff == 0.25
             assert t.x_mask.bit_count() == 1 and t.z_mask == 0
-
-
-def test_center_of_mass_symbol_has_no_spin_realization():
-    with pytest.raises(NotImplementedError):
-        center_of_mass_operator(4)

@@ -5,7 +5,8 @@ import pytest
 
 from tcspin.dynamics import TimeGrid
 from tcspin.errors import PlanError, TcspinError
-from tcspin.models import TCModelConfig, build_tc_hamiltonian
+from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.pauli import Operator
 from tcspin.spectra import dense_spectrum
 from tcspin.sweep import (
     OscillatorControl,
@@ -15,6 +16,7 @@ from tcspin.sweep import (
     fit_power_law,
     oscillator_control_table,
     records_to_csv,
+    run_point,
     run_sweep,
     stability_report,
     summarize_sweep,
@@ -139,6 +141,38 @@ class TestRunSweep:
         assert rows[0].status == "ok"
         assert rows[0].dominant_amplitude is not None
 
+    def test_dense_row_diagonalizes_once(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting(mat, *args, **kwargs):
+            calls.append(mat.shape)
+            return eigh(mat, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        (row,) = run_sweep(small_plan())
+        assert row.status == "ok" and row.solver == "dense"
+        assert calls == [(64, 64)]
+
+    def test_gap_check_only_on_ground_state_rows(self):
+        # the E_n - E_0 gaps are the Lehmann frequencies of the ground state
+        # alone, so a GHZ-pair row reports no gap check even on the dense route
+        ground = run_sweep(small_plan(n_values=(4, 6), solver=SolverSettings(dense_max_sites=4)))
+        assert [r.solver for r in ground] == ["dense", "lanczos"]
+        assert ground[0].gap_consistent is True
+        assert ground[1].gap_consistent is None
+        ghz = run_sweep(small_plan(n_values=(4, 6), initial_state="ghz_pair", solver=SolverSettings(dense_max_sites=4)))
+        assert [r.status for r in ghz] == ["ok", "ok"]
+        assert [r.gap_consistent for r in ghz] == [None, None]
+
+    def test_unconverged_lanczos_fails_the_row(self):
+        solver = SolverSettings(dense_max_sites=4, lanczos_k=4, lanczos_max_iter=8)
+        rows = run_sweep(small_plan(n_values=(4, 6), solver=solver))
+        assert rows[0].status == "ok"
+        assert rows[1].status == "failed"
+        assert rows[1].error.startswith("TcspinError: Lanczos converged")
+
+
     def test_all_rows_failing_raises(self, monkeypatch):
         import tcspin.sweep as sweep_mod
 
@@ -165,6 +199,38 @@ class TestRunSweep:
         assert by_n[4].status == "failed"
         assert "forced failure" in by_n[4].error
         assert by_n[6].status == "ok"
+
+
+class TestRunPoint:
+    OP = build_tc_hamiltonian(TCModelConfig(6, 0.5))
+    M = magnetization_operator(6, "z")
+
+    def test_spectral_and_krylov_share_one_spectrum(self):
+        point = run_point(self.OP, self.M, GRID, "ground", SolverSettings(step_tol=1e-12), ("spectral", "krylov"))
+        assert point.spectrum.method == "dense"
+        assert point.energy == point.spectrum.eigenvalues[0]
+        assert list(point.series) == ["spectral", "krylov"]
+        diff = point.series["spectral"].values - point.series["krylov"].values
+        assert np.max(np.abs(diff)) < 1e-8
+        assert point.gap_consistent is True
+
+    def test_non_eigenstate_basis_state_needs_no_spectrum(self):
+        point = run_point(self.OP, self.M, GRID, 0, SolverSettings(), ("krylov",))
+        assert point.spectrum is None and point.ghz is None
+        assert point.energy is None
+        assert point.series["krylov"].method == "krylov_general"
+        assert point.gap_consistent is None
+        with pytest.raises(TcspinError, match="dense spectrum"):
+            run_point(self.OP, self.M, GRID, 0, SolverSettings(), ("spectral",))
+
+    def test_excited_basis_eigenstate_gets_no_gap_check(self):
+        # under H = Z the basis state |1> is the ground state, |0> the excited one
+        op = Operator.from_label_terms([(1.0, "Z")])
+        x = Operator.from_label_terms([(1.0, "X")])
+        ground = run_point(op, x, GRID, 1, SolverSettings(), ("krylov",))
+        excited = run_point(op, x, GRID, 0, SolverSettings(), ("krylov",))
+        assert ground.spectrum is not None and ground.gap_consistent is True
+        assert excited.spectrum is not None and excited.gap_consistent is None
 
 
 class TestFitPowerLaw:
