@@ -33,12 +33,13 @@ from .models import (
 )
 from .oscillator import OscillatorConfig, baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
 from .pauli import Operator, dense_cap
-from .spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
+from .spectra import ghz_overlap_report
 from .sweep import (
     SolverSettings,
     SweepPlan,
     basis_state,
     fit_power_law,
+    point_spectrum,
     records_to_csv,
     run_point,
     run_sweep,
@@ -170,7 +171,7 @@ def _resolve_config(raw: dict, command: str) -> dict:
             raise ConfigError(
                 f"config.solver.method must be 'spectral', 'krylov' or 'both', got {solver['method']!r}"
             )
-        solver.setdefault("krylov_dim", 30)
+        solver.setdefault("krylov_dim", 30)  # accepted and ignored, see SolverSettings
         solver.setdefault("step_tol", 1e-10)
         solver.setdefault("lanczos_k", 4)
         solver.setdefault("lanczos_tol", 1e-10)
@@ -284,17 +285,12 @@ def _build_operator(resolved: dict) -> Operator:
 def cmd_spectrum(resolved: dict, out_dir: Path) -> int:
     op = _build_operator(resolved)
     solver = resolved["solver"]
-    if solver["method"] == "dense":
-        spectrum = dense_spectrum(op)
-    else:
-        spectrum = lanczos_extremal(
-            op, k=solver["k"], tol=solver["tol"], max_iter=solver["max_iter"], seed=solver["seed"]
-        )
-        if spectrum.n_converged < solver["k"]:
-            log.error(
-                "Lanczos converged only %d of %d pairs", spectrum.n_converged, solver["k"]
-            )
-            return EXIT_NUMERICAL
+    settings = SolverSettings(
+        dense_max_sites=op.n_sites if solver["method"] == "dense" else 0,
+        lanczos_k=solver["k"], lanczos_tol=solver["tol"],
+        lanczos_max_iter=solver["max_iter"], lanczos_seed=solver["seed"],
+    )
+    spectrum = point_spectrum(op, settings)
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     _write_json(
         out_dir / "spectrum.json",

@@ -25,9 +25,5 @@ class PlanError(ConfigError):
     """Invalid sweep plan (missing references, duplicate rows, ...)."""
 
 
-class ConvergenceError(TcspinError):
-    """An iterative solver or propagator failed to meet its tolerance."""
-
-
 class EigenstateError(TcspinError):
     """A state handed to a correlator is not an eigenstate of the Hamiltonian."""

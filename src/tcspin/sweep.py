@@ -41,7 +41,9 @@ class SolverSettings:
 
     Points at N <= dense_max_sites use the dense spectrum, larger ones
     Lanczos; sweep rows on the dense route correlate the ground state with
-    the spectral correlator.
+    the spectral correlator. ``krylov_dim`` is accepted and ignored; it
+    stays because perfbench plans set it and config hashes cover it
+    (ROADMAP 5a drops it with the next benchmark change).
     """
 
     dense_max_sites: int = 10
@@ -360,6 +362,20 @@ class PointResult:
     gap_consistent: bool | None  # None when the gap check does not apply
 
 
+def point_spectrum(op: Operator, settings: SolverSettings) -> SpectrumResult:
+    """Every eigenpair at N <= ``settings.dense_max_sites``, else the
+    ``lanczos_k`` lowest from Lanczos; a TcspinError if fewer converge."""
+    if op.n_sites <= settings.dense_max_sites:
+        return dense_spectrum(op)
+    spectrum = lanczos_extremal(
+        op, k=settings.lanczos_k, tol=settings.lanczos_tol,
+        max_iter=settings.lanczos_max_iter, seed=settings.lanczos_seed,
+    )
+    if spectrum.n_converged < settings.lanczos_k:
+        raise TcspinError(f"Lanczos converged {spectrum.n_converged}/{settings.lanczos_k} pairs")
+    return spectrum
+
+
 def run_point(
     op: Operator,
     observable: Operator,
@@ -373,26 +389,17 @@ def run_point(
     ``initial_state`` is 'ground', 'ghz_pair' (the normalized sum of the two
     best-GHZ-overlap eigenstates) or a basis index; a basis state takes a
     spectrum only when it is an eigenstate on the dense route. The spectrum
-    is dense at N <= ``settings.dense_max_sites``, Lanczos otherwise (a
-    TcspinError if it converges fewer than ``lanczos_k`` pairs). ``methods``
-    holds 'spectral' and/or 'krylov' (:func:`correlator_krylov` for an
-    eigenstate, :func:`correlator_krylov_general` otherwise), each the
-    autocorrelator of ``observable``. Peaks are checked against the gaps
-    E_n - E_0 only when the spectrum is dense and psi is an eigenstate within
-    1e-8 of E_0: only then are those gaps the Lehmann frequencies.
+    comes from :func:`point_spectrum`. ``methods`` holds 'spectral' and/or
+    'krylov' (:func:`correlator_krylov` for an eigenstate,
+    :func:`correlator_krylov_general` otherwise), each the autocorrelator of
+    ``observable``. Peaks are checked against the gaps E_n - E_0 only when
+    the spectrum is dense and psi is an eigenstate within 1e-8 of E_0: only
+    then are those gaps the Lehmann frequencies.
     """
     dense = op.n_sites <= settings.dense_max_sites
     spectrum = ghz = None
     if isinstance(initial_state, str):
-        if dense:
-            spectrum = dense_spectrum(op)
-        else:
-            spectrum = lanczos_extremal(
-                op, k=settings.lanczos_k, tol=settings.lanczos_tol,
-                max_iter=settings.lanczos_max_iter, seed=settings.lanczos_seed,
-            )
-            if spectrum.n_converged < settings.lanczos_k:
-                raise TcspinError(f"Lanczos converged {spectrum.n_converged}/{settings.lanczos_k} pairs")
+        spectrum = point_spectrum(op, settings)
         ghz = ghz_overlap_report(spectrum, op.n_sites)
         if initial_state == "ground":
             psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
@@ -404,7 +411,6 @@ def run_point(
         if dense and energy is not None:
             spectrum = dense_spectrum(op)
 
-    krylov = {"krylov_dim": settings.krylov_dim, "step_tol": settings.step_tol}
     series: dict[str, CorrelationSeries] = {}
     for method in methods:
         if method == "spectral":
@@ -412,9 +418,9 @@ def run_point(
                 raise TcspinError("the spectral correlator needs a dense spectrum and an eigenstate")
             series[method] = correlator_spectral(op, spectrum, observable, observable, psi, grid)
         elif energy is not None:
-            series[method] = correlator_krylov(op, observable, observable, psi, energy, grid, **krylov)
+            series[method] = correlator_krylov(op, observable, observable, psi, energy, grid, step_tol=settings.step_tol)
         else:
-            series[method] = correlator_krylov_general(op, observable, observable, psi, grid, **krylov)
+            series[method] = correlator_krylov_general(op, observable, observable, psi, grid, step_tol=settings.step_tol)
     report = extract_oscillation(series[methods[0]], max_peaks=settings.max_peaks)
     gap_consistent = None
     if dense and energy is not None and abs(energy - float(spectrum.eigenvalues[0])) <= 1e-8:

@@ -162,7 +162,7 @@ def test_criterion_4_solver_cross_validation():
     for n, t in ((6, 5.0), (10, 5.0)):
         op = build_tc_hamiltonian(TCModelConfig(n, 1.0))
         v = random_state(np.random.default_rng(50 + n), n)
-        krylov = evolve(op, v, t, krylov_dim=30, step_tol=1e-12)
+        krylov = evolve(op, v, t, step_tol=1e-12)
         exact = scipy.linalg.expm(-1j * t * to_dense(op)) @ v.amplitudes
         diff = float(np.max(np.abs(krylov.amplitudes - exact)))
         if diff > 1e-8:
@@ -181,7 +181,7 @@ def test_criterion_5_dynamics_consistency():
         grid = TimeGrid(0.0, 120.0, 128)
         spectral = correlator_spectral(op, spec, m, m, psi, grid)
         krylov = correlator_krylov(
-            op, m, m, psi, float(spec.eigenvalues[0]), grid, krylov_dim=30, step_tol=1e-12
+            op, m, m, psi, float(spec.eigenvalues[0]), grid, step_tol=1e-12
         )
         diff = float(np.max(np.abs(spectral.values - krylov.values)))
         if diff > 1e-8:
@@ -192,7 +192,7 @@ def test_criterion_5_dynamics_consistency():
         state = psi
         drift = 0.0
         for _ in range(32):
-            state = evolve(op, state, grid.spacing, krylov_dim=30, step_tol=1e-12)
+            state = evolve(op, state, grid.spacing, step_tol=1e-12)
             drift = max(drift, abs(state.norm - 1.0))
         if drift > 1e-10:
             failures.append(f"N={n}: unitarity drift {drift:.2e}")

@@ -182,22 +182,30 @@ class TestCorrelateCommand:
         assert calls == [(64, 64)]
 
     @pytest.mark.parametrize("max_iter", [8, 30])
-    def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter):
-        # 8 matvecs converge no pair, 30 converge one of the four asked for
+    @pytest.mark.parametrize("command", ["correlate", "spectrum"])
+    def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter, command):
+        # 8 matvecs converge no pair, 30 converge one of the four asked for;
+        # both commands share run_point's spectrum step under their own keys
         monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
-        doc = {
-            "command": "correlate",
-            "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
-            "observable": {"type": "magnetization", "axis": "z"},
-            "initial_state": {"type": "ground"},
-            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "krylov", "lanczos_max_iter": max_iter},
-        }
+        model = {"type": "tc", "n_sites": 8, "j_coupling": 0.5}
+        if command == "correlate":
+            doc = {
+                "command": "correlate",
+                "model": model,
+                "observable": {"type": "magnetization", "axis": "z"},
+                "initial_state": {"type": "ground"},
+                "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+                "solver": {"method": "krylov", "lanczos_max_iter": max_iter},
+            }
+            written = "oscillation.json"
+        else:
+            doc = {"command": "spectrum", "model": model, "solver": {"method": "lanczos", "max_iter": max_iter}}
+            written = "spectrum.json"
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
-        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 3
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert "Lanczos converged" in capsys.readouterr().err
-        assert not (out / "oscillation.json").exists()
+        assert not (out / written).exists()
 
     @pytest.mark.parametrize("method", ["spectral", "both"])
     def test_spectral_route_above_dense_cap_is_config_error(self, tmp_path, monkeypatch, method):
@@ -404,6 +412,12 @@ class TestInitialStateRouting:
             u = (vecs * np.exp(-1j * energies * time)) @ vecs.conj().T
             exact.append(np.vdot(u @ psi, m_z @ (u @ (m_z @ psi))))
         assert np.max(np.abs(values - np.array(exact))) < 1e-8
+
+    def test_non_positive_step_tol_on_non_eigenstate_basis_is_numerical_failure(self, tmp_path):
+        doc = self._basis_doc("krylov")
+        doc["solver"]["step_tol"] = -1.0
+        cfg = write_config(tmp_path, doc)
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
     @pytest.mark.parametrize("method", ["spectral", "both"])
     def test_non_eigenstate_basis_rejected_up_front_on_spectral_routes(self, tmp_path, method):

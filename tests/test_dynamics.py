@@ -28,7 +28,7 @@ from tcspin.models import (
     magnetization_operator,
 )
 from tcspin.pauli import Operator, StateVector, to_dense
-from tcspin.spectra import dense_spectrum, lanczos_extremal
+from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
 
 from conftest import random_state
 
@@ -105,7 +105,7 @@ class TestKrylovCorrelator:
         grid = TimeGrid(0.0, 20.0, 64)
         series = correlator_krylov(
             SIGMA_Z, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0, grid,
-            krylov_dim=4, step_tol=1e-12,
+            step_tol=1e-12,
         )
         assert np.max(np.abs(series.values - np.exp(-2j * grid.times()))) < 1e-10
 
@@ -117,7 +117,7 @@ class TestKrylovCorrelator:
         grid = TimeGrid(0.0, 120.0, 192)
         spectral = correlator_spectral(op, spec, m, m, psi, grid)
         krylov = correlator_krylov(
-            op, m, m, psi, float(spec.eigenvalues[0]), grid, krylov_dim=30, step_tol=1e-12
+            op, m, m, psi, float(spec.eigenvalues[0]), grid, step_tol=1e-12
         )
         assert np.max(np.abs(spectral.values - krylov.values)) < 1e-8
 
@@ -126,13 +126,6 @@ class TestKrylovCorrelator:
             correlator_krylov(
                 SIGMA_Z, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), +1.0,
                 TimeGrid(0, 1, 16),
-            )
-
-    def test_krylov_dim_floor(self):
-        with pytest.raises(ValueError):
-            correlator_krylov(
-                SIGMA_Z, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0,
-                TimeGrid(0, 1, 16), krylov_dim=3,
             )
 
     def test_general_route_matches_eigenstate_route(self):
@@ -262,6 +255,56 @@ class TestChebyshevCorrelator:
             correlator_krylov(op, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
 
 
+def _ghz_pair(op, spectrum):
+    ghz = ghz_overlap_report(spectrum, op.n_sites)
+    pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
+    return StateVector(op.n_sites, pair).normalized()
+
+
+class TestGeneralCorrelator:
+    GRID = TimeGrid(10.0, 130.0, 192)
+
+    @pytest.mark.parametrize("spec", PERTURBATIONS[1:])
+    @pytest.mark.parametrize("step_tol", [1e-10, 1e-12])
+    def test_ghz_pair_matches_exact_propagation_within_budget(self, spec, step_tol):
+        # at step_tol 1e-10 on the Heisenberg chain, cutting every step at
+        # step_tol instead of splitting the budget gave 2.2e-8 > 1.9e-8
+        op = _chain(8, spec)
+        spectrum = dense_spectrum(op)
+        psi = _ghz_pair(op, spectrum)
+        m = magnetization_operator(8, "z")
+        series = correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=step_tol)
+        vecs = spectrum.vectors.T  # column n holds |n>
+        m_dense = to_dense(m)
+        start, kicked = vecs.conj().T @ psi.amplitudes, vecs.conj().T @ (m_dense @ psi.amplitudes)
+        exact = [
+            np.vdot(vecs @ (phase * start), m_dense @ (vecs @ (phase * kicked)))
+            for phase in np.exp(-1j * np.outer(self.GRID.times(), spectrum.eigenvalues))
+        ]
+        # ||m_z|| = 1 and psi is normalized, so the budget bounds |Delta C| itself
+        assert np.max(np.abs(series.values - exact)) <= (self.GRID.n_samples - 1) * step_tol
+
+    def test_ghz_pair_costs_about_a_dt_per_step(self, monkeypatch):
+        # one propagator per dt: each trajectory takes under a dt + 20 matvecs
+        # a step (about 17 orders past a dt bring the Bessel tail under the
+        # 5e-13 cut here); Krylov stepping took 30 a step, 11 642 in all
+        op = _chain(8, PERTURBATIONS[1])
+        psi = _ghz_pair(op, dense_spectrum(op))
+        m = magnetization_operator(8, "z")
+        lo, hi = op.gershgorin_interval()
+        calls = _count_matvecs_of(monkeypatch, op)
+        correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=1e-12)
+        assert len(calls) <= 2 * (0.5 * (hi - lo) * self.GRID.t_end + 20 * self.GRID.n_samples)
+
+    @pytest.mark.parametrize("step_tol", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_step_tol(self, step_tol):
+        op = _chain(8, PERTURBATIONS[1])
+        psi = _ghz_pair(op, dense_spectrum(op))
+        m = magnetization_operator(8, "z")
+        with pytest.raises(ValueError, match="step_tol"):
+            correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=step_tol)
+
+
 class TestEvolve:
     def test_zero_time_is_identity(self):
         v = random_state(np.random.default_rng(2), 4)
@@ -275,8 +318,15 @@ class TestEvolve:
     def test_matches_dense_matrix_exponential(self):
         op = build_tc_hamiltonian(TCModelConfig(8, 1.0))
         v = random_state(np.random.default_rng(5), 8)
-        out = evolve(op, v, 5.0, krylov_dim=30, step_tol=1e-12)
+        out = evolve(op, v, 5.0, step_tol=1e-12)
         exact = scipy.linalg.expm(-5j * to_dense(op)) @ v.amplitudes
+        assert np.max(np.abs(out.amplitudes - exact)) < 1e-8
+
+    def test_long_time_matches_dense_matrix_exponential(self):
+        op = _chain(8, PERTURBATIONS[1])
+        v = random_state(np.random.default_rng(21), 8)
+        out = evolve(op, v, 50.0, step_tol=1e-12)
+        exact = scipy.linalg.expm(-50j * to_dense(op)) @ v.amplitudes
         assert np.max(np.abs(out.amplitudes - exact)) < 1e-8
 
     def test_norm_preserved_across_a_grid(self):
@@ -284,7 +334,7 @@ class TestEvolve:
         v = random_state(np.random.default_rng(8), 6)
         drift = 0.0
         for _ in range(64):
-            v = evolve(op, v, 0.37, krylov_dim=20, step_tol=1e-12)
+            v = evolve(op, v, 0.37, step_tol=1e-12)
             drift = max(drift, abs(v.norm - 1.0))
         assert drift < 1e-10
 
@@ -298,6 +348,14 @@ class TestEvolve:
     def test_requires_normalized_state(self):
         with pytest.raises(ValueError):
             evolve(SIGMA_Z, StateVector(1, np.array([2.0, 0.0], dtype=complex)), 1.0)
+
+    @pytest.mark.parametrize("step_tol", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("eigenvector", [True, False])
+    def test_rejects_non_positive_step_tol(self, step_tol, eigenvector):
+        # the one-matvec eigenvector shortcut must not skip the check
+        op = SIGMA_Z if eigenvector else build_tc_hamiltonian(TCModelConfig(6, 0.5))
+        with pytest.raises(ValueError, match="step_tol"):
+            evolve(op, StateVector.basis_state(op.n_sites, 0), 3.0, step_tol=step_tol)
 
 
 class TestKrylovStepBreakdown:
