@@ -6,7 +6,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, ModelError
 from .models import build_ghz
@@ -189,7 +188,7 @@ def _lowest_deflated_eigenpair(
         for i in range(len(betas)):
             small[kept + i, kept + i + 1] = betas[i]
             small[kept + i + 1, kept + i] = betas[i]
-        theta, u = scipy.linalg.eigh(small)
+        theta, u = np.linalg.eigh(small)
 
         ritz = basis[:n_small].T @ u[:, 0]
         nrm = float(np.linalg.norm(ritz))

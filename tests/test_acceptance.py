@@ -258,12 +258,28 @@ def test_criterion_7_persistence_vs_baseline():
         ),
         oscillator_control=OscillatorControl(n_values=(6, 8, 10, 12, 14)),
     )
+    # For even N the ground-state m_z autocorrelator stays in the 4-state
+    # orbit of the all-up state, {s, s^m1, s^m2, s^all} with m1, m2 the two
+    # half-chain string masks, so it is one line whose frequency and
+    # amplitude do not depend on N.
+    root = np.sqrt(1.0 + plan.j_values[0] ** 2)
+    line_frequency, line_amplitude = 2.0 * root - 2.0, (1.0 + 1.0 / root) / 2.0
     records = run_sweep(plan)
     for rec in records:
         if rec.status != "ok":
             failures.append(f"row N={rec.n_sites} failed: {rec.error}")
         elif rec.dominant_amplitude is None or rec.dominant_amplitude <= 0:
             failures.append(f"row N={rec.n_sites}: no oscillation amplitude measured")
+        else:
+            for name, value, exact in (
+                ("frequency", rec.dominant_frequency, line_frequency),
+                ("amplitude", rec.dominant_amplitude, line_amplitude),
+            ):
+                if abs(value - exact) > 1e-10:
+                    failures.append(
+                        f"row N={rec.n_sites} ({rec.solver}): dominant {name} {value!r} "
+                        f"not {exact!r} within 1e-10"
+                    )
     amplitudes = {rec.n_sites: rec.dominant_amplitude for rec in records if rec.status == "ok"}
     print(f"  chain amplitude(N): { {n: round(a, 6) for n, a in amplitudes.items()} }")
     summary = summarize_sweep(plan, records)

@@ -1,6 +1,11 @@
 """Command line front end: exit codes, strict configs, byte-stable outputs."""
 
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +326,39 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
         assert (out1 / "sweep_summary.json").read_bytes() == (out2 / "sweep_summary.json").read_bytes()
+
+
+class TestRuntimeImports:
+    # scipy is a test oracle only; importing scipy.linalg more than doubles
+    # the CLI's start-up time, so neither route of a sweep may load it.
+    PROBE = (
+        "import json, sys\n"
+        "from tcspin import cli\n"
+        "code = cli.main(['sweep', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'exit_code': code, 'scipy_modules': loaded}))\n"
+    )
+
+    def test_sweep_never_imports_scipy(self, tmp_path):
+        doc = json.loads(json.dumps(SWEEP_DOC))
+        doc["plan"]["n_values"] = [6, 8]
+        doc["plan"]["time_grid"]["n_samples"] = 64
+        doc["plan"]["solver"]["dense_max_sites"] = 6  # N=6 dense, N=8 Lanczos
+        doc["plan"]["solver"]["lanczos_k"] = 2
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "out"
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, cfg, str(out)],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["exit_code"] == 0
+        rows = csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:])
+        solvers = [row["solver"] for row in rows]
+        assert solvers == ["dense", "lanczos"]
+        assert result["scipy_modules"] == []
 
 
 class TestValidateCommand:
