@@ -407,6 +407,8 @@ def correlator_krylov(
     * Shortcut: one matvec gives alpha = <phi|H|phi> / <phi|phi> and
       r = ||(H - alpha) phi||. If ||w|| max|t| r <= B, phi is an eigenvector
       to that accuracy (Duhamel) and C(t) = <w|phi> e^{i (E_psi - alpha) t}.
+    * When psi has no imaginary part and H, A and B are real, w, phi and the
+      moment recursion stay float64; only the Bessel sum is complex.
 
     Raises ModelError for a non-Hermitian ``op``.
     """
@@ -420,8 +422,9 @@ def correlator_krylov(
         raise ModelError("correlator_krylov requires a Hermitian operator")
     _check_eigenstate(op, psi, e_psi, residual_tol)
 
-    w = a.dagger().matvec(psi.amplitudes)  # <psi|A = (A^dag psi)^dag
-    phi = b.matvec(psi.amplitudes)
+    amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
+    w = a.dagger().matvec(amps)  # <psi|A = (A^dag psi)^dag
+    phi = b.matvec(amps)
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol

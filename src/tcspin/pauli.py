@@ -204,7 +204,8 @@ class Operator:
         (-1)^{popcount((r ^ x) & z_mask)} over the terms with that x_mask, in
         their stored order. The diagonal group (x = 0) has no gather index.
         The coefficients are float64 when every group is real, complex128
-        otherwise. Built on first use and kept for the life of the instance.
+        otherwise (see :attr:`_is_real`). Built on first use and kept for the
+        life of the instance.
         """
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.intp)
@@ -219,16 +220,26 @@ class Operator:
             for x, c in sorted(coeffs.items())
         )
 
-    def matvec(self, amps: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a raw amplitude array; always complex128.
+    @functools.cached_property
+    def _is_real(self) -> bool:
+        """True when every compiled group is float64: real weights on strings
+        with an even number of Y letters. An empty operator is real."""
+        return all(c.dtype == np.float64 for c, _ in self._groups)
 
-        Groups are accumulated in ascending x_mask order, so the result is
-        bit-deterministic regardless of any outer worker pool.
+    def matvec(self, amps: np.ndarray) -> np.ndarray:
+        """Matrix-free action on a raw amplitude array.
+
+        The result is float64 when the operator is real (:attr:`_is_real`)
+        and ``amps`` is float64, and complex128 otherwise. On a real input it
+        equals, bit for bit, the real part of the complex128 result for the
+        same amplitudes. Groups are accumulated in ascending x_mask order, so
+        the result is bit-deterministic regardless of any outer worker pool.
         """
         dim = 1 << self.n_sites
         if amps.shape != (dim,):
             raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
-        out = np.zeros(dim, dtype=np.complex128)
+        real = amps.dtype == np.float64 and self._is_real
+        out = np.zeros(dim, dtype=np.float64 if real else np.complex128)
         for c, perm in self._groups:
             out += c * (amps if perm is None else amps[perm])
         return out
@@ -377,10 +388,9 @@ def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:
     if op.n_sites > limit:
         raise DenseCapError(f"dense matrix at N={op.n_sites} exceeds cap {limit}")
     dim = 1 << op.n_sites
-    groups = op._groups
-    mat = np.zeros((dim, dim), dtype=groups[0][0].dtype if groups else np.float64)
+    mat = np.zeros((dim, dim), dtype=np.float64 if op._is_real else np.complex128)
     idx = np.arange(dim, dtype=np.intp)
-    for c, perm in groups:
+    for c, perm in op._groups:
         mat[idx, idx if perm is None else perm] = c
     return mat
 

@@ -23,7 +23,9 @@ class SpectrumResult:
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| recomputed with the matrix-free
     matvec; ``n_converged`` counts the pairs meeting the solver tolerance
-    (always all of them for the dense path).
+    (always all of them for the dense path). ``vectors`` is float64 when the
+    operator is real (both solvers then work in real arithmetic) and
+    complex128 otherwise.
     """
 
     eigenvalues: np.ndarray
@@ -145,7 +147,7 @@ def _lowest_deflated_eigenpair(
     """
     dim = v0.shape[0]
     m_cap = min(m_cap, dim)
-    basis = np.empty((m_cap + 1, dim), dtype=np.complex128)
+    basis = np.empty((m_cap + 1, dim), dtype=v0.dtype)
     basis[0] = v0
     kept = 0
     theta_kept = np.empty(0)
@@ -233,6 +235,10 @@ def lanczos_extremal(
     Deterministic for a fixed seed. ``max_iter`` caps the total matvec count;
     on exhaustion a partial result is returned with ``n_converged < k``
     rather than failing silently.
+
+    A real operator gets real start vectors, so the Krylov basis, the
+    deflation set and the returned vectors are float64 (half the memory of
+    complex128); otherwise they are complex128.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -243,6 +249,8 @@ def lanczos_extremal(
         raise ModelError("lanczos_extremal requires a Hermitian operator")
 
     rng = np.random.default_rng(seed)
+    real = op._is_real
+    dtype = np.float64 if real else np.complex128
     m_cap = min(dim, max(60, 3 * k + 10))
     keep = max(8, min(m_cap // 3, 20))
     found_vals: list[float] = []
@@ -252,7 +260,9 @@ def lanczos_extremal(
 
     def next_start() -> np.ndarray | None:
         for _ in range(8):
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = rng.standard_normal(dim)
+            if not real:
+                v = v + 1j * rng.standard_normal(dim)
             if found_vecs:
                 v = _orthogonalize(v, np.asarray(found_vecs), len(found_vecs))
             nrm = np.linalg.norm(v)
@@ -264,7 +274,7 @@ def lanczos_extremal(
         v0 = next_start()
         if v0 is None:
             break
-        deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), np.complex128)
+        deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
         val, vec, _, used, converged = _lowest_deflated_eigenpair(
             op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, breakdown_tol
         )
@@ -279,7 +289,7 @@ def lanczos_extremal(
     vectors = (
         np.array([found_vecs[i] for i in order])
         if found_vals
-        else np.empty((0, dim), np.complex128)
+        else np.empty((0, dim), dtype)
     )
     residuals = _residuals(op, eigenvalues, vectors)
     return SpectrumResult(
@@ -349,13 +359,11 @@ def ghz_overlap_report(spec: SpectrumResult, n: int, cluster_tol: float = CLUSTE
     amp_plus = spec.vectors @ plus.conj()
     amp_minus = spec.vectors @ minus.conj()
     clusters = spec.clusters(cluster_tol)
-    overlap_plus = np.empty(spec.n_pairs)
-    overlap_minus = np.empty(spec.n_pairs)
-    for group in clusters:
-        total_p = float(np.sum(np.abs(amp_plus[group]) ** 2))
-        total_m = float(np.sum(np.abs(amp_minus[group]) ** 2))
-        overlap_plus[group] = total_p
-        overlap_minus[group] = total_m
+    # clusters are runs of consecutive indices: one segmented sum each
+    starts = [group[0] for group in clusters]
+    sizes = [len(group) for group in clusters]
+    overlap_plus = np.repeat(np.add.reduceat(np.abs(amp_plus) ** 2, starts), sizes)
+    overlap_minus = np.repeat(np.add.reduceat(np.abs(amp_minus) ** 2, starts), sizes)
     entries = [
         GHZEntry(
             index=i,

@@ -3,13 +3,21 @@ regression-fixture comparator."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread, set before numpy loads: OpenBLAS threading changes result
+# bits (see FIXTURE_ATOL). An explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
-from tcspin.pauli import Operator, PauliString, StateVector
+import json  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from tcspin.models import TCModelConfig  # noqa: E402
+from tcspin.pauli import Operator, PauliString, StateVector  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -36,6 +44,36 @@ def kron_dense(op: Operator) -> np.ndarray:
 
 def kron_string(letters: str, coeff: complex = 1.0) -> np.ndarray:
     return kron_dense(Operator.from_label_terms([(coeff, letters)]))
+
+
+def orbit_block_spectrum(cfg: TCModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact eigenpairs of the unperturbed chain, one 4x4 block per orbit.
+
+    ZZ is diagonal, and the X strings on sites 1..h and h+1..N flip the bit
+    masks m1 and m2, so every orbit {s, s^m1, s^m2, s^all} is invariant
+    under H(J). Representatives s have bits 0 and h clear. Indices are
+    uint32 and domain-wall counts uint8; nothing of shape (2^N, N) is built.
+
+    Returns the orbits (R, 4) as basis indices, the block eigenvalues (R, 4)
+    and the block eigenvectors (R, 4, 4), one per column, in orbit order.
+    """
+    n, h = cfg.n_sites, cfg.half_split
+    m1, full = (1 << h) - 1, (1 << n) - 1
+    low = np.arange(1 << (n - 2), dtype=np.uint32) << 1
+    reps = ((low >> h) << (h + 1)) | (low & m1)
+    orbits = np.stack([reps, reps ^ m1, reps ^ (full ^ m1), reps ^ full], axis=1)
+    if cfg.boundary == "periodic":
+        walls, bonds = np.bitwise_count(orbits ^ ((orbits >> 1) | ((orbits & 1) << (n - 1)))), n
+    else:
+        walls, bonds = np.bitwise_count((orbits ^ (orbits >> 1)) & (full >> 1)), n - 1
+    j = float(cfg.j_coupling)
+    blocks = np.zeros((len(reps), 4, 4))
+    blocks[:, range(4), range(4)] = 2.0 * walls - bonds  # -(aligned bonds) + walls
+    # +J X_1..X_h couples s <-> s^m1; -J X_{h+1}..X_N couples s <-> s^m2
+    for a, b, c in ((0, 1, j), (2, 3, j), (0, 2, -j), (1, 3, -j)):
+        blocks[:, a, b] = blocks[:, b, a] = c
+    energies, vectors = np.linalg.eigh(blocks)
+    return orbits, energies, vectors
 
 
 def random_operator(rng: np.random.Generator, n_sites: int, n_terms: int, hermitian: bool = True) -> Operator:

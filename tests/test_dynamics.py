@@ -147,12 +147,13 @@ def _chain(n_sites, spec):
 
 
 def _count_matvecs_of(monkeypatch, target):
+    """Spy on ``target``'s matvecs; the list holds each call's input dtype."""
     calls = []
     matvec = Operator.matvec
 
     def counting(self, x):
         if self is target:
-            calls.append(1)
+            calls.append(x.dtype)
         return matvec(self, x)
 
     monkeypatch.setattr(Operator, "matvec", counting)
@@ -248,6 +249,27 @@ class TestChebyshevCorrelator:
         )
         half_width = 0.5 * (hi - lo)
         assert len(calls) <= half_width * grid.t_end / 2 + 64
+
+    @pytest.mark.parametrize("spec", PERTURBATIONS[1:])
+    def test_real_and_phased_states_agree_with_spectral_route(self, spec, monkeypatch):
+        # a real psi runs the moment recursion in float64; e^{i theta} psi
+        # forces the complex path; C(t) ignores the global phase
+        op = _chain(8, spec)
+        spectrum = dense_spectrum(op)
+        psi = spectrum.state(0).normalized()
+        phased = StateVector(8, np.exp(0.7j) * psi.amplitudes)
+        m = magnetization_operator(8, "z")
+        grid = TimeGrid(0.0, 60.0, 128)
+        step_tol = 1e-10
+        spectral = correlator_spectral(op, spectrum, m, m, psi, grid)
+        bound = (grid.n_samples - 1) * step_tol * np.linalg.norm(m.matvec(psi.amplitudes))
+        calls = _count_matvecs_of(monkeypatch, op)
+        for state, dtype in ((psi, np.float64), (phased, np.complex128)):
+            calls.clear()
+            series = correlator_krylov(op, m, m, state, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
+            assert np.max(np.abs(series.values - spectral.values)) <= bound
+            # calls[0] is the eigenstate check; every later call is H phi or the recursion
+            assert len(calls) > 20 and set(calls[1:]) == {np.dtype(dtype)}
 
     def test_rejects_non_hermitian_hamiltonian(self):
         op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])

@@ -200,13 +200,26 @@ class TestCompiledGroups:
         assert mat.dtype == np.complex128
         assert np.max(np.abs(mat - kron_dense(op))) < 1e-13
 
-    def test_matvec_always_returns_complex128(self):
-        real_op = build_tc_hamiltonian(TCModelConfig(4, 0.5))
-        complex_op = Operator.from_label_terms([(1.0, "YIII")])
+    @pytest.mark.parametrize(
+        "terms, real",
+        [
+            ("chain", True),
+            ([(1.0, "YIII")], False),  # a lone Y
+            ([(1.0, "XIII"), (0.5j, "ZZII")], False),  # a complex weight
+            ([(1.0, "XXII"), (1.0, "YYII")], True),  # two Ys: a real group
+        ],
+    )
+    def test_matvec_dtype_follows_operator_and_input(self, terms, real):
+        """float64 in gives float64 out on a real operator; complex128 otherwise."""
+        op = build_tc_hamiltonian(TCModelConfig(4, 0.5)) if terms == "chain" else Operator.from_label_terms(terms)
         real_amps = np.linspace(-1.0, 1.0, 16)
-        for op in (real_op, complex_op):
-            for amps in (real_amps, real_amps.astype(np.complex128)):
-                assert op.matvec(amps).dtype == np.complex128
+        complex_amps = real_amps * np.exp(0.3j)
+        out_real = op.matvec(real_amps)
+        assert out_real.dtype == (np.float64 if real else np.complex128)
+        assert op.matvec(complex_amps).dtype == np.complex128
+        # the real path is the complex path's real part, bit for bit
+        assert np.array_equal(out_real, op.matvec(real_amps.astype(np.complex128)))
+        assert np.max(np.abs(op.matvec(complex_amps) - kron_dense(op) @ complex_amps)) < 1e-13
 
     def test_empty_operator(self):
         op = Operator(3, ())

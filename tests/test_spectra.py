@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tcspin.errors import DenseCapError, ModelError
-from tcspin.models import TCModelConfig, build_ghz, build_tc_hamiltonian
+from tcspin.models import PerturbationSpec, TCModelConfig, build_ghz, build_perturbation, build_tc_hamiltonian
 from tcspin.pauli import Operator, PauliString, StateVector, global_flip_operator, to_dense
 from tcspin.spectra import (
     dense_spectrum,
@@ -15,7 +15,7 @@ from tcspin.spectra import (
     parity_expectation,
 )
 
-from conftest import first_mismatch, load_fixture, random_state
+from conftest import first_mismatch, load_fixture, orbit_block_spectrum, random_state
 
 
 def half_string_difference(n: int) -> Operator:
@@ -128,6 +128,70 @@ class TestLanczos:
         lan = lanczos_extremal(op, k=4, tol=1e-10, seed=13)
         assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:4])) < 1e-10
 
+    @pytest.mark.parametrize(
+        "perturbation, dtype",
+        [
+            (None, np.float64),
+            (PerturbationSpec("heisenberg_exchange", 0.05), np.float64),
+            (PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3), np.float64),
+            # real weights, but X_iY_{i+1} - Y_iX_{i+1} carries one Y per string
+            ("dzyaloshinskii_moriya", np.complex128),
+        ],
+    )
+    def test_dtype_follows_operator_and_matches_dense(self, perturbation, dtype):
+        op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
+        if perturbation == "dzyaloshinskii_moriya":
+            bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
+            op = (op + Operator.from_label_terms(bonds)).canonicalize()
+        elif perturbation is not None:
+            op = (op + build_perturbation(8, perturbation)).canonicalize()
+        tol = 1e-10
+        dense = dense_spectrum(op)
+        lan = lanczos_extremal(op, k=4, tol=tol, seed=3)
+        assert lan.vectors.dtype == dense.vectors.dtype == dtype
+        assert lan.n_converged == 4
+        assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:4])) < tol
+        # each vector lies in the dense eigenspace of its eigenvalue, up to
+        # the sin-theta bound residual / (distance to the rest of the spectrum)
+        for e, v, r in zip(lan.eigenvalues, lan.vectors, lan.residuals):
+            near = np.abs(dense.eigenvalues - e) < 1e-8
+            space = dense.vectors[near]
+            leak = np.linalg.norm(v - space.T @ (space.conj() @ v))
+            assert leak <= r / np.min(np.abs(dense.eigenvalues[~near] - e)) + 1e-12
+
+
+class TestOrbitBlockOracle:
+    """The unperturbed chain's exact 4x4 orbit blocks (conftest) as an oracle."""
+
+    @pytest.mark.parametrize(
+        "n, boundary, j",
+        [(n, b, j) for n in range(5, 11) for b in ("periodic", "open") for j in (0.3, 0.5, 1.0)]
+        + [(11, "open", 0.3), (12, "periodic", 0.5)],
+    )
+    def test_matches_dense_spectrum(self, n, boundary, j):
+        cfg = TCModelConfig(n, j, boundary)
+        _, energies, _ = orbit_block_spectrum(cfg)
+        op = build_tc_hamiltonian(cfg)
+        # at N = 12 the eigenvalues alone: dense eigenvectors take three times as long
+        dense = np.linalg.eigvalsh(to_dense(op)) if n == 12 else dense_spectrum(op).eigenvalues
+        assert np.max(np.abs(np.sort(energies.ravel()) - dense)) < 1e-12
+
+    @pytest.mark.parametrize("n, k", [(14, 4), (16, 4)])
+    def test_lowest_lanczos_pairs_match_the_blocks(self, n, k):
+        cfg = TCModelConfig(n, 0.5)
+        orbits, energies, blocks = orbit_block_spectrum(cfg)
+        lan = lanczos_extremal(build_tc_hamiltonian(cfg), k=k, tol=1e-10, seed=9)
+        assert lan.vectors.dtype == np.float64
+        assert lan.n_converged == k
+        assert np.max(np.abs(lan.eigenvalues - np.sort(energies.ravel())[:k])) < 1e-10
+        for e, v, r in zip(lan.eigenvalues, lan.vectors, lan.residuals):
+            # v in each orbit's block eigenbasis: its weight off the eigenvalue
+            # e obeys the sin-theta bound of the dense test above
+            coeffs = np.einsum("rab,ra->rb", blocks, v[orbits])
+            far = np.abs(energies - e) >= 1e-8
+            assert np.linalg.norm(coeffs[far]) <= r / np.min(np.abs(energies[far] - e)) + 1e-12
+            assert np.linalg.norm(coeffs) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestGHZReport:
     def test_classical_ground_cluster_carries_full_overlap(self):
@@ -161,6 +225,22 @@ class TestGHZReport:
         assert rep.best_plus_index != rep.best_minus_index
         assert rep.ghz_gap > 1e-6
         assert {rep.best_plus_index, rep.best_minus_index} == {0, 1}
+
+    @pytest.mark.parametrize("n, j", [(6, 0.0), (8, 0.5), (8, 1.0)])
+    def test_cluster_sums_match_a_per_cluster_loop(self, n, j):
+        spec = dense_spectrum(build_tc_hamiltonian(TCModelConfig(n, j)))
+        rep = ghz_overlap_report(spec, n)
+        assert any(len(group) > 1 for group in rep.clusters) or j != 0.0
+        for sign in ("plus", "minus"):
+            amps = spec.vectors @ build_ghz(n, sign).amplitudes.conj()
+            for group in rep.clusters:
+                reference = float(np.sum(np.abs(amps[group]) ** 2))
+                for i in group:
+                    got = getattr(rep.entries[i], f"overlap_{sign}")
+                    if len(group) == 1:
+                        assert got == reference  # a one-term sum is exact
+                    else:
+                        assert got == pytest.approx(reference, rel=1e-14, abs=1e-300)
 
     def test_degenerate_projector_resolves_ghz(self):
         # J=0: projecting GHZ+/- onto the two lowest eigenvectors loses nothing
