@@ -3,8 +3,10 @@
 Subcommands: spectrum, correlate, baseline, sweep, validate. Every run
 embeds the resolved configuration and its SHA-256 hash in each output file,
 so a rerun with an equal hash produces byte-identical payloads. Configs are
-strict: unknown keys are rejected. Wall-clock timings go to a sidecar file
-that is excluded from the determinism contract.
+strict at every depth: unknown keys and mistyped or out-of-range values are
+rejected before anything runs, and the resolved config has every default
+filled in. Wall-clock timings go to a sidecar file that is excluded from the
+determinism contract.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 partial sweep (some rows failed).
@@ -17,24 +19,29 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from . import __version__
-from .dynamics import TimeGrid
+from .dynamics import MIN_SAMPLES, TimeGrid
 from .errors import ConfigError, TcspinError
 from .models import (
+    Axis,
     PerturbationSpec,
     TCModelConfig,
     build_perturbation,
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from .oscillator import OscillatorConfig, baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
-from .pauli import Operator, dense_cap
+from .oscillator import baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
+from .pauli import Operator, PauliString, dense_cap
+from .schema import dump, read
 from .spectra import ghz_overlap_report
 from .sweep import (
+    OscillatorControl,
     SolverSettings,
     SweepPlan,
     basis_state,
@@ -55,192 +62,196 @@ EXIT_PARTIAL = 4
 
 
 # ---------------------------------------------------------------------------
-# strict config reading
+# config schema: one frozen dataclass per section, read and written by
+# tcspin.schema; the sweep plan's sections live in tcspin.sweep
 
-def _check_keys(section: dict, allowed: set[str], required: set[str], where: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-    missing = sorted(required - set(section))
-    if missing:
-        raise ConfigError(f"missing required key(s) {missing} in {where}")
+@dataclass(frozen=True)
+class PauliTerm:
+    """``{"coeff": [re, im], "letters": "..."}``, letters site 1 first."""
 
+    coeff: tuple[float, ...]
+    letters: str
 
-def _read_time_grid(section: dict, where: str) -> TimeGrid:
-    _check_keys(section, {"t_start", "t_end", "n_samples"}, {"t_start", "t_end", "n_samples"}, where)
-    try:
-        return TimeGrid.from_dict(section)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    def __post_init__(self) -> None:
+        if len(self.coeff) != 2:
+            raise ValueError(f"coeff must be [re, im], got {list(self.coeff)}")
+        self.string()  # rejects unknown letters
+
+    def string(self) -> PauliString:
+        return PauliString.from_letters(self.letters, complex(*self.coeff))
 
 
-def _read_model(section: dict, where: str) -> Operator:
-    """A model is either the built-in chain or an explicit Pauli-term list."""
-    kind = section.get("type", "tc")
-    if kind == "tc":
-        _check_keys(section, {"type", "n_sites", "j_coupling", "boundary"}, {"n_sites", "j_coupling"}, where)
-        cfg = TCModelConfig.from_dict(section)
-        return build_tc_hamiltonian(cfg)
-    if kind == "pauli_terms":
-        _check_keys(section, {"type", "n_sites", "terms"}, {"n_sites", "terms"}, where)
-        op = Operator.from_json(json.dumps(section["terms"]), n_sites=int(section["n_sites"]))
-        return op.canonicalize()
-    raise ConfigError(f"{where}.type must be 'tc' or 'pauli_terms', got {kind!r}")
+@dataclass(frozen=True)
+class PauliTermsModel:
+    n_sites: int
+    terms: tuple[PauliTerm, ...]
+
+    def __post_init__(self) -> None:
+        if self.n_sites < 1:
+            raise ValueError(f"n_sites must be >= 1, got {self.n_sites}")
 
 
-def _read_perturbations(entries, n_sites: int, boundary: str, where: str) -> Operator | None:
-    if not entries:
-        return None
-    combined: Operator | None = None
-    for i, entry in enumerate(entries):
-        _check_keys(
-            entry,
-            {"kind", "strength", "axis", "seed", "distribution"},
-            {"kind", "strength"},
-            f"{where}[{i}]",
-        )
-        spec = PerturbationSpec.from_dict(entry)
-        op = build_perturbation(n_sites, spec, boundary)
-        combined = op if combined is None else combined + op
-    return combined
+@dataclass(frozen=True)
+class Magnetization:
+    axis: Axis
 
 
-def _read_observable(section: dict, n_sites: int, where: str) -> Operator:
-    kind = section.get("type", "magnetization")
-    if kind == "magnetization":
-        _check_keys(section, {"type", "axis"}, {"axis"}, where)
-        axis = section["axis"]
-        if axis not in ("x", "y", "z"):
-            raise ConfigError(f"{where}.axis must be x/y/z, got {axis!r}")
-        return magnetization_operator(n_sites, axis)
-    if kind == "pauli_terms":
-        _check_keys(section, {"type", "terms"}, {"terms"}, where)
-        return Operator.from_json(json.dumps(section["terms"]), n_sites=n_sites)
-    raise ConfigError(f"{where}.type must be 'magnetization' or 'pauli_terms', got {kind!r}")
+@dataclass(frozen=True)
+class PauliTermsObservable:
+    terms: tuple[PauliTerm, ...]
 
 
-def _resolve_config(raw: dict, command: str) -> dict:
-    """Validate the document for ``command`` and fill in defaults."""
+MODELS = {"tc": TCModelConfig, "pauli_terms": PauliTermsModel}
+OBSERVABLES = {"magnetization": Magnetization, "pauli_terms": PauliTermsObservable}
+
+
+@dataclass(frozen=True)
+class SpectrumSolver:
+    method: Literal["dense", "lanczos"]
+    lanczos_k: int = 4
+    lanczos_tol: float = 1e-10
+    lanczos_max_iter: int = 40000
+    lanczos_seed: int = 0
+
+
+@dataclass(frozen=True)
+class CorrelateSolver:
+    method: Literal["spectral", "krylov", "both"]
+    krylov_dim: int = 30  # accepted and ignored, see SolverSettings
+    step_tol: float = 1e-10
+    lanczos_k: int = 4
+    lanczos_tol: float = 1e-10
+    lanczos_max_iter: int = 40000
+    lanczos_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.step_tol > 0:
+            raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
+
+
+@dataclass(frozen=True)
+class InitialState:
+    type: Literal["ground", "ghz_pair", "basis"]
+    index: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.type == "basis") != (self.index is not None):
+            raise ValueError("index is required for type 'basis' and allowed only there")
+
+
+@dataclass(frozen=True)
+class Oscillation:
+    max_peaks: int = 8
+
+
+@dataclass(frozen=True)
+class SpectrumOutput:
+    include_eigenvectors: bool = False
+
+
+@dataclass(frozen=True)
+class SpectrumConfig:
+    model: TCModelConfig | PauliTermsModel = field(metadata={"tags": MODELS})
+    solver: SpectrumSolver
+    perturbations: tuple[PerturbationSpec, ...] = ()
+    output: SpectrumOutput = field(default_factory=SpectrumOutput)
+
+
+@dataclass(frozen=True)
+class CorrelateConfig:
+    model: TCModelConfig | PauliTermsModel = field(metadata={"tags": MODELS})
+    observable: Magnetization | PauliTermsObservable = field(metadata={"tags": OBSERVABLES})
+    initial_state: InitialState
+    time_grid: TimeGrid
+    solver: CorrelateSolver
+    perturbations: tuple[PerturbationSpec, ...] = ()
+    oscillation: Oscillation = field(default_factory=Oscillation)
+
+    def __post_init__(self) -> None:
+        if self.time_grid.n_samples < MIN_SAMPLES:
+            raise ValueError(
+                f"time_grid.n_samples must be >= {MIN_SAMPLES} for the oscillation analysis, "
+                f"got {self.time_grid.n_samples}"
+            )
+
+
+@dataclass(frozen=True)
+class BaselineConfig:
+    oscillator: OscillatorControl
+    time_grid: TimeGrid
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    plan: SweepPlan
+
+
+SCHEMAS = {"spectrum": SpectrumConfig, "correlate": CorrelateConfig, "baseline": BaselineConfig, "sweep": SweepConfig}
+
+
+def _terms_operator(terms: tuple[PauliTerm, ...], n_sites: int, where: str) -> Operator:
+    for i, term in enumerate(terms):
+        if len(term.letters) != n_sites:
+            raise ConfigError(f"{where}.terms[{i}] has {len(term.letters)} letters for {n_sites} sites")
+    return Operator(n_sites, tuple(term.string() for term in terms))
+
+
+def _hamiltonian(cfg: SpectrumConfig | CorrelateConfig) -> Operator:
+    model = cfg.model
+    if isinstance(model, TCModelConfig):
+        op, boundary = build_tc_hamiltonian(model), model.boundary
+    else:
+        op, boundary = _terms_operator(model.terms, model.n_sites, "config.model").canonicalize(), "periodic"
+    for spec in cfg.perturbations:
+        op = op + build_perturbation(op.n_sites, spec, boundary)
+    return op.canonicalize() if cfg.perturbations else op
+
+
+def _observable(cfg: CorrelateConfig, n_sites: int) -> Operator:
+    if isinstance(cfg.observable, Magnetization):
+        return magnetization_operator(n_sites, cfg.observable.axis)
+    return _terms_operator(cfg.observable.terms, n_sites, "config.observable")
+
+
+def _resolve_config(raw, command: str):
+    """The ``command`` config read from ``raw``, and its normalized JSON form.
+
+    Sections are checked on their own while they are read; the checks that
+    span sections (the dense cap, the basis index, the spectral route's need
+    for an eigenstate) follow here.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    stated = raw.get("command")
-    if stated is not None and stated != command:
+    stated = raw.get("command", command)
+    if stated != command:
         raise ConfigError(f"config declares command {stated!r} but {command!r} was invoked")
-    resolved = dict(raw)
-    resolved["command"] = command
+    cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k != "command"}, "config")
     if command == "spectrum":
-        _check_keys(resolved, {"command", "model", "perturbations", "solver", "output"}, {"model", "solver"}, "config")
-        solver = dict(resolved["solver"])
-        _check_keys(solver, {"method", "k", "tol", "max_iter", "seed"}, {"method"}, "config.solver")
-        solver.setdefault("k", 4)
-        solver.setdefault("tol", 1e-10)
-        solver.setdefault("max_iter", 40000)
-        solver.setdefault("seed", 0)
-        if solver["method"] not in ("dense", "lanczos"):
-            raise ConfigError(f"config.solver.method must be 'dense' or 'lanczos', got {solver['method']!r}")
-        resolved["solver"] = solver
-        resolved.setdefault("perturbations", [])
-        output = dict(resolved.get("output", {}))
-        _check_keys(output, {"include_eigenvectors"}, set(), "config.output")
-        output.setdefault("include_eigenvectors", False)
-        resolved["output"] = output
-        model = _read_model(resolved["model"], "config.model")
-        if solver["method"] == "lanczos" and solver["k"] > (1 << model.n_sites):
+        n = _hamiltonian(cfg).n_sites
+        if cfg.solver.method == "lanczos" and not 1 <= cfg.solver.lanczos_k <= (1 << n):
             raise ConfigError(
-                f"config.solver.k={solver['k']} exceeds the Hilbert-space dimension {1 << model.n_sites}"
+                f"config.solver.lanczos_k={cfg.solver.lanczos_k} is not in [1, {1 << n}], the Hilbert-space dimension"
             )
-        if solver["method"] == "dense" and model.n_sites > dense_cap():
-            raise ConfigError(f"dense solver at N={model.n_sites} exceeds the dense cap {dense_cap()}")
+        if cfg.solver.method == "dense" and n > dense_cap():
+            raise ConfigError(f"dense solver at N={n} exceeds the dense cap {dense_cap()}")
     elif command == "correlate":
-        _check_keys(
-            resolved,
-            {"command", "model", "perturbations", "observable", "initial_state", "time_grid", "solver", "oscillation"},
-            {"model", "observable", "initial_state", "time_grid", "solver"},
-            "config",
-        )
-        solver = dict(resolved["solver"])
-        _check_keys(
-            solver,
-            {"method", "krylov_dim", "step_tol", "lanczos_k", "lanczos_tol", "lanczos_max_iter", "lanczos_seed"},
-            {"method"},
-            "config.solver",
-        )
-        if solver["method"] not in ("spectral", "krylov", "both"):
+        op = _hamiltonian(cfg)
+        _observable(cfg, op.n_sites)
+        spectral = cfg.solver.method in ("spectral", "both")
+        state = cfg.initial_state
+        if state.type == "basis" and not 0 <= state.index < (1 << op.n_sites):
+            raise ConfigError(f"config.initial_state.index must be in [0, {1 << op.n_sites}), got {state.index}")
+        if spectral and op.n_sites > dense_cap():
             raise ConfigError(
-                f"config.solver.method must be 'spectral', 'krylov' or 'both', got {solver['method']!r}"
-            )
-        solver.setdefault("krylov_dim", 30)  # accepted and ignored, see SolverSettings
-        solver.setdefault("step_tol", 1e-10)
-        solver.setdefault("lanczos_k", 4)
-        solver.setdefault("lanczos_tol", 1e-10)
-        solver.setdefault("lanczos_max_iter", 40000)
-        solver.setdefault("lanczos_seed", 0)
-        resolved["solver"] = solver
-        resolved.setdefault("perturbations", [])
-        state = dict(resolved["initial_state"])
-        _check_keys(state, {"type", "index"}, {"type"}, "config.initial_state")
-        if state["type"] not in ("ground", "ghz_pair", "basis"):
-            raise ConfigError(
-                f"config.initial_state.type must be 'ground', 'ghz_pair' or 'basis', got {state['type']!r}"
-            )
-        if state["type"] == "basis" and "index" not in state:
-            raise ConfigError("config.initial_state.index required for type 'basis'")
-        if state["type"] == "ghz_pair" and solver["method"] in ("spectral", "both"):
-            raise ConfigError(
-                "the spectral route needs an eigenstate initial state; "
-                "use solver.method 'krylov' with initial_state 'ghz_pair'"
-            )
-        resolved["initial_state"] = state
-        osc = dict(resolved.get("oscillation", {}))
-        _check_keys(osc, {"max_peaks"}, set(), "config.oscillation")
-        osc.setdefault("max_peaks", 8)
-        resolved["oscillation"] = osc
-        _read_time_grid(resolved["time_grid"], "config.time_grid")
-        model = _read_model(resolved["model"], "config.model")
-        if solver["method"] in ("spectral", "both") and model.n_sites > dense_cap():
-            raise ConfigError(
-                f"the spectral route at N={model.n_sites} exceeds the dense cap {dense_cap()}; "
+                f"the spectral route at N={op.n_sites} exceeds the dense cap {dense_cap()}; "
                 "use solver.method 'krylov'"
             )
-        if state["type"] == "basis":
-            index = state["index"]
-            if not isinstance(index, int) or not 0 <= index < (1 << model.n_sites):
-                raise ConfigError(
-                    f"config.initial_state.index must be an integer in [0, {1 << model.n_sites}), got {index!r}"
-                )
-            if solver["method"] in ("spectral", "both") and basis_state(_build_operator(resolved), index)[1] is None:
-                raise ConfigError(
-                    f"the spectral route needs an eigenstate initial state and basis state {index} "
-                    "is not one; use solver.method 'krylov'"
-                )
-    elif command == "baseline":
-        _check_keys(resolved, {"command", "oscillator", "time_grid"}, {"oscillator", "time_grid"}, "config")
-        osc = dict(resolved["oscillator"])
-        _check_keys(osc, {"n_values", "m0", "omega", "hbar", "cutoff"}, {"n_values"}, "config.oscillator")
-        osc.setdefault("m0", 1.0)
-        osc.setdefault("omega", 1.0)
-        osc.setdefault("hbar", 1.0)
-        osc.setdefault("cutoff", 2)
-        if not osc["n_values"]:
-            raise ConfigError("config.oscillator.n_values must be non-empty")
-        if len(set(osc["n_values"])) != len(osc["n_values"]):
-            raise ConfigError("config.oscillator.n_values contains duplicates")
-        if osc["cutoff"] < 2:
-            raise ConfigError(f"config.oscillator.cutoff must be >= 2, got {osc['cutoff']}")
-        resolved["oscillator"] = osc
-        _read_time_grid(resolved["time_grid"], "config.time_grid")
-    elif command == "sweep":
-        _check_keys(resolved, {"command", "plan"}, {"plan"}, "config")
-        try:
-            plan = SweepPlan.from_dict(resolved["plan"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config.plan: {exc}") from exc
-        resolved["plan"] = plan.to_dict()
-    else:
-        raise ConfigError(f"unknown command {command!r}")
-    return resolved
+        if spectral and state.type != "ground" and (state.type == "ghz_pair" or basis_state(op, state.index)[1] is None):
+            raise ConfigError(
+                f"the spectral route needs an eigenstate initial state and {dump(state)} is not one; "
+                "use solver.method 'krylov'"
+            )
+    return cfg, {"command": command, **dump(cfg)}
 
 
 def config_hash(resolved: dict) -> str:
@@ -269,53 +280,34 @@ def _write_csv(path: Path, resolved: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def _build_operator(resolved: dict) -> Operator:
-    op = _read_model(resolved["model"], "config.model")
-    pert = _read_perturbations(
-        resolved.get("perturbations", []),
-        op.n_sites,
-        resolved["model"].get("boundary", "periodic"),
-        "config.perturbations",
-    )
-    if pert is not None:
-        op = (op + pert).canonicalize()
-    return op
-
-
-def cmd_spectrum(resolved: dict, out_dir: Path) -> int:
-    op = _build_operator(resolved)
-    solver = resolved["solver"]
-    settings = SolverSettings(
-        dense_max_sites=op.n_sites if solver["method"] == "dense" else 0,
-        lanczos_k=solver["k"], lanczos_tol=solver["tol"],
-        lanczos_max_iter=solver["max_iter"], lanczos_seed=solver["seed"],
-    )
-    spectrum = point_spectrum(op, settings)
+def cmd_spectrum(cfg: SpectrumConfig, resolved: dict, out_dir: Path) -> int:
+    op = _hamiltonian(cfg)
+    solver = dump(cfg.solver)
+    dense = solver.pop("method") == "dense"
+    spectrum = point_spectrum(op, SolverSettings(dense_max_sites=op.n_sites if dense else 0, **solver))
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     _write_json(
         out_dir / "spectrum.json",
         resolved,
-        {"spectrum": json.loads(spectrum.to_json(include_vectors=resolved["output"]["include_eigenvectors"]))},
+        {"spectrum": json.loads(spectrum.to_json(include_vectors=cfg.output.include_eigenvectors))},
     )
     _write_json(out_dir / "ghz_report.json", resolved, {"ghz_report": json.loads(ghz.to_json())})
     log.info("wrote spectrum.json and ghz_report.json to %s", out_dir)
     return EXIT_OK
 
 
-def cmd_correlate(resolved: dict, out_dir: Path) -> int:
-    op = _build_operator(resolved)
-    solver = dict(resolved["solver"])
+def cmd_correlate(cfg: CorrelateConfig, resolved: dict, out_dir: Path) -> int:
+    op = _hamiltonian(cfg)
+    solver = dump(cfg.solver)
     method = solver.pop("method")
-    settings = SolverSettings(
-        dense_max_sites=dense_cap(), max_peaks=resolved["oscillation"]["max_peaks"], **solver
-    )
-    state = resolved["initial_state"]
+    settings = SolverSettings(dense_max_sites=dense_cap(), max_peaks=cfg.oscillation.max_peaks, **solver)
+    state = cfg.initial_state
     methods = ("spectral", "krylov") if method == "both" else (method,)
     point = run_point(
         op,
-        _read_observable(resolved["observable"], op.n_sites, "config.observable"),
-        _read_time_grid(resolved["time_grid"], "config.time_grid"),
-        state["index"] if state["type"] == "basis" else state["type"],
+        _observable(cfg, op.n_sites),
+        cfg.time_grid,
+        state.index if state.type == "basis" else state.type,
         settings,
         methods,
     )
@@ -336,17 +328,14 @@ def cmd_correlate(resolved: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_baseline(resolved: dict, out_dir: Path) -> int:
-    osc = resolved["oscillator"]
-    grid = _read_time_grid(resolved["time_grid"], "config.time_grid")
-    n_values = [int(n) for n in osc["n_values"]]
-    base = OscillatorConfig(n_particles=n_values[0], m0=osc["m0"], omega=osc["omega"], hbar=osc["hbar"])
-    scaling = baseline_scaling(base, n_values)
+def cmd_baseline(cfg: BaselineConfig, resolved: dict, out_dir: Path) -> int:
+    control, grid = cfg.oscillator, cfg.time_grid
+    scaling = baseline_scaling(control.oscillator(control.n_values[0]), control.n_values)
     max_diffs = {}
-    for n in n_values:
-        cfg = OscillatorConfig(n_particles=n, m0=osc["m0"], omega=osc["omega"], hbar=osc["hbar"])
-        analytic = cm_correlator_analytic(cfg, grid)
-        numeric = cm_correlator_numeric(cfg, osc["cutoff"], grid)
+    for n in control.n_values:
+        osc = control.oscillator(n)
+        analytic = cm_correlator_analytic(osc, grid)
+        numeric = cm_correlator_numeric(osc, control.cutoff, grid)
         max_diffs[n] = float(np.max(np.abs(analytic.values - numeric.values)))
         _write_csv(out_dir / f"baseline_analytic_N{n}.csv", resolved, analytic.to_csv())
         _write_csv(out_dir / f"baseline_numeric_N{n}.csv", resolved, numeric.to_csv())
@@ -362,8 +351,8 @@ def cmd_baseline(resolved: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(resolved: dict, out_dir: Path, workers: int) -> int:
-    plan = SweepPlan.from_dict(resolved["plan"])
+def cmd_sweep(cfg: SweepConfig, resolved: dict, out_dir: Path, workers: int) -> int:
+    plan = cfg.plan
     records = run_sweep(plan, workers=workers)
     summary = summarize_sweep(plan, records)
     _write_csv(out_dir / "sweep.csv", resolved, records_to_csv(records))
@@ -416,20 +405,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         raw = _load_config(args, args.command)
         if args.command == "validate":
-            command = raw.get("command")
-            if command not in ("spectrum", "correlate", "baseline", "sweep"):
+            command = raw.get("command") if isinstance(raw, dict) else None
+            if command not in SCHEMAS:
                 raise ConfigError(
                     "validate needs a config with a 'command' key naming one of "
                     "spectrum/correlate/baseline/sweep"
                 )
-            resolved = _resolve_config(raw, command)
+            _, resolved = _resolve_config(raw, command)
             print(f"ok {config_hash(resolved)}")
             return EXIT_OK
-        resolved = _resolve_config(raw, args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
+        cfg, resolved = _resolve_config(raw, args.command)
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -437,12 +423,12 @@ def main(argv: list[str] | None = None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(resolved, out_dir)
+            return cmd_spectrum(cfg, resolved, out_dir)
         if args.command == "correlate":
-            return cmd_correlate(resolved, out_dir)
+            return cmd_correlate(cfg, resolved, out_dir)
         if args.command == "baseline":
-            return cmd_baseline(resolved, out_dir)
-        return cmd_sweep(resolved, out_dir, workers=args.workers)
+            return cmd_baseline(cfg, resolved, out_dir)
+        return cmd_sweep(cfg, resolved, out_dir, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

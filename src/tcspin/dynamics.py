@@ -25,6 +25,9 @@ from .spectra import SpectrumResult
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
 
+# The fewest samples extract_oscillation analyzes.
+MIN_SAMPLES = 16
+
 # Power fractions below this are treated as exhausted when hunting peaks.
 _POWER_FLOOR = 1e-26
 
@@ -49,13 +52,6 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_end, self.n_samples)
-
-    def to_dict(self) -> dict:
-        return {"t_start": self.t_start, "t_end": self.t_end, "n_samples": self.n_samples}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimeGrid":
-        return cls(float(data["t_start"]), float(data["t_end"]), int(data["n_samples"]))
 
 
 @dataclass
@@ -558,8 +554,8 @@ def extract_oscillation(series: CorrelationSeries, max_peaks: int = 8) -> Oscill
     folded to non-negative values, amplitudes reported as moduli.
     """
     n = series.grid.n_samples
-    if n < 16:
-        raise ValueError(f"need at least 16 samples to analyze, got {n}")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples to analyze, got {n}")
     values = series.values
     times = series.grid.times()
     dc = complex(np.mean(values))

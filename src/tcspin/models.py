@@ -21,9 +21,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .pauli import Operator, PauliString, StateVector
+from .schema import dump
 
 Axis = Literal["x", "y", "z"]
 Boundary = Literal["periodic", "open"]
+PerturbationKind = Literal["heisenberg_exchange", "random_onsite_field"]
+Distribution = Literal["uniform_pm1", "gaussian_unit"]
 GHZSign = Literal["plus", "minus"]
 
 _AXIS_MASKS = {"x": (1, 0), "y": (1, 1), "z": (0, 1)}
@@ -75,21 +78,6 @@ class TCModelConfig:
     def half_split(self) -> int:
         return self.n_sites // 2
 
-    def to_dict(self) -> dict:
-        return {
-            "n_sites": self.n_sites,
-            "j_coupling": self.j_coupling,
-            "boundary": self.boundary,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TCModelConfig":
-        return cls(
-            n_sites=int(data["n_sites"]),
-            j_coupling=float(data["j_coupling"]),
-            boundary=data.get("boundary", "periodic"),
-        )
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -100,40 +88,23 @@ class PerturbationSpec:
     field realization; axis and distribution apply to the random field only.
     """
 
-    kind: Literal["heisenberg_exchange", "random_onsite_field"]
+    kind: PerturbationKind
     strength: float
     axis: Axis = "z"
     seed: int = 0
-    distribution: Literal["uniform_pm1", "gaussian_unit"] = "uniform_pm1"
+    distribution: Distribution = "uniform_pm1"
 
     def __post_init__(self) -> None:
         if self.kind not in ("heisenberg_exchange", "random_onsite_field"):
             raise ConfigError(f"unknown perturbation kind {self.kind!r}")
-        if self.strength < 0:
+        if not self.strength >= 0:
             raise ConfigError(f"strength must be >= 0, got {self.strength}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.axis not in ("x", "y", "z"):
             raise ConfigError(f"axis must be one of x/y/z, got {self.axis!r}")
         if self.distribution not in ("uniform_pm1", "gaussian_unit"):
             raise ConfigError(f"unknown distribution {self.distribution!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "strength": self.strength,
-            "axis": self.axis,
-            "seed": self.seed,
-            "distribution": self.distribution,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PerturbationSpec":
-        return cls(
-            kind=data["kind"],
-            strength=float(data["strength"]),
-            axis=data.get("axis", "z"),
-            seed=int(data.get("seed", 0)),
-            distribution=data.get("distribution", "uniform_pm1"),
-        )
 
 
 def build_tc_hamiltonian(cfg: TCModelConfig) -> Operator:
@@ -211,6 +182,6 @@ def magnetization_operator(n: int, axis: Axis) -> Operator:
 def perturbation_fingerprint(n: int, spec: PerturbationSpec, boundary: Boundary = "periodic") -> str:
     """Serialized term list; identical inputs produce identical text."""
     return json.dumps(
-        {"spec": spec.to_dict(), "terms": json.loads(build_perturbation(n, spec, boundary).to_json())},
+        {"spec": dump(spec), "terms": json.loads(build_perturbation(n, spec, boundary).to_json())},
         sort_keys=True,
     )

@@ -39,14 +39,6 @@ class OscillatorConfig:
         """hbar / (2 N m0 w), the t=0 correlator value."""
         return self.hbar / (2.0 * self.n_particles * self.m0 * self.omega)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_particles": self.n_particles,
-            "m0": self.m0,
-            "omega": self.omega,
-            "hbar": self.hbar,
-        }
-
 
 @dataclass
 class TruncatedOscillator:

@@ -14,11 +14,13 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Literal
 
 import numpy as np
 
 from .dynamics import (
     EIGENSTATE_RESIDUAL_TOL,
+    MIN_SAMPLES,
     CorrelationSeries,
     OscillationReport,
     TimeGrid,
@@ -29,9 +31,20 @@ from .dynamics import (
     gap_frequency_consistency,
 )
 from .errors import PlanError, TcspinError
-from .models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian, magnetization_operator
+from .models import (
+    Axis,
+    Boundary,
+    Distribution,
+    PerturbationKind,
+    PerturbationSpec,
+    TCModelConfig,
+    build_perturbation,
+    build_tc_hamiltonian,
+    magnetization_operator,
+)
 from .oscillator import OscillatorConfig, cm_correlator_numeric
 from .pauli import Operator, StateVector, dense_cap
+from .schema import dump
 from .spectra import GHZReport, SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
 
 
@@ -55,51 +68,28 @@ class SolverSettings:
     step_tol: float = 1e-12
     max_peaks: int = 8
 
-    def to_dict(self) -> dict:
-        return {
-            "dense_max_sites": self.dense_max_sites,
-            "lanczos_k": self.lanczos_k,
-            "lanczos_tol": self.lanczos_tol,
-            "lanczos_max_iter": self.lanczos_max_iter,
-            "lanczos_seed": self.lanczos_seed,
-            "krylov_dim": self.krylov_dim,
-            "step_tol": self.step_tol,
-            "max_peaks": self.max_peaks,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolverSettings":
-        return cls(**data)
+    def __post_init__(self) -> None:
+        if not self.step_tol > 0:
+            raise PlanError(f"step_tol must be > 0, got {self.step_tol}")
 
 
 @dataclass(frozen=True)
 class PerturbationFamily:
     """One perturbation kind swept over strengths (and seeds, for disorder)."""
 
-    kind: str
+    kind: PerturbationKind
     strengths: tuple[float, ...]
-    axis: str = "z"
-    distribution: str = "uniform_pm1"
+    axis: Axis = "z"
+    distribution: Distribution = "uniform_pm1"
     seeds: tuple[int, ...] = (0,)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "strengths": list(self.strengths),
-            "axis": self.axis,
-            "distribution": self.distribution,
-            "seeds": list(self.seeds),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PerturbationFamily":
-        return cls(
-            kind=data["kind"],
-            strengths=tuple(float(s) for s in data["strengths"]),
-            axis=data.get("axis", "z"),
-            distribution=data.get("distribution", "uniform_pm1"),
-            seeds=tuple(int(s) for s in data.get("seeds", [0])),
-        )
+    def __post_init__(self) -> None:
+        for name, values in (("strengths", self.strengths), ("seeds", self.seeds)):
+            if not values or len(set(values)) != len(values):
+                raise PlanError(f"perturbation family {self.kind} needs non-empty, distinct {name}, got {values}")
+        for strength in self.strengths:  # a spec validates kind, strength, axis, seed and distribution
+            for seed in self.seeds:
+                PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
 
 
 @dataclass(frozen=True)
@@ -112,34 +102,26 @@ class OscillatorControl:
     hbar: float = 1.0
     cutoff: int = 2
 
-    def to_dict(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "m0": self.m0,
-            "omega": self.omega,
-            "hbar": self.hbar,
-            "cutoff": self.cutoff,
-        }
+    def __post_init__(self) -> None:
+        if not self.n_values or len(set(self.n_values)) != len(self.n_values):
+            raise PlanError(f"n_values must be non-empty and distinct, got {self.n_values}")
+        if self.cutoff < 2:
+            raise PlanError(f"cutoff must be >= 2, got {self.cutoff}")
+        for n in self.n_values:  # validates n >= 1 and positive m0, omega, hbar
+            self.oscillator(n)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "OscillatorControl":
-        return cls(
-            n_values=tuple(int(n) for n in data["n_values"]),
-            m0=float(data.get("m0", 1.0)),
-            omega=float(data.get("omega", 1.0)),
-            hbar=float(data.get("hbar", 1.0)),
-            cutoff=int(data.get("cutoff", 2)),
-        )
+    def oscillator(self, n: int) -> OscillatorConfig:
+        return OscillatorConfig(n_particles=n, m0=self.m0, omega=self.omega, hbar=self.hbar)
 
 
 @dataclass(frozen=True)
 class SweepPlan:
     n_values: tuple[int, ...]
     j_values: tuple[float, ...]
-    grid: TimeGrid
-    axis: str = "z"
-    initial_state: str = "ground"
-    boundary: str = "periodic"
+    grid: TimeGrid = field(metadata={"key": "time_grid"})
+    axis: Axis = "z"
+    initial_state: Literal["ground", "ghz_pair"] = "ground"
+    boundary: Boundary = "periodic"
     perturbations: tuple[PerturbationFamily, ...] = ()
     solver: SolverSettings = field(default_factory=SolverSettings)
     oscillator_control: OscillatorControl | None = None
@@ -157,6 +139,11 @@ class SweepPlan:
             raise PlanError(f"initial_state must be 'ground' or 'ghz_pair', got {self.initial_state!r}")
         if self.axis not in ("x", "y", "z"):
             raise PlanError(f"axis must be one of x/y/z, got {self.axis!r}")
+        if self.grid.n_samples < MIN_SAMPLES:
+            raise PlanError(
+                f"time_grid.n_samples must be >= {MIN_SAMPLES} for the oscillation analysis, "
+                f"got {self.grid.n_samples}"
+            )
         cap = dense_cap()
         for n in self.n_values:
             if n > cap and n <= self.solver.dense_max_sites:
@@ -166,50 +153,6 @@ class SweepPlan:
                 )
         if self.solver.lanczos_k < 2:
             raise PlanError("solver.lanczos_k must be >= 2 (the energy gap needs two pairs)")
-        for fam in self.perturbations:
-            if len(set(fam.strengths)) != len(fam.strengths):
-                raise PlanError(f"duplicate strengths in perturbation family {fam.kind}")
-            if len(set(fam.seeds)) != len(fam.seeds):
-                raise PlanError(f"duplicate seeds in perturbation family {fam.kind}")
-            if not fam.strengths:
-                raise PlanError(f"perturbation family {fam.kind} has no strengths")
-            # constructing a spec validates kind/axis/distribution
-            PerturbationSpec(
-                kind=fam.kind, strength=fam.strengths[0], axis=fam.axis,
-                seed=fam.seeds[0], distribution=fam.distribution,
-            )
-
-    def to_dict(self) -> dict:
-        doc = {
-            "n_values": list(self.n_values),
-            "j_values": list(self.j_values),
-            "time_grid": self.grid.to_dict(),
-            "axis": self.axis,
-            "initial_state": self.initial_state,
-            "boundary": self.boundary,
-            "perturbations": [f.to_dict() for f in self.perturbations],
-            "solver": self.solver.to_dict(),
-        }
-        if self.oscillator_control is not None:
-            doc["oscillator_control"] = self.oscillator_control.to_dict()
-        return doc
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepPlan":
-        control = data.get("oscillator_control")
-        return cls(
-            n_values=tuple(int(n) for n in data["n_values"]),
-            j_values=tuple(float(j) for j in data["j_values"]),
-            grid=TimeGrid.from_dict(data["time_grid"]),
-            axis=data.get("axis", "z"),
-            initial_state=data.get("initial_state", "ground"),
-            boundary=data.get("boundary", "periodic"),
-            perturbations=tuple(
-                PerturbationFamily.from_dict(f) for f in data.get("perturbations", [])
-            ),
-            solver=SolverSettings.from_dict(data["solver"]) if "solver" in data else SolverSettings(),
-            oscillator_control=OscillatorControl.from_dict(control) if control else None,
-        )
 
 
 @dataclass
@@ -516,8 +459,7 @@ def oscillator_control_table(control: OscillatorControl, grid: TimeGrid, max_pea
     """Oscillator amplitudes measured through the same extraction pipeline."""
     table = []
     for n in control.n_values:
-        cfg = OscillatorConfig(n_particles=n, m0=control.m0, omega=control.omega, hbar=control.hbar)
-        series = cm_correlator_numeric(cfg, control.cutoff, grid)
+        series = cm_correlator_numeric(control.oscillator(n), control.cutoff, grid)
         report = extract_oscillation(series, max_peaks=max_peaks)
         table.append((n, report.dominant_amplitude))
     return table
@@ -668,7 +610,7 @@ def summarize_sweep(plan: SweepPlan, records: list[SweepRecord]) -> dict:
         for r in ok_baseline
     ]
     summary: dict = {
-        "plan": plan.to_dict(),
+        "plan": dump(plan),
         "n_rows": len(records),
         "n_failed": sum(1 for r in records if r.status == "failed"),
         "amplitude_vs_n": amplitude_table,

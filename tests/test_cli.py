@@ -75,16 +75,19 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "n_sites must be >= 4" in capsys.readouterr().err
 
-    def test_oversized_k_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("k", [0, 17])
+    def test_k_outside_hilbert_space_is_config_error(self, tmp_path, k):
         cfg = write_config(
             tmp_path,
             {
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 4, "j_coupling": 1.0},
-                "solver": {"method": "lanczos", "k": 17},
+                "solver": {"method": "lanczos", "lanczos_k": k},
             },
         )
-        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = write_config(
@@ -190,7 +193,7 @@ class TestCorrelateCommand:
     @pytest.mark.parametrize("command", ["correlate", "spectrum"])
     def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter, command):
         # 8 matvecs converge no pair, 30 converge one of the four asked for;
-        # both commands share run_point's spectrum step under their own keys
+        # both commands share run_point's spectrum step and its solver keys
         monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
         model = {"type": "tc", "n_sites": 8, "j_coupling": 0.5}
         if command == "correlate":
@@ -204,7 +207,7 @@ class TestCorrelateCommand:
             }
             written = "oscillation.json"
         else:
-            doc = {"command": "spectrum", "model": model, "solver": {"method": "lanczos", "max_iter": max_iter}}
+            doc = {"command": "spectrum", "model": model, "solver": {"method": "lanczos", "lanczos_max_iter": max_iter}}
             written = "spectrum.json"
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -382,6 +385,14 @@ class TestValidateCommand:
         path.write_text("{not json")
         assert main(["validate", "--config", str(path)]) == 2
 
+    def test_sweep_doc_hash_is_pinned(self, tmp_path, capsys):
+        # the resolved plan, and so its hash, is the one configs had before the schema reader
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        assert main(["validate", "--config", cfg]) == 0
+        assert capsys.readouterr().out.split() == [
+            "ok", "04f434339fba6df1ecdde0f25318bc28286f76d15654422e3792f4472ed1e135"
+        ]
+
     def test_hash_embedded_in_outputs(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWEEP_DOC)
         assert main(["validate", "--config", cfg]) == 0
@@ -392,6 +403,85 @@ class TestValidateCommand:
         assert summary["config_hash"] == declared
         first_line = (out / "sweep.csv").read_text().splitlines()[0]
         assert declared in first_line
+
+
+def _edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
+
+CORRELATE_DOC = {
+    "command": "correlate",
+    "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+    "observable": {"type": "magnetization", "axis": "z"},
+    "initial_state": {"type": "ground"},
+    "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+    "solver": {"method": "krylov", "step_tol": 1e-12},
+}
+
+# each config validated (or ran to exit 3, or crashed) before the schema was strict
+REJECTED_UP_FRONT = {
+    "plan_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"].update(bogus=1)),
+    "time_grid_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"]["time_grid"].update(dt=0.1)),
+    "family_unknown_key": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"].update(
+            perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1], "strenght": 0.2}]
+        ),
+    ),
+    "oscillator_control_unknown_key": _edited(
+        SWEEP_DOC, lambda d: d["plan"].update(oscillator_control={"n_values": [2, 4], "mass": 2.0})
+    ),
+    "plan_boundary": _edited(SWEEP_DOC, lambda d: d["plan"].update(boundary="ring")),
+    "plan_n_samples": _edited(SWEEP_DOC, lambda d: d["plan"]["time_grid"].update(n_samples=8)),
+    "plan_step_tol_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(step_tol=-1.0)),
+    "plan_step_tol_nan": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(step_tol=float("nan"))),
+    "family_later_strength_negative": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"].update(perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1, -0.1]}]),
+    ),
+    "oscillator_control_cutoff": _edited(
+        SWEEP_DOC, lambda d: d["plan"].update(oscillator_control={"n_values": [2, 4], "cutoff": 1})
+    ),
+    "oscillator_control_m0": _edited(
+        SWEEP_DOC, lambda d: d["plan"].update(oscillator_control={"n_values": [2, 4], "m0": -1.0})
+    ),
+    "correlate_n_samples": _edited(CORRELATE_DOC, lambda d: d["time_grid"].update(n_samples=8)),
+    "correlate_step_tol_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(step_tol=0.0)),
+    "correlate_k_not_integer": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_k="4")),
+    "correlate_index_without_basis": _edited(CORRELATE_DOC, lambda d: d["initial_state"].update(index=0)),
+    "correlate_observable_letter_count": _edited(
+        CORRELATE_DOC,
+        lambda d: d.update(observable={"type": "pauli_terms", "terms": [{"coeff": [1.0, 0.0], "letters": "ZZ"}]}),
+    ),
+    "spectrum_k_not_integer": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "k": "4"},
+    },
+    "spectrum_unknown_pauli_letter": {
+        "command": "spectrum",
+        "model": {"type": "pauli_terms", "n_sites": 1, "terms": [{"coeff": [1.0, 0.0], "letters": "Q"}]},
+        "solver": {"method": "dense"},
+    },
+    "baseline_hbar": {
+        "command": "baseline",
+        "oscillator": {"n_values": [2, 4], "hbar": 0.0},
+        "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_UP_FRONT))
+def test_config_rejected_up_front(tmp_path, capsys, name):
+    doc = REJECTED_UP_FRONT[name]
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 class TestInitialStateRouting:
@@ -451,11 +541,12 @@ class TestInitialStateRouting:
             exact.append(np.vdot(u @ psi, m_z @ (u @ (m_z @ psi))))
         assert np.max(np.abs(values - np.array(exact))) < 1e-8
 
-    def test_non_positive_step_tol_on_non_eigenstate_basis_is_numerical_failure(self, tmp_path):
+    def test_non_positive_step_tol_on_non_eigenstate_basis_is_config_error(self, tmp_path):
         doc = self._basis_doc("krylov")
         doc["solver"]["step_tol"] = -1.0
         cfg = write_config(tmp_path, doc)
-        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["spectral", "both"])
     def test_non_eigenstate_basis_rejected_up_front_on_spectral_routes(self, tmp_path, method):

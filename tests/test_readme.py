@@ -1,13 +1,38 @@
-"""The README's library quick start runs against the installed API."""
+"""The README's library quick start and its example configs run against the installed API."""
 
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from tcspin.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _python_blocks(text: str) -> list[str]:
     return re.findall(r"^```python\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+def _json_blocks(text: str) -> list[str]:
+    return re.findall(r"^```json\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
+
+
+# the sweep example's hash is the one it had before the schema reader
+PINNED_HASHES = {"sweep": "1ccde0a09a65893c602ba43080f96809cc449a30b20ed8a82532e225b84f7f52"}
+
+
+@pytest.mark.parametrize("block", _json_blocks(README.read_text()), ids=lambda b: json.loads(b)["command"])
+def test_example_config_validates(tmp_path, capsys, block):
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert main(["validate", "--config", str(path)]) == 0
+    status, digest = capsys.readouterr().out.split()
+    assert status == "ok"
+    command = json.loads(block)["command"]
+    if command in PINNED_HASHES:
+        assert digest == PINNED_HASHES[command]
 
 
 def test_quick_start_runs(capsys):

@@ -69,16 +69,6 @@ class TestPlanValidation:
         with pytest.raises(PlanError):
             small_plan(n_values=(10,), solver=SolverSettings(dense_max_sites=10))
 
-    def test_round_trips_through_dict(self):
-        plan = small_plan(
-            perturbations=(
-                PerturbationFamily(kind="random_onsite_field", strengths=(0.01,), seeds=(1, 2)),
-            ),
-            oscillator_control=OscillatorControl(n_values=(2, 4, 8)),
-        )
-        again = SweepPlan.from_dict(plan.to_dict())
-        assert again == plan
-
 
 class TestRunSweep:
     def test_single_row_against_dense_oracle(self):
