@@ -45,6 +45,7 @@ from .sweep import (
     SolverSettings,
     SweepPlan,
     basis_state,
+    check_lanczos_keys,
     fit_power_law,
     point_spectrum,
     records_to_csv,
@@ -113,6 +114,9 @@ class SpectrumSolver:
     lanczos_max_iter: int = 40000
     lanczos_seed: int = 0
 
+    def __post_init__(self) -> None:
+        check_lanczos_keys(self)
+
 
 @dataclass(frozen=True)
 class CorrelateSolver:
@@ -125,6 +129,7 @@ class CorrelateSolver:
     lanczos_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_lanczos_keys(self)
         if not self.step_tol > 0:
             raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
 
@@ -217,8 +222,8 @@ def _resolve_config(raw, command: str):
     """The ``command`` config read from ``raw``, and its normalized JSON form.
 
     Sections are checked on their own while they are read; the checks that
-    span sections (the dense cap, the basis index, the spectral route's need
-    for an eigenstate) follow here.
+    span sections (a Hermitian Hamiltonian, the dense cap, the basis index,
+    the spectral route's need for an eigenstate) follow here.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -226,16 +231,19 @@ def _resolve_config(raw, command: str):
     if stated != command:
         raise ConfigError(f"config declares command {stated!r} but {command!r} was invoked")
     cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k != "command"}, "config")
+    if command in ("spectrum", "correlate"):
+        op = _hamiltonian(cfg)
+        if not op.is_hermitian():
+            raise ConfigError("the Hamiltonian (model plus perturbations) is not Hermitian: a term has a complex weight")
     if command == "spectrum":
-        n = _hamiltonian(cfg).n_sites
-        if cfg.solver.method == "lanczos" and not 1 <= cfg.solver.lanczos_k <= (1 << n):
+        n = op.n_sites
+        if cfg.solver.method == "lanczos" and cfg.solver.lanczos_k > (1 << n):
             raise ConfigError(
                 f"config.solver.lanczos_k={cfg.solver.lanczos_k} is not in [1, {1 << n}], the Hilbert-space dimension"
             )
         if cfg.solver.method == "dense" and n > dense_cap():
             raise ConfigError(f"dense solver at N={n} exceeds the dense cap {dense_cap()}")
     elif command == "correlate":
-        op = _hamiltonian(cfg)
         _observable(cfg, op.n_sites)
         spectral = cfg.solver.method in ("spectral", "both")
         state = cfg.initial_state

@@ -25,7 +25,9 @@ class SpectrumResult:
     matvec; ``n_converged`` counts the pairs meeting the solver tolerance
     (always all of them for the dense path). ``vectors`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
-    complex128 otherwise.
+    complex128 otherwise. Inside a degenerate cluster any orthonormal basis
+    is valid; the dense solver's rows each lie in one invariant block (see
+    :func:`dense_spectrum`), and so do the eigenvectors ``to_json`` writes.
     """
 
     eigenvalues: np.ndarray
@@ -76,18 +78,60 @@ def _residuals(op: Operator, eigenvalues: np.ndarray, vectors: np.ndarray) -> np
     return out
 
 
-def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResult:
-    """Full Hermitian eigendecomposition via a dense matrix.
+def invariant_blocks(op: Operator) -> np.ndarray:
+    """Basis indices grouped into the cosets of the span of op's flip masks.
 
-    Oracle path: subject to the dense site cap. A real operator (see
-    :func:`to_dense`) is diagonalized in real arithmetic, so its eigenvectors
-    come back as float64. Raises ModelError for a non-Hermitian operator.
+    Group x of the compiled operator maps |s> only to |s ^ x>, so each coset
+    of the GF(2) span of the non-zero x_masks is invariant under op. With r
+    the rank of that span, row b of the (2^(N-r), 2^r) result is one coset in
+    ascending index order; rows are ordered by their representative, the
+    member whose pivot bits (the leading bits of a reduced echelon basis)
+    are all zero. A full-rank span gives the single row 0 ... 2^N - 1.
+    """
+    basis: list[int] = []  # reduced: no member holds another's leading bit
+    for _, perm in op._groups:
+        x = 0 if perm is None else int(perm[0])  # perm = idx ^ x, so perm[0] = x
+        for b in basis:
+            x = min(x, x ^ b)  # clears b's leading bit from x when set
+        if x:
+            basis = [min(b, b ^ x) for b in basis] + [x]
+    # doubling over ascending leading bits lists the span in ascending order,
+    # and XOR with a representative keeps that order
+    span = np.zeros(1, dtype=np.intp)
+    for b in sorted(basis):
+        span = np.concatenate([span, span ^ b])
+    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
+    idx = np.arange(1 << op.n_sites, dtype=np.intp)
+    reps = idx[(idx & pivots) == 0]
+    return reps[:, None] ^ span
+
+
+def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResult:
+    """Full Hermitian eigendecomposition, one invariant block at a time.
+
+    Oracle path: subject to the dense site cap. The blocks of
+    :func:`invariant_blocks` are gathered from :func:`to_dense` and
+    diagonalized by one batched ``eigh``; the eigenvalues are then merged in
+    ascending (stable) order and each block eigenvector is scattered into a
+    full row. So every eigenvector is confined to one block, also inside a
+    degenerate cluster that spans several blocks: a different basis of such
+    a cluster than a full-matrix ``eigh`` would pick, and an equally valid
+    one; it is the basis ``tcspin spectrum`` writes with
+    ``include_eigenvectors``. A full-rank span is one block in natural
+    order, so the result is then bit-identical to
+    ``np.linalg.eigh(to_dense(op))``. A real operator is diagonalized in
+    real arithmetic, so its eigenvectors come back as float64. Raises
+    ModelError for a non-Hermitian operator.
     """
     if not op.is_hermitian(hermiticity_tol):
         raise ModelError("dense_spectrum requires a Hermitian operator")
-    mat = to_dense(op)
-    eigenvalues, columns = np.linalg.eigh(mat)
-    vectors = np.ascontiguousarray(columns.T)
+    blocks = invariant_blocks(op)
+    values, columns = np.linalg.eigh(to_dense(op)[blocks[:, :, None], blocks[:, None, :]])
+    order = np.argsort(values, axis=None, kind="stable")
+    block, column = np.divmod(order, blocks.shape[1])
+    eigenvalues = values.ravel()[order]
+    vectors = np.zeros((len(order), len(order)), dtype=columns.dtype)
+    vectors[np.arange(len(order))[:, None], blocks[block]] = columns[block, :, column]
     residuals = _residuals(op, eigenvalues, vectors)
     return SpectrumResult(
         eigenvalues=eigenvalues,

@@ -30,7 +30,7 @@ from .dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from .errors import PlanError, TcspinError
+from .errors import ConfigError, PlanError, TcspinError
 from .models import (
     Axis,
     Boundary,
@@ -46,6 +46,16 @@ from .oscillator import OscillatorConfig, cm_correlator_numeric
 from .pauli import Operator, StateVector, dense_cap
 from .schema import dump
 from .spectra import GHZReport, SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
+
+
+def check_lanczos_keys(section) -> None:
+    """Range checks of the ``lanczos_*`` keys, shared by every section with them."""
+    if section.lanczos_k < 1:
+        raise ConfigError(f"lanczos_k must be >= 1, got {section.lanczos_k}")
+    if not (section.lanczos_tol > 0 and math.isfinite(section.lanczos_tol)):
+        raise ConfigError(f"lanczos_tol must be finite and > 0, got {section.lanczos_tol}")
+    if section.lanczos_max_iter < 1:
+        raise ConfigError(f"lanczos_max_iter must be >= 1, got {section.lanczos_max_iter}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,7 @@ class SolverSettings:
     max_peaks: int = 8
 
     def __post_init__(self) -> None:
+        check_lanczos_keys(self)
         if not self.step_tol > 0:
             raise PlanError(f"step_tol must be > 0, got {self.step_tol}")
 

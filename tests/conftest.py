@@ -76,10 +76,23 @@ def orbit_block_spectrum(cfg: TCModelConfig) -> tuple[np.ndarray, np.ndarray, np
     return orbits, energies, vectors
 
 
-def random_operator(rng: np.random.Generator, n_sites: int, n_terms: int, hermitian: bool = True) -> Operator:
+def random_operator(
+    rng: np.random.Generator,
+    n_sites: int,
+    n_terms: int,
+    hermitian: bool = True,
+    x_basis: tuple[int, ...] | None = None,
+) -> Operator:
+    """Random Pauli strings; with ``x_basis`` every x_mask is a random XOR of
+    those masks, so the flip masks span at most their GF(2) rank."""
     terms = []
     for _ in range(n_terms):
-        x = int(rng.integers(0, 1 << n_sites))
+        if x_basis is None:
+            x = int(rng.integers(0, 1 << n_sites))
+        else:
+            x = 0
+            for mask, pick in zip(x_basis, rng.integers(0, 2, len(x_basis))):
+                x ^= mask if pick else 0
         z = int(rng.integers(0, 1 << n_sites))
         if hermitian:
             coeff = complex(rng.standard_normal())

@@ -187,7 +187,9 @@ class TestCorrelateCommand:
         }
         cfg = write_config(tmp_path, doc)
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-        assert calls == [(64, 64)]
+        # one batched eigh over the invariant blocks, which cover all 2^6 rows
+        ((n_blocks, rows, cols),) = calls
+        assert rows == cols and n_blocks * rows == 64
 
     @pytest.mark.parametrize("max_iter", [8, 30])
     @pytest.mark.parametrize("command", ["correlate", "spectrum"])
@@ -465,6 +467,32 @@ REJECTED_UP_FRONT = {
         "model": {"type": "pauli_terms", "n_sites": 1, "terms": [{"coeff": [1.0, 0.0], "letters": "Q"}]},
         "solver": {"method": "dense"},
     },
+    "spectrum_non_hermitian": {
+        "command": "spectrum",
+        "model": {"type": "pauli_terms", "n_sites": 1, "terms": [{"coeff": [0.0, 1.0], "letters": "Z"}]},
+        "solver": {"method": "dense"},
+    },
+    "correlate_non_hermitian": _edited(
+        CORRELATE_DOC,
+        lambda d: d.update(
+            model={"type": "pauli_terms", "n_sites": 6, "terms": [{"coeff": [0.5, 0.5], "letters": "XXIIII"}]}
+        ),
+    ),
+    "spectrum_lanczos_tol_negative": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "lanczos_tol": -1},
+    },
+    "spectrum_lanczos_k_zero": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "lanczos_k": 0},
+    },
+    "correlate_lanczos_k_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_k=0)),
+    "correlate_lanczos_tol_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_tol=0.0)),
+    "correlate_lanczos_max_iter_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_max_iter=0)),
+    "plan_lanczos_tol_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_tol=-1e-10)),
+    "plan_lanczos_max_iter_zero": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_max_iter=0)),
     "baseline_hbar": {
         "command": "baseline",
         "oscillator": {"n_values": [2, 4], "hbar": 0.0},

@@ -11,11 +11,12 @@ from tcspin.pauli import Operator, PauliString, StateVector, global_flip_operato
 from tcspin.spectra import (
     dense_spectrum,
     ghz_overlap_report,
+    invariant_blocks,
     lanczos_extremal,
     parity_expectation,
 )
 
-from conftest import first_mismatch, load_fixture, orbit_block_spectrum, random_state
+from conftest import first_mismatch, kron_dense, load_fixture, orbit_block_spectrum, random_operator, random_state
 
 
 def half_string_difference(n: int) -> Operator:
@@ -160,6 +161,103 @@ class TestLanczos:
             assert leak <= r / np.min(np.abs(dense.eigenvalues[~near] - e)) + 1e-12
 
 
+def chain_with(n: int, *specs: PerturbationSpec) -> Operator:
+    op = build_tc_hamiltonian(TCModelConfig(n, 0.5))
+    for spec in specs:
+        op = op + build_perturbation(n, spec)
+    return op.canonicalize()
+
+
+# x_masks spanning a chosen GF(2) rank on 6 sites: 0 (diagonal), 1, 2, 4 and 6
+X_BASES = [
+    (),
+    (0b000110,),
+    (0b000111, 0b111000),
+    (0b000011, 0b001100, 0b110000, 0b101010),
+    tuple(1 << i for i in range(6)),
+]
+
+
+class TestInvariantBlocks:
+    """dense_spectrum's cosets of the span of the flip masks."""
+
+    OPERATORS = {
+        "chain": lambda: chain_with(8),
+        "z_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3)),
+        "x_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3)),
+        "heisenberg": lambda: chain_with(8, PerturbationSpec("heisenberg_exchange", 0.05)),
+        "lone_y": lambda: Operator.from_label_terms([(0.7, "IIYIII"), (1.0, "ZZIIII"), (-0.4, "IIIZZI")]),
+        # rank 0: one state per block, with binomially degenerate levels
+        "uniform_z": lambda: Operator.from_label_terms([(1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_blocks_partition_the_basis(self, name):
+        op = self.OPERATORS[name]()
+        blocks = invariant_blocks(op)
+        assert np.array_equal(np.sort(blocks.ravel()), np.arange(1 << op.n_sites))
+
+    @pytest.mark.parametrize("name", sorted(OPERATORS))
+    def test_every_group_maps_each_block_into_itself(self, name):
+        op = self.OPERATORS[name]()
+        blocks = invariant_blocks(op)
+        for _, perm in op._groups:
+            if perm is not None:
+                assert np.array_equal(np.sort(perm[blocks], axis=1), blocks)
+
+    @pytest.mark.parametrize(
+        "name, shape",
+        [
+            ("chain", (64, 4)),
+            ("z_field", (64, 4)),
+            ("heisenberg", (2, 128)),
+            ("x_field", (1, 256)),
+            ("lone_y", (32, 2)),
+            ("uniform_z", (64, 1)),
+        ],
+    )
+    def test_block_size_is_two_to_the_rank(self, name, shape):
+        assert invariant_blocks(self.OPERATORS[name]()).shape == shape
+
+    def test_full_rank_is_bit_identical_to_one_eigh(self):
+        op = self.OPERATORS["x_field"]()
+        spec = dense_spectrum(op)
+        eigenvalues, columns = np.linalg.eigh(to_dense(op))
+        assert np.array_equal(spec.eigenvalues, eigenvalues)
+        assert np.array_equal(spec.vectors, columns.T)
+
+    @pytest.mark.parametrize("x_basis", X_BASES, ids=lambda basis: f"rank{len(basis)}")
+    def test_random_operators_match_the_full_matrix(self, x_basis):
+        op = random_operator(np.random.default_rng(len(x_basis)), 6, 16, x_basis=x_basis)
+        assert invariant_blocks(op).shape[1] == 1 << len(x_basis)
+        self.assert_matches_full_matrix(op)
+
+    @pytest.mark.parametrize("name", ["chain", "lone_y", "uniform_z"])
+    def test_degenerate_operators_match_the_full_matrix(self, name):
+        self.assert_matches_full_matrix(self.OPERATORS[name]())
+
+    def test_heisenberg_chain_eigenpairs(self):
+        # two of its clusters lie 2.5e-9 apart, so their separate projectors
+        # are fixed only to rounding / gap (about 1e-7): check the pairs
+        op = self.OPERATORS["heisenberg"]()
+        spec = dense_spectrum(op)
+        assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(kron_dense(op)))) < 1e-12
+        assert spec.residuals.max() < 1e-12
+        assert np.max(np.abs(spec.vectors @ spec.vectors.T - np.eye(spec.n_pairs))) < 1e-12
+
+    @staticmethod
+    def assert_matches_full_matrix(op: Operator) -> None:
+        """Eigenvalues within 1e-12 of the Kronecker-built matrix's, and every
+        degenerate cluster spanning the same space as its full eigenvectors."""
+        spec = dense_spectrum(op)
+        eigenvalues, columns = np.linalg.eigh(kron_dense(op))
+        assert np.max(np.abs(spec.eigenvalues - eigenvalues)) < 1e-12
+        for group in spec.clusters():
+            block_vectors, full_vectors = spec.vectors[group], columns[:, group].T
+            projector = block_vectors.T @ block_vectors.conj()
+            assert np.max(np.abs(projector - full_vectors.T @ full_vectors.conj())) < 1e-10
+
+
 class TestOrbitBlockOracle:
     """The unperturbed chain's exact 4x4 orbit blocks (conftest) as an oracle."""
 
@@ -172,7 +270,8 @@ class TestOrbitBlockOracle:
         cfg = TCModelConfig(n, j, boundary)
         _, energies, _ = orbit_block_spectrum(cfg)
         op = build_tc_hamiltonian(cfg)
-        # at N = 12 the eigenvalues alone: dense eigenvectors take three times as long
+        # at N = 12 the full matrix's eigenvalues: a reference independent of
+        # dense_spectrum, which diagonalizes these same orbits as its blocks
         dense = np.linalg.eigvalsh(to_dense(op)) if n == 12 else dense_spectrum(op).eigenvalues
         assert np.max(np.abs(np.sort(energies.ravel()) - dense)) < 1e-12
 

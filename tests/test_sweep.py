@@ -142,7 +142,9 @@ class TestRunSweep:
         monkeypatch.setattr(np.linalg, "eigh", counting)
         (row,) = run_sweep(small_plan())
         assert row.status == "ok" and row.solver == "dense"
-        assert calls == [(64, 64)]
+        # one batched eigh over the invariant blocks, which cover all 2^6 rows
+        ((n_blocks, rows, cols),) = calls
+        assert rows == cols and n_blocks * rows == 64
 
     def test_gap_check_only_on_ground_state_rows(self):
         # the E_n - E_0 gaps are the Lehmann frequencies of the ground state
