@@ -32,7 +32,7 @@ from .models import (
     Axis,
     PerturbationSpec,
     TCModelConfig,
-    build_perturbation,
+    add_perturbations,
     build_tc_hamiltonian,
     magnetization_operator,
 )
@@ -121,7 +121,7 @@ class SpectrumSolver:
 @dataclass(frozen=True)
 class CorrelateSolver:
     method: Literal["spectral", "krylov", "both"]
-    krylov_dim: int = 30  # accepted and ignored, see SolverSettings
+    krylov_dim: int = 30  # accepted and ignored until ROADMAP item 1a drops it, as in SolverSettings
     step_tol: float = 1e-10
     lanczos_k: int = 4
     lanczos_tol: float = 1e-10
@@ -207,9 +207,7 @@ def _hamiltonian(cfg: SpectrumConfig | CorrelateConfig) -> Operator:
         op, boundary = build_tc_hamiltonian(model), model.boundary
     else:
         op, boundary = _terms_operator(model.terms, model.n_sites, "config.model").canonicalize(), "periodic"
-    for spec in cfg.perturbations:
-        op = op + build_perturbation(op.n_sites, spec, boundary)
-    return op.canonicalize() if cfg.perturbations else op
+    return add_perturbations(op, cfg.perturbations, boundary)
 
 
 def _observable(cfg: CorrelateConfig, n_sites: int) -> Operator:
@@ -223,13 +221,16 @@ def _resolve_config(raw, command: str):
 
     Sections are checked on their own while they are read; the checks that
     span sections (a Hermitian Hamiltonian, the dense cap, the basis index,
-    the spectral route's need for an eigenstate) follow here.
+    the spectral route's need for an eigenstate) follow here. Every command
+    but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a malformed value
+    is a config error before anything runs.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     stated = raw.get("command", command)
     if stated != command:
         raise ConfigError(f"config declares command {stated!r} but {command!r} was invoked")
+    cap = None if command == "baseline" else dense_cap()
     cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k != "command"}, "config")
     if command in ("spectrum", "correlate"):
         op = _hamiltonian(cfg)
@@ -241,17 +242,17 @@ def _resolve_config(raw, command: str):
             raise ConfigError(
                 f"config.solver.lanczos_k={cfg.solver.lanczos_k} is not in [1, {1 << n}], the Hilbert-space dimension"
             )
-        if cfg.solver.method == "dense" and n > dense_cap():
-            raise ConfigError(f"dense solver at N={n} exceeds the dense cap {dense_cap()}")
+        if cfg.solver.method == "dense" and n > cap:
+            raise ConfigError(f"dense solver at N={n} exceeds the dense cap {cap}")
     elif command == "correlate":
         _observable(cfg, op.n_sites)
         spectral = cfg.solver.method in ("spectral", "both")
         state = cfg.initial_state
         if state.type == "basis" and not 0 <= state.index < (1 << op.n_sites):
             raise ConfigError(f"config.initial_state.index must be in [0, {1 << op.n_sites}), got {state.index}")
-        if spectral and op.n_sites > dense_cap():
+        if spectral and op.n_sites > cap:
             raise ConfigError(
-                f"the spectral route at N={op.n_sites} exceeds the dense cap {dense_cap()}; "
+                f"the spectral route at N={op.n_sites} exceeds the dense cap {cap}; "
                 "use solver.method 'krylov'"
             )
         if spectral and state.type != "ground" and (state.type == "ghz_pair" or basis_state(op, state.index)[1] is None):

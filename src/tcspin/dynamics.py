@@ -60,9 +60,6 @@ class CorrelationSeries:
 
     grid: TimeGrid
     values: np.ndarray
-    state_label: str = ""
-    observable_a: str = ""
-    observable_b: str = ""
     method: str = ""
 
     def __post_init__(self) -> None:
@@ -120,11 +117,11 @@ class OscillationReport:
         )
 
 
-def _check_eigenstate(op: Operator, psi: StateVector, energy: float, tol: float) -> None:
+def _check_eigenstate(op: Operator, psi: StateVector, energy: float) -> None:
     resid = np.linalg.norm(op.matvec(psi.amplitudes) - energy * psi.amplitudes)
-    if resid > tol:
+    if resid > EIGENSTATE_RESIDUAL_TOL:
         raise EigenstateError(
-            f"state is not an eigenstate at energy {energy}: residual {resid:.3e} > {tol:.1e}"
+            f"state is not an eigenstate at energy {energy}: residual {resid:.3e} > {EIGENSTATE_RESIDUAL_TOL:.1e}"
         )
 
 
@@ -135,7 +132,6 @@ def correlator_spectral(
     b: Operator,
     psi: StateVector,
     grid: TimeGrid,
-    residual_tol: float = EIGENSTATE_RESIDUAL_TOL,
 ) -> CorrelationSeries:
     """Exact Lehmann summation over the full dense spectrum of ``op``.
 
@@ -153,7 +149,7 @@ def correlator_spectral(
     if spectrum.n_sites != op.n_sites or spectrum.n_pairs != 1 << op.n_sites:
         raise DimensionError("the spectral route needs every eigenpair of H")
     e_psi = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
-    _check_eigenstate(op, psi, e_psi, residual_tol)
+    _check_eigenstate(op, psi, e_psi)
 
     vectors = spectrum.vectors  # row n holds the amplitudes of |n>
     amp_a = vectors @ a.dagger().matvec(psi.amplitudes).conj()  # <psi|A|n>
@@ -168,12 +164,7 @@ def correlator_spectral(
         hi = min(lo + chunk, len(gaps))
         phases = np.exp(-1j * np.outer(gaps[lo:hi], times))
         values += weights[lo:hi] @ phases
-    return CorrelationSeries(
-        grid=grid,
-        values=values,
-        state_label=f"eigenstate(E={e_psi!r})",
-        method="spectral",
-    )
+    return CorrelationSeries(grid=grid, values=values, method="spectral")
 
 
 def _miller_start(z: np.ndarray) -> np.ndarray:
@@ -382,7 +373,6 @@ def correlator_krylov(
     e_psi: float,
     grid: TimeGrid,
     step_tol: float = 1e-10,
-    residual_tol: float = EIGENSTATE_RESIDUAL_TOL,
 ) -> CorrelationSeries:
     """C(t) = e^{+i E_psi t} <psi| A e^{-iHt} B |psi> from Chebyshev moments.
 
@@ -416,7 +406,7 @@ def correlator_krylov(
         raise DimensionError("state and operators act on different site counts")
     if not op.is_hermitian():
         raise ModelError("correlator_krylov requires a Hermitian operator")
-    _check_eigenstate(op, psi, e_psi, residual_tol)
+    _check_eigenstate(op, psi, e_psi)
 
     amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
     w = a.dagger().matvec(amps)  # <psi|A = (A^dag psi)^dag
@@ -436,12 +426,7 @@ def correlator_krylov(
         mu = _chebyshev_moments(op, w, phi, h_phi, centre, half_width, order)
         coeffs = mu * _expansion_weights(order)
         values = _bessel_series(half_width * times, coeffs) * np.exp(1j * (e_psi - centre) * times)
-    return CorrelationSeries(
-        grid=grid,
-        values=values,
-        state_label=f"eigenstate(E={e_psi!r})",
-        method="krylov",
-    )
+    return CorrelationSeries(grid=grid, values=values, method="krylov")
 
 
 def correlator_krylov_general(

@@ -13,7 +13,6 @@ are close to the GHZ pair (|0...0> +/- |1...1>)/sqrt(2).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Literal
 
@@ -21,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .pauli import Operator, PauliString, StateVector
-from .schema import dump
 
 Axis = Literal["x", "y", "z"]
 Boundary = Literal["periodic", "open"]
@@ -159,6 +157,14 @@ def build_perturbation(n: int, spec: PerturbationSpec, boundary: Boundary = "per
     return Operator(n, tuple(terms)).canonicalize()
 
 
+def add_perturbations(op: Operator, specs: tuple[PerturbationSpec, ...], boundary: Boundary) -> Operator:
+    """``op`` plus each perturbation of ``specs`` in order, canonicalized; ``op``
+    itself when there is none."""
+    for spec in specs:
+        op = op + build_perturbation(op.n_sites, spec, boundary)
+    return op.canonicalize() if specs else op
+
+
 def build_ghz(n: int, sign: GHZSign) -> StateVector:
     """(|0...0> +/- |1...1>)/sqrt(2), normalized."""
     if n < 1:
@@ -178,10 +184,3 @@ def magnetization_operator(n: int, axis: Axis) -> Operator:
     coeff = 1.0 / n
     return Operator(n, tuple(_single_site(n, j, axis, coeff) for j in range(1, n + 1)))
 
-
-def perturbation_fingerprint(n: int, spec: PerturbationSpec, boundary: Boundary = "periodic") -> str:
-    """Serialized term list; identical inputs produce identical text."""
-    return json.dumps(
-        {"spec": dump(spec), "terms": json.loads(build_perturbation(n, spec, boundary).to_json())},
-        sort_keys=True,
-    )

@@ -62,14 +62,7 @@ class TruncatedOscillator:
 def cm_correlator_analytic(cfg: OscillatorConfig, grid: TimeGrid) -> CorrelationSeries:
     """Closed form hbar/(2 N m0 w) e^{-iwt} on the grid."""
     values = cfg.amplitude * np.exp(-1j * cfg.omega * grid.times())
-    return CorrelationSeries(
-        grid=grid,
-        values=values,
-        state_label="oscillator ground state",
-        observable_a="x_cm",
-        observable_b="x_cm",
-        method="analytic",
-    )
+    return CorrelationSeries(grid=grid, values=values, method="analytic")
 
 
 def cm_correlator_numeric(cfg: OscillatorConfig, cutoff: int, grid: TimeGrid) -> CorrelationSeries:
@@ -84,14 +77,7 @@ def cm_correlator_numeric(cfg: OscillatorConfig, cutoff: int, grid: TimeGrid) ->
     gaps = (energies - energies[0]) / cfg.hbar
     times = grid.times()
     values = weights @ np.exp(-1j * np.outer(gaps, times))
-    return CorrelationSeries(
-        grid=grid,
-        values=values,
-        state_label="oscillator ground state",
-        observable_a="x_cm",
-        observable_b="x_cm",
-        method="truncated_fock",
-    )
+    return CorrelationSeries(grid=grid, values=values, method="truncated_fock")
 
 
 def baseline_scaling(cfg_base: OscillatorConfig, n_values: list[int]) -> list[tuple[int, float]]:

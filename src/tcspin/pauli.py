@@ -23,14 +23,13 @@ Y|0> = i|1>, Y|1> = -i|0>.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DenseCapError, DimensionError
+from .errors import ConfigError, DenseCapError, DimensionError
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
@@ -44,11 +43,17 @@ def dense_cap() -> int:
 
     The default of 14 corresponds to a 16384 x 16384 matrix: 2 GiB as
     float64 for a real operator, 4 GiB as complex128 otherwise. Override
-    with the TCSPIN_DENSE_CAP environment variable. The dense path is an
-    oracle for testing, not the workhorse.
+    with the TCSPIN_DENSE_CAP environment variable; a value that is not an
+    integer >= 0 raises ConfigError. The dense route builds one such matrix
+    per diagonalized point (:func:`~tcspin.spectra.dense_spectrum`), so the
+    cap bounds the memory of every dense sweep row, not only of the tests.
     """
     raw = os.environ.get("TCSPIN_DENSE_CAP")
-    return DEFAULT_DENSE_CAP if raw is None else int(raw)
+    if raw is None:
+        return DEFAULT_DENSE_CAP
+    if not raw.strip().isdecimal():
+        raise ConfigError(f"TCSPIN_DENSE_CAP must be an integer >= 0, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -98,11 +103,6 @@ class PauliString:
     @property
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
-
-    @property
-    def weight(self) -> int:
-        """Number of non-identity sites."""
-        return (self.x_mask | self.z_mask).bit_count()
 
     @property
     def phase(self) -> complex:
@@ -262,50 +262,12 @@ class Operator:
                 radius += np.abs(c)
         return float(np.min(centre - radius)), float(np.max(centre + radius))
 
-    def expectation(self, amps: np.ndarray) -> complex:
-        return complex(np.vdot(amps, self.matvec(amps)))
-
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
             return NotImplemented
         if other.n_sites != self.n_sites:
             raise DimensionError(f"cannot add operators on {self.n_sites} and {other.n_sites} sites")
         return Operator(self.n_sites, self.terms + other.terms)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(
-            self.n_sites,
-            tuple(PauliString(t.n_sites, t.x_mask, t.z_mask, t.coeff * scalar) for t in self.terms),
-        )
-
-    __rmul__ = __mul__
-
-    def to_json(self) -> str:
-        """JSON array of terms, each ``{"coeff": [re, im], "letters": "..."}``.
-
-        Letters are written site 1 first. Floats round-trip bit-exactly.
-        """
-        return json.dumps(
-            [{"coeff": [t.coeff.real, t.coeff.imag], "letters": t.letters()} for t in self.terms]
-        )
-
-    @classmethod
-    def from_json(cls, text: str, n_sites: int | None = None) -> "Operator":
-        entries = json.loads(text)
-        if not isinstance(entries, list):
-            raise ValueError("operator JSON must be an array of terms")
-        terms = []
-        for entry in entries:
-            re, im = entry["coeff"]
-            terms.append(PauliString.from_letters(entry["letters"], complex(re, im)))
-        if terms:
-            n = terms[0].n_sites
-            if n_sites is not None and n_sites != n:
-                raise DimensionError(f"JSON terms have {n} sites, expected {n_sites}")
-            return cls(n, tuple(terms))
-        if n_sites is None:
-            raise ValueError("n_sites required to deserialize an empty operator")
-        return cls(n_sites, ())
 
     def __repr__(self) -> str:
         return f"Operator(n_sites={self.n_sites}, n_terms={self.n_terms})"
@@ -330,20 +292,15 @@ class StateVector:
 
     @classmethod
     def basis_state(cls, n_sites: int, index: int) -> "StateVector":
+        if not 0 <= index < 1 << n_sites:
+            raise ValueError(f"basis index {index} is not in [0, {1 << n_sites})")
         amps = np.zeros(1 << n_sites, dtype=np.complex128)
         amps[index] = 1.0
         return cls(n_sites, amps)
 
     @property
-    def dim(self) -> int:
-        return 1 << self.n_sites
-
-    @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm - 1.0) <= tol
 
     def normalized(self) -> "StateVector":
         n = self.norm
@@ -351,32 +308,9 @@ class StateVector:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.n_sites, self.amplitudes / n)
 
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.n_sites != self.n_sites:
-            raise DimensionError(f"states on {self.n_sites} vs {other.n_sites} sites")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_sites, self.amplitudes.copy())
-
-
-def apply_string(s: PauliString, v: StateVector) -> StateVector:
-    """Act with a single Pauli string; the output is not renormalized."""
-    if s.n_sites != v.n_sites:
-        raise DimensionError(f"string on {s.n_sites} sites, state on {v.n_sites}")
-    return StateVector(v.n_sites, Operator(s.n_sites, (s,)).matvec(v.amplitudes))
-
-
-def apply_operator(op: Operator, v: StateVector) -> StateVector:
-    """Act with a sum of Pauli strings, never materializing a matrix."""
-    if op.n_sites != v.n_sites:
-        raise DimensionError(f"operator on {op.n_sites} sites, state on {v.n_sites}")
-    return StateVector(v.n_sites, op.matvec(v.amplitudes))
-
 
 def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of an operator; the test oracle path.
+    """Dense 2^N x 2^N matrix of an operator: the dense route's input and the tests' oracle.
 
     Filled from the same compiled groups as :meth:`Operator.matvec`, so it is
     float64 when every group is real (real weights on strings with an even
@@ -401,6 +335,3 @@ def global_flip_operator(n: int) -> Operator:
         raise ValueError(f"n must be positive, got {n}")
     return Operator(n, (PauliString(n, (1 << n) - 1, 0, 1.0),))
 
-
-def identity_operator(n: int, coeff: complex = 1.0) -> Operator:
-    return Operator(n, (PauliString(n, 0, 0, coeff),))

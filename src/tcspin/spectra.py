@@ -1,4 +1,4 @@
-"""Ground states and low-lying spectra: dense oracle, Lanczos workhorse, GHZ diagnostics."""
+"""Ground states and low-lying spectra: dense route, Lanczos workhorse, GHZ diagnostics."""
 
 from __future__ import annotations
 
@@ -45,11 +45,11 @@ class SpectrumResult:
     def state(self, i: int) -> StateVector:
         return StateVector(self.n_sites, self.vectors[i].copy())
 
-    def clusters(self, tol: float = CLUSTER_TOL) -> list[list[int]]:
-        """Indices grouped into degenerate clusters (consecutive gap < tol)."""
+    def clusters(self) -> list[list[int]]:
+        """Indices grouped into degenerate clusters (consecutive gap < CLUSTER_TOL)."""
         groups: list[list[int]] = []
         for i, e in enumerate(self.eigenvalues):
-            if groups and e - self.eigenvalues[groups[-1][-1]] < tol:
+            if groups and e - self.eigenvalues[groups[-1][-1]] < CLUSTER_TOL:
                 groups[-1].append(i)
             else:
                 groups.append([i])
@@ -106,10 +106,10 @@ def invariant_blocks(op: Operator) -> np.ndarray:
     return reps[:, None] ^ span
 
 
-def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResult:
+def dense_spectrum(op: Operator) -> SpectrumResult:
     """Full Hermitian eigendecomposition, one invariant block at a time.
 
-    Oracle path: subject to the dense site cap. The blocks of
+    Subject to the dense site cap. The blocks of
     :func:`invariant_blocks` are gathered from :func:`to_dense` and
     diagonalized by one batched ``eigh``; the eigenvalues are then merged in
     ascending (stable) order and each block eigenvector is scattered into a
@@ -123,7 +123,7 @@ def dense_spectrum(op: Operator, hermiticity_tol: float = 1e-12) -> SpectrumResu
     real arithmetic, so its eigenvectors come back as float64. Raises
     ModelError for a non-Hermitian operator.
     """
-    if not op.is_hermitian(hermiticity_tol):
+    if not op.is_hermitian():
         raise ModelError("dense_spectrum requires a Hermitian operator")
     blocks = invariant_blocks(op)
     values, columns = np.linalg.eigh(to_dense(op)[blocks[:, :, None], blocks[:, None, :]])
@@ -391,7 +391,7 @@ class GHZReport:
         )
 
 
-def ghz_overlap_report(spec: SpectrumResult, n: int, cluster_tol: float = CLUSTER_TOL) -> GHZReport:
+def ghz_overlap_report(spec: SpectrumResult, n: int) -> GHZReport:
     """GHZ+/- overlaps for every computed eigenstate, cluster-resolved."""
     if spec.n_pairs == 0:
         raise ValueError("spectrum carries no eigenvectors")
@@ -402,7 +402,7 @@ def ghz_overlap_report(spec: SpectrumResult, n: int, cluster_tol: float = CLUSTE
     # <GHZ|v_i> for all i at once; only two basis amplitudes are nonzero.
     amp_plus = spec.vectors @ plus.conj()
     amp_minus = spec.vectors @ minus.conj()
-    clusters = spec.clusters(cluster_tol)
+    clusters = spec.clusters()
     # clusters are runs of consecutive indices: one segmented sum each
     starts = [group[0] for group in clusters]
     sizes = [len(group) for group in clusters]
@@ -430,14 +430,3 @@ def ghz_overlap_report(spec: SpectrumResult, n: int, cluster_tol: float = CLUSTE
         ghz_gap=gap,
     )
 
-
-def parity_expectation(v: StateVector, norm_tol: float = 1e-10) -> float:
-    """<v| product of all sigma_x |v| for a normalized state.
-
-    The all-X string sends basis index i to its bitwise complement, which is
-    exactly index reversal of the amplitude array.
-    """
-    if abs(v.norm - 1.0) > norm_tol:
-        raise ValueError(f"state is not normalized (norm {v.norm})")
-    val = np.vdot(v.amplitudes, v.amplitudes[::-1])
-    return float(val.real)

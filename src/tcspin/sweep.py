@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
 import numpy as np
@@ -38,7 +38,7 @@ from .models import (
     PerturbationKind,
     PerturbationSpec,
     TCModelConfig,
-    build_perturbation,
+    add_perturbations,
     build_tc_hamiltonian,
     magnetization_operator,
 )
@@ -66,7 +66,7 @@ class SolverSettings:
     Lanczos; sweep rows on the dense route correlate the ground state with
     the spectral correlator. ``krylov_dim`` is accepted and ignored; it
     stays because perfbench plans set it and config hashes cover it
-    (ROADMAP 5a drops it with the next benchmark change).
+    (ROADMAP item 1a drops it with the next benchmark change).
     """
 
     dense_max_sites: int = 10
@@ -198,41 +198,8 @@ class SweepRecord:
     error: str = ""
     wall_time_s: float = 0.0
 
-    @property
-    def key(self) -> tuple:
-        return (
-            self.n_sites,
-            self.j_coupling,
-            self.pert_kind,
-            self.pert_strength,
-            -1 if self.pert_seed is None else self.pert_seed,
-        )
 
-
-SWEEP_COLUMNS = [
-    "n_sites",
-    "j_coupling",
-    "boundary",
-    "axis",
-    "initial_state",
-    "pert_kind",
-    "pert_strength",
-    "pert_axis",
-    "pert_distribution",
-    "pert_seed",
-    "solver",
-    "ground_energy",
-    "energy_gap",
-    "ghz_gap",
-    "ghz_overlap_plus",
-    "ghz_overlap_minus",
-    "dominant_frequency",
-    "dominant_amplitude",
-    "residual_fraction",
-    "gap_consistent",
-    "status",
-    "error",
-]
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord) if f.name != "wall_time_s"]
 
 
 def _cell(value) -> str:
@@ -245,11 +212,8 @@ def _cell(value) -> str:
     return str(value)
 
 
-def records_to_csv(records: list[SweepRecord], header_comment: str | None = None) -> str:
-    lines = []
-    if header_comment:
-        lines.append(f"# {header_comment}")
-    lines.append(",".join(SWEEP_COLUMNS))
+def records_to_csv(records: list[SweepRecord]) -> str:
+    lines = [",".join(SWEEP_COLUMNS)]
     for rec in records:
         lines.append(",".join(_cell(getattr(rec, col)) for col in SWEEP_COLUMNS))
     return "\n".join(lines) + "\n"
@@ -348,8 +312,11 @@ def run_point(
     :func:`correlator_krylov_general` otherwise), each the autocorrelator of
     ``observable``. Peaks are checked against the gaps E_n - E_0 only when
     the spectrum is dense and psi is an eigenstate within 1e-8 of E_0: only
-    then are those gaps the Lehmann frequencies.
+    then are those gaps the Lehmann frequencies. Any other state name, or an
+    index outside [0, 2^N), is a ValueError.
     """
+    if isinstance(initial_state, str) and initial_state not in ("ground", "ghz_pair"):
+        raise ValueError(f"initial_state must be 'ground', 'ghz_pair' or a basis index, got {initial_state!r}")
     dense = op.n_sites <= settings.dense_max_sites
     spectrum = ghz = None
     if isinstance(initial_state, str):
@@ -386,16 +353,18 @@ def _execute_row(row: SweepRecord, plan: SweepPlan) -> SweepRecord:
     t0 = time.perf_counter()
     try:
         cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
-        op = build_tc_hamiltonian(cfg)
+        specs = ()
         if row.pert_kind != "none":
-            spec = PerturbationSpec(
-                kind=row.pert_kind,
-                strength=row.pert_strength,
-                axis=row.pert_axis or "z",
-                seed=0 if row.pert_seed is None else row.pert_seed,
-                distribution=row.pert_distribution or "uniform_pm1",
+            specs = (
+                PerturbationSpec(
+                    kind=row.pert_kind,
+                    strength=row.pert_strength,
+                    axis=row.pert_axis or "z",
+                    seed=0 if row.pert_seed is None else row.pert_seed,
+                    distribution=row.pert_distribution or "uniform_pm1",
+                ),
             )
-            op = (op + build_perturbation(row.n_sites, spec, row.boundary)).canonicalize()
+        op = add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
 
         spectral = row.solver == "dense" and row.initial_state == "ground"
         point = run_point(
@@ -466,12 +435,16 @@ def fit_power_law(points: list[tuple[float, float]]) -> tuple[float, float, floa
     return float(slope), float(math.exp(intercept)), r2
 
 
-def oscillator_control_table(control: OscillatorControl, grid: TimeGrid, max_peaks: int = 4) -> list[tuple[int, float]]:
+# the oscillator control's correlator is a single line; a few peaks suffice
+CONTROL_MAX_PEAKS = 4
+
+
+def oscillator_control_table(control: OscillatorControl, grid: TimeGrid) -> list[tuple[int, float]]:
     """Oscillator amplitudes measured through the same extraction pipeline."""
     table = []
     for n in control.n_values:
         series = cm_correlator_numeric(control.oscillator(n), control.cutoff, grid)
-        report = extract_oscillation(series, max_peaks=max_peaks)
+        report = extract_oscillation(series, max_peaks=CONTROL_MAX_PEAKS)
         table.append((n, report.dominant_amplitude))
     return table
 
@@ -498,20 +471,11 @@ def _relative(value: float, reference: float) -> float:
     return value - reference
 
 
-def stability_report(
-    plan: SweepPlan | None = None,
-    records: list[SweepRecord] | None = None,
-    workers: int = 1,
-) -> list[StabilityRow]:
-    """Shift table for every perturbed row against its unperturbed reference.
+def stability_report(records: list[SweepRecord]) -> list[StabilityRow]:
+    """Shift table for every perturbed row of a sweep against its unperturbed reference.
 
-    Accepts a plan (executed here) or the records of one already run.
     Disorder families additionally get mean and sample-std rows per strength.
     """
-    if records is None:
-        if plan is None:
-            raise PlanError("stability_report needs a plan or sweep records")
-        records = run_sweep(plan, workers=workers)
     references = {
         (r.n_sites, r.j_coupling): r
         for r in records

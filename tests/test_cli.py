@@ -512,6 +512,35 @@ def test_config_rejected_up_front(tmp_path, capsys, name):
     assert "config error" in capsys.readouterr().err
 
 
+SPECTRUM_DOC = {
+    "command": "spectrum",
+    "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+    "solver": {"method": "dense"},
+}
+
+# a malformed cap once crashed (dense spectrum), passed validate and then
+# exited 3 after creating --out (krylov correlate), or ran with a meaningless cap
+CAP_READERS = {
+    "spectrum_dense": SPECTRUM_DOC,
+    "spectrum_lanczos": _edited(SPECTRUM_DOC, lambda d: d["solver"].update(method="lanczos")),
+    "correlate_krylov": CORRELATE_DOC,
+    "sweep": SWEEP_DOC,
+}
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1"])
+@pytest.mark.parametrize("name", sorted(CAP_READERS))
+def test_malformed_dense_cap_rejected_up_front(tmp_path, capsys, monkeypatch, name, raw):
+    monkeypatch.setenv("TCSPIN_DENSE_CAP", raw)
+    doc = CAP_READERS[name]
+    cfg = write_config(tmp_path, doc)
+    assert main(["validate", "--config", cfg]) == 2
+    out = tmp_path / "out"
+    assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "TCSPIN_DENSE_CAP" in capsys.readouterr().err
+
+
 class TestInitialStateRouting:
     def test_ghz_pair_requires_krylov_route(self, tmp_path):
         doc = {

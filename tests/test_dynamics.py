@@ -1,6 +1,7 @@
 """Correlators (spectral vs Krylov), Krylov propagation, oscillation analysis."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,8 +196,9 @@ class TestChebyshevCorrelator:
         spectrum = dense_spectrum(op)
         psi = spectrum.state(0).normalized()
         m_x, m_z = magnetization_operator(8, "x"), magnetization_operator(8, "z")
+        half_x = Operator(8, tuple(replace(t, coeff=0.5 * t.coeff) for t in m_x.terms))
         # "z,z+x/2" makes w differ from phi without a vanishing correlator
-        a, b = {"zz": (m_z, m_z), "xx": (m_x, m_x), "xz": (m_x, m_z), "z,z+x/2": (m_z, m_z + 0.5 * m_x)}[observables]
+        a, b = {"zz": (m_z, m_z), "xx": (m_x, m_x), "xz": (m_x, m_z), "z,z+x/2": (m_z, m_z + half_x)}[observables]
         step_tol = 1e-10
         chebyshev = correlator_krylov(op, a, b, psi, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
         spectral = correlator_spectral(op, spectrum, a, b, psi, grid)

@@ -1,20 +1,17 @@
 """Pauli-string algebra against independent dense (tensor-product) oracles."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcspin.errors import DenseCapError, DimensionError
+from tcspin.errors import ConfigError, DenseCapError, DimensionError
 from tcspin.models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian
 from tcspin.pauli import (
     Operator,
     PauliString,
     StateVector,
-    apply_operator,
-    apply_string,
+    dense_cap,
     global_flip_operator,
     strings_commute,
     to_dense,
@@ -23,37 +20,33 @@ from tcspin.pauli import (
 from conftest import kron_dense, random_operator, random_state
 
 
-class TestApplyString:
+def _basis_action(letters: str, index: int) -> np.ndarray:
+    """One unit-weight string applied to basis state ``index``."""
+    op = Operator.from_label_terms([(1.0, letters)])
+    return op.matvec(StateVector.basis_state(op.n_sites, index).amplitudes)
+
+
+class TestSingleStringAction:
     def test_z_keeps_spin_up_invariant(self):
-        v = StateVector.basis_state(1, 0)
-        out = apply_string(PauliString.from_letters("Z"), v)
-        assert np.array_equal(out.amplitudes, [1.0, 0.0])
+        assert np.array_equal(_basis_action("Z", 0), [1.0, 0.0])
 
     def test_z_negates_spin_down(self):
-        v = StateVector.basis_state(1, 1)
-        out = apply_string(PauliString.from_letters("Z"), v)
-        assert np.array_equal(out.amplitudes, [0.0, -1.0])
+        assert np.array_equal(_basis_action("Z", 1), [0.0, -1.0])
 
     def test_xx_flips_both_bits(self):
-        v = StateVector.basis_state(2, 0)  # |00>
-        out = apply_string(PauliString.from_letters("XX"), v)
         expected = np.zeros(4, dtype=complex)
-        expected[3] = 1.0  # |11>
-        assert np.array_equal(out.amplitudes, expected)
+        expected[3] = 1.0  # |00> -> |11>
+        assert np.array_equal(_basis_action("XX", 0), expected)
 
     def test_y_on_down_spin(self):
-        v = StateVector.basis_state(1, 1)
-        out = apply_string(PauliString.from_letters("Y"), v)
-        assert np.array_equal(out.amplitudes, [-1.0j, 0.0])
+        assert np.array_equal(_basis_action("Y", 1), [-1.0j, 0.0])
 
     def test_y_on_up_spin(self):
-        v = StateVector.basis_state(1, 0)
-        out = apply_string(PauliString.from_letters("Y"), v)
-        assert np.array_equal(out.amplitudes, [0.0, 1.0j])
+        assert np.array_equal(_basis_action("Y", 0), [0.0, 1.0j])
 
     def test_size_mismatch_raises(self):
         with pytest.raises(DimensionError):
-            apply_string(PauliString.from_letters("XX"), StateVector.basis_state(1, 0))
+            Operator.from_label_terms([(1.0, "XX")]).matvec(StateVector.basis_state(1, 0).amplitudes)
 
     def test_unit_modulus_coefficient_preserves_norm(self):
         rng = np.random.default_rng(11)
@@ -67,28 +60,24 @@ class TestApplyString:
                 complex(phase),
             )
             v = random_state(rng, n)
-            assert apply_string(s, v).norm == pytest.approx(1.0, abs=1e-13)
+            assert np.linalg.norm(Operator(n, (s,)).matvec(v.amplitudes)) == pytest.approx(1.0, abs=1e-13)
 
 
-class TestApplyOperator:
+class TestMatvec:
     def test_sum_of_terms(self):
         op = Operator.from_label_terms([(1.0, "Z"), (1.0, "X")])
-        out = apply_operator(op, StateVector.basis_state(1, 0))
-        assert np.array_equal(out.amplitudes, [1.0, 1.0])
+        assert np.array_equal(op.matvec(StateVector.basis_state(1, 0).amplitudes), [1.0, 1.0])
 
     def test_tc_j0_on_fully_polarized(self):
         op = build_tc_hamiltonian(TCModelConfig(4, 0.0))
         v = StateVector.basis_state(4, 0)
-        out = apply_operator(op, v)
-        assert np.array_equal(out.amplitudes, -4.0 * v.amplitudes)
+        assert np.array_equal(op.matvec(v.amplitudes), -4.0 * v.amplitudes)
 
     def test_random_six_site_operator_matches_dense(self):
         rng = np.random.default_rng(7)
         op = random_operator(rng, 6, 12, hermitian=False)
         v = random_state(rng, 6)
-        direct = apply_operator(op, v).amplitudes
-        via_dense = to_dense(op) @ v.amplitudes
-        assert np.max(np.abs(direct - via_dense)) < 1e-12
+        assert np.max(np.abs(op.matvec(v.amplitudes) - to_dense(op) @ v.amplitudes)) < 1e-12
 
     @pytest.mark.parametrize("n_sites", range(2, 9))
     def test_matches_dense_on_random_draws(self, n_sites):
@@ -280,10 +269,9 @@ class TestGlobalFlip:
 
     def test_flips_basis_state(self):
         v = StateVector.basis_state(2, 2)  # |01>: site 1 up, site 2 down
-        out = apply_operator(global_flip_operator(2), v)
         expected = np.zeros(4, dtype=complex)
         expected[1] = 1.0  # |10>
-        assert np.array_equal(out.amplitudes, expected)
+        assert np.array_equal(global_flip_operator(2).matvec(v.amplitudes), expected)
 
     def test_commutes_with_chain_hamiltonian(self):
         h = to_dense(build_tc_hamiltonian(TCModelConfig(8, 0.7)))
@@ -359,33 +347,6 @@ class TestHermiticity:
 
 
 class TestSerialization:
-    def test_documented_shape(self):
-        op = Operator.from_label_terms([(-1.0, "ZZI"), (0.5, "XXY")])
-        doc = json.loads(op.to_json())
-        assert doc == [
-            {"coeff": [-1.0, 0.0], "letters": "ZZI"},
-            {"coeff": [0.5, 0.0], "letters": "XXY"},
-        ]
-
-    def test_round_trip_is_bit_exact(self):
-        rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(1, 8))
-            op = random_operator(rng, n, int(rng.integers(1, 9)), hermitian=False)
-            back = Operator.from_json(op.to_json())
-            assert back.n_sites == op.n_sites
-            assert [(t.x_mask, t.z_mask, t.coeff) for t in back.terms] == [
-                (t.x_mask, t.z_mask, t.coeff) for t in op.terms
-            ]
-            assert back.to_json() == op.to_json()
-
-    def test_empty_operator_needs_explicit_size(self):
-        empty = Operator(3, ())
-        assert empty.to_json() == "[]"
-        with pytest.raises(ValueError):
-            Operator.from_json("[]")
-        assert Operator.from_json("[]", n_sites=3).n_sites == 3
-
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
     @settings(max_examples=40, deadline=None)
     def test_letters_round_trip(self, x_mask, z_mask):
@@ -415,5 +376,26 @@ class TestValidation:
 
     def test_identity_string_scales(self):
         v = random_state(np.random.default_rng(5), 3)
-        out = apply_string(PauliString(3, 0, 0, 2.5j), v)
-        assert np.max(np.abs(out.amplitudes - 2.5j * v.amplitudes)) < 1e-15
+        out = Operator(3, (PauliString(3, 0, 0, 2.5j),)).matvec(v.amplitudes)
+        assert np.max(np.abs(out - 2.5j * v.amplitudes)) < 1e-15
+
+    @pytest.mark.parametrize("index", [-1, 8])
+    def test_basis_index_must_fit(self, index):
+        # a negative index would wrap around to the last basis state
+        with pytest.raises(ValueError):
+            StateVector.basis_state(3, index)
+
+
+class TestDenseCap:
+    def test_default_and_override(self, monkeypatch):
+        monkeypatch.delenv("TCSPIN_DENSE_CAP", raising=False)
+        assert dense_cap() == 14
+        for raw, cap in (("0", 0), ("6", 6)):
+            monkeypatch.setenv("TCSPIN_DENSE_CAP", raw)
+            assert dense_cap() == cap
+
+    @pytest.mark.parametrize("raw", ["abc", "-1", "1.5", ""])
+    def test_malformed_value_is_a_config_error(self, monkeypatch, raw):
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", raw)
+        with pytest.raises(ConfigError, match="TCSPIN_DENSE_CAP"):
+            dense_cap()

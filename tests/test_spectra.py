@@ -13,10 +13,9 @@ from tcspin.spectra import (
     ghz_overlap_report,
     invariant_blocks,
     lanczos_extremal,
-    parity_expectation,
 )
 
-from conftest import first_mismatch, kron_dense, load_fixture, orbit_block_spectrum, random_operator, random_state
+from conftest import first_mismatch, kron_dense, load_fixture, orbit_block_spectrum, random_operator
 
 
 def half_string_difference(n: int) -> Operator:
@@ -351,24 +350,18 @@ class TestGHZReport:
             assert np.linalg.norm(projected) == pytest.approx(1.0, abs=1e-10)
 
 
+def _parity(v: StateVector) -> float:
+    """<v| product of all sigma_x |v>."""
+    return float(np.vdot(v.amplitudes, global_flip_operator(v.n_sites).matvec(v.amplitudes)).real)
+
+
 class TestParity:
     def test_ghz_states_have_definite_parity(self):
-        assert parity_expectation(build_ghz(5, "plus")) == pytest.approx(1.0, abs=1e-12)
-        assert parity_expectation(build_ghz(5, "minus")) == pytest.approx(-1.0, abs=1e-12)
+        assert _parity(build_ghz(5, "plus")) == pytest.approx(1.0, abs=1e-12)
+        assert _parity(build_ghz(5, "minus")) == pytest.approx(-1.0, abs=1e-12)
 
     def test_polarized_state_has_zero_parity(self):
-        assert parity_expectation(StateVector.basis_state(4, 0)) == 0.0
-
-    def test_agrees_with_operator_expectation(self):
-        rng = np.random.default_rng(37)
-        v = random_state(rng, 5)
-        direct = parity_expectation(v)
-        op_val = np.vdot(v.amplitudes, global_flip_operator(5).matvec(v.amplitudes))
-        assert direct == pytest.approx(float(op_val.real), abs=1e-13)
-
-    def test_requires_normalized_state(self):
-        with pytest.raises(ValueError):
-            parity_expectation(StateVector(2, np.ones(4, dtype=complex)))
+        assert _parity(StateVector.basis_state(4, 0)) == 0.0
 
 
 class TestParitySectorStructure:

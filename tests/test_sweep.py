@@ -224,6 +224,13 @@ class TestRunPoint:
         assert ground.spectrum is not None and ground.gap_consistent is True
         assert excited.spectrum is not None and excited.gap_consistent is None
 
+    @pytest.mark.parametrize("state", ["excited", "Ground", -1, 64])
+    def test_unknown_initial_state_rejected(self, state):
+        # neither falls back to another state: "excited" is not the ghz_pair
+        # path, and -1 is not basis state 63
+        with pytest.raises(ValueError):
+            run_point(self.OP, self.M, GRID, state, SolverSettings(), ("krylov",))
+
 
 class TestFitPowerLaw:
     def test_exact_inverse_law(self):
@@ -265,7 +272,7 @@ class TestStability:
                 ),
             )
         )
-        rows = stability_report(plan)
+        rows = stability_report(run_sweep(plan))
         zero_rows = [r for r in rows if r.pert_strength == 0.0 and r.statistic == "row"]
         assert zero_rows
         for row in zero_rows:
@@ -280,7 +287,7 @@ class TestStability:
                 PerturbationFamily(kind="heisenberg_exchange", strengths=(0.05,)),
             )
         )
-        rows = stability_report(plan)
+        rows = stability_report(run_sweep(plan))
         assert len(rows) == 1
         assert rows[0].statistic == "row"
         assert np.isfinite(rows[0].rel_frequency_shift)
@@ -294,7 +301,7 @@ class TestStability:
                 ),
             )
         )
-        rows = stability_report(plan)
+        rows = stability_report(run_sweep(plan))
         stats = {r.statistic for r in rows}
         assert stats == {"row", "mean", "std"}
         means = [r for r in rows if r.statistic == "mean"]
@@ -311,10 +318,6 @@ class TestStability:
         records = [r for r in run_sweep(plan) if r.pert_kind != "none"]
         with pytest.raises(PlanError):
             stability_report(records=records)
-
-    def test_requires_plan_or_records(self):
-        with pytest.raises(PlanError):
-            stability_report()
 
 
 class TestMonotonicityFlags:
