@@ -1,8 +1,17 @@
 """Matrix-free spin-chain spectra, dynamics and finite-size scaling tools."""
 
+import os
+
+# One BLAS thread, set before numpy loads: on two cores OpenBLAS threads
+# slow the small batched eigh and vector-sized BLAS calls of this package
+# down, and they change result bits. An explicit setting in the
+# environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
-from .dynamics import (
+from .dynamics import (  # noqa: E402
     CorrelationSeries,
     OscillationReport,
     TimeGrid,
@@ -13,7 +22,7 @@ from .dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from .models import (
+from .models import (  # noqa: E402
     PerturbationSpec,
     TCModelConfig,
     build_ghz,
@@ -21,14 +30,14 @@ from .models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from .oscillator import (
+from .oscillator import (  # noqa: E402
     OscillatorConfig,
     TruncatedOscillator,
     baseline_scaling,
     cm_correlator_analytic,
     cm_correlator_numeric,
 )
-from .pauli import (
+from .pauli import (  # noqa: E402
     Operator,
     PauliString,
     StateVector,
@@ -37,14 +46,14 @@ from .pauli import (
     strings_commute,
     to_dense,
 )
-from .spectra import (
+from .spectra import (  # noqa: E402
     GHZReport,
     SpectrumResult,
     dense_spectrum,
     ghz_overlap_report,
     lanczos_extremal,
 )
-from .sweep import (
+from .sweep import (  # noqa: E402
     OscillatorControl,
     PerturbationFamily,
     SolverSettings,

@@ -223,7 +223,8 @@ def _resolve_config(raw, command: str):
     span sections (a Hermitian Hamiltonian, the dense cap, the basis index,
     the spectral route's need for an eigenstate) follow here. Every command
     but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a malformed value
-    is a config error before anything runs.
+    is a config error before anything runs. ``correlate`` routes its point
+    by that cap, so its normalized form records it as ``"dense_cap"``.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -260,7 +261,10 @@ def _resolve_config(raw, command: str):
                 f"the spectral route needs an eigenstate initial state and {dump(state)} is not one; "
                 "use solver.method 'krylov'"
             )
-    return cfg, {"command": command, **dump(cfg)}
+    resolved = {"command": command, **dump(cfg)}
+    if command == "correlate":
+        resolved["dense_cap"] = cap
+    return cfg, resolved
 
 
 def config_hash(resolved: dict) -> str:
@@ -309,7 +313,7 @@ def cmd_correlate(cfg: CorrelateConfig, resolved: dict, out_dir: Path) -> int:
     op = _hamiltonian(cfg)
     solver = dump(cfg.solver)
     method = solver.pop("method")
-    settings = SolverSettings(dense_max_sites=dense_cap(), max_peaks=cfg.oscillation.max_peaks, **solver)
+    settings = SolverSettings(dense_max_sites=resolved["dense_cap"], max_peaks=cfg.oscillation.max_peaks, **solver)
     state = cfg.initial_state
     methods = ("spectral", "krylov") if method == "both" else (method,)
     point = run_point(

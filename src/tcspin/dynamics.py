@@ -138,8 +138,11 @@ def correlator_spectral(
     C(t) = sum_n <psi|A|n><n|B|psi> e^{-i (E_n - E_psi) t}, with E_n and |n>
     read from ``spectrum`` (a :class:`~tcspin.spectra.SpectrumResult` holding
     every eigenpair of ``op``, as :func:`~tcspin.spectra.dense_spectrum`
-    returns it). psi must be an eigenstate of ``op`` (checked by residual);
-    E_psi = <psi|H|psi> comes from one matvec.
+    returns it). The sum runs only over the pairs whose block meets both
+    A^dag psi and B psi, the others having weight zero: for m_z on the
+    chain's ground state, the 4 levels of its block. psi must be an
+    eigenstate of ``op`` (checked by residual); E_psi = <psi|H|psi> comes
+    from one matvec.
     """
     for o in (a, b):
         if o.n_sites != op.n_sites:
@@ -151,11 +154,14 @@ def correlator_spectral(
     e_psi = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
     _check_eigenstate(op, psi, e_psi)
 
-    vectors = spectrum.vectors  # row n holds the amplitudes of |n>
-    amp_a = vectors @ a.dagger().matvec(psi.amplitudes).conj()  # <psi|A|n>
-    amp_b = (vectors @ b.matvec(psi.amplitudes).conj()).conj()  # <n|B psi>
-    weights = amp_a * amp_b
-    gaps = spectrum.eigenvalues - e_psi
+    w = a.dagger().matvec(psi.amplitudes)  # <psi|A = (A^dag psi)^dag
+    phi = b.matvec(psi.amplitudes)
+    # a pair outside the blocks that both w and phi touch has weight 0
+    touched = spectrum.touched_blocks(w) & spectrum.touched_blocks(phi)
+    pairs, amp_a = spectrum.overlaps(w, touched)  # <psi|A|n>
+    _, amp_b = spectrum.overlaps(phi, touched)  # <B psi|n>
+    weights = amp_a * amp_b.conj()
+    gaps = spectrum.eigenvalues[pairs] - e_psi
     times = grid.times()
     values = np.zeros(len(times), dtype=np.complex128)
     # chunk the eigenstate sum to bound the phase-matrix size

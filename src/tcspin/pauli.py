@@ -13,8 +13,8 @@ Conventions, used everywhere in this package:
   always the Hermitian matrix product of I/X/Y/Z factors.
 * An :class:`Operator` is compiled once, on first use, into one coefficient
   vector per distinct ``x_mask`` (bit representation as in Sandvik, AIP
-  Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec`` and ``to_dense`` both
-  read that form.
+  Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec``, the dense route's
+  block matrices and ``to_dense`` all read that form.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -39,14 +39,15 @@ DEFAULT_DENSE_CAP = 14
 
 
 def dense_cap() -> int:
-    """Largest site count for which dense 2^N x 2^N matrices may be built.
+    """Largest site count of the dense route and of :func:`to_dense`.
 
-    The default of 14 corresponds to a 16384 x 16384 matrix: 2 GiB as
-    float64 for a real operator, 4 GiB as complex128 otherwise. Override
+    :func:`~tcspin.spectra.dense_spectrum` refuses a larger operator. It
+    stores 2^N x 2^r numbers for invariant blocks of 2^r, so at the default
+    of 14 the chain's blocks of 4 take 0.5 MiB, and a full-rank operator
+    (an x or y field: one block) 2 GiB as float64 or 4 GiB as complex128.
+    :func:`to_dense`, the tests' oracle, builds a 2^N x 2^N matrix. Override
     with the TCSPIN_DENSE_CAP environment variable; a value that is not an
-    integer >= 0 raises ConfigError. The dense route builds one such matrix
-    per diagonalized point (:func:`~tcspin.spectra.dense_spectrum`), so the
-    cap bounds the memory of every dense sweep row, not only of the tests.
+    integer >= 0 raises ConfigError.
     """
     raw = os.environ.get("TCSPIN_DENSE_CAP")
     if raw is None:
@@ -310,9 +311,11 @@ class StateVector:
 
 
 def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:
-    """Dense 2^N x 2^N matrix of an operator: the dense route's input and the tests' oracle.
+    """Dense 2^N x 2^N matrix of an operator: the tests' oracle.
 
-    Filled from the same compiled groups as :meth:`Operator.matvec`, so it is
+    No runtime path builds it; the dense route reads the compiled groups
+    block by block. Filled from the same compiled groups as
+    :meth:`Operator.matvec`, so it is
     float64 when every group is real (real weights on strings with an even
     number of Y letters, such as the TC chain, Heisenberg exchange and x or z
     fields) and complex128 otherwise. Refuses to build beyond ``cap`` sites

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ModelError
+from .errors import DenseCapError, DimensionError, ModelError
 from .models import build_ghz
-from .pauli import Operator, StateVector, to_dense
+from .pauli import Operator, StateVector, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
 # solvers return an arbitrary basis inside such a cluster, so GHZ overlaps
@@ -19,19 +19,30 @@ CLUSTER_TOL = 1e-9
 
 @dataclass
 class SpectrumResult:
-    """Eigenvalues in ascending order with matching (row-wise) eigenvectors.
+    """Eigenvalues in ascending order with their eigenvectors in block form.
+
+    Every eigenvector lies in one block of basis indices: pair i has the
+    amplitudes ``coeffs[i]`` on ``blocks[block_of[i]]`` and is zero
+    elsewhere. The dense route's blocks are the invariant cosets of
+    :func:`invariant_blocks`, so it stores 2^N x 2^r numbers for blocks of
+    2^r rather than a 2^N x 2^N array; a Lanczos result is the one-block
+    case, ``blocks = arange(2^N)[None]``. :meth:`vector` and :meth:`state`
+    scatter one eigenvector on demand, and :meth:`overlaps` reads only the
+    blocks a state touches.
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| recomputed with the matrix-free
     matvec; ``n_converged`` counts the pairs meeting the solver tolerance
-    (always all of them for the dense path). ``vectors`` is float64 when the
+    (always all of them for the dense path). ``coeffs`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
     complex128 otherwise. Inside a degenerate cluster any orthonormal basis
-    is valid; the dense solver's rows each lie in one invariant block (see
-    :func:`dense_spectrum`), and so do the eigenvectors ``to_json`` writes.
+    is valid; the dense solver's is confined to blocks (see
+    :func:`dense_spectrum`), and so are the eigenvectors ``to_json`` writes.
     """
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray  # shape (n_pairs, 2**n_sites), row i is eigenvector i
+    blocks: np.ndarray  # (n_blocks, block_size) basis indices
+    block_of: np.ndarray  # (n_pairs,) block index of each pair
+    coeffs: np.ndarray  # (n_pairs, block_size), row i is pair i on blocks[block_of[i]]
     method: str
     residuals: np.ndarray
     n_converged: int
@@ -42,8 +53,28 @@ class SpectrumResult:
     def n_pairs(self) -> int:
         return len(self.eigenvalues)
 
+    def vector(self, i: int) -> np.ndarray:
+        """Eigenvector i as a full amplitude array, in the dtype of ``coeffs``."""
+        v = np.zeros(1 << self.n_sites, dtype=self.coeffs.dtype)
+        v[self.blocks[self.block_of[i]]] = self.coeffs[i]
+        return v
+
     def state(self, i: int) -> StateVector:
-        return StateVector(self.n_sites, self.vectors[i].copy())
+        return StateVector(self.n_sites, self.vector(i))
+
+    def touched_blocks(self, amps: np.ndarray) -> np.ndarray:
+        """Boolean mask over the blocks: where ``amps`` has a non-zero amplitude."""
+        return np.any(amps[self.blocks] != 0, axis=1)
+
+    def overlaps(self, amps: np.ndarray, touched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i whose block is marked in ``touched`` (ascending), and
+        <amps|v_i> for each; only those blocks of ``amps`` are read."""
+        pairs = np.flatnonzero(touched[self.block_of])
+        out = np.empty(len(pairs), dtype=np.result_type(self.coeffs, amps))
+        for b in np.flatnonzero(touched):
+            members = self.block_of[pairs] == b
+            out[members] = self.coeffs[pairs[members]] @ amps[self.blocks[b]].conj()
+        return pairs, out
 
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (consecutive gap < CLUSTER_TOL)."""
@@ -66,14 +97,15 @@ class SpectrumResult:
         }
         if include_vectors:
             doc["vectors"] = [
-                [[float(a.real), float(a.imag)] for a in row] for row in self.vectors
+                [[float(a.real), float(a.imag)] for a in self.vector(i)] for i in range(self.n_pairs)
             ]
         return json.dumps(doc)
 
 
-def _residuals(op: Operator, eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    out = np.empty(len(eigenvalues))
-    for i, (e, v) in enumerate(zip(eigenvalues, vectors)):
+def _residuals(op: Operator, spectrum: SpectrumResult) -> np.ndarray:
+    out = np.empty(spectrum.n_pairs)
+    for i, e in enumerate(spectrum.eigenvalues):
+        v = spectrum.vector(i)
         out[i] = np.linalg.norm(op.matvec(v) - e * v)
     return out
 
@@ -106,42 +138,64 @@ def invariant_blocks(op: Operator) -> np.ndarray:
     return reps[:, None] ^ span
 
 
+def _block_matrices(op: Operator, blocks: np.ndarray) -> np.ndarray:
+    """The (n_blocks, 2^r, 2^r) matrices of op on the rows of ``blocks``.
+
+    Filled straight from the compiled groups, one gather per group: with
+    ``span = blocks[0]`` (the coset of index 0), group x puts c[blocks[b, i]]
+    at (b, i, j), where span[j] = span[i] ^ x. Entry for entry this is
+    ``to_dense(op)[blocks[:, :, None], blocks[:, None, :]]``, float64 for a
+    real operator and complex128 otherwise; nothing of size 4^N is built.
+    """
+    span = blocks[0]  # row 0 is the span itself: its representative is 0
+    rows = np.arange(blocks.shape[1])
+    mats = np.zeros((len(blocks), len(rows), len(rows)), dtype=np.float64 if op._is_real else np.complex128)
+    for c, perm in op._groups:
+        x = 0 if perm is None else int(perm[0])  # perm = idx ^ x, so perm[0] = x
+        mats[:, rows, np.searchsorted(span, span ^ x)] = c[blocks]
+    return mats
+
+
 def dense_spectrum(op: Operator) -> SpectrumResult:
     """Full Hermitian eigendecomposition, one invariant block at a time.
 
-    Subject to the dense site cap. The blocks of
-    :func:`invariant_blocks` are gathered from :func:`to_dense` and
-    diagonalized by one batched ``eigh``; the eigenvalues are then merged in
-    ascending (stable) order and each block eigenvector is scattered into a
-    full row. So every eigenvector is confined to one block, also inside a
-    degenerate cluster that spans several blocks: a different basis of such
-    a cluster than a full-matrix ``eigh`` would pick, and an equally valid
-    one; it is the basis ``tcspin spectrum`` writes with
-    ``include_eigenvectors``. A full-rank span is one block in natural
-    order, so the result is then bit-identical to
-    ``np.linalg.eigh(to_dense(op))``. A real operator is diagonalized in
-    real arithmetic, so its eigenvectors come back as float64. Raises
-    ModelError for a non-Hermitian operator.
+    Subject to the dense site cap (:func:`~tcspin.pauli.dense_cap`; beyond
+    it a DenseCapError). The matrices of the blocks of
+    :func:`invariant_blocks` (:func:`_block_matrices`) are diagonalized by one
+    batched ``eigh``, and the eigenvalues merged in ascending (stable)
+    order; each pair keeps its block and its block eigenvector, so the
+    result holds 2^N x 2^r numbers for blocks of 2^r. Every eigenvector is
+    therefore confined to one block, also inside a degenerate cluster that
+    spans several blocks: a different basis of such a cluster than a
+    full-matrix ``eigh`` would pick, and an equally valid one; it is the
+    basis ``tcspin spectrum`` writes with ``include_eigenvectors``. A
+    full-rank span is one block in natural order, so the result is then
+    bit-identical to ``np.linalg.eigh(to_dense(op))``. A real operator is
+    diagonalized in real arithmetic, so its eigenvectors come back as
+    float64. Raises ModelError for a non-Hermitian operator.
     """
+    cap = dense_cap()
+    if op.n_sites > cap:
+        raise DenseCapError(f"dense spectrum at N={op.n_sites} exceeds cap {cap}")
     if not op.is_hermitian():
         raise ModelError("dense_spectrum requires a Hermitian operator")
     blocks = invariant_blocks(op)
-    values, columns = np.linalg.eigh(to_dense(op)[blocks[:, :, None], blocks[:, None, :]])
+    values, columns = np.linalg.eigh(_block_matrices(op, blocks))
     order = np.argsort(values, axis=None, kind="stable")
     block, column = np.divmod(order, blocks.shape[1])
-    eigenvalues = values.ravel()[order]
-    vectors = np.zeros((len(order), len(order)), dtype=columns.dtype)
-    vectors[np.arange(len(order))[:, None], blocks[block]] = columns[block, :, column]
-    residuals = _residuals(op, eigenvalues, vectors)
-    return SpectrumResult(
-        eigenvalues=eigenvalues,
-        vectors=vectors,
+    spectrum = SpectrumResult(
+        eigenvalues=values.ravel()[order],
+        blocks=blocks,
+        block_of=block,
+        coeffs=columns[block, :, column],
         method="dense",
-        residuals=residuals,
-        n_converged=len(eigenvalues),
+        residuals=np.empty(0),
+        n_converged=len(order),
         n_sites=op.n_sites,
-        n_requested=len(eigenvalues),
+        n_requested=len(order),
     )
+    spectrum.residuals = _residuals(op, spectrum)
+    return spectrum
 
 
 def _orthogonalize(w: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
@@ -329,22 +383,20 @@ def lanczos_extremal(
         found_vecs.append(vec)
 
     order = np.argsort(found_vals)
-    eigenvalues = np.array([found_vals[i] for i in order])
-    vectors = (
-        np.array([found_vecs[i] for i in order])
-        if found_vals
-        else np.empty((0, dim), dtype)
-    )
-    residuals = _residuals(op, eigenvalues, vectors)
-    return SpectrumResult(
-        eigenvalues=eigenvalues,
-        vectors=vectors,
+    spectrum = SpectrumResult(
+        eigenvalues=np.array([found_vals[i] for i in order]),
+        blocks=np.arange(dim)[None],
+        block_of=np.zeros(len(order), dtype=np.intp),
+        coeffs=np.array([found_vecs[i] for i in order]) if found_vals else np.empty((0, dim), dtype),
         method="lanczos",
-        residuals=residuals,
-        n_converged=int(np.sum(residuals <= tol)),
+        residuals=np.empty(0),
+        n_converged=0,
         n_sites=op.n_sites,
         n_requested=k,
     )
+    spectrum.residuals = _residuals(op, spectrum)
+    spectrum.n_converged = int(np.sum(spectrum.residuals <= tol))
+    return spectrum
 
 
 @dataclass
@@ -397,11 +449,13 @@ def ghz_overlap_report(spec: SpectrumResult, n: int) -> GHZReport:
         raise ValueError("spectrum carries no eigenvectors")
     if spec.n_sites != n:
         raise DimensionError(f"spectrum on {spec.n_sites} sites, requested {n}")
-    plus = build_ghz(n, "plus").amplitudes
-    minus = build_ghz(n, "minus").amplitudes
-    # <GHZ|v_i> for all i at once; only two basis amplitudes are nonzero.
-    amp_plus = spec.vectors @ plus.conj()
-    amp_minus = spec.vectors @ minus.conj()
+    # <GHZ|v_i> is non-zero only for the pairs in the blocks that hold the
+    # two basis states of GHZ+/-, index 0 and 2^N - 1; only those are read
+    amp_plus, amp_minus = np.zeros((2, spec.n_pairs), dtype=np.complex128)
+    for sign, amps in (("plus", amp_plus), ("minus", amp_minus)):
+        ghz = build_ghz(n, sign).amplitudes
+        pairs, overlaps = spec.overlaps(ghz, spec.touched_blocks(ghz))
+        amps[pairs] = overlaps
     clusters = spec.clusters()
     # clusters are runs of consecutive indices: one segmented sum each
     starts = [group[0] for group in clusters]

@@ -325,7 +325,7 @@ def run_point(
         if initial_state == "ground":
             psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
         else:
-            pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
+            pair = spectrum.vector(ghz.best_plus_index) + spectrum.vector(ghz.best_minus_index)
             psi, energy = StateVector(op.n_sites, pair).normalized(), None
     else:
         psi, energy = basis_state(op, initial_state)

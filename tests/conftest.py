@@ -76,6 +76,12 @@ def orbit_block_spectrum(cfg: TCModelConfig) -> tuple[np.ndarray, np.ndarray, np
     return orbits, energies, vectors
 
 
+def dense_vectors(spec) -> np.ndarray:
+    """Every eigenvector of a SpectrumResult scattered into one (n_pairs, 2^N)
+    array, row i eigenvector i, in the dtype of its block coefficients."""
+    return np.array([spec.vector(i) for i in range(spec.n_pairs)])
+
+
 def random_operator(
     rng: np.random.Generator,
     n_sites: int,

@@ -234,6 +234,32 @@ class TestCorrelateCommand:
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_hash_covers_the_dense_cap(self, tmp_path, capsys, monkeypatch):
+        # the cap routes the point: dense with the gap check at 14, Lanczos
+        # without it at 6; one hash must not stand for both outputs
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "solver": {"method": "krylov"},
+        }
+        cfg = write_config(tmp_path, doc)
+        hashes, checked = {}, {}
+        for cap in (14, 6):
+            monkeypatch.setenv("TCSPIN_DENSE_CAP", str(cap))
+            assert main(["validate", "--config", cfg]) == 0
+            hashes[cap] = capsys.readouterr().out.split()[1]
+            out = tmp_path / f"cap{cap}"
+            assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
+            written = json.loads((out / "oscillation.json").read_text())
+            assert written["config"]["dense_cap"] == cap
+            assert written["config_hash"] == hashes[cap]
+            checked[cap] = "gap_frequency_consistent" in written
+        assert hashes[14] != hashes[6]
+        assert checked == {14: True, 6: False}
+
     def test_bad_basis_index_is_config_error(self, tmp_path):
         doc = dict(TWO_LEVEL_CORRELATE)
         doc["initial_state"] = {"type": "basis", "index": 5}

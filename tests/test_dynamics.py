@@ -31,7 +31,7 @@ from tcspin.models import (
 from tcspin.pauli import Operator, StateVector, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
 
-from conftest import random_state
+from conftest import dense_vectors, random_state
 
 SIGMA_Z = Operator.from_label_terms([(1.0, "Z")])
 SIGMA_X = Operator.from_label_terms([(1.0, "X")])
@@ -168,6 +168,49 @@ PERTURBATIONS = [
 ]
 
 
+def _full_lehmann(op, a, b, psi, times):
+    """C(t) from every eigenpair of the full matrix: the oracle of the block sum."""
+    h = to_dense(op)
+    energies, columns = np.linalg.eigh(h)
+    e_psi = np.vdot(psi.amplitudes, h @ psi.amplitudes).real
+    amp_a = columns.T @ (to_dense(a).conj().T @ psi.amplitudes).conj()  # <psi|A|n>
+    amp_b = columns.conj().T @ (to_dense(b) @ psi.amplitudes)  # <n|B psi>
+    return (amp_a * amp_b) @ np.exp(-1j * np.outer(energies - e_psi, times))
+
+
+class TestSpectralCorrelatorBlocks:
+    """The Lehmann sum over the pairs of the touched blocks only, against the
+    full matrix's eigenbasis (a different basis inside degenerate clusters
+    that span blocks; the sum does not depend on it)."""
+
+    GRID = TimeGrid(0.0, 40.0, 64)
+
+    @pytest.mark.parametrize(
+        "j, state, a_axis, b_axis",
+        [
+            (0.5, "ground", "z", "z"),  # one block of 4
+            (0.5, "ground", "x", "x"),  # m_x moves psi into other cosets
+            (0.5, "ground", "x", "z"),  # A^dag psi and B psi meet no common block: C = 0
+            (0.0, 0b010110, "x", "x"),  # a basis eigenstate, degenerate clusters across blocks
+        ],
+    )
+    def test_matches_the_full_matrix_lehmann_sum(self, j, state, a_axis, b_axis):
+        op = build_tc_hamiltonian(TCModelConfig(6, j))
+        spec = dense_spectrum(op)
+        psi = spec.state(0).normalized() if state == "ground" else StateVector.basis_state(6, state)
+        a, b = magnetization_operator(6, a_axis), magnetization_operator(6, b_axis)
+        series = correlator_spectral(op, spec, a, b, psi, self.GRID)
+        assert np.max(np.abs(series.values - _full_lehmann(op, a, b, psi, self.GRID.times()))) < 1e-12
+
+    def test_z_field_chain_ground_state(self):
+        op = _chain(8, PERTURBATIONS[2])
+        spec = dense_spectrum(op)
+        psi = spec.state(0).normalized()
+        m = magnetization_operator(8, "z")
+        series = correlator_spectral(op, spec, m, m, psi, self.GRID)
+        assert np.max(np.abs(series.values - _full_lehmann(op, m, m, psi, self.GRID.times()))) < 1e-12
+
+
 class TestChebyshevCorrelator:
     @pytest.mark.parametrize("z", [0.0, 0.3, 50.0, 780.0])
     def test_bessel_column_matches_scipy(self, z):
@@ -281,7 +324,7 @@ class TestChebyshevCorrelator:
 
 def _ghz_pair(op, spectrum):
     ghz = ghz_overlap_report(spectrum, op.n_sites)
-    pair = spectrum.vectors[ghz.best_plus_index] + spectrum.vectors[ghz.best_minus_index]
+    pair = spectrum.vector(ghz.best_plus_index) + spectrum.vector(ghz.best_minus_index)
     return StateVector(op.n_sites, pair).normalized()
 
 
@@ -298,7 +341,7 @@ class TestGeneralCorrelator:
         psi = _ghz_pair(op, spectrum)
         m = magnetization_operator(8, "z")
         series = correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=step_tol)
-        vecs = spectrum.vectors.T  # column n holds |n>
+        vecs = dense_vectors(spectrum).T  # column n holds |n>
         m_dense = to_dense(m)
         start, kicked = vecs.conj().T @ psi.amplitudes, vecs.conj().T @ (m_dense @ psi.amplitudes)
         exact = [

@@ -5,17 +5,29 @@ import json
 import numpy as np
 import pytest
 
+import tcspin.pauli
+import tcspin.spectra
+from tcspin.dynamics import TimeGrid
 from tcspin.errors import DenseCapError, ModelError
-from tcspin.models import PerturbationSpec, TCModelConfig, build_ghz, build_perturbation, build_tc_hamiltonian
+from tcspin.models import (
+    PerturbationSpec,
+    TCModelConfig,
+    build_ghz,
+    build_perturbation,
+    build_tc_hamiltonian,
+    magnetization_operator,
+)
 from tcspin.pauli import Operator, PauliString, StateVector, global_flip_operator, to_dense
 from tcspin.spectra import (
+    _block_matrices,
     dense_spectrum,
     ghz_overlap_report,
     invariant_blocks,
     lanczos_extremal,
 )
+from tcspin.sweep import SolverSettings, run_point
 
-from conftest import first_mismatch, kron_dense, load_fixture, orbit_block_spectrum, random_operator
+from conftest import dense_vectors, first_mismatch, kron_dense, load_fixture, orbit_block_spectrum, random_operator
 
 
 def half_string_difference(n: int) -> Operator:
@@ -48,9 +60,9 @@ class TestDenseSpectrum:
             dense_spectrum(build_tc_hamiltonian(TCModelConfig(6, 0.5)))
 
     def test_eigenvectors_orthonormal(self):
-        spec = dense_spectrum(build_tc_hamiltonian(TCModelConfig(6, 0.5)))
-        gram = spec.vectors.conj() @ spec.vectors.T
-        assert np.max(np.abs(gram - np.eye(spec.n_pairs))) < 1e-8
+        vectors = dense_vectors(dense_spectrum(build_tc_hamiltonian(TCModelConfig(6, 0.5))))
+        gram = vectors.conj() @ vectors.T
+        assert np.max(np.abs(gram - np.eye(len(vectors)))) < 1e-8
 
     def test_full_spectrum_pinned_as_regression_fixture(self):
         spec = dense_spectrum(build_tc_hamiltonian(TCModelConfig(8, 0.5)))
@@ -94,7 +106,7 @@ class TestLanczos:
         a = lanczos_extremal(op, k=3, seed=11)
         b = lanczos_extremal(op, k=3, seed=11)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
-        assert np.array_equal(a.vectors, b.vectors)
+        assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_partial_result_flagged_on_iteration_budget(self):
         op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
@@ -117,7 +129,7 @@ class TestLanczos:
     def test_eigenvectors_orthonormal(self):
         op = build_tc_hamiltonian(TCModelConfig(6, 0.0))
         lan = lanczos_extremal(op, k=4, seed=2)
-        gram = lan.vectors.conj() @ lan.vectors.T
+        gram = lan.coeffs.conj() @ lan.coeffs.T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-8
 
     @pytest.mark.parametrize("n", [4, 8])
@@ -148,14 +160,15 @@ class TestLanczos:
         tol = 1e-10
         dense = dense_spectrum(op)
         lan = lanczos_extremal(op, k=4, tol=tol, seed=3)
-        assert lan.vectors.dtype == dense.vectors.dtype == dtype
+        assert lan.coeffs.dtype == dense.coeffs.dtype == dtype
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:4])) < tol
         # each vector lies in the dense eigenspace of its eigenvalue, up to
         # the sin-theta bound residual / (distance to the rest of the spectrum)
-        for e, v, r in zip(lan.eigenvalues, lan.vectors, lan.residuals):
+        dense_rows = dense_vectors(dense)
+        for e, v, r in zip(lan.eigenvalues, dense_vectors(lan), lan.residuals):
             near = np.abs(dense.eigenvalues - e) < 1e-8
-            space = dense.vectors[near]
+            space = dense_rows[near]
             leak = np.linalg.norm(v - space.T @ (space.conj() @ v))
             assert leak <= r / np.min(np.abs(dense.eigenvalues[~near] - e)) + 1e-12
 
@@ -184,6 +197,7 @@ class TestInvariantBlocks:
         "chain": lambda: chain_with(8),
         "z_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3)),
         "x_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3)),
+        "y_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3)),
         "heisenberg": lambda: chain_with(8, PerturbationSpec("heisenberg_exchange", 0.05)),
         "lone_y": lambda: Operator.from_label_terms([(0.7, "IIYIII"), (1.0, "ZZIIII"), (-0.4, "IIIZZI")]),
         # rank 0: one state per block, with binomially degenerate levels
@@ -211,6 +225,7 @@ class TestInvariantBlocks:
             ("z_field", (64, 4)),
             ("heisenberg", (2, 128)),
             ("x_field", (1, 256)),
+            ("y_field", (1, 256)),
             ("lone_y", (32, 2)),
             ("uniform_z", (64, 1)),
         ],
@@ -218,12 +233,60 @@ class TestInvariantBlocks:
     def test_block_size_is_two_to_the_rank(self, name, shape):
         assert invariant_blocks(self.OPERATORS[name]()).shape == shape
 
+    BLOCK_BUILDS = ["chain", "z_field", "heisenberg", "x_field", "y_field"]
+
+    @pytest.mark.parametrize("name", BLOCK_BUILDS)
+    def test_block_matrices_are_the_gathered_dense_matrix(self, name):
+        op = self.OPERATORS[name]()
+        blocks = invariant_blocks(op)
+        gathered = to_dense(op)[blocks[:, :, None], blocks[:, None, :]]
+        mats = _block_matrices(op, blocks)
+        assert mats.dtype == gathered.dtype == (np.complex128 if name == "y_field" else np.float64)
+        assert np.array_equal(mats, gathered)
+
+    @pytest.mark.parametrize("name", BLOCK_BUILDS)
+    def test_eigenpairs_are_those_of_the_gathered_blocks(self, name):
+        """Bit for bit the eigenvalues and block eigenvectors of the blocks
+        gathered from to_dense, the dense route's input before it read the
+        compiled groups."""
+        op = self.OPERATORS[name]()
+        spec = dense_spectrum(op)
+        blocks = invariant_blocks(op)
+        values, columns = np.linalg.eigh(to_dense(op)[blocks[:, :, None], blocks[:, None, :]])
+        order = np.argsort(values, axis=None, kind="stable")
+        block, column = np.divmod(order, blocks.shape[1])
+        assert np.array_equal(spec.eigenvalues, values.ravel()[order])
+        assert np.array_equal(spec.blocks, blocks)
+        assert np.array_equal(spec.block_of, block)
+        assert np.array_equal(spec.coeffs, columns[block, :, column])
+
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the dense route built a 2^N x 2^N matrix")
+
+        monkeypatch.setattr(tcspin.pauli, "to_dense", refuse)
+        monkeypatch.setattr(tcspin.spectra, "to_dense", refuse)
+        for name in self.BLOCK_BUILDS:
+            spec = dense_spectrum(self.OPERATORS[name]())
+            assert spec.residuals.max() < 1e-12
+
+    def test_overlaps_read_only_the_touched_blocks(self):
+        spec = dense_spectrum(self.OPERATORS["chain"]())
+        phi = magnetization_operator(8, "z").matvec(spec.vector(0))
+        touched = spec.touched_blocks(phi)
+        pairs, amps = spec.overlaps(phi, touched)
+        # m_z keeps the ground state in its block: 4 of 256 levels
+        assert touched.sum() == 1 and len(pairs) == 4
+        full = dense_vectors(spec) @ phi.conj()
+        assert np.array_equal(np.flatnonzero(full), pairs)
+        assert np.max(np.abs(amps - full[pairs])) < 1e-15
+
     def test_full_rank_is_bit_identical_to_one_eigh(self):
         op = self.OPERATORS["x_field"]()
         spec = dense_spectrum(op)
         eigenvalues, columns = np.linalg.eigh(to_dense(op))
         assert np.array_equal(spec.eigenvalues, eigenvalues)
-        assert np.array_equal(spec.vectors, columns.T)
+        assert np.array_equal(dense_vectors(spec), columns.T)
 
     @pytest.mark.parametrize("x_basis", X_BASES, ids=lambda basis: f"rank{len(basis)}")
     def test_random_operators_match_the_full_matrix(self, x_basis):
@@ -242,7 +305,8 @@ class TestInvariantBlocks:
         spec = dense_spectrum(op)
         assert np.max(np.abs(spec.eigenvalues - np.linalg.eigvalsh(kron_dense(op)))) < 1e-12
         assert spec.residuals.max() < 1e-12
-        assert np.max(np.abs(spec.vectors @ spec.vectors.T - np.eye(spec.n_pairs))) < 1e-12
+        vectors = dense_vectors(spec)
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(spec.n_pairs))) < 1e-12
 
     @staticmethod
     def assert_matches_full_matrix(op: Operator) -> None:
@@ -251,8 +315,9 @@ class TestInvariantBlocks:
         spec = dense_spectrum(op)
         eigenvalues, columns = np.linalg.eigh(kron_dense(op))
         assert np.max(np.abs(spec.eigenvalues - eigenvalues)) < 1e-12
+        vectors = dense_vectors(spec)
         for group in spec.clusters():
-            block_vectors, full_vectors = spec.vectors[group], columns[:, group].T
+            block_vectors, full_vectors = vectors[group], columns[:, group].T
             projector = block_vectors.T @ block_vectors.conj()
             assert np.max(np.abs(projector - full_vectors.T @ full_vectors.conj())) < 1e-10
 
@@ -279,10 +344,10 @@ class TestOrbitBlockOracle:
         cfg = TCModelConfig(n, 0.5)
         orbits, energies, blocks = orbit_block_spectrum(cfg)
         lan = lanczos_extremal(build_tc_hamiltonian(cfg), k=k, tol=1e-10, seed=9)
-        assert lan.vectors.dtype == np.float64
+        assert lan.coeffs.dtype == np.float64
         assert lan.n_converged == k
         assert np.max(np.abs(lan.eigenvalues - np.sort(energies.ravel())[:k])) < 1e-10
-        for e, v, r in zip(lan.eigenvalues, lan.vectors, lan.residuals):
+        for e, v, r in zip(lan.eigenvalues, dense_vectors(lan), lan.residuals):
             # v in each orbit's block eigenbasis: its weight off the eigenvalue
             # e obeys the sin-theta bound of the dense test above
             coeffs = np.einsum("rab,ra->rb", blocks, v[orbits])
@@ -330,7 +395,7 @@ class TestGHZReport:
         rep = ghz_overlap_report(spec, n)
         assert any(len(group) > 1 for group in rep.clusters) or j != 0.0
         for sign in ("plus", "minus"):
-            amps = spec.vectors @ build_ghz(n, sign).amplitudes.conj()
+            amps = dense_vectors(spec) @ build_ghz(n, sign).amplitudes.conj()
             for group in rep.clusters:
                 reference = float(np.sum(np.abs(amps[group]) ** 2))
                 for i in group:
@@ -340,10 +405,29 @@ class TestGHZReport:
                     else:
                         assert got == pytest.approx(reference, rel=1e-14, abs=1e-300)
 
+    @pytest.mark.parametrize("n, heisenberg", [(6, 0.0), (8, 0.0), (6, 0.05), (8, 0.05)])
+    def test_report_and_ghz_pair_match_the_full_eigenvectors(self, n, heisenberg):
+        """Overlaps and the ghz_pair state of the block form against the same
+        sums over every full eigenvector."""
+        op = chain_with(n, *([PerturbationSpec("heisenberg_exchange", heisenberg)] if heisenberg else []))
+        spec = dense_spectrum(op)
+        rep = ghz_overlap_report(spec, n)
+        vectors = dense_vectors(spec)
+        for sign in ("plus", "minus"):
+            weights = np.abs(vectors @ build_ghz(n, sign).amplitudes.conj()) ** 2
+            expected = [weights[group].sum() for group in rep.clusters for _ in group]
+            got = [getattr(entry, f"overlap_{sign}") for entry in rep.entries]
+            assert np.max(np.abs(np.array(got) - expected)) < 1e-12
+        point = run_point(
+            op, magnetization_operator(n, "z"), TimeGrid(0.0, 2.0, 16), "ghz_pair", SolverSettings(), ("krylov",)
+        )
+        pair = vectors[rep.best_plus_index] + vectors[rep.best_minus_index]
+        assert np.max(np.abs(point.psi.amplitudes - pair / np.linalg.norm(pair))) < 1e-12
+
     def test_degenerate_projector_resolves_ghz(self):
         # J=0: projecting GHZ+/- onto the two lowest eigenvectors loses nothing
         spec = dense_spectrum(build_tc_hamiltonian(TCModelConfig(6, 0.0)))
-        basis = spec.vectors[:2]
+        basis = dense_vectors(spec)[:2]
         for sign in ("plus", "minus"):
             ghz = build_ghz(6, sign).amplitudes
             projected = basis.T @ (basis.conj() @ ghz)
