@@ -224,7 +224,9 @@ def _resolve_config(raw, command: str):
     the spectral route's need for an eigenstate) follow here. Every command
     but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a malformed value
     is a config error before anything runs. ``correlate`` routes its point
-    by that cap, so its normalized form records it as ``"dense_cap"``.
+    by that cap, so its normalized form records it as ``"dense_cap"``; a
+    ``correlate`` config may state it, as any config may state its
+    ``command``, and must then state the cap in force.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -232,7 +234,13 @@ def _resolve_config(raw, command: str):
     if stated != command:
         raise ConfigError(f"config declares command {stated!r} but {command!r} was invoked")
     cap = None if command == "baseline" else dense_cap()
-    cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k != "command"}, "config")
+    declared = {"command"}
+    if command == "correlate":
+        declared.add("dense_cap")
+        stated_cap = raw.get("dense_cap", cap)
+        if type(stated_cap) is not int or stated_cap != cap:
+            raise ConfigError(f"config declares dense_cap {stated_cap!r} but TCSPIN_DENSE_CAP gives {cap}")
+    cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k not in declared}, "config")
     if command in ("spectrum", "correlate"):
         op = _hamiltonian(cfg)
         if not op.is_hermitian():

@@ -198,28 +198,24 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
     return spectrum
 
 
-def _orthogonalize(w: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
-    """Two rounds of classical Gram-Schmidt against the first n basis rows."""
-    for _ in range(2):
-        coeffs = (basis[:n] @ w.conj()).conj()
-        w = w - basis[:n].T @ coeffs
-    return w
+# Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976): a
+# Gram-Schmidt pass that leaves less than this fraction of the norm it was
+# given has cancelled enough to leave round-off components along the sets
+# it projected out, and is repeated once
+DGKS_RATIO = 1 / np.sqrt(2)
 
 
-def _orthogonalize_joint(
-    w: np.ndarray, deflate: np.ndarray, n_deflate: int, basis: np.ndarray, n_basis: int
-) -> np.ndarray:
-    """Gram-Schmidt against locked eigenvectors and the Krylov basis together.
+def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
+    """One classical Gram-Schmidt pass of w against the rows of each set in turn.
 
-    Both sets must be cleaned inside the same round: projecting out the
-    locked vectors first and the basis separately lets the basis pass
-    reintroduce locked components, which then amplify by ||H||/beta at every
-    Lanczos step with a small beta.
+    Locked eigenvectors and the Krylov basis must be cleaned inside the same
+    pass: projecting out the locked vectors first and the basis separately
+    lets the basis pass reintroduce locked components, which then amplify by
+    ||H||/beta at every Lanczos step with a small beta.
     """
-    for _ in range(2):
-        if n_deflate:
-            w = w - deflate[:n_deflate].T @ (deflate[:n_deflate] @ w.conj()).conj()
-        w = w - basis[:n_basis].T @ (basis[:n_basis] @ w.conj()).conj()
+    for rows in sets:
+        if len(rows):
+            w = w - rows.T @ (rows @ w.conj()).conj()
     return w
 
 
@@ -252,7 +248,6 @@ def _lowest_deflated_eigenpair(
     arrow = np.empty(0)
     matvecs = 0
     best_val, best_vec, best_resid = np.inf, v0, np.inf
-    n_deflate = len(deflate)
 
     while matvecs < budget:
         alphas: list[float] = []
@@ -264,8 +259,20 @@ def _lowest_deflated_eigenpair(
             matvecs += 1
             alpha = float(np.vdot(basis[j], w).real)
             alphas.append(alpha)
-            w = _orthogonalize_joint(w, deflate, n_deflate, basis, j + 1)
+            # the three-term recurrence first (after a thick restart, the
+            # arrow to the kept Ritz vectors), then one pass for what the
+            # recurrence leaves in round-off, and a second pass on the DGKS test
+            w = w - alpha * basis[j]
+            if j > kept:
+                w = w - beta_last * basis[j - 1]
+            elif kept:
+                w = w - basis[:kept].T @ arrow
+            before = float(np.linalg.norm(w))
+            w = _orthogonalize(w, deflate, basis[: j + 1])
             beta_last = float(np.linalg.norm(w))
+            if beta_last < DGKS_RATIO * before:
+                w = _orthogonalize(w, deflate, basis[: j + 1])
+                beta_last = float(np.linalg.norm(w))
             j += 1
             if beta_last < breakdown_tol:
                 beta_last = 0.0
@@ -326,9 +333,11 @@ def lanczos_extremal(
 ) -> SpectrumResult:
     """The k lowest eigenpairs by thick-restart Lanczos with explicit deflation.
 
-    Uses only the matrix-free matvec. Eigenpairs are converged one at a time,
-    each fully reorthogonalized against the current Krylov basis and all
-    previously accepted eigenvectors; the deflation makes repeated
+    Uses only the matrix-free matvec. Eigenpairs are converged one at a time;
+    every Lanczos vector is reorthogonalized against the whole Krylov basis
+    and all previously accepted eigenvectors, by one Gram-Schmidt pass after
+    the three-term recurrence and a second only on the DGKS test (see
+    :data:`DGKS_RATIO`); the deflation makes repeated
     (degenerate) eigenvalues reachable, which plain Lanczos misses.
     Deterministic for a fixed seed. ``max_iter`` caps the total matvec count;
     on exhaustion a partial result is returned with ``n_converged < k``
@@ -362,7 +371,10 @@ def lanczos_extremal(
             if not real:
                 v = v + 1j * rng.standard_normal(dim)
             if found_vecs:
-                v = _orthogonalize(v, np.asarray(found_vecs), len(found_vecs))
+                found = np.asarray(found_vecs)
+                v, before = _orthogonalize(v, found), np.linalg.norm(v)
+                if np.linalg.norm(v) < DGKS_RATIO * before:
+                    v = _orthogonalize(v, found)
             nrm = np.linalg.norm(v)
             if nrm > 1e-8:
                 return v / nrm

@@ -13,7 +13,7 @@ import pytest
 from tcspin import sweep
 from tcspin.cli import main
 from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
-from tcspin.pauli import to_dense
+from tcspin.pauli import dense_cap, to_dense
 
 TWO_LEVEL_CORRELATE = {
     "command": "correlate",
@@ -260,6 +260,34 @@ class TestCorrelateCommand:
         assert hashes[14] != hashes[6]
         assert checked == {14: True, 6: False}
 
+    def test_embedded_config_validates_as_the_run(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "14")
+        out = tmp_path / "run"
+        assert main(["correlate", "--config", write_config(tmp_path, TWO_LEVEL_CORRELATE), "--out", str(out)]) == 0
+        written = json.loads((out / "oscillation.json").read_text())
+        embedded = write_config(tmp_path, written["config"], "embedded.json")
+        assert main(["validate", "--config", embedded]) == 0
+        assert capsys.readouterr().out.split() == ["ok", written["config_hash"]]
+        # a rerun from the embedded config is the same run
+        rerun = tmp_path / "rerun"
+        assert main(["correlate", "--config", embedded, "--out", str(rerun)]) == 0
+        assert (rerun / "oscillation.json").read_text() == (out / "oscillation.json").read_text()
+
+        # under another cap the stated one is a config error, before any output
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
+        assert main(["validate", "--config", embedded]) == 2
+        assert "TCSPIN_DENSE_CAP" in capsys.readouterr().err
+        other = tmp_path / "other"
+        assert main(["correlate", "--config", embedded, "--out", str(other)]) == 2
+        assert not other.exists()
+
+    @pytest.mark.parametrize("stated", [6, "14", True, None])
+    def test_stated_dense_cap_must_be_the_cap_in_force(self, tmp_path, capsys, monkeypatch, stated):
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "14")
+        cfg = write_config(tmp_path, {**TWO_LEVEL_CORRELATE, "dense_cap": stated})
+        assert main(["validate", "--config", cfg]) == 2
+        assert "TCSPIN_DENSE_CAP gives 14" in capsys.readouterr().err
+
     def test_bad_basis_index_is_config_error(self, tmp_path):
         doc = dict(TWO_LEVEL_CORRELATE)
         doc["initial_state"] = {"type": "basis", "index": 5}
@@ -407,6 +435,18 @@ class TestValidateCommand:
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = write_config(tmp_path, TWO_LEVEL_CORRELATE)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"command": "spectrum", "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5}, "solver": {"method": "dense"}},
+            SWEEP_DOC,
+        ],
+        ids=["spectrum", "sweep"],
+    )
+    def test_other_commands_reject_dense_cap(self, tmp_path, capsys, doc):
+        assert main(["validate", "--config", write_config(tmp_path, {**doc, "dense_cap": dense_cap()})]) == 2
+        assert "unknown key(s) ['dense_cap']" in capsys.readouterr().err
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -140,6 +140,7 @@ class TestLanczos:
         lan = lanczos_extremal(op, k=4, tol=1e-10, seed=13)
         assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:4])) < 1e-10
 
+    @pytest.mark.parametrize("seed", [3, 100])
     @pytest.mark.parametrize(
         "perturbation, dtype",
         [
@@ -150,16 +151,11 @@ class TestLanczos:
             ("dzyaloshinskii_moriya", np.complex128),
         ],
     )
-    def test_dtype_follows_operator_and_matches_dense(self, perturbation, dtype):
-        op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
-        if perturbation == "dzyaloshinskii_moriya":
-            bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
-            op = (op + Operator.from_label_terms(bonds)).canonicalize()
-        elif perturbation is not None:
-            op = (op + build_perturbation(8, perturbation)).canonicalize()
+    def test_dtype_follows_operator_and_matches_dense(self, perturbation, dtype, seed):
+        op = chain_n8(perturbation)
         tol = 1e-10
         dense = dense_spectrum(op)
-        lan = lanczos_extremal(op, k=4, tol=tol, seed=3)
+        lan = lanczos_extremal(op, k=4, tol=tol, seed=seed)
         assert lan.coeffs.dtype == dense.coeffs.dtype == dtype
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:4])) < tol
@@ -171,6 +167,85 @@ class TestLanczos:
             space = dense_rows[near]
             leak = np.linalg.norm(v - space.T @ (space.conj() @ v))
             assert leak <= r / np.min(np.abs(dense.eigenvalues[~near] - e)) + 1e-12
+
+    @pytest.mark.parametrize(
+        "perturbation",
+        [None, PerturbationSpec("heisenberg_exchange", 0.05), "dzyaloshinskii_moriya"],
+        ids=["chain", "heisenberg", "dzyaloshinskii_moriya"],
+    )
+    def test_eigenvectors_orthonormal_to_round_off(self, perturbation):
+        lan = lanczos_extremal(chain_n8(perturbation), k=4, seed=2)
+        gram = lan.coeffs.conj() @ lan.coeffs.T
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-13
+
+    @pytest.mark.parametrize(
+        "op, k",
+        [
+            (build_tc_hamiltonian(TCModelConfig(6, 0.0)), 2),
+            (build_tc_hamiltonian(TCModelConfig(8, 0.0)), 6),
+            (Operator.from_label_terms([(1.0, "III")]), 1),
+        ],
+        ids=["j0_n6", "j0_n8", "identity"],
+    )
+    def test_breakdowns_take_the_second_pass(self, monkeypatch, op, k):
+        """Where the recurrence leaves only round-off (an invariant subspace
+        reached), the single pass cancels most of the norm and the DGKS test
+        repeats it; the vectors stay orthonormal to round-off."""
+        passes = count_repeated_passes(monkeypatch)
+        tol = 1e-10
+        lan = lanczos_extremal(op, k=k, tol=tol, seed=0)
+        assert passes["repeated"] >= 1
+        assert lan.n_converged == k
+        assert lan.residuals.max() <= tol
+        gram = lan.coeffs.conj() @ lan.coeffs.T
+        assert np.max(np.abs(gram - np.eye(k))) < 1e-13
+
+    def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
+        passes = count_repeated_passes(monkeypatch)
+        lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
+        assert passes["calls"] > 100 and passes["repeated"] == 0
+
+    def test_matvec_count_is_pinned(self, monkeypatch):
+        """The single pass changes the constant per step, not the algorithm:
+        the same matvecs as two full Gram-Schmidt rounds per step made,
+        the residual checks included."""
+        counter = {"matvecs": 0}
+        matvec = Operator.matvec
+
+        def counting(self, v):
+            counter["matvecs"] += 1
+            return matvec(self, v)
+
+        monkeypatch.setattr(Operator, "matvec", counting)
+        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
+        assert lan.n_converged == 2
+        assert counter["matvecs"] == 124
+
+
+def chain_n8(perturbation: PerturbationSpec | str | None) -> Operator:
+    """The N = 8 chain of :func:`chain_with`, bare, with a perturbation, or
+    with the complex Dzyaloshinskii-Moriya bonds."""
+    if perturbation != "dzyaloshinskii_moriya":
+        return chain_with(8, *([perturbation] if perturbation else []))
+    bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
+    return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+
+
+def count_repeated_passes(monkeypatch) -> dict:
+    """Wrap spectra's one Gram-Schmidt pass. ``calls`` counts the passes and
+    ``repeated`` those run on the output of the pass before, which only the
+    DGKS test does."""
+    single_pass = tcspin.spectra._orthogonalize
+    passes = {"calls": 0, "repeated": 0, "last": None}
+
+    def recording(w, *sets):
+        passes["calls"] += 1
+        passes["repeated"] += w is passes["last"]
+        passes["last"] = single_pass(w, *sets)
+        return passes["last"]
+
+    monkeypatch.setattr(tcspin.spectra, "_orthogonalize", recording)
+    return passes
 
 
 def chain_with(n: int, *specs: PerturbationSpec) -> Operator:
