@@ -30,9 +30,10 @@ class SpectrumResult:
     scatter one eigenvector on demand, and :meth:`overlaps` reads only the
     blocks a state touches.
 
-    ``residuals[i]`` is ||H v_i - E_i v_i|| recomputed with the matrix-free
-    matvec; ``n_converged`` counts the pairs meeting the solver tolerance
-    (always all of them for the dense path). ``coeffs`` is float64 when the
+    ``residuals[i]`` is ||H v_i - E_i v_i|| computed with the matrix-free
+    matvec (on the Lanczos route, the check that accepted the pair);
+    ``n_converged`` counts the pairs meeting the solver tolerance (always
+    all of them for the dense path). ``coeffs`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
     complex128 otherwise. Inside a degenerate cluster any orthonormal basis
     is valid; the dense solver's is confined to blocks (see
@@ -219,6 +220,18 @@ def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     return w
 
 
+def _projected_matrix(theta_kept: np.ndarray, arrow: np.ndarray, alphas: list[float], betas: list[float]) -> np.ndarray:
+    """H in one cycle's Lanczos basis: diagonal ``theta_kept`` on the kept
+    Ritz vectors, ``arrow`` coupling them to the first continuation vector,
+    then the tridiagonal of ``alphas`` and ``betas`` (one beta fewer)."""
+    kept = len(theta_kept)
+    small = np.diag(np.concatenate([theta_kept, alphas]))
+    small[kept, :kept] = small[:kept, kept] = arrow
+    i = np.arange(kept, kept + len(betas))
+    small[i, i + 1] = small[i + 1, i] = betas
+    return small
+
+
 def _lowest_deflated_eigenpair(
     op: Operator,
     v0: np.ndarray,
@@ -237,11 +250,19 @@ def _lowest_deflated_eigenpair(
     projected matrix is diagonal on the kept block with an arrow coupling to
     the first continuation vector, then tridiagonal.
 
+    Convergence is tested at every step: with the basis kept orthogonal,
+    |beta_j u[j, 0]| (the new beta times the last component of the lowest
+    eigenvector of the projected matrix) is the Ritz pair's residual, and a
+    cycle ends as soon as it is <= tol, or after ``m_cap`` basis vectors.
+    The Ritz pair is then accepted only if ||H v - theta v||, from one more
+    matvec, is <= tol as well; otherwise the cycle restarts. The returned
+    residual is that check, so it lies near tol rather than at round-off.
+
     Returns (value, vector, residual, matvecs_used, converged).
     """
     dim = v0.shape[0]
     m_cap = min(m_cap, dim)
-    basis = np.empty((m_cap + 1, dim), dtype=v0.dtype)
+    basis = np.empty((m_cap, dim), dtype=v0.dtype)
     basis[0] = v0
     kept = 0
     theta_kept = np.empty(0)
@@ -273,30 +294,17 @@ def _lowest_deflated_eigenpair(
             if beta_last < DGKS_RATIO * before:
                 w = _orthogonalize(w, deflate, basis[: j + 1])
                 beta_last = float(np.linalg.norm(w))
-            j += 1
             if beta_last < breakdown_tol:
                 beta_last = 0.0
+            j += 1
+            theta, u = np.linalg.eigh(_projected_matrix(theta_kept, arrow, alphas, betas))
+            # a breakdown makes the estimate 0: the Krylov space is invariant
+            if beta_last * abs(u[-1, 0]) <= tol or j == m_cap:
                 break
             basis[j] = w / beta_last
-            if j == m_cap:
-                break
             betas.append(beta_last)
 
         n_small = j
-        q = len(alphas)
-        betas = betas[: q - 1]  # the final beta couples to the next vector, outside the block
-        small = np.zeros((n_small, n_small))
-        if kept:
-            small[:kept, :kept] = np.diag(theta_kept)
-            small[:kept, kept] = arrow
-            small[kept, :kept] = arrow
-        for i in range(q):
-            small[kept + i, kept + i] = alphas[i]
-        for i in range(len(betas)):
-            small[kept + i, kept + i + 1] = betas[i]
-            small[kept + i + 1, kept + i] = betas[i]
-        theta, u = np.linalg.eigh(small)
-
         ritz = basis[:n_small].T @ u[:, 0]
         nrm = float(np.linalg.norm(ritz))
         if nrm == 0.0:
@@ -339,6 +347,8 @@ def lanczos_extremal(
     the three-term recurrence and a second only on the DGKS test (see
     :data:`DGKS_RATIO`); the deflation makes repeated
     (degenerate) eigenvalues reachable, which plain Lanczos misses.
+    Each pair stops at the step its Ritz residual reaches ``tol`` (see
+    :func:`_lowest_deflated_eigenpair`), so ``residuals`` lie near ``tol``.
     Deterministic for a fixed seed. ``max_iter`` caps the total matvec count;
     on exhaustion a partial result is returned with ``n_converged < k``
     rather than failing silently.
@@ -362,6 +372,7 @@ def lanczos_extremal(
     keep = max(8, min(m_cap // 3, 20))
     found_vals: list[float] = []
     found_vecs: list[np.ndarray] = []
+    found_resids: list[float] = []
     matvecs = 0
     breakdown_tol = 1e-13 * max(1.0, op.one_norm())
 
@@ -385,7 +396,7 @@ def lanczos_extremal(
         if v0 is None:
             break
         deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
-        val, vec, _, used, converged = _lowest_deflated_eigenpair(
+        val, vec, resid, used, converged = _lowest_deflated_eigenpair(
             op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, breakdown_tol
         )
         matvecs += used
@@ -393,22 +404,21 @@ def lanczos_extremal(
             break
         found_vals.append(val)
         found_vecs.append(vec)
+        found_resids.append(resid)
 
+    # only converged pairs are kept, each with the residual that accepted it
     order = np.argsort(found_vals)
-    spectrum = SpectrumResult(
+    return SpectrumResult(
         eigenvalues=np.array([found_vals[i] for i in order]),
         blocks=np.arange(dim)[None],
         block_of=np.zeros(len(order), dtype=np.intp),
         coeffs=np.array([found_vecs[i] for i in order]) if found_vals else np.empty((0, dim), dtype),
         method="lanczos",
-        residuals=np.empty(0),
-        n_converged=0,
+        residuals=np.array([found_resids[i] for i in order]),
+        n_converged=len(order),
         n_sites=op.n_sites,
         n_requested=k,
     )
-    spectrum.residuals = _residuals(op, spectrum)
-    spectrum.n_converged = int(np.sum(spectrum.residuals <= tol))
-    return spectrum
 
 
 @dataclass
