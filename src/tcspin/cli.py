@@ -424,6 +424,8 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level[args.log_level], format="%(levelname)s %(name)s: %(message)s")
 
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         raw = _load_config(args, args.command)
         if args.command == "validate":
             command = raw.get("command") if isinstance(raw, dict) else None

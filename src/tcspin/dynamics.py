@@ -476,22 +476,25 @@ def correlator_krylov_general(
     return CorrelationSeries(grid=grid, values=values, method="krylov_general")
 
 
-def _spectrum_objective(times: np.ndarray, resid: np.ndarray, omega: float):
-    """|G|^2 and its first two derivatives, G(w) = sum_k resid_k e^{-i w t_k}."""
-    phases = np.exp(-1j * omega * times)
-    g = np.sum(resid * phases)
-    g1 = np.sum(-1j * times * resid * phases)
-    g2 = np.sum(-(times**2) * resid * phases)
+def _spectrum_objective(times: np.ndarray, moments: np.ndarray, resid: np.ndarray, omega: float):
+    """|G|^2 and its first two derivatives, G(w) = sum_k resid_k e^{-i w t_k}.
+
+    ``moments`` is the (3, n) matrix of rows 1, -i t and -t^2, so one
+    product gives G and its first two derivatives.
+    """
+    g, g1, g2 = moments @ (resid * np.exp(-1j * omega * times))
     f1 = 2.0 * (np.conj(g) * g1).real
     f2 = 2.0 * (abs(g1) ** 2 + (np.conj(g) * g2).real)
     return g, f1, f2
 
 
-def _refine_frequency(times: np.ndarray, resid: np.ndarray, omega0: float, half_width: float) -> float:
+def _refine_frequency(
+    times: np.ndarray, moments: np.ndarray, resid: np.ndarray, omega0: float, half_width: float
+) -> float:
     """Newton refinement of a spectral peak, clamped to +/- half_width."""
     omega = omega0
     for _ in range(60):
-        _, f1, f2 = _spectrum_objective(times, resid, omega)
+        _, f1, f2 = _spectrum_objective(times, moments, resid, omega)
         if f2 >= 0.0:
             break
         step = -f1 / f2
@@ -563,12 +566,13 @@ def extract_oscillation(series: CorrelationSeries, max_peaks: int = 8) -> Oscill
     amp_floor = 1e-9 * scale
     omegas: list[float] = []
     amps = np.array([], dtype=np.complex128)
+    moments = np.array([np.ones_like(times), -1j * times, -(times**2)])  # of _spectrum_objective
     work = values - dc
     for _ in range(max_peaks):
         if float(np.mean(np.abs(work) ** 2)) <= max(_POWER_FLOOR * total_power, (3e-10 * scale) ** 2):
             break
         omega0 = _coarse_peak(work, dt, bin_width)
-        omegas.append(_refine_frequency(times, work, omega0, bin_width))
+        omegas.append(_refine_frequency(times, moments, work, omega0, bin_width))
         # cyclic re-refinement: Newton each frequency against the residual
         # plus its own component, re-solving dc and amplitudes jointly;
         # iterate until the fit stops improving (overlapping peaks converge
@@ -578,7 +582,7 @@ def extract_oscillation(series: CorrelationSeries, max_peaks: int = 8) -> Oscill
         for _ in range(24):
             for j in range(len(omegas)):
                 partial = work + amps[j] * np.exp(1j * omegas[j] * times)
-                omegas[j] = _refine_frequency(times, partial, omegas[j], bin_width)
+                omegas[j] = _refine_frequency(times, moments, partial, omegas[j], bin_width)
             dc, amps, work = _joint_solve(times, values, omegas)
             power_now = float(np.mean(np.abs(work) ** 2))
             if power_now >= 0.9 * last_power:

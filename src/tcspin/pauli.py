@@ -190,6 +190,11 @@ class Operator:
         return all(abs(t.coeff.imag) <= tol * max(1.0, scale) for t in canon.terms)
 
     def dagger(self) -> "Operator":
+        """The Hermitian conjugate: ``self`` when every weight has imaginary
+        part exactly 0 (it is then equal term for term, and keeps its
+        compiled groups), else a new operator with conjugated weights."""
+        if not any(t.coeff.imag for t in self.terms):
+            return self
         return Operator(self.n_sites, tuple(t.conjugated() for t in self.terms))
 
     def one_norm(self) -> float:

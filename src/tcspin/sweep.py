@@ -5,13 +5,15 @@ solver settings and optional perturbation families; every grid point runs
 spectrum -> correlator -> oscillation report through :func:`run_point`, the
 pipeline ``tcspin correlate`` shares, and lands in one record. Rows
 are pure functions of their inputs, so a plan rerun reproduces the results
-CSV byte for byte. Wall times are kept out of the deterministic outputs.
+CSV byte for byte, and rows with the same Hamiltonian share one run. Wall
+times are kept out of the deterministic outputs.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal
@@ -171,7 +173,9 @@ class SweepRecord:
     """One executed grid point: all inputs plus the measured diagnostics.
 
     ``wall_time_s`` is informational only and excluded from the deterministic
-    CSV serialization.
+    CSV serialization. Rows that share a point (:func:`run_sweep`) are
+    computed once: the first of them carries the point's whole time, the
+    copies 0.0, so the times still add up to the sweep's row work.
     """
 
     n_sites: int
@@ -349,61 +353,100 @@ def run_point(
     return PointResult(spectrum, ghz, psi, energy, series, report, gap_consistent)
 
 
-def _execute_row(row: SweepRecord, plan: SweepPlan) -> SweepRecord:
+def _row_operator(row: SweepRecord) -> Operator:
+    """The row's Hamiltonian: the chain plus its perturbation, canonicalized."""
+    cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
+    specs = ()
+    if row.pert_kind != "none":
+        specs = (
+            PerturbationSpec(
+                kind=row.pert_kind,
+                strength=row.pert_strength,
+                axis=row.pert_axis or "z",
+                seed=0 if row.pert_seed is None else row.pert_seed,
+                distribution=row.pert_distribution or "uniform_pm1",
+            ),
+        )
+    return add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
+
+
+def _failure(exc: Exception) -> dict:
+    return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _run_rows(op: Operator, rows: list[SweepRecord], plan: SweepPlan) -> None:
+    """Run the point ``op`` once and fill every row that shares it.
+
+    The first row's ``wall_time_s`` becomes the point's time plus every
+    row's operator build time (which the rows carry in); the others get 0.0.
+    """
+    first = rows[0]
     t0 = time.perf_counter()
     try:
-        cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
-        specs = ()
-        if row.pert_kind != "none":
-            specs = (
-                PerturbationSpec(
-                    kind=row.pert_kind,
-                    strength=row.pert_strength,
-                    axis=row.pert_axis or "z",
-                    seed=0 if row.pert_seed is None else row.pert_seed,
-                    distribution=row.pert_distribution or "uniform_pm1",
-                ),
-            )
-        op = add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
-
-        spectral = row.solver == "dense" and row.initial_state == "ground"
+        spectral = first.solver == "dense" and first.initial_state == "ground"
         point = run_point(
             op,
-            magnetization_operator(row.n_sites, row.axis),
+            magnetization_operator(first.n_sites, first.axis),
             plan.grid,
-            row.initial_state,
+            first.initial_state,
             plan.solver,
             ("spectral",) if spectral else ("krylov",),
         )
-        row.ground_energy = float(point.spectrum.eigenvalues[0])
-        row.energy_gap = float(point.spectrum.eigenvalues[1] - point.spectrum.eigenvalues[0])
-        row.ghz_gap = point.ghz.ghz_gap
-        row.ghz_overlap_plus = point.ghz.entries[point.ghz.best_plus_index].overlap_plus
-        row.ghz_overlap_minus = point.ghz.entries[point.ghz.best_minus_index].overlap_minus
-        row.dominant_frequency = point.report.dominant_frequency
-        row.dominant_amplitude = point.report.dominant_amplitude
-        row.residual_fraction = point.report.residual_fraction
-        row.gap_consistent = point.gap_consistent
-        row.status = "ok"
-    except Exception as exc:  # per-row failures are recorded, not fatal
-        row.status = "failed"
-        row.error = f"{type(exc).__name__}: {exc}"
-    row.wall_time_s = time.perf_counter() - t0
-    return row
+        eigenvalues = point.spectrum.eigenvalues
+        result = {
+            "ground_energy": float(eigenvalues[0]),
+            "energy_gap": float(eigenvalues[1] - eigenvalues[0]),
+            "ghz_gap": point.ghz.ghz_gap,
+            "ghz_overlap_plus": point.ghz.entries[point.ghz.best_plus_index].overlap_plus,
+            "ghz_overlap_minus": point.ghz.entries[point.ghz.best_minus_index].overlap_minus,
+            "dominant_frequency": point.report.dominant_frequency,
+            "dominant_amplitude": point.report.dominant_amplitude,
+            "residual_fraction": point.report.residual_fraction,
+            "gap_consistent": point.gap_consistent,
+        }
+    except Exception as exc:  # per-point failures are recorded, not fatal
+        result = _failure(exc)
+    elapsed = time.perf_counter() - t0 + sum(row.wall_time_s for row in rows)
+    for row in rows:
+        vars(row).update(result, wall_time_s=0.0)
+    first.wall_time_s = elapsed
+
+
+def _drain(points: dict) -> Iterator[tuple[Operator, list[SweepRecord]]]:
+    """Pop each point as it is handed out, so no reference to its compiled
+    operator outlives its run."""
+    while points:
+        key = next(iter(points))
+        yield key[0], points.pop(key)
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> list[SweepRecord]:
     """Execute every grid point; deterministic output order and values.
 
-    Individual row failures are recorded in-row and the sweep continues; the
-    sweep itself fails only if every row fails.
+    Rows that agree exactly on the canonical Hamiltonian, ``axis``,
+    ``initial_state`` and solver route form one point, which runs once and
+    fills all of them; a point that raises marks each of its rows failed
+    with the same error, as does an operator that fails to build its row.
+    The worker pool maps over points. The sweep itself fails only if every
+    row fails.
     """
     rows = _enumerate_points(plan)
+    points: dict[tuple, list[SweepRecord]] = {}
+    for row in rows:
+        t0 = time.perf_counter()
+        try:
+            op = _row_operator(row)
+        except Exception as exc:  # per-row failures are recorded, not fatal
+            vars(row).update(_failure(exc))
+        else:
+            points.setdefault((op, row.axis, row.initial_state, row.solver), []).append(row)
+        row.wall_time_s = time.perf_counter() - t0
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda r: _execute_row(r, plan), rows))
+            list(pool.map(lambda point: _run_rows(*point, plan), _drain(points)))
     else:
-        rows = [_execute_row(r, plan) for r in rows]
+        for op, members in _drain(points):
+            _run_rows(op, members, plan)
     if rows and all(r.status == "failed" for r in rows):
         raise TcspinError("sweep failed: every row failed; first error: " + rows[0].error)
     return rows

@@ -372,6 +372,14 @@ class TestSweepCommand:
         assert summary["summary"]["n_rows"] == 1
         assert (out / "timings.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected_before_out_is_made(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, SWEEP_DOC)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+        assert f"--workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_plan_rows_rejected(self, tmp_path):
         doc = json.loads(json.dumps(SWEEP_DOC))
         doc["plan"]["n_values"] = [6, 6]

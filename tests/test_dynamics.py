@@ -211,6 +211,38 @@ class TestSpectralCorrelatorBlocks:
         assert np.max(np.abs(series.values - _full_lehmann(op, m, m, psi, self.GRID.times()))) < 1e-12
 
 
+class TestRealDagger:
+    """A^dag is A itself for real weights; the correlators' values are those
+    of a conjugated copy, bit for bit."""
+
+    GRID = TimeGrid(0.0, 30.0, 64)
+
+    @pytest.mark.parametrize("axis", ["z", "y"])
+    @pytest.mark.parametrize("spec", PERTURBATIONS[:2])
+    def test_correlators_unchanged(self, monkeypatch, spec, axis):
+        op = _chain(6, spec)
+        spectrum = dense_spectrum(op)
+        psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        m = magnetization_operator(6, axis)
+        assert m.dagger() is m
+
+        def correlators():
+            return [
+                correlator_spectral(op, spectrum, m, m, psi, self.GRID).values,
+                correlator_krylov(op, m, m, psi, energy, self.GRID, step_tol=1e-12).values,
+                correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=1e-12).values,
+            ]
+
+        shared = correlators()
+
+        def conjugated_copy(o):
+            return Operator(o.n_sites, tuple(t.conjugated() for t in o.terms))
+
+        monkeypatch.setattr(Operator, "dagger", conjugated_copy)
+        for a, b in zip(shared, correlators()):
+            assert np.array_equal(a, b)
+
+
 class TestChebyshevCorrelator:
     @pytest.mark.parametrize("z", [0.0, 0.3, 50.0, 780.0])
     def test_bessel_column_matches_scipy(self, z):

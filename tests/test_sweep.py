@@ -1,5 +1,7 @@
 """Sweep harness: determinism, dense-oracle agreement, stability normalization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,113 @@ class TestRunSweep:
         assert by_n[4].status == "failed"
         assert "forced failure" in by_n[4].error
         assert by_n[6].status == "ok"
+
+
+class TestDistinctPoints:
+    """Rows with the same canonical Hamiltonian, axis, initial state and route
+    run the pipeline once: the bare row, Heisenberg 0.0 and field 0.0 at every
+    seed all build the bare chain."""
+
+    PLAN = small_plan(
+        perturbations=(
+            PerturbationFamily(kind="heisenberg_exchange", strengths=(0.0,)),
+            PerturbationFamily(kind="random_onsite_field", strengths=(0.0, 0.05), seeds=(3, 4, 5)),
+        )
+    )
+    BARE = build_tc_hamiltonian(TCModelConfig(6, 0.5))
+
+    def _spy(self, monkeypatch, fail_on=None):
+        import tcspin.sweep as sweep_mod
+
+        ops = []
+        real = sweep_mod.run_point
+
+        def spying(op, *args):
+            ops.append(op)
+            if op == fail_on:
+                raise RuntimeError("forced point failure")
+            return real(op, *args)
+
+        monkeypatch.setattr(sweep_mod, "run_point", spying)
+        return ops
+
+    def test_each_distinct_point_runs_once(self, monkeypatch):
+        ops = self._spy(monkeypatch)
+        records = run_sweep(self.PLAN)
+        assert len(records) == 8  # bare, Heisenberg 0.0, field 0.0 x 3, field 0.05 x 3
+        assert len(ops) == 4 and len(set(ops)) == 4
+        assert ops[0] == self.BARE
+        assert all(r.status == "ok" for r in records)
+
+    def test_records_equal_rows_run_alone(self):
+        import tcspin.sweep as sweep_mod
+
+        alone = sweep_mod._enumerate_points(self.PLAN)
+        for row in alone:
+            sweep_mod._run_rows(sweep_mod._row_operator(row), [row], self.PLAN)
+        assert records_to_csv(run_sweep(self.PLAN)) == records_to_csv(alone)
+
+    def test_worker_pool_maps_over_points(self):
+        serial = records_to_csv(run_sweep(self.PLAN, workers=1))
+        assert records_to_csv(run_sweep(self.PLAN, workers=2)) == serial
+
+    def test_failing_point_fails_all_its_rows(self, monkeypatch):
+        self._spy(monkeypatch, fail_on=self.BARE)
+        records = run_sweep(self.PLAN)
+        failed = [r for r in records if r.status == "failed"]
+        assert [(r.pert_kind, r.pert_strength) for r in failed] == [
+            ("none", 0.0), ("heisenberg_exchange", 0.0),
+            ("random_onsite_field", 0.0), ("random_onsite_field", 0.0), ("random_onsite_field", 0.0),
+        ]
+        assert {r.error for r in failed} == {"RuntimeError: forced point failure"}
+        assert all(r.ground_energy is None for r in failed)
+        ok = [r for r in records if r.status == "ok"]
+        assert [r.pert_strength for r in ok] == [0.05] * 3
+
+    def test_compiled_operator_dropped_after_its_point(self, monkeypatch):
+        import gc
+        import weakref
+
+        import tcspin.sweep as sweep_mod
+
+        refs = []
+        real = sweep_mod.run_point
+
+        def spying(op, *args):
+            gc.collect()
+            assert [r() for r in refs] == [None] * len(refs)
+            refs.append(weakref.ref(op))
+            return real(op, *args)
+
+        monkeypatch.setattr(sweep_mod, "run_point", spying)
+        run_sweep(self.PLAN)
+        assert len(refs) == 4
+
+    def test_copies_take_no_wall_time(self, tmp_path):
+        from tcspin.cli import main
+
+        doc = {
+            "command": "sweep",
+            "plan": {
+                "n_values": [6],
+                "j_values": [0.5],
+                "time_grid": {"t_start": 0.0, "t_end": 150.0, "n_samples": 192},
+                "perturbations": [
+                    {"kind": "heisenberg_exchange", "strengths": [0.0]},
+                    {"kind": "random_onsite_field", "strengths": [0.0, 0.05], "seeds": [3, 4, 5]},
+                ],
+            },
+        }
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        lines = (tmp_path / "out" / "timings.csv").read_text().splitlines()
+        assert lines[0] == "row_index,wall_time_s"
+        times = [float(line.split(",")[1]) for line in lines[1:]]
+        assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(8))
+        # rows 1-4 are copies of row 0; rows 5-7 are points of their own
+        assert times[1:5] == [0.0] * 4
+        assert times[0] > 0.0 and all(t > 0.0 for t in times[5:])
 
 
 class TestRunPoint:
