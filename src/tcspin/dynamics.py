@@ -5,14 +5,17 @@ and hbar = 1, so every frequency is an energy gap. Independent routes are
 provided: an exact spectral (Lehmann) summation over the dense eigenbasis,
 and two matrix-free routes for sizes the dense path cannot reach. Both rest
 on one Chebyshev expansion of e^{-iHt} over a Gershgorin window of H, cut a
-priori by a Bessel tail bound: an eigenstate correlator is one moment sum
-(:func:`correlator_krylov`), while :func:`evolve` and the correlator of an
-arbitrary state (:func:`correlator_krylov_general`) apply the expansion to
-vectors, one fixed-dt propagator per time step.
+priori by a Bessel tail bound. An eigenstate correlator is one moment sum
+(:func:`correlator_krylov`), run only on the invariant cosets of H that
+carry both A^dag psi and B psi, over the window of those rows; the cosets it
+leaves out and the cut series share one error budget. :func:`evolve` and the
+correlator of an arbitrary state (:func:`correlator_krylov_general`) apply
+the expansion to full vectors, one fixed-dt propagator per time step.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EigenstateError, ModelError
-from .pauli import Operator, StateVector, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
-from .spectra import SpectrumResult
+from .pauli import Operator, StateVector, apply_groups, gershgorin_interval, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .spectra import SpectrumResult, coset_groups, invariant_blocks
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
 
@@ -239,17 +242,17 @@ def _bessel_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return values
 
 
-def _chebyshev_vectors(op: Operator, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float):
+def _chebyshev_vectors(matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float):
     """phi_k = T_k(H~) phi for k = 0, 1, ... with H~ = (H - centre) / half_width.
 
-    ``h_phi`` = H phi gives phi_1 without a matvec; each later vector costs
-    one, and only when it is asked for.
+    ``matvec`` applies H; ``h_phi`` = H phi gives phi_1 without a matvec;
+    each later vector costs one, and only when it is asked for.
     """
     yield phi
     prev, cur = phi, (h_phi - centre * phi) / half_width
     while True:
         yield cur
-        nxt = op.matvec(cur)
+        nxt = matvec(cur)
         nxt -= centre * cur
         nxt *= 2.0 / half_width
         nxt -= prev
@@ -257,7 +260,7 @@ def _chebyshev_vectors(op: Operator, phi: np.ndarray, h_phi: np.ndarray, centre:
 
 
 def _chebyshev_moments(
-    op: Operator, w: np.ndarray, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
+    matvec, w: np.ndarray, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
 ) -> np.ndarray:
     """mu_k = <w|T_k(H~)|phi> for k = 0 .. order.
 
@@ -267,7 +270,7 @@ def _chebyshev_moments(
     ``h_phi``; otherwise order matvecs.
     """
     mu = np.empty(order + 1, dtype=np.complex128)
-    vectors = _chebyshev_vectors(op, phi, h_phi, centre, half_width)
+    vectors = _chebyshev_vectors(matvec, phi, h_phi, centre, half_width)
     if np.array_equal(w, phi):
         prev = next(vectors)
         mu[0] = np.vdot(prev, prev)
@@ -284,14 +287,14 @@ def _chebyshev_moments(
     return mu
 
 
-def _window(op: Operator) -> tuple[float, float]:
+def _window(interval: tuple[float, float]) -> tuple[float, float]:
     """Centre c and half-width a of the Chebyshev window [c - a, c + a].
 
-    The Gershgorin enclosure of H's spectrum
-    (:meth:`Operator.gershgorin_interval`) with its half-width padded by a
-    relative 1e-4, so ||T_k(H~)|| <= 1 for H~ = (H - c) / a.
+    ``interval`` is a Gershgorin enclosure of the spectrum that the vectors
+    see (:func:`~tcspin.pauli.gershgorin_interval`); its half-width is
+    padded by a relative 1e-4, so ||T_k(H~)|| <= 1 for H~ = (H - c) / a.
     """
-    lo, hi = op.gershgorin_interval()
+    lo, hi = interval
     return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + 1e-4)
 
 
@@ -332,14 +335,14 @@ def _propagator(op: Operator, dt: float, step_tol: float):
     ``step_tol``, and serve every call; a call costs a |dt| plus about 15
     to 20 matvecs (one fewer when H v is passed) and holds three vectors.
     """
-    centre, half_width = _window(op)
+    centre, half_width = _window(op.gershgorin_interval())
     order, col = _chebyshev_order(half_width * abs(dt), 1.0, step_tol)
     coeffs = col * _expansion_weights(order) * np.exp(-1j * centre * dt)
     if dt < 0:
         coeffs[1::2] *= -1.0
 
     def apply(v: np.ndarray, h_v: np.ndarray | None = None) -> np.ndarray:
-        vectors = _chebyshev_vectors(op, v, op.matvec(v) if h_v is None else h_v, centre, half_width)
+        vectors = _chebyshev_vectors(op.matvec, v, op.matvec(v) if h_v is None else h_v, centre, half_width)
         out = np.zeros(len(v), dtype=np.complex128)
         for c, vec in zip(coeffs, vectors):
             out += c * vec
@@ -392,15 +395,29 @@ def correlator_krylov(
     recursion serves every sample: about a * max|t| / 2 matvecs when A = B is
     Hermitian (moment doubling), a * max|t| otherwise.
 
-    * |mu_k| <= ||w|| ||phi||, and the series stops at the order
-      :func:`_chebyshev_order` gives for z = a max|t|, scale ||w|| ||phi||
-      and budget B = (n_samples - 1) * ``step_tol``; so B bounds the
-      truncation error of every sample.
-    * Shortcut: one matvec gives alpha = <phi|H|phi> / <phi|phi> and
-      r = ||(H - alpha) phi||. If ||w|| max|t| r <= B, phi is an eigenvector
-      to that accuracy (Duhamel) and C(t) = <w|phi> e^{i (E_psi - alpha) t}.
-    * When psi has no imaginary part and H, A and B are real, w, phi and the
-      moment recursion stay float64; only the Bessel sum is complex.
+    The truncation error of every sample is bounded a priori by
+    B = (n_samples - 1) * ``step_tol``, spent in two parts:
+
+    * d, on cosets left out. H is block diagonal on the invariant cosets of
+      its flip masks (:func:`~tcspin.spectra.invariant_blocks`), so
+      e^{-iHt} is too, and a coset moves every C(t) by at most
+      ||w_c|| ||phi_c||. Those products are dropped in ascending order while
+      their sum d stays <= B / 2 (all of them when no coset carries both w
+      and phi: the series is then 0 with no matvec). The rest runs on the
+      kept cosets stacked into one flat vector, with H restricted to them
+      (:func:`~tcspin.spectra.coset_groups`) and a the half-width of the
+      Gershgorin window of their rows alone: for m_z on the z-field chain's
+      ground state that is one coset of 4 states. When nothing is dropped
+      the recursion runs on the full vectors and H's own compiled groups.
+    * B - d, on the kept part. |mu_k| <= ||w|| ||phi||, and the series stops
+      at the order :func:`_chebyshev_order` gives for z = a max|t|, scale
+      ||w|| ||phi|| and budget B - d. Shortcut: one matvec gives
+      alpha = <phi|H|phi> / <phi|phi> and r = ||(H - alpha) phi||. If
+      ||w|| max|t| r <= B - d, phi is an eigenvector to that accuracy
+      (Duhamel) and C(t) = <w|phi> e^{i (E_psi - alpha) t}.
+
+    When psi has no imaginary part and H, A and B are real, w, phi and the
+    moment recursion stay float64; only the Bessel sum is complex.
 
     Raises ModelError for a non-Hermitian ``op``.
     """
@@ -420,16 +437,30 @@ def correlator_krylov(
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol
+    blocks = invariant_blocks(op)
+    mass = np.linalg.norm(w[blocks], axis=1) * np.linalg.norm(phi[blocks], axis=1)
+    by_mass = np.argsort(mass, kind="stable")
+    dropped = np.cumsum(mass[by_mass])
+    n_dropped = int(np.searchsorted(dropped, 0.5 * budget, side="right"))
+    if n_dropped == len(blocks):
+        return CorrelationSeries(grid=grid, values=np.zeros(len(times)), method="krylov")
+    groups = op._groups
+    if n_dropped:
+        budget -= dropped[n_dropped - 1]
+        kept = blocks[np.sort(by_mass[n_dropped:])]
+        groups = coset_groups(op, kept)
+        w, phi = w[kept].ravel(), phi[kept].ravel()
+    matvec = functools.partial(apply_groups, groups)
     norm_w = float(np.linalg.norm(w))
     norm_phi = float(np.linalg.norm(phi))
-    h_phi = op.matvec(phi)
+    h_phi = matvec(phi)
     alpha = float(np.vdot(phi, h_phi).real) / norm_phi**2 if norm_phi else 0.0
     if norm_w * t_max * float(np.linalg.norm(h_phi - alpha * phi)) <= budget:
         values = np.vdot(w, phi) * np.exp(1j * (e_psi - alpha) * times)
     else:
-        centre, half_width = _window(op)
+        centre, half_width = _window(gershgorin_interval(groups))
         order, _ = _chebyshev_order(half_width * t_max, norm_w * norm_phi, budget)
-        mu = _chebyshev_moments(op, w, phi, h_phi, centre, half_width, order)
+        mu = _chebyshev_moments(matvec, w, phi, h_phi, centre, half_width, order)
         coeffs = mu * _expansion_weights(order)
         values = _bessel_series(half_width * times, coeffs) * np.exp(1j * (e_psi - centre) * times)
     return CorrelationSeries(grid=grid, values=values, method="krylov")

@@ -14,7 +14,9 @@ Conventions, used everywhere in this package:
 * An :class:`Operator` is compiled once, on first use, into one coefficient
   vector per distinct ``x_mask`` (bit representation as in Sandvik, AIP
   Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec``, the dense route's
-  block matrices and ``to_dense`` all read that form.
+  block matrices and ``to_dense`` all read that form, and
+  :func:`apply_groups` applies it, or its restriction to some invariant
+  cosets, to a vector.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -233,40 +235,23 @@ class Operator:
         return all(c.dtype == np.float64 for c, _ in self._groups)
 
     def matvec(self, amps: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a raw amplitude array.
+        """Matrix-free action on a raw amplitude array: :func:`apply_groups`
+        on the compiled groups, after a shape check.
 
         The result is float64 when the operator is real (:attr:`_is_real`)
         and ``amps`` is float64, and complex128 otherwise. On a real input it
         equals, bit for bit, the real part of the complex128 result for the
-        same amplitudes. Groups are accumulated in ascending x_mask order, so
-        the result is bit-deterministic regardless of any outer worker pool.
+        same amplitudes.
         """
         dim = 1 << self.n_sites
         if amps.shape != (dim,):
             raise DimensionError(f"state has shape {amps.shape}, expected ({dim},)")
-        real = amps.dtype == np.float64 and self._is_real
-        out = np.zeros(dim, dtype=np.float64 if real else np.complex128)
-        for c, perm in self._groups:
-            out += c * (amps if perm is None else amps[perm])
-        return out
+        return apply_groups(self._groups, amps)
 
     def gershgorin_interval(self) -> tuple[float, float]:
-        """An interval [lo, hi] holding every eigenvalue of a Hermitian operator.
-
-        Gershgorin's theorem on the compiled groups: row r of the matrix has
-        the diagonal group's c[r] as centre, and the other groups' |c[r]|
-        summed as radius (each group puts one entry in the row). Costs no
-        matvec.
-        """
-        dim = 1 << self.n_sites
-        centre = np.zeros(dim)
-        radius = np.zeros(dim)
-        for c, perm in self._groups:
-            if perm is None:
-                centre = c.real
-            else:
-                radius += np.abs(c)
-        return float(np.min(centre - radius)), float(np.max(centre + radius))
+        """An interval [lo, hi] holding every eigenvalue of a Hermitian
+        operator: :func:`gershgorin_interval` of the compiled groups."""
+        return gershgorin_interval(self._groups)
 
     def __add__(self, other: "Operator") -> "Operator":
         if not isinstance(other, Operator):
@@ -313,6 +298,41 @@ class StateVector:
         if n == 0.0:
             raise ValueError("cannot normalize the zero vector")
         return StateVector(self.n_sites, self.amplitudes / n)
+
+
+def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
+    """sum over groups of c * amps[perm]: a compiled operator on a vector.
+
+    ``groups`` is a sequence of (coefficients, gather index or None) pairs
+    of one length and one coefficient dtype, as :attr:`Operator._groups`
+    holds them for the whole space and :func:`~tcspin.spectra.coset_groups`
+    for a set of its invariant cosets. Groups are accumulated in their given
+    order, so the result is bit-deterministic regardless of any outer worker
+    pool. It is float64 when ``amps`` and the coefficients are, complex128
+    otherwise.
+    """
+    real = amps.dtype == np.float64 and (not groups or groups[0][0].dtype == np.float64)
+    out = np.zeros(len(amps), dtype=np.float64 if real else np.complex128)
+    for c, perm in groups:
+        out += c * (amps if perm is None else amps[perm])
+    return out
+
+
+def gershgorin_interval(groups) -> tuple[float, float]:
+    """An interval [lo, hi] holding every eigenvalue of a Hermitian group list.
+
+    Gershgorin's theorem: row r of the matrix has the diagonal group's c[r]
+    as centre, and the other groups' |c[r]| summed as radius (each group
+    puts one entry in the row). On the groups of some invariant cosets it
+    encloses the spectrum on those cosets only. Costs no matvec.
+    """
+    centre = radius = 0.0
+    for c, perm in groups:
+        if perm is None:
+            centre = c.real
+        else:
+            radius = radius + np.abs(c)
+    return float(np.min(centre - radius)), float(np.max(centre + radius))
 
 
 def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:

@@ -139,21 +139,40 @@ def invariant_blocks(op: Operator) -> np.ndarray:
     return reps[:, None] ^ span
 
 
+def coset_groups(op: Operator, blocks: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+    """op's compiled groups restricted to some of its invariant cosets.
+
+    ``blocks`` holds rows of :func:`invariant_blocks` (any subset, in any
+    order). The result is the group form :func:`~tcspin.pauli.apply_groups`
+    takes, on the flat vector that stacks those rows: entry k * 2^r + i is
+    basis index ``blocks[k, i]``. Group x keeps c[blocks], flattened, and
+    gathers from k * 2^r + j, where span[j] = span[i] ^ x; every row is
+    rep ^ span, so j is the same for every coset. The diagonal group has no
+    gather index, as in the full form. Costs one sorted search of the span
+    per group.
+    """
+    span = blocks[0] ^ blocks[0, 0]  # a row's first member is its representative
+    offsets = np.arange(0, blocks.size, blocks.shape[1])[:, None]
+    return tuple(
+        (c[blocks].ravel(), None if perm is None else (offsets + np.searchsorted(span, span ^ int(perm[0]))).ravel())
+        for c, perm in op._groups  # perm = idx ^ x, so perm[0] = x
+    )
+
+
 def _block_matrices(op: Operator, blocks: np.ndarray) -> np.ndarray:
     """The (n_blocks, 2^r, 2^r) matrices of op on the rows of ``blocks``.
 
-    Filled straight from the compiled groups, one gather per group: with
-    ``span = blocks[0]`` (the coset of index 0), group x puts c[blocks[b, i]]
-    at (b, i, j), where span[j] = span[i] ^ x. Entry for entry this is
+    Filled straight from :func:`coset_groups`, one scatter per group: the
+    first 2^r entries of a group's gather index are its columns in every
+    block. Entry for entry this is
     ``to_dense(op)[blocks[:, :, None], blocks[:, None, :]]``, float64 for a
     real operator and complex128 otherwise; nothing of size 4^N is built.
     """
-    span = blocks[0]  # row 0 is the span itself: its representative is 0
-    rows = np.arange(blocks.shape[1])
-    mats = np.zeros((len(blocks), len(rows), len(rows)), dtype=np.float64 if op._is_real else np.complex128)
-    for c, perm in op._groups:
-        x = 0 if perm is None else int(perm[0])  # perm = idx ^ x, so perm[0] = x
-        mats[:, rows, np.searchsorted(span, span ^ x)] = c[blocks]
+    n_blocks, size = blocks.shape
+    rows = np.arange(size)
+    mats = np.zeros((n_blocks, size, size), dtype=np.float64 if op._is_real else np.complex128)
+    for c, perm in coset_groups(op, blocks):
+        mats[:, rows, rows if perm is None else perm[:size]] = c.reshape(n_blocks, size)
     return mats
 
 

@@ -8,11 +8,16 @@ import pytest
 import scipy.linalg
 import scipy.special
 
+from tcspin import dynamics, pauli
 from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
     _bessel_column,
     _bessel_series,
+    _chebyshev_moments,
+    _chebyshev_order,
+    _expansion_weights,
+    _window,
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
@@ -158,6 +163,22 @@ def _count_matvecs_of(monkeypatch, target):
         return matvec(self, x)
 
     monkeypatch.setattr(Operator, "matvec", counting)
+    return calls
+
+
+def _count_group_applications(monkeypatch):
+    """Spy on every application of a compiled group list, full-space
+    matvecs and coset-restricted ones alike; the list holds each call's
+    (groups, input vector)."""
+    calls = []
+    apply = pauli.apply_groups
+
+    def counting(groups, x):
+        calls.append((groups, x))
+        return apply(groups, x)
+
+    monkeypatch.setattr(pauli, "apply_groups", counting)
+    monkeypatch.setattr(dynamics, "apply_groups", counting)
     return calls
 
 
@@ -340,18 +361,125 @@ class TestChebyshevCorrelator:
         step_tol = 1e-10
         spectral = correlator_spectral(op, spectrum, m, m, psi, grid)
         bound = (grid.n_samples - 1) * step_tol * np.linalg.norm(m.matvec(psi.amplitudes))
-        calls = _count_matvecs_of(monkeypatch, op)
+        calls = _count_group_applications(monkeypatch)
         for state, dtype in ((psi, np.float64), (phased, np.complex128)):
             calls.clear()
             series = correlator_krylov(op, m, m, state, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
             assert np.max(np.abs(series.values - spectral.values)) <= bound
-            # calls[0] is the eigenstate check; every later call is H phi or the recursion
-            assert len(calls) > 20 and set(calls[1:]) == {np.dtype(dtype)}
+            # calls[0] is the eigenstate check; every later call is A^dag psi, B psi, H phi or the recursion
+            assert len(calls) > 20 and {x.dtype for _, x in calls[1:]} == {np.dtype(dtype)}
 
     def test_rejects_non_hermitian_hamiltonian(self):
         op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])
         with pytest.raises(ModelError):
             correlator_krylov(op, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
+
+
+# the perturbed plan's N = 12 rows: field seed and Lanczos seed 100
+ROW_PERTURBATIONS = {
+    "heisenberg": PerturbationSpec("heisenberg_exchange", 0.05),
+    "z_field": PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=100),
+}
+ROW_GRID = TimeGrid(0.0, 60.0, 128)
+ROW_STEP_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def lanczos_row():
+    """(op, psi0, E0, Z-parity sectors with their eigenpairs) per N = 12 row.
+
+    Every flip mask of these Hamiltonians has even weight, so H does not
+    couple the two sectors of the Z parity (-1)^popcount(s); a dense eigh
+    of each sector of ``to_dense(op)`` gives the exact Lehmann sum at a
+    quarter of the cost of one 4096 x 4096 eigh.
+    """
+    rows = {}
+    for name, spec in ROW_PERTURBATIONS.items():
+        op = _chain(12, spec)
+        spectrum = lanczos_extremal(op, k=2, seed=100)
+        dense = to_dense(op)
+        odd = np.bitwise_count(np.arange(1 << 12)) % 2 == 1
+        assert not dense[np.ix_(odd, ~odd)].any()
+        sectors = [(rows_, *np.linalg.eigh(dense[np.ix_(rows_, rows_)])) for rows_ in (~odd, odd)]
+        rows[name] = (op, spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), sectors)
+    return rows
+
+
+def _sector_lehmann(sectors, w, phi, e_psi, times):
+    """Exact e^{i E_psi t} <w| e^{-iHt} |phi> from the sectors' eigenpairs."""
+    values = np.zeros(len(times), dtype=np.complex128)
+    for rows, energies, vectors in sectors:
+        weights = (vectors.T @ w[rows]).conj() * (vectors.T @ phi[rows])
+        values += weights @ np.exp(-1j * np.outer(energies - e_psi, times))
+    return values
+
+
+def _unrestricted_series(op, a, b, psi, e_psi, grid, step_tol):
+    """The moment recursion of correlator_krylov on the full space, with H's
+    own matvec and window: what it ran before it split w and phi by coset."""
+    amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
+    w, phi = a.dagger().matvec(amps), b.matvec(amps)
+    times = grid.times()
+    centre, half_width = _window(op.gershgorin_interval())
+    scale = np.linalg.norm(w) * np.linalg.norm(phi)
+    order, _ = _chebyshev_order(half_width * grid.t_end, scale, (grid.n_samples - 1) * step_tol)
+    mu = _chebyshev_moments(op.matvec, w, phi, op.matvec(phi), centre, half_width, order)
+    return _bessel_series(half_width * times, mu * _expansion_weights(order)) * np.exp(1j * (e_psi - centre) * times)
+
+
+class TestCosetRestriction:
+    @pytest.mark.parametrize("row", ROW_PERTURBATIONS)
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    def test_lanczos_ground_state_within_budget_of_lehmann_sum(self, lanczos_row, row, axis):
+        op, psi, e_psi, sectors = lanczos_row[row]
+        m = magnetization_operator(12, axis)
+        series = correlator_krylov(op, m, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        phi = m.matvec(psi.amplitudes)
+        exact = _sector_lehmann(sectors, phi, phi, e_psi, ROW_GRID.times())
+        assert np.max(np.abs(series.values - exact)) <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+
+    def test_no_coset_carries_both_vectors(self, monkeypatch):
+        # m_x moves the chain's ground state out of its coset, m_z keeps it there
+        op = _chain(8, None)
+        spectrum = dense_spectrum(op)
+        calls = _count_group_applications(monkeypatch)
+        series = correlator_krylov(
+            op, magnetization_operator(8, "x"), magnetization_operator(8, "z"),
+            spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), ROW_GRID,
+        )
+        assert not series.values.any()
+        assert len(calls) == 3  # the eigenstate check, A^dag psi and B psi
+
+    def test_z_field_row_runs_on_the_ground_state_coset(self, lanczos_row, monkeypatch):
+        op, psi, e_psi, _ = lanczos_row["z_field"]
+        m = magnetization_operator(12, "z")
+        calls = _count_group_applications(monkeypatch)
+        correlator_krylov(op, m, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        # past the eigenstate check, A^dag psi and B psi: H phi and the recursion
+        assert {len(x) for _, x in calls[3:]} == {4}
+        restricted_order = 2 * len(calls[3:])  # moment doubling: two moments per vector
+        phi = m.matvec(psi.amplitudes)
+        _, half_width = _window(op.gershgorin_interval())
+        scale = np.linalg.norm(phi) ** 2
+        full_order, _ = _chebyshev_order(half_width * ROW_GRID.t_end, scale, (ROW_GRID.n_samples - 1) * ROW_STEP_TOL)
+        assert restricted_order <= full_order / 3
+
+    def test_full_rank_span_reuses_the_compiled_groups(self, monkeypatch):
+        # an x field makes the flip-mask span full rank: one coset, the
+        # whole space in natural order, so nothing is dropped or copied
+        op = _chain(10, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3))
+        spectrum = lanczos_extremal(op, k=1, seed=100)
+        psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        m_x, m_z = magnetization_operator(10, "x"), magnetization_operator(10, "z")
+        expected = {(m_z, m_z): _unrestricted_series(op, m_z, m_z, psi, e_psi, ROW_GRID, ROW_STEP_TOL),
+                    (m_x, m_z): _unrestricted_series(op, m_x, m_z, psi, e_psi, ROW_GRID, ROW_STEP_TOL)}
+        calls = _count_group_applications(monkeypatch)
+        for (a, b), values in expected.items():
+            calls.clear()
+            series = correlator_krylov(op, a, b, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+            assert np.array_equal(series.values, values)
+            # past the eigenstate check, A^dag psi and B psi: H phi and the recursion
+            assert len(calls) > 20 and all(groups is op._groups for groups, _ in calls[3:])
 
 
 def _ghz_pair(op, spectrum):
