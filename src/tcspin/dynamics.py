@@ -44,6 +44,8 @@ class TimeGrid:
     n_samples: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)):
+            raise ValueError(f"need finite times, got [{self.t_start}, {self.t_end}]")
         if self.n_samples < 2:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not self.t_end > self.t_start:
@@ -120,6 +122,18 @@ class OscillationReport:
         )
 
 
+def _check_operands(op: Operator, psi: StateVector, *operators: Operator, hermitian: bool = True) -> None:
+    """DimensionError unless psi and ``operators`` act on op's sites, then
+    ModelError for a non-Hermitian op when ``hermitian``: e^{-iHt} is then
+    not unitary, and every bound of this module assumes it is."""
+    if any(o.n_sites != op.n_sites for o in operators):
+        raise DimensionError("A, B and H must act on the same number of sites")
+    if psi.n_sites != op.n_sites:
+        raise DimensionError("state and operators act on different site counts")
+    if hermitian and not op.is_hermitian():
+        raise ModelError("time evolution requires a Hermitian operator")
+
+
 def _check_eigenstate(op: Operator, psi: StateVector, energy: float) -> None:
     resid = np.linalg.norm(op.matvec(psi.amplitudes) - energy * psi.amplitudes)
     if resid > EIGENSTATE_RESIDUAL_TOL:
@@ -145,13 +159,10 @@ def correlator_spectral(
     A^dag psi and B psi, the others having weight zero: for m_z on the
     chain's ground state, the 4 levels of its block. psi must be an
     eigenstate of ``op`` (checked by residual); E_psi = <psi|H|psi> comes
-    from one matvec.
+    from one matvec. Hermiticity is left to the solver of ``spectrum``
+    (:func:`~tcspin.spectra.dense_spectrum` checks it).
     """
-    for o in (a, b):
-        if o.n_sites != op.n_sites:
-            raise DimensionError("A, B and H must act on the same number of sites")
-    if psi.n_sites != op.n_sites:
-        raise DimensionError("state and operators act on different site counts")
+    _check_operands(op, psi, a, b, hermitian=False)
     if spectrum.n_sites != op.n_sites or spectrum.n_pairs != 1 << op.n_sites:
         raise DimensionError("the spectral route needs every eigenpair of H")
     e_psi = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
@@ -159,10 +170,8 @@ def correlator_spectral(
 
     w = a.dagger().matvec(psi.amplitudes)  # <psi|A = (A^dag psi)^dag
     phi = b.matvec(psi.amplitudes)
-    # a pair outside the blocks that both w and phi touch has weight 0
-    touched = spectrum.touched_blocks(w) & spectrum.touched_blocks(phi)
-    pairs, amp_a = spectrum.overlaps(w, touched)  # <psi|A|n>
-    _, amp_b = spectrum.overlaps(phi, touched)  # <B psi|n>
+    # a pair outside the blocks that both w and phi meet has weight 0
+    pairs, amp_a, amp_b = spectrum.overlaps(w, phi)  # <psi|A|n>, <B psi|n>
     weights = amp_a * amp_b.conj()
     gaps = spectrum.eigenvalues[pairs] - e_psi
     times = grid.times()
@@ -359,11 +368,13 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
     result is e^{-i alpha t} v; otherwise it is one Chebyshev propagation
     (:func:`_propagator`) of about a |t| matvecs, a the spectral half-width.
     Either way the error is bounded a priori by ``step_tol``, so the norm is
-    kept to that accuracy.
+    kept to that accuracy. Raises ModelError for a non-Hermitian ``op`` and
+    ValueError for a non-finite ``t``.
     """
     _check_step_tol(step_tol)
-    if op.n_sites != v.n_sites:
-        raise DimensionError("operator and state act on different site counts")
+    _check_operands(op, v)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if abs(v.norm - 1.0) > 1e-10:
         raise ValueError(f"evolve expects a normalized state (norm {v.norm})")
     amps = v.amplitudes
@@ -422,13 +433,7 @@ def correlator_krylov(
     Raises ModelError for a non-Hermitian ``op``.
     """
     _check_step_tol(step_tol)
-    for o in (a, b):
-        if o.n_sites != op.n_sites:
-            raise DimensionError("A, B and H must act on the same number of sites")
-    if psi.n_sites != op.n_sites:
-        raise DimensionError("state and operators act on different site counts")
-    if not op.is_hermitian():
-        raise ModelError("correlator_krylov requires a Hermitian operator")
+    _check_operands(op, psi, a, b)
     _check_eigenstate(op, psi, e_psi)
 
     amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
@@ -489,8 +494,11 @@ def correlator_krylov_general(
     its errors can add up coherently, but a trajectory stays within B / 2 of
     exact relative to its norm, and |Delta C| <= B ||A|| ||psi|| ||B psi||
     to first order in B.
+
+    Raises ModelError for a non-Hermitian ``op``.
     """
     _check_step_tol(step_tol)
+    _check_operands(op, psi, a, b)
     budget = (grid.n_samples - 1) * step_tol
     cut = budget / (2 * (grid.n_samples - 1 + (grid.t_start != 0.0)))
     a_dag = a.dagger()

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
-from .models import build_ghz
 from .pauli import Operator, StateVector, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
@@ -26,14 +25,15 @@ class SpectrumResult:
     elsewhere. The dense route's blocks are the invariant cosets of
     :func:`invariant_blocks`, so it stores 2^N x 2^r numbers for blocks of
     2^r rather than a 2^N x 2^N array; a Lanczos result is the one-block
-    case, ``blocks = arange(2^N)[None]``. :meth:`vector` and :meth:`state`
-    scatter one eigenvector on demand, and :meth:`overlaps` reads only the
-    blocks a state touches.
+    case, ``blocks = arange(2^N)[None]``. Each read has one method:
+    :meth:`vector` and :meth:`state` scatter one eigenvector on demand,
+    :meth:`amplitudes` reads one basis amplitude of every pair, and
+    :meth:`overlaps` reads only the blocks that some states all meet.
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| computed with the matrix-free
-    matvec (on the Lanczos route, the check that accepted the pair);
-    ``n_converged`` counts the pairs meeting the solver tolerance (always
-    all of them for the dense path). ``coeffs`` is float64 when the
+    matvec (on the Lanczos route, the check that accepted the pair). Both
+    solvers keep only pairs that meet their tolerance, so ``n_converged``
+    is ``n_pairs``. ``coeffs`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
     complex128 otherwise. Inside a degenerate cluster any orthonormal basis
     is valid; the dense solver's is confined to blocks (see
@@ -46,13 +46,16 @@ class SpectrumResult:
     coeffs: np.ndarray  # (n_pairs, block_size), row i is pair i on blocks[block_of[i]]
     method: str
     residuals: np.ndarray
-    n_converged: int
     n_sites: int
     n_requested: int | None = None
 
     @property
     def n_pairs(self) -> int:
         return len(self.eigenvalues)
+
+    @property
+    def n_converged(self) -> int:
+        return self.n_pairs
 
     def vector(self, i: int) -> np.ndarray:
         """Eigenvector i as a full amplitude array, in the dtype of ``coeffs``."""
@@ -63,19 +66,23 @@ class SpectrumResult:
     def state(self, i: int) -> StateVector:
         return StateVector(self.n_sites, self.vector(i))
 
-    def touched_blocks(self, amps: np.ndarray) -> np.ndarray:
-        """Boolean mask over the blocks: where ``amps`` has a non-zero amplitude."""
-        return np.any(amps[self.blocks] != 0, axis=1)
+    def amplitudes(self, index: int) -> np.ndarray:
+        """<index|v_i> for every pair i, in the dtype of ``coeffs``: read from
+        the one block that holds basis state ``index``, 0 for the others."""
+        block, position = np.argwhere(self.blocks == index)[0]
+        return np.where(self.block_of == block, self.coeffs[:, position], 0)
 
-    def overlaps(self, amps: np.ndarray, touched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs i whose block is marked in ``touched`` (ascending), and
-        <amps|v_i> for each; only those blocks of ``amps`` are read."""
-        pairs = np.flatnonzero(touched[self.block_of])
-        out = np.empty(len(pairs), dtype=np.result_type(self.coeffs, amps))
-        for b in np.flatnonzero(touched):
+    def overlaps(self, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The pairs i whose block meets every one of ``vectors`` (ascending),
+        then <vector|v_i> for each vector; only those blocks are read."""
+        met = np.logical_and.reduce([np.any(v[self.blocks] != 0, axis=1) for v in vectors])
+        pairs = np.flatnonzero(met[self.block_of])
+        out = [np.empty(len(pairs), dtype=np.result_type(self.coeffs, v)) for v in vectors]
+        for b in np.flatnonzero(met):
             members = self.block_of[pairs] == b
-            out[members] = self.coeffs[pairs[members]] @ amps[self.blocks[b]].conj()
-        return pairs, out
+            for o, v in zip(out, vectors):
+                o[members] = self.coeffs[pairs[members]] @ v[self.blocks[b]].conj()
+        return pairs, *out
 
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (consecutive gap < CLUSTER_TOL)."""
@@ -210,7 +217,6 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
         coeffs=columns[block, :, column],
         method="dense",
         residuals=np.empty(0),
-        n_converged=len(order),
         n_sites=op.n_sites,
         n_requested=len(order),
     )
@@ -260,7 +266,7 @@ def _lowest_deflated_eigenpair(
     keep: int,
     deflate: np.ndarray,
     breakdown_tol: float,
-) -> tuple[float, np.ndarray, float, int, bool]:
+) -> tuple[tuple[float, np.ndarray, float] | None, int]:
     """Lowest eigenpair orthogonal to ``deflate`` by thick-restart Lanczos.
 
     At every restart the ``keep`` lowest Ritz vectors are retained together
@@ -277,7 +283,9 @@ def _lowest_deflated_eigenpair(
     matvec, is <= tol as well; otherwise the cycle restarts. The returned
     residual is that check, so it lies near tol rather than at round-off.
 
-    Returns (value, vector, residual, matvecs_used, converged).
+    Returns ((value, vector, residual), matvecs_used), or (None,
+    matvecs_used) when the budget runs out or the Krylov space turns
+    invariant before a Ritz pair passes the check.
     """
     dim = v0.shape[0]
     m_cap = min(m_cap, dim)
@@ -287,7 +295,6 @@ def _lowest_deflated_eigenpair(
     theta_kept = np.empty(0)
     arrow = np.empty(0)
     matvecs = 0
-    best_val, best_vec, best_resid = np.inf, v0, np.inf
 
     while matvecs < budget:
         alphas: list[float] = []
@@ -325,20 +332,14 @@ def _lowest_deflated_eigenpair(
 
         n_small = j
         ritz = basis[:n_small].T @ u[:, 0]
-        nrm = float(np.linalg.norm(ritz))
-        if nrm == 0.0:
-            break
-        ritz /= nrm
+        ritz /= float(np.linalg.norm(ritz))
         resid = float(np.linalg.norm(op.matvec(ritz) - theta[0] * ritz))
         matvecs += 1
-        if resid < best_resid:
-            best_val, best_vec, best_resid = float(theta[0]), ritz, resid
         if resid <= tol:
-            return float(theta[0]), ritz, resid, matvecs, True
+            return (float(theta[0]), ritz, resid), matvecs
         if beta_last == 0.0:
-            # invariant subspace exhausted; the Ritz pair is as exact as the
-            # arithmetic allows
-            return best_val, best_vec, best_resid, matvecs, best_resid <= tol
+            # invariant subspace exhausted: no restart can improve the pair
+            return None, matvecs
 
         p = min(keep, n_small - 1)
         kept_block = u[:, :p].T @ basis[:n_small]
@@ -348,7 +349,7 @@ def _lowest_deflated_eigenpair(
         basis[:p] = kept_block
         basis[p] = next_vec
         kept = p
-    return best_val, best_vec, best_resid, matvecs, False
+    return None, matvecs
 
 
 def lanczos_extremal(
@@ -415,12 +416,13 @@ def lanczos_extremal(
         if v0 is None:
             break
         deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
-        val, vec, resid, used, converged = _lowest_deflated_eigenpair(
+        pair, used = _lowest_deflated_eigenpair(
             op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, breakdown_tol
         )
         matvecs += used
-        if not converged:
+        if pair is None:
             break
+        val, vec, resid = pair
         found_vals.append(val)
         found_vecs.append(vec)
         found_resids.append(resid)
@@ -434,31 +436,25 @@ def lanczos_extremal(
         coeffs=np.array([found_vecs[i] for i in order]) if found_vals else np.empty((0, dim), dtype),
         method="lanczos",
         residuals=np.array([found_resids[i] for i in order]),
-        n_converged=len(order),
         n_sites=op.n_sites,
         n_requested=k,
     )
 
 
 @dataclass
-class GHZEntry:
-    index: int
-    energy: float
-    overlap_plus: float
-    overlap_minus: float
-
-
-@dataclass
 class GHZReport:
-    """Per-eigenstate GHZ overlaps and the energy gap of the best +/- pair.
+    """GHZ+/- overlaps of every eigenstate and the energy gap of the best +/- pair.
 
-    Overlaps are squared norms of the GHZ state projected onto the degenerate
-    cluster containing each eigenstate, so every member of a cluster reports
-    the cluster total. The best-overlap state on equal overlaps is the one
-    with the lowest energy; ``ghz_gap`` is reported as an absolute value.
+    ``overlap_plus[i]`` and ``overlap_minus[i]`` are the squared norms of
+    GHZ+/- projected onto the degenerate cluster containing eigenstate i (of
+    energy ``energies[i]``), so every member of a cluster reports the
+    cluster total. The best-overlap state on equal overlaps is the one with
+    the lowest energy; ``ghz_gap`` is reported as an absolute value.
     """
 
-    entries: list[GHZEntry]
+    energies: np.ndarray
+    overlap_plus: np.ndarray
+    overlap_minus: np.ndarray
     clusters: list[list[int]]
     best_plus_index: int
     best_minus_index: int
@@ -468,13 +464,8 @@ class GHZReport:
         return json.dumps(
             {
                 "entries": [
-                    {
-                        "index": e.index,
-                        "energy": e.energy,
-                        "overlap_plus": e.overlap_plus,
-                        "overlap_minus": e.overlap_minus,
-                    }
-                    for e in self.entries
+                    {"index": i, "energy": float(e), "overlap_plus": float(p), "overlap_minus": float(m)}
+                    for i, (e, p, m) in enumerate(zip(self.energies, self.overlap_plus, self.overlap_minus))
                 ],
                 "clusters": self.clusters,
                 "best_plus_index": self.best_plus_index,
@@ -490,38 +481,28 @@ def ghz_overlap_report(spec: SpectrumResult, n: int) -> GHZReport:
         raise ValueError("spectrum carries no eigenvectors")
     if spec.n_sites != n:
         raise DimensionError(f"spectrum on {spec.n_sites} sites, requested {n}")
-    # <GHZ|v_i> is non-zero only for the pairs in the blocks that hold the
-    # two basis states of GHZ+/-, index 0 and 2^N - 1; only those are read
-    amp_plus, amp_minus = np.zeros((2, spec.n_pairs), dtype=np.complex128)
-    for sign, amps in (("plus", amp_plus), ("minus", amp_minus)):
-        ghz = build_ghz(n, sign).amplitudes
-        pairs, overlaps = spec.overlaps(ghz, spec.touched_blocks(ghz))
-        amps[pairs] = overlaps
+    # GHZ+/- = h (|0...0> +/- |1...1>) with h = 1/sqrt(2), so <GHZ+/-|v_i>
+    # needs only the amplitudes of v_i at index 0 and 2^N - 1
+    h = 1.0 / np.sqrt(2.0)
+    up, down = spec.amplitudes(0), spec.amplitudes((1 << n) - 1)
     clusters = spec.clusters()
     # clusters are runs of consecutive indices: one segmented sum each
     starts = [group[0] for group in clusters]
     sizes = [len(group) for group in clusters]
-    overlap_plus = np.repeat(np.add.reduceat(np.abs(amp_plus) ** 2, starts), sizes)
-    overlap_minus = np.repeat(np.add.reduceat(np.abs(amp_minus) ** 2, starts), sizes)
-    entries = [
-        GHZEntry(
-            index=i,
-            energy=float(spec.eigenvalues[i]),
-            overlap_plus=float(overlap_plus[i]),
-            overlap_minus=float(overlap_minus[i]),
-        )
-        for i in range(spec.n_pairs)
-    ]
+    overlap_plus, overlap_minus = (
+        np.repeat(np.add.reduceat(np.abs(up * h + down * sign) ** 2, starts), sizes) for sign in (h, -h)
+    )
     # max overlap wins; ties resolved toward the lowest energy, which is the
     # first index since eigenvalues are ascending.
     best_plus = int(np.argmax(overlap_plus))
     best_minus = int(np.argmax(overlap_minus))
     gap = abs(float(spec.eigenvalues[best_plus] - spec.eigenvalues[best_minus]))
     return GHZReport(
-        entries=entries,
+        energies=spec.eigenvalues,
+        overlap_plus=overlap_plus,
+        overlap_minus=overlap_minus,
         clusters=clusters,
         best_plus_index=best_plus,
         best_minus_index=best_minus,
         ghz_gap=gap,
     )
-

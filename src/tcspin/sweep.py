@@ -397,8 +397,8 @@ def _run_rows(op: Operator, rows: list[SweepRecord], plan: SweepPlan) -> None:
             "ground_energy": float(eigenvalues[0]),
             "energy_gap": float(eigenvalues[1] - eigenvalues[0]),
             "ghz_gap": point.ghz.ghz_gap,
-            "ghz_overlap_plus": point.ghz.entries[point.ghz.best_plus_index].overlap_plus,
-            "ghz_overlap_minus": point.ghz.entries[point.ghz.best_minus_index].overlap_minus,
+            "ghz_overlap_plus": float(point.ghz.overlap_plus[point.ghz.best_plus_index]),
+            "ghz_overlap_minus": float(point.ghz.overlap_minus[point.ghz.best_minus_index]),
             "dominant_frequency": point.report.dominant_frequency,
             "dominant_amplitude": point.report.dominant_amplitude,
             "residual_fraction": point.report.residual_fraction,

@@ -215,10 +215,10 @@ def test_criterion_6_ghz_diagnostics():
         if len(ground) != 2:
             failures.append(f"N={n}: ground cluster size {len(ground)} != 2")
             continue
-        entry = rep.entries[ground[0]]
-        if abs(entry.overlap_plus - 1.0) > 1e-10 or abs(entry.overlap_minus - 1.0) > 1e-10:
+        overlap_plus, overlap_minus = rep.overlap_plus[ground[0]], rep.overlap_minus[ground[0]]
+        if abs(overlap_plus - 1.0) > 1e-10 or abs(overlap_minus - 1.0) > 1e-10:
             failures.append(
-                f"N={n}: ground-cluster overlaps ({entry.overlap_plus}, {entry.overlap_minus})"
+                f"N={n}: ground-cluster overlaps ({overlap_plus}, {overlap_minus})"
             )
     for j in (0.3, 1.0):
         op = build_tc_hamiltonian(TCModelConfig(8, j))
@@ -235,7 +235,8 @@ def test_criterion_6_ghz_diagnostics():
                 "best_plus_index": rep.best_plus_index,
                 "best_minus_index": rep.best_minus_index,
                 "entries": [
-                    [e.index, e.energy, e.overlap_plus, e.overlap_minus] for e in rep.entries
+                    [i, float(e), float(p), float(m)]
+                    for i, (e, p, m) in enumerate(zip(rep.energies, rep.overlap_plus, rep.overlap_minus))
                 ],
             },
             sort_keys=True,

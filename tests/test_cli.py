@@ -12,7 +12,7 @@ import pytest
 
 from tcspin import sweep
 from tcspin.cli import main
-from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.models import PerturbationSpec, TCModelConfig, add_perturbations, build_tc_hamiltonian, magnetization_operator
 from tcspin.pauli import dense_cap, to_dense
 
 TWO_LEVEL_CORRELATE = {
@@ -62,6 +62,30 @@ class TestSpectrumCommand:
         ghz_doc = json.loads((tmp_path / "out" / "ghz_report.json").read_text())
         assert ghz_doc["ghz_report"]["ghz_gap"] > 0
         assert spec_doc["config_hash"] == ghz_doc["config_hash"]
+
+    def test_eigenvectors_are_written_block_by_block(self, tmp_path):
+        field = {"kind": "random_onsite_field", "strength": 0.05, "axis": "z", "seed": 100}
+        cfg = write_config(
+            tmp_path,
+            {
+                "command": "spectrum",
+                "model": {"type": "tc", "n_sites": 4, "j_coupling": 0.5},
+                "perturbations": [field],
+                "solver": {"method": "dense"},
+                "output": {"include_eigenvectors": True},
+            },
+        )
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        spec_doc = json.loads((tmp_path / "out" / "spectrum.json").read_text())["spectrum"]
+        vectors = np.array([[re + 1j * im for re, im in row] for row in spec_doc["vectors"]])
+        assert vectors.shape == (16, 16)
+        assert np.max(np.abs(vectors.conj() @ vectors.T - np.eye(16))) < 1e-14
+        chain = build_tc_hamiltonian(TCModelConfig(4, 0.5))
+        op = add_perturbations(chain, (PerturbationSpec(**field),), "periodic")
+        residuals = to_dense(op) @ vectors.T - vectors.T * np.array(spec_doc["eigenvalues"])
+        assert np.max(np.abs(residuals)) < 1e-14
+        # the z field keeps the chain's blocks of 4: each vector lies in one
+        assert all(np.count_nonzero(v) == 4 for v in vectors)
 
     def test_invalid_chain_size_is_config_error(self, tmp_path, capsys):
         cfg = write_config(

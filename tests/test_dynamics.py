@@ -54,6 +54,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(5.0, 5.0, 16)
 
+    @pytest.mark.parametrize("t_start, t_end", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+    def test_rejects_non_finite_times(self, t_start, t_end):
+        # (0, inf) used to pass, with times() starting [nan, inf, inf]
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(t_start, t_end, 16)
+
 
 class TestSpectralCorrelator:
     def test_two_level_phase(self):
@@ -265,14 +271,15 @@ class TestRealDagger:
 
 
 class TestChebyshevCorrelator:
-    @pytest.mark.parametrize("z", [0.0, 0.3, 50.0, 780.0])
+    # z <= 1e-5 takes the 2^-500 rescale of Miller's recurrence
+    @pytest.mark.parametrize("z", [0.0, 1e-20, 1e-8, 1e-5, 0.3, 50.0, 780.0])
     def test_bessel_column_matches_scipy(self, z):
         column = _bessel_column(z)
         orders = np.arange(len(column))
         assert np.max(np.abs(column - scipy.special.jv(orders, z))) < 1e-13
 
     def test_bessel_series_matches_scipy(self):
-        z = np.array([0.0, 0.3, -0.3, 50.0, -50.0, 780.0, -780.0, 1e-40])
+        z = np.array([0.0, 1e-20, 1e-8, 1e-5, 0.3, -0.3, 50.0, -50.0, 780.0, -780.0, 1e-40])
         rng = np.random.default_rng(5)
         coeffs = rng.normal(size=900) + 1j * rng.normal(size=900)
         orders = np.arange(len(coeffs))
@@ -530,6 +537,49 @@ class TestGeneralCorrelator:
         m = magnetization_operator(8, "z")
         with pytest.raises(ValueError, match="step_tol"):
             correlator_krylov_general(op, m, m, psi, self.GRID, step_tol=step_tol)
+
+
+class TestOperandChecks:
+    """The four dynamics entry points check site counts, and the three
+    Chebyshev routes a Hermitian H, before any work."""
+
+    # the 2-site H = ZI + 0.3i XX + 0.5 IX: evolve used to return a state of norm 1.08
+    NON_HERMITIAN = Operator.from_label_terms([(1.0, "ZI"), (0.3j, "XX"), (0.5, "IX")])
+    GRID = TimeGrid(0.0, 2.0, 16)
+
+    def test_evolve_rejects_non_hermitian_hamiltonian(self):
+        with pytest.raises(ModelError):
+            evolve(self.NON_HERMITIAN, StateVector.basis_state(2, 0), 2.0)
+
+    def test_general_correlator_rejects_non_hermitian_hamiltonian(self):
+        m = magnetization_operator(2, "z")
+        with pytest.raises(ModelError):
+            correlator_krylov_general(self.NON_HERMITIAN, m, m, StateVector.basis_state(2, 0), self.GRID)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_evolve_rejects_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(SIGMA_Z, StateVector.basis_state(1, 0), t)
+
+    @pytest.mark.parametrize("wrong", ["a", "b", "psi"])
+    @pytest.mark.parametrize("route", ["spectral", "krylov", "krylov_general"])
+    def test_correlators_reject_a_site_count_mismatch(self, route, wrong):
+        op = build_tc_hamiltonian(TCModelConfig(4, 0.5))
+        spectrum = dense_spectrum(op)
+        operands = {"a": magnetization_operator(4, "z"), "b": magnetization_operator(4, "z"), "psi": spectrum.state(0)}
+        operands[wrong] = magnetization_operator(5, "z") if wrong != "psi" else StateVector.basis_state(5, 0)
+        a, b, psi = operands["a"], operands["b"], operands["psi"]
+        with pytest.raises(DimensionError):
+            if route == "spectral":
+                correlator_spectral(op, spectrum, a, b, psi, self.GRID)
+            elif route == "krylov":
+                correlator_krylov(op, a, b, psi, float(spectrum.eigenvalues[0]), self.GRID)
+            else:
+                correlator_krylov_general(op, a, b, psi, self.GRID)
+
+    def test_evolve_rejects_a_site_count_mismatch(self):
+        with pytest.raises(DimensionError):
+            evolve(SIGMA_Z, StateVector.basis_state(2, 0), 1.0)
 
 
 class TestEvolve:

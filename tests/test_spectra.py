@@ -243,7 +243,7 @@ class TestLanczos:
 
         def recording(*args):
             result = solve(*args)
-            used.append(result[3])
+            used.append(result[1])
             return result
 
         monkeypatch.setattr(tcspin.spectra, "_lowest_deflated_eigenpair", recording)
@@ -397,13 +397,37 @@ class TestInvariantBlocks:
     def test_overlaps_read_only_the_touched_blocks(self):
         spec = dense_spectrum(self.OPERATORS["chain"]())
         phi = magnetization_operator(8, "z").matvec(spec.vector(0))
-        touched = spec.touched_blocks(phi)
-        pairs, amps = spec.overlaps(phi, touched)
+        pairs, amps = spec.overlaps(phi)
         # m_z keeps the ground state in its block: 4 of 256 levels
-        assert touched.sum() == 1 and len(pairs) == 4
+        assert len(set(spec.block_of[pairs])) == 1 and len(pairs) == 4
         full = dense_vectors(spec) @ phi.conj()
         assert np.array_equal(np.flatnonzero(full), pairs)
         assert np.max(np.abs(amps - full[pairs])) < 1e-15
+
+    @pytest.mark.parametrize("name", BLOCK_BUILDS)
+    def test_amplitudes_are_the_columns_of_the_full_vectors(self, name):
+        op = self.OPERATORS[name]()
+        for spec in (dense_spectrum(op), lanczos_extremal(op, k=3, seed=1)):
+            vectors = dense_vectors(spec)
+            for index in (0, 5, 255):
+                amplitudes = spec.amplitudes(index)
+                assert amplitudes.dtype == spec.coeffs.dtype
+                assert np.array_equal(amplitudes, vectors[:, index])
+
+    def test_overlaps_of_two_vectors_share_their_blocks(self):
+        # m_x moves the ground state out of its block, so no block meets both
+        spec = dense_spectrum(self.OPERATORS["z_field"]())
+        phi_z, phi_x = (magnetization_operator(8, axis).matvec(spec.vector(0)) for axis in "zx")
+        pairs, amps_z, amps_z_again = spec.overlaps(phi_z, phi_z)
+        assert len(pairs) == 4 and np.array_equal(amps_z, amps_z_again)
+        pairs, amps_z, amps_x = spec.overlaps(phi_z, phi_x)
+        assert len(pairs) == len(amps_z) == len(amps_x) == 0
+
+    def test_n_converged_is_the_pair_count(self):
+        spec = dense_spectrum(self.OPERATORS["chain"]())
+        assert spec.n_converged == spec.n_pairs == 256
+        with pytest.raises(AttributeError):
+            spec.n_converged = 3
 
     def test_full_rank_is_bit_identical_to_one_eigh(self):
         op = self.OPERATORS["x_field"]()
@@ -486,24 +510,24 @@ class TestGHZReport:
         rep = ghz_overlap_report(spec, 4)
         ground = rep.clusters[0]
         assert len(ground) == 2
-        assert rep.entries[ground[0]].overlap_plus == pytest.approx(1.0, abs=1e-10)
-        assert rep.entries[ground[0]].overlap_minus == pytest.approx(1.0, abs=1e-10)
+        assert rep.overlap_plus[ground[0]] == pytest.approx(1.0, abs=1e-10)
+        assert rep.overlap_minus[ground[0]] == pytest.approx(1.0, abs=1e-10)
 
     def test_single_site_x_hosts_plus_state(self):
         spec = dense_spectrum(Operator.from_label_terms([(1.0, "X")]))
         rep = ghz_overlap_report(spec, 1)
         # GHZ+ at n=1 is |+>, the eigenvalue +1 state
-        assert rep.entries[1].overlap_plus == pytest.approx(1.0, abs=1e-12)
+        assert rep.overlap_plus[1] == pytest.approx(1.0, abs=1e-12)
         assert rep.best_plus_index == 1
-        assert rep.entries[0].overlap_minus == pytest.approx(1.0, abs=1e-12)
+        assert rep.overlap_minus[0] == pytest.approx(1.0, abs=1e-12)
         assert rep.ghz_gap == pytest.approx(2.0, abs=1e-12)
 
     def test_overlaps_bounded(self):
         spec = dense_spectrum(build_tc_hamiltonian(TCModelConfig(6, 1.0)))
         rep = ghz_overlap_report(spec, 6)
-        for e in rep.entries:
-            assert -1e-12 <= e.overlap_plus <= 1 + 1e-12
-            assert -1e-12 <= e.overlap_minus <= 1 + 1e-12
+        for overlap_plus, overlap_minus in zip(rep.overlap_plus, rep.overlap_minus):
+            assert -1e-12 <= overlap_plus <= 1 + 1e-12
+            assert -1e-12 <= overlap_minus <= 1 + 1e-12
         assert rep.ghz_gap >= 0.0
 
     def test_split_pair_has_positive_gap(self):
@@ -523,7 +547,7 @@ class TestGHZReport:
             for group in rep.clusters:
                 reference = float(np.sum(np.abs(amps[group]) ** 2))
                 for i in group:
-                    got = getattr(rep.entries[i], f"overlap_{sign}")
+                    got = getattr(rep, f"overlap_{sign}")[i]
                     if len(group) == 1:
                         assert got == reference  # a one-term sum is exact
                     else:
@@ -540,7 +564,7 @@ class TestGHZReport:
         for sign in ("plus", "minus"):
             weights = np.abs(vectors @ build_ghz(n, sign).amplitudes.conj()) ** 2
             expected = [weights[group].sum() for group in rep.clusters for _ in group]
-            got = [getattr(entry, f"overlap_{sign}") for entry in rep.entries]
+            got = getattr(rep, f"overlap_{sign}")
             assert np.max(np.abs(np.array(got) - expected)) < 1e-12
         point = run_point(
             op, magnetization_operator(n, "z"), TimeGrid(0.0, 2.0, 16), "ghz_pair", SolverSettings(), ("krylov",)
