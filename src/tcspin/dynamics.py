@@ -227,26 +227,35 @@ def _bessel_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     tiny = x <= 1e-30
     x = np.where(tiny, 1.0, x)
     starts = _miller_start(x)
+    # the samples whose column is seeded at each start order
+    by_start = np.argsort(starts, kind="stable")
+    orders, first = np.unique(starts[by_start], return_index=True)
+    seeded = dict(zip(orders.tolist(), np.split(by_start, first[1:])))
     two_over_x = 2.0 / x
     sums = np.zeros((2, len(z)), dtype=np.complex128)  # even and odd orders
-    norm = np.zeros(len(z))
+    term = np.empty(len(z), dtype=np.complex128)
+    even = np.zeros(len(z))  # unnormalized J_k over even k > 0, doubled (exactly) at the end
     above = np.zeros(len(z))  # unnormalized J_{k+1}
     cur = np.zeros(len(z))  # unnormalized J_k
+    below = np.empty(len(z))
     for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
-        cur[starts == k] = 1.0
+        if k in seeded:
+            cur[seeded[k]] = 1.0
         if k < len(coeffs):
-            sums[k % 2] += coeffs[k] * cur
-        if k % 2 == 0:
-            norm += cur if k == 0 else 2.0 * cur
+            sums[k % 2] += np.multiply(coeffs[k], cur, out=term)
         if k == 0:
             break
-        below = (k * two_over_x) * cur - above
-        big = np.abs(below) > 2.0**500
-        if big.any():
-            for arr in (below, cur, sums[0], sums[1], norm):
+        if k % 2 == 0:
+            even += cur
+        np.multiply(k, two_over_x, out=below)
+        below *= cur
+        below -= above
+        if np.abs(below).max() > 2.0**500:
+            big = np.abs(below) > 2.0**500
+            for arr in (below, cur, sums[0], sums[1], even):
                 arr[big] *= 2.0**-500
-        above, cur = cur, below
-    values = (sums[0] + np.sign(z) * sums[1]) / norm
+        above, cur, below = cur, below, above
+    values = (sums[0] + np.sign(z) * sums[1]) / (2.0 * even + cur)
     values[tiny] = coeffs[0]
     return values
 

@@ -229,6 +229,7 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
 # given has cancelled enough to leave round-off components along the sets
 # it projected out, and is repeated once
 DGKS_RATIO = 1 / np.sqrt(2)
+EPS = np.finfo(np.float64).eps
 
 
 def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
@@ -245,18 +246,6 @@ def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     return w
 
 
-def _projected_matrix(theta_kept: np.ndarray, arrow: np.ndarray, alphas: list[float], betas: list[float]) -> np.ndarray:
-    """H in one cycle's Lanczos basis: diagonal ``theta_kept`` on the kept
-    Ritz vectors, ``arrow`` coupling them to the first continuation vector,
-    then the tridiagonal of ``alphas`` and ``betas`` (one beta fewer)."""
-    kept = len(theta_kept)
-    small = np.diag(np.concatenate([theta_kept, alphas]))
-    small[kept, :kept] = small[:kept, kept] = arrow
-    i = np.arange(kept, kept + len(betas))
-    small[i, i + 1] = small[i + 1, i] = betas
-    return small
-
-
 def _lowest_deflated_eigenpair(
     op: Operator,
     v0: np.ndarray,
@@ -265,70 +254,102 @@ def _lowest_deflated_eigenpair(
     m_cap: int,
     keep: int,
     deflate: np.ndarray,
-    breakdown_tol: float,
+    h_norm: float,
 ) -> tuple[tuple[float, np.ndarray, float] | None, int]:
     """Lowest eigenpair orthogonal to ``deflate`` by thick-restart Lanczos.
 
     At every restart the ``keep`` lowest Ritz vectors are retained together
     with the next Lanczos vector, so convergence inside quasi-degenerate
     manifolds is not thrown away (a plain restart stalls there). The small
-    projected matrix is diagonal on the kept block with an arrow coupling to
-    the first continuation vector, then tridiagonal.
+    projected matrix T is diagonal on the kept block with an arrow coupling
+    to the first continuation vector, then tridiagonal.
 
-    Convergence is tested at every step: with the basis kept orthogonal,
+    Each step subtracts the three-term recurrence (or the arrow) and
+    projects out ``deflate``. Simon's recurrence (Math. Comp. 42, 115
+    (1984)) estimates the new vector's overlaps with the basis from T: with
+    omega_j the overlaps of basis vector j, q_i^H H q_j is (T omega_j)_i,
+    so omega_{j+1} = (T omega_j - alpha_j omega_j - beta_{j-1} omega_{j-1}
+    + 4 eps ||H||) / beta_j, the last term for rounding. A Gram-Schmidt pass
+    against the locked vectors and the whole basis (a second on the DGKS
+    test) runs only when max |omega_{j+1}| passes eta = min(sqrt(eps),
+    tol / ||H||), and again on the next step; the estimate then resets to
+    eps. ``h_norm`` bounds ||H||. After a thick restart every step takes the
+    pass: the kept Ritz vectors carry the last cycle's passes in their
+    residuals, which T does not record, so the estimate does not hold for
+    them.
+
+    Convergence is tested at every step: with the basis orthonormal to eta,
     |beta_j u[j, 0]| (the new beta times the last component of the lowest
-    eigenvector of the projected matrix) is the Ritz pair's residual, and a
-    cycle ends as soon as it is <= tol, or after ``m_cap`` basis vectors.
-    The Ritz pair is then accepted only if ||H v - theta v||, from one more
-    matvec, is <= tol as well; otherwise the cycle restarts. The returned
-    residual is that check, so it lies near tol rather than at round-off.
+    eigenvector of T) is the Ritz pair's residual to within tol, which is
+    why eta is tied to tol. A cycle ends as soon as it is <= tol, or after
+    ``m_cap`` basis vectors. The Ritz pair is then accepted only if
+    ||H v - theta v||, from one more matvec, is <= tol as well; otherwise
+    the cycle restarts. The returned residual is that check, so it lies
+    near tol rather than at round-off.
 
-    Returns ((value, vector, residual), matvecs_used), or (None,
-    matvecs_used) when the budget runs out or the Krylov space turns
-    invariant before a Ritz pair passes the check.
+    Returns ((value, vector, residual), matvecs_used) with matvecs_used <=
+    ``budget``, or (None, matvecs_used) when the budget runs out or the
+    Krylov space turns invariant before a Ritz pair passes the check.
     """
     dim = v0.shape[0]
     m_cap = min(m_cap, dim)
     basis = np.empty((m_cap, dim), dtype=v0.dtype)
     basis[0] = v0
+    small = np.zeros((m_cap, m_cap))  # T, filled in place
+    omega = np.eye(m_cap)  # estimated overlaps among the basis vectors
+    eta = min(np.sqrt(EPS), tol / h_norm)
+    breakdown_tol = 1e-13 * h_norm
     kept = 0
-    theta_kept = np.empty(0)
-    arrow = np.empty(0)
     matvecs = 0
+    again = False  # the estimate asked for the last step's pass
 
-    while matvecs < budget:
-        alphas: list[float] = []
-        betas: list[float] = []
+    # one step and the true-residual check must fit in the budget
+    while matvecs + 2 <= budget:
         j = kept
-        beta_last = 0.0
-        while j < m_cap and matvecs < budget:
+        beta = 0.0
+        while j < m_cap and matvecs + 2 <= budget:
             w = op.matvec(basis[j])
             matvecs += 1
             alpha = float(np.vdot(basis[j], w).real)
-            alphas.append(alpha)
-            # the three-term recurrence first (after a thick restart, the
-            # arrow to the kept Ritz vectors), then one pass for what the
-            # recurrence leaves in round-off, and a second pass on the DGKS test
-            w = w - alpha * basis[j]
+            small[j, j] = alpha
+            w -= alpha * basis[j]
             if j > kept:
-                w = w - beta_last * basis[j - 1]
+                w -= beta * basis[j - 1]
             elif kept:
-                w = w - basis[:kept].T @ arrow
+                w -= basis[:kept].T @ small[kept, :kept]
+            if len(deflate):
+                w -= deflate.T @ (deflate @ w.conj()).conj()
             before = float(np.linalg.norm(w))
-            w = _orthogonalize(w, deflate, basis[: j + 1])
-            beta_last = float(np.linalg.norm(w))
-            if beta_last < DGKS_RATIO * before:
+            if kept or again:
+                full, again = True, False
+            else:
+                # Simon's estimate, times beta: q_i^H H q_j read from T,
+                # less what the recurrence subtracted, plus eps ||H|| of
+                # rounding for each of the matvec and the three subtractions
+                t = small[: j + 1, : j + 1]
+                drift = t @ omega[: j + 1, j] - omega[: j + 1, : j + 1] @ t[:, j]
+                drift += np.copysign(4 * EPS * h_norm, drift)
+                full = again = float(np.abs(drift).max()) > eta * before
+            if full:
                 w = _orthogonalize(w, deflate, basis[: j + 1])
-                beta_last = float(np.linalg.norm(w))
-            if beta_last < breakdown_tol:
-                beta_last = 0.0
+                beta = float(np.linalg.norm(w))
+                if beta < DGKS_RATIO * before:
+                    w = _orthogonalize(w, deflate, basis[: j + 1])
+                    beta = float(np.linalg.norm(w))
+                w_omega = np.full(j + 1, EPS)
+            else:
+                beta = before
+                w_omega = drift / beta
+            if beta < breakdown_tol:
+                beta = 0.0
             j += 1
-            theta, u = np.linalg.eigh(_projected_matrix(theta_kept, arrow, alphas, betas))
+            theta, u = np.linalg.eigh(small[:j, :j])
             # a breakdown makes the estimate 0: the Krylov space is invariant
-            if beta_last * abs(u[-1, 0]) <= tol or j == m_cap:
+            if beta * abs(u[-1, 0]) <= tol or j == m_cap:
                 break
-            basis[j] = w / beta_last
-            betas.append(beta_last)
+            np.divide(w, beta, out=basis[j])
+            small[j - 1, j] = small[j, j - 1] = beta
+            omega[j, :j] = omega[:j, j] = w_omega
 
         n_small = j
         ritz = basis[:n_small].T @ u[:, 0]
@@ -337,17 +358,16 @@ def _lowest_deflated_eigenpair(
         matvecs += 1
         if resid <= tol:
             return (float(theta[0]), ritz, resid), matvecs
-        if beta_last == 0.0:
+        if beta == 0.0:
             # invariant subspace exhausted: no restart can improve the pair
             return None, matvecs
 
         p = min(keep, n_small - 1)
-        kept_block = u[:, :p].T @ basis[:n_small]
-        theta_kept = theta[:p].copy()
-        arrow = beta_last * u[n_small - 1, :p].copy()
-        next_vec = w / beta_last
-        basis[:p] = kept_block
-        basis[p] = next_vec
+        basis[:p] = u[:, :p].T @ basis[:n_small]
+        np.divide(w, beta, out=basis[p])
+        small.fill(0.0)
+        small[np.arange(p), np.arange(p)] = theta[:p]
+        small[p, :p] = small[:p, p] = beta * u[n_small - 1, :p]
         kept = p
     return None, matvecs
 
@@ -362,16 +382,16 @@ def lanczos_extremal(
     """The k lowest eigenpairs by thick-restart Lanczos with explicit deflation.
 
     Uses only the matrix-free matvec. Eigenpairs are converged one at a time;
-    every Lanczos vector is reorthogonalized against the whole Krylov basis
-    and all previously accepted eigenvectors, by one Gram-Schmidt pass after
-    the three-term recurrence and a second only on the DGKS test (see
-    :data:`DGKS_RATIO`); the deflation makes repeated
+    every Lanczos vector is projected off all previously accepted
+    eigenvectors, and reorthogonalized against the whole Krylov basis only
+    when Simon's estimate says the basis is losing orthogonality (see
+    :func:`_lowest_deflated_eigenpair`); the deflation makes repeated
     (degenerate) eigenvalues reachable, which plain Lanczos misses.
-    Each pair stops at the step its Ritz residual reaches ``tol`` (see
-    :func:`_lowest_deflated_eigenpair`), so ``residuals`` lie near ``tol``.
-    Deterministic for a fixed seed. ``max_iter`` caps the total matvec count;
-    on exhaustion a partial result is returned with ``n_converged < k``
-    rather than failing silently.
+    Each pair stops at the step its Ritz residual reaches ``tol``, so
+    ``residuals`` lie near ``tol``. Deterministic for a fixed seed.
+    ``max_iter`` caps the total matvec count, the true-residual checks
+    included; on exhaustion a partial result is returned with
+    ``n_converged < k`` rather than failing silently.
 
     A real operator gets real start vectors, so the Krylov basis, the
     deflation set and the returned vectors are float64 (half the memory of
@@ -394,7 +414,7 @@ def lanczos_extremal(
     found_vecs: list[np.ndarray] = []
     found_resids: list[float] = []
     matvecs = 0
-    breakdown_tol = 1e-13 * max(1.0, op.one_norm())
+    h_norm = max(1.0, op.one_norm())
 
     def next_start() -> np.ndarray | None:
         for _ in range(8):
@@ -417,7 +437,7 @@ def lanczos_extremal(
             break
         deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
         pair, used = _lowest_deflated_eigenpair(
-            op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, breakdown_tol
+            op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm
         )
         matvecs += used
         if pair is None:

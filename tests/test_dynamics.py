@@ -291,6 +291,26 @@ class TestChebyshevCorrelator:
             unit[k] = 1.0
             assert np.max(np.abs(_bessel_series(z, unit) - scipy.special.jv(k, z))) < 1e-13
 
+    @pytest.mark.parametrize(
+        "z",
+        [
+            # grids through t = 0 and at negative t, scaled as the correlator scales them
+            6.5 * TimeGrid(-12.0, 12.0, 49).times(),
+            11.0 * TimeGrid(-60.0, 0.0, 33).times(),
+            13.3 * TimeGrid(0.0, 60.0, 128).times(),
+            # |z| <= 1e-5 takes the 2^-500 rescale, 1e-40 the z = 0 branch
+            np.array([1e-40, -1e-20, 1e-12, -3e-8, 1e-5, 0.0, -0.5, 7.0, -900.0]),
+        ],
+        ids=["symmetric", "negative", "positive", "rescaled"],
+    )
+    @pytest.mark.parametrize("complex_coeffs", [True, False])
+    def test_bessel_series_is_bit_identical_to_the_per_order_loop(self, z, complex_coeffs):
+        rng = np.random.default_rng(17)
+        coeffs = rng.normal(size=900)
+        if complex_coeffs:
+            coeffs = coeffs + 1j * rng.normal(size=900)
+        assert _bessel_series(z, coeffs).tobytes() == _bessel_series_per_order(z, coeffs).tobytes()
+
     @pytest.mark.parametrize("spec", PERTURBATIONS)
     @pytest.mark.parametrize("observables", ["zz", "xx", "xz", "z,z+x/2"])
     @pytest.mark.parametrize("grid", [TimeGrid(-12.0, 12.0, 49), TimeGrid(5.0, 120.0, 192)])
@@ -380,6 +400,38 @@ class TestChebyshevCorrelator:
         op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])
         with pytest.raises(ModelError):
             correlator_krylov(op, SIGMA_X, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
+
+
+def _bessel_series_per_order(z, coeffs):
+    """The reference form of :func:`_bessel_series`: it seeds the columns by
+    testing ``starts == k`` and builds the 2^-500 overflow mask at every
+    order, and accumulates 2 J_k into the normalization order by order."""
+    x = np.abs(z)
+    tiny = x <= 1e-30
+    x = np.where(tiny, 1.0, x)
+    starts = dynamics._miller_start(x)
+    two_over_x = 2.0 / x
+    sums = np.zeros((2, len(z)), dtype=np.complex128)
+    norm = np.zeros(len(z))
+    above = np.zeros(len(z))
+    cur = np.zeros(len(z))
+    for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
+        cur[starts == k] = 1.0
+        if k < len(coeffs):
+            sums[k % 2] += coeffs[k] * cur
+        if k % 2 == 0:
+            norm += cur if k == 0 else 2.0 * cur
+        if k == 0:
+            break
+        below = (k * two_over_x) * cur - above
+        big = np.abs(below) > 2.0**500
+        if big.any():
+            for arr in (below, cur, sums[0], sums[1], norm):
+                arr[big] *= 2.0**-500
+        above, cur = cur, below
+    values = (sums[0] + np.sign(z) * sums[1]) / norm
+    values[tiny] = coeffs[0]
+    return values
 
 
 # the perturbed plan's N = 12 rows: field seed and Lanczos seed 100

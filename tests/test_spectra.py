@@ -75,6 +75,37 @@ class TestDenseSpectrum:
         assert mismatch is None, f"spectrum differs from its fixture {mismatch}"
 
 
+def chain_with(n: int, *specs: PerturbationSpec) -> Operator:
+    op = build_tc_hamiltonian(TCModelConfig(n, 0.5))
+    for spec in specs:
+        op = op + build_perturbation(n, spec)
+    return op.canonicalize()
+
+
+def chain_n8(perturbation: PerturbationSpec | str | None) -> Operator:
+    """The N = 8 chain of :func:`chain_with`, bare, with a perturbation, or
+    with the complex Dzyaloshinskii-Moriya bonds."""
+    if perturbation != "dzyaloshinskii_moriya":
+        return chain_with(8, *([perturbation] if perturbation else []))
+    bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
+    return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+
+
+HEISENBERG = PerturbationSpec("heisenberg_exchange", 0.05)
+Z_FIELD = PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3)
+# (operator, k): the N = 10 and 12 chains bare, with exchange and with a z
+# field, the complex N = 8 chain, and a solve that goes through thick restarts
+PARTIAL_REORTHOGONALIZATION_CASES = {
+    **{
+        f"n{n}_{name}": (chain_with(n, *specs), 4)
+        for n in (10, 12)
+        for name, specs in (("chain", ()), ("heisenberg", (HEISENBERG,)), ("z_field", (Z_FIELD,)))
+    },
+    "n8_dzyaloshinskii_moriya": (chain_n8("dzyaloshinskii_moriya"), 4),
+    "n10_heisenberg_restarts": (chain_with(10, HEISENBERG), 6),
+}
+
+
 class TestLanczos:
     def test_matches_dense_low_end(self):
         op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
@@ -201,9 +232,12 @@ class TestLanczos:
         assert np.max(np.abs(gram - np.eye(k))) < 1e-13
 
     def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
+        """No pass is repeated away from breakdowns, and Simon's estimate asks
+        for the pass against the Krylov basis at 9 of the 57 Lanczos steps,
+        where every step ran it before."""
         passes = count_repeated_passes(monkeypatch)
         lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
-        assert passes["calls"] > 50 and passes["repeated"] == 0
+        assert passes["basis"] == 9 and passes["repeated"] == 0
 
     def test_matvec_count_is_pinned(self, monkeypatch):
         """Each pair takes the Lanczos steps until its Ritz residual estimate
@@ -234,6 +268,33 @@ class TestLanczos:
             lan = lanczos_extremal(op, k=4, seed=100)
             assert np.array_equal(lan.residuals, tcspin.spectra._residuals(op, lan))
 
+    @pytest.mark.parametrize("op, k", PARTIAL_REORTHOGONALIZATION_CASES.values(), ids=PARTIAL_REORTHOGONALIZATION_CASES)
+    def test_basis_stays_orthogonal_to_eta_between_passes(self, monkeypatch, op, k):
+        """Every pass against the Krylov basis finds the basis orthonormal to
+        eta = min(sqrt(eps), tol / ||H||_1): the steps without a pass let it
+        drift no further than Simon's estimate allows."""
+        grams = record_basis_grams(monkeypatch)
+        tol = 1e-10
+        lan = lanczos_extremal(op, k=k, tol=tol, seed=100)
+        assert lan.n_converged == k
+        assert grams and max(grams) <= min(np.sqrt(np.finfo(float).eps), tol / max(1.0, op.one_norm()))
+
+    @pytest.mark.parametrize("op", [op for op, k in PARTIAL_REORTHOGONALIZATION_CASES.values() if k == 4])
+    def test_partial_reorthogonalization_matches_dense(self, op):
+        tol = 1e-10
+        lan = lanczos_extremal(op, k=4, tol=tol, seed=100)
+        assert lan.n_converged == 4
+        assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
+
+    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (31, 31, 1), (40, 40, 1), (60, 49, 2)])
+    def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
+        """The true-residual check of a pair counts against ``max_iter``: a
+        solve that runs out of budget stops at exactly ``max_iter`` matvecs."""
+        counter = count_matvecs(monkeypatch)
+        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(10, 0.5)), k=2, max_iter=max_iter, seed=0)
+        assert counter["matvecs"] == matvecs
+        assert lan.n_converged == converged
+
     def test_thick_restart_still_converges(self, monkeypatch):
         """Above the lowest two pairs of the N = 10 Heisenberg-0.05 chain the
         estimate does not reach tol within one 60-step cycle: those pairs go
@@ -258,15 +319,6 @@ class TestLanczos:
         assert np.max(np.abs(gram - np.eye(6))) < 1e-13
 
 
-def chain_n8(perturbation: PerturbationSpec | str | None) -> Operator:
-    """The N = 8 chain of :func:`chain_with`, bare, with a perturbation, or
-    with the complex Dzyaloshinskii-Moriya bonds."""
-    if perturbation != "dzyaloshinskii_moriya":
-        return chain_with(8, *([perturbation] if perturbation else []))
-    bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
-    return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
-
-
 def count_matvecs(monkeypatch) -> dict:
     """Count every Operator.matvec call in ``counter["matvecs"]``."""
     counter = {"matvecs": 0}
@@ -281,14 +333,16 @@ def count_matvecs(monkeypatch) -> dict:
 
 
 def count_repeated_passes(monkeypatch) -> dict:
-    """Wrap spectra's one Gram-Schmidt pass. ``calls`` counts the passes and
-    ``repeated`` those run on the output of the pass before, which only the
-    DGKS test does."""
+    """Wrap spectra's one Gram-Schmidt pass. ``calls`` counts the passes,
+    ``basis`` those against the Krylov basis (the locked vectors come first,
+    then the basis) and ``repeated`` those run on the output of the pass
+    before, which only the DGKS test does."""
     single_pass = tcspin.spectra._orthogonalize
-    passes = {"calls": 0, "repeated": 0, "last": None}
+    passes = {"calls": 0, "basis": 0, "repeated": 0, "last": None}
 
     def recording(w, *sets):
         passes["calls"] += 1
+        passes["basis"] += len(sets) > 1
         passes["repeated"] += w is passes["last"]
         passes["last"] = single_pass(w, *sets)
         return passes["last"]
@@ -297,11 +351,20 @@ def count_repeated_passes(monkeypatch) -> dict:
     return passes
 
 
-def chain_with(n: int, *specs: PerturbationSpec) -> Operator:
-    op = build_tc_hamiltonian(TCModelConfig(n, 0.5))
-    for spec in specs:
-        op = op + build_perturbation(n, spec)
-    return op.canonicalize()
+def record_basis_grams(monkeypatch) -> list:
+    """Wrap spectra's Gram-Schmidt pass; the list holds max |Q^H Q - I| of
+    the Krylov basis Q handed to each pass against it."""
+    single_pass = tcspin.spectra._orthogonalize
+    grams = []
+
+    def recording(w, *sets):
+        if len(sets) > 1:
+            q = sets[-1]
+            grams.append(float(np.max(np.abs(q.conj() @ q.T - np.eye(len(q))))))
+        return single_pass(w, *sets)
+
+    monkeypatch.setattr(tcspin.spectra, "_orthogonalize", recording)
+    return grams
 
 
 # x_masks spanning a chosen GF(2) rank on 6 sites: 0 (diagonal), 1, 2, 4 and 6
