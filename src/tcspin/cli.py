@@ -148,6 +148,10 @@ class InitialState:
 class Oscillation:
     max_peaks: int = 8
 
+    def __post_init__(self) -> None:
+        if self.max_peaks < 1:
+            raise ValueError(f"max_peaks must be >= 1, got {self.max_peaks}")
+
 
 @dataclass(frozen=True)
 class SpectrumOutput:
@@ -220,7 +224,7 @@ def _resolve_config(raw, command: str):
     """The ``command`` config read from ``raw``, and its normalized JSON form.
 
     Sections are checked on their own while they are read; the checks that
-    span sections (a Hermitian Hamiltonian, the dense cap, the basis index,
+    span sections (Hermitian H and A, the dense cap, the basis index,
     the spectral route's need for an eigenstate) follow here. Every command
     but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a malformed value
     is a config error before anything runs. ``correlate`` routes its point
@@ -254,7 +258,8 @@ def _resolve_config(raw, command: str):
         if cfg.solver.method == "dense" and n > cap:
             raise ConfigError(f"dense solver at N={n} exceeds the dense cap {cap}")
     elif command == "correlate":
-        _observable(cfg, op.n_sites)
+        if not _observable(cfg, op.n_sites).is_hermitian():
+            raise ConfigError("the observable is not Hermitian: a term has a complex weight")
         spectral = cfg.solver.method in ("spectral", "both")
         state = cfg.initial_state
         if state.type == "basis" and not 0 <= state.index < (1 << op.n_sites):

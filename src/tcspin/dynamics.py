@@ -1,16 +1,17 @@
 """Two-time correlation functions and oscillation-content analysis.
 
-Correlators are C(t) = <psi| A(t) B(0) |psi> with A(t) = e^{iHt} A e^{-iHt}
-and hbar = 1, so every frequency is an energy gap. Independent routes are
-provided: an exact spectral (Lehmann) summation over the dense eigenbasis,
-and two matrix-free routes for sizes the dense path cannot reach. Both rest
-on one Chebyshev expansion of e^{-iHt} over a Gershgorin window of H, cut a
-priori by a Bessel tail bound. An eigenstate correlator is one moment sum
+Correlators are autocorrelators of one Hermitian observable A,
+C(t) = <psi| A(t) A |psi> with A(t) = e^{iHt} A e^{-iHt} and hbar = 1, so
+every frequency is an energy gap. Independent routes are provided: an exact
+spectral (Lehmann) summation over the dense eigenbasis, and two matrix-free
+routes for sizes the dense path cannot reach. Both rest on one Chebyshev
+expansion of e^{-iHt} over a Gershgorin window of H, cut a priori by a
+Bessel tail bound. An eigenstate correlator is one moment sum
 (:func:`correlator_krylov`), run only on the invariant cosets of H that
-carry both A^dag psi and B psi, over the window of those rows; the cosets it
-leaves out and the cut series share one error budget. :func:`evolve` and the
-correlator of an arbitrary state (:func:`correlator_krylov_general`) apply
-the expansion to full vectors, one fixed-dt propagator per time step.
+carry A psi, over the window of those rows; the cosets it leaves out and
+the cut series share one error budget. :func:`evolve` and the correlator
+of an arbitrary state (:func:`correlator_krylov_general`) apply the
+expansion to full vectors, one fixed-dt propagator per time step.
 """
 
 from __future__ import annotations
@@ -122,14 +123,17 @@ class OscillationReport:
         )
 
 
-def _check_operands(op: Operator, psi: StateVector, *operators: Operator, hermitian: bool = True) -> None:
-    """DimensionError unless psi and ``operators`` act on op's sites, then
-    ModelError for a non-Hermitian op when ``hermitian``: e^{-iHt} is then
-    not unitary, and every bound of this module assumes it is."""
-    if any(o.n_sites != op.n_sites for o in operators):
-        raise DimensionError("A, B and H must act on the same number of sites")
+def _check_operands(op: Operator, psi: StateVector, a: Operator | None = None, hermitian: bool = True) -> None:
+    """DimensionError unless psi and the observable ``a`` act on op's sites,
+    then ModelError for a non-Hermitian ``a`` (the correlators read
+    <psi|A as (A psi)^dag), and for a non-Hermitian op when ``hermitian``:
+    e^{-iHt} is then not unitary, and every bound of this module assumes it is."""
+    if a is not None and a.n_sites != op.n_sites:
+        raise DimensionError("A and H must act on the same number of sites")
     if psi.n_sites != op.n_sites:
         raise DimensionError("state and operators act on different site counts")
+    if a is not None and not a.is_hermitian():
+        raise ModelError("the observable A must be Hermitian")
     if hermitian and not op.is_hermitian():
         raise ModelError("time evolution requires a Hermitian operator")
 
@@ -146,33 +150,31 @@ def correlator_spectral(
     op: Operator,
     spectrum: SpectrumResult,
     a: Operator,
-    b: Operator,
     psi: StateVector,
     grid: TimeGrid,
 ) -> CorrelationSeries:
     """Exact Lehmann summation over the full dense spectrum of ``op``.
 
-    C(t) = sum_n <psi|A|n><n|B|psi> e^{-i (E_n - E_psi) t}, with E_n and |n>
+    C(t) = sum_n |<n|A|psi>|^2 e^{-i (E_n - E_psi) t}, with E_n and |n>
     read from ``spectrum`` (a :class:`~tcspin.spectra.SpectrumResult` holding
     every eigenpair of ``op``, as :func:`~tcspin.spectra.dense_spectrum`
-    returns it). The sum runs only over the pairs whose block meets both
-    A^dag psi and B psi, the others having weight zero: for m_z on the
-    chain's ground state, the 4 levels of its block. psi must be an
-    eigenstate of ``op`` (checked by residual); E_psi = <psi|H|psi> comes
-    from one matvec. Hermiticity is left to the solver of ``spectrum``
-    (:func:`~tcspin.spectra.dense_spectrum` checks it).
+    returns it). The sum runs only over the pairs whose block meets A psi,
+    the others having weight zero: for m_z on the chain's ground state, the
+    4 levels of its block. psi must be an eigenstate of ``op`` (checked by
+    residual); E_psi = <psi|H|psi> comes from one matvec. The Hermiticity of
+    ``op`` is left to the solver of ``spectrum``
+    (:func:`~tcspin.spectra.dense_spectrum` checks it); a non-Hermitian
+    ``a`` raises ModelError.
     """
-    _check_operands(op, psi, a, b, hermitian=False)
+    _check_operands(op, psi, a, hermitian=False)
     if spectrum.n_sites != op.n_sites or spectrum.n_pairs != 1 << op.n_sites:
         raise DimensionError("the spectral route needs every eigenpair of H")
     e_psi = float(np.vdot(psi.amplitudes, op.matvec(psi.amplitudes)).real)
     _check_eigenstate(op, psi, e_psi)
 
-    w = a.dagger().matvec(psi.amplitudes)  # <psi|A = (A^dag psi)^dag
-    phi = b.matvec(psi.amplitudes)
-    # a pair outside the blocks that both w and phi meet has weight 0
-    pairs, amp_a, amp_b = spectrum.overlaps(w, phi)  # <psi|A|n>, <B psi|n>
-    weights = amp_a * amp_b.conj()
+    # a pair outside the blocks that A psi meets has weight 0
+    pairs, amps = spectrum.overlaps(a.matvec(psi.amplitudes))  # <psi|A|n>
+    weights = amps * amps.conj()
     gaps = spectrum.eigenvalues[pairs] - e_psi
     times = grid.times()
     values = np.zeros(len(times), dtype=np.complex128)
@@ -278,30 +280,25 @@ def _chebyshev_vectors(matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float
 
 
 def _chebyshev_moments(
-    matvec, w: np.ndarray, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
+    matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
 ) -> np.ndarray:
-    """mu_k = <w|T_k(H~)|phi> for k = 0 .. order.
+    """mu_k = <phi|T_k(H~)|phi> for k = 0 .. order.
 
-    When w is phi, T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k+1 T_k - T_1 give two
-    moments per vector (Weisse et al., Rev. Mod. Phys. 78, 275 (2006),
-    Sec. II), so ceil(order / 2) matvecs do, counting the one that made
-    ``h_phi``; otherwise order matvecs.
+    T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k+1 T_k - T_1 give two moments per
+    vector (Weisse et al., Rev. Mod. Phys. 78, 275 (2006), Sec. II), so
+    ceil(order / 2) matvecs do, counting the one that made ``h_phi``.
     """
     mu = np.empty(order + 1, dtype=np.complex128)
     vectors = _chebyshev_vectors(matvec, phi, h_phi, centre, half_width)
-    if np.array_equal(w, phi):
-        prev = next(vectors)
-        mu[0] = np.vdot(prev, prev)
-        for k in range(1, (order + 1) // 2 + 1):
-            cur = next(vectors)
-            overlap = np.vdot(cur, prev)
-            mu[2 * k - 1] = overlap if k == 1 else 2.0 * overlap - mu[1]
-            if 2 * k <= order:
-                mu[2 * k] = 2.0 * np.vdot(cur, cur) - mu[0]
-            prev = cur
-    else:
-        for k, vec in zip(range(order + 1), vectors):
-            mu[k] = np.vdot(w, vec)
+    prev = next(vectors)
+    mu[0] = np.vdot(prev, prev)
+    for k in range(1, (order + 1) // 2 + 1):
+        cur = next(vectors)
+        overlap = np.vdot(cur, prev)
+        mu[2 * k - 1] = overlap if k == 1 else 2.0 * overlap - mu[1]
+        if 2 * k <= order:
+            mu[2 * k] = 2.0 * np.vdot(cur, cur) - mu[0]
+        prev = cur
     return mu
 
 
@@ -397,62 +394,62 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
 def correlator_krylov(
     op: Operator,
     a: Operator,
-    b: Operator,
     psi: StateVector,
     e_psi: float,
     grid: TimeGrid,
     step_tol: float = 1e-10,
 ) -> CorrelationSeries:
-    """C(t) = e^{+i E_psi t} <psi| A e^{-iHt} B |psi> from Chebyshev moments.
+    """C(t) = e^{+i E_psi t} <psi| A e^{-iHt} A |psi> from Chebyshev moments.
 
-    The workhorse for sizes beyond the dense cap. With w = A^dag psi,
-    phi = B psi and H~ = (H - c) / a on the window of :func:`_window`,
+    The workhorse for sizes beyond the dense cap. With phi = A psi (A is
+    Hermitian, so <psi|A = phi^dag) and H~ = (H - c) / a on the window of
+    :func:`_window`,
 
         C(t) = e^{i (E_psi - c) t} sum_k (2 - delta_k0) (-i)^k J_k(a t) mu_k,
-        mu_k = <w|T_k(H~)|phi>
+        mu_k = <phi|T_k(H~)|phi>
 
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)), so one moment
-    recursion serves every sample: about a * max|t| / 2 matvecs when A = B is
-    Hermitian (moment doubling), a * max|t| otherwise.
+    recursion serves every sample: about a * max|t| / 2 matvecs, with
+    moment doubling.
 
     The truncation error of every sample is bounded a priori by
     B = (n_samples - 1) * ``step_tol``, spent in two parts:
 
     * d, on cosets left out. H is block diagonal on the invariant cosets of
       its flip masks (:func:`~tcspin.spectra.invariant_blocks`), so
-      e^{-iHt} is too, and a coset moves every C(t) by at most
-      ||w_c|| ||phi_c||. Those products are dropped in ascending order while
-      their sum d stays <= B / 2 (all of them when no coset carries both w
-      and phi: the series is then 0 with no matvec). The rest runs on the
-      kept cosets stacked into one flat vector, with H restricted to them
+      e^{-iHt} is too, and a coset moves every C(t) by at most ||phi_c||^2.
+      Those masses are dropped in ascending order while their sum d stays
+      <= B / 2 (all of them when phi = 0: the series is then 0 with no
+      matvec past it). The rest runs on the kept cosets stacked into one
+      flat vector, with H restricted to them
       (:func:`~tcspin.spectra.coset_groups`) and a the half-width of the
       Gershgorin window of their rows alone: for m_z on the z-field chain's
       ground state that is one coset of 4 states. When nothing is dropped
       the recursion runs on the full vectors and H's own compiled groups.
-    * B - d, on the kept part. |mu_k| <= ||w|| ||phi||, and the series stops
-      at the order :func:`_chebyshev_order` gives for z = a max|t|, scale
-      ||w|| ||phi|| and budget B - d. Shortcut: one matvec gives
+    * B - d, on the kept part. |mu_k| <= ||phi||^2, and the series stops at
+      the order :func:`_chebyshev_order` gives for z = a max|t|, scale
+      ||phi||^2 and budget B - d. Shortcut: one matvec gives
       alpha = <phi|H|phi> / <phi|phi> and r = ||(H - alpha) phi||. If
-      ||w|| max|t| r <= B - d, phi is an eigenvector to that accuracy
-      (Duhamel) and C(t) = <w|phi> e^{i (E_psi - alpha) t}.
+      ||phi|| max|t| r <= B - d, phi is an eigenvector to that accuracy
+      (Duhamel) and C(t) = <phi|phi> e^{i (E_psi - alpha) t}.
 
-    When psi has no imaginary part and H, A and B are real, w, phi and the
-    moment recursion stay float64; only the Bessel sum is complex.
+    When psi has no imaginary part and H and A are real, phi and the moment
+    recursion stay float64; only the Bessel sum is complex.
 
-    Raises ModelError for a non-Hermitian ``op``.
+    Raises ModelError for a non-Hermitian ``op`` or ``a``.
     """
     _check_step_tol(step_tol)
-    _check_operands(op, psi, a, b)
+    _check_operands(op, psi, a)
     _check_eigenstate(op, psi, e_psi)
 
     amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
-    w = a.dagger().matvec(amps)  # <psi|A = (A^dag psi)^dag
-    phi = b.matvec(amps)
+    phi = a.matvec(amps)
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol
     blocks = invariant_blocks(op)
-    mass = np.linalg.norm(w[blocks], axis=1) * np.linalg.norm(phi[blocks], axis=1)
+    norms = np.linalg.norm(phi[blocks], axis=1)
+    mass = norms * norms
     by_mass = np.argsort(mass, kind="stable")
     dropped = np.cumsum(mass[by_mass])
     n_dropped = int(np.searchsorted(dropped, 0.5 * budget, side="right"))
@@ -463,18 +460,17 @@ def correlator_krylov(
         budget -= dropped[n_dropped - 1]
         kept = blocks[np.sort(by_mass[n_dropped:])]
         groups = coset_groups(op, kept)
-        w, phi = w[kept].ravel(), phi[kept].ravel()
+        phi = phi[kept].ravel()
     matvec = functools.partial(apply_groups, groups)
-    norm_w = float(np.linalg.norm(w))
     norm_phi = float(np.linalg.norm(phi))
     h_phi = matvec(phi)
     alpha = float(np.vdot(phi, h_phi).real) / norm_phi**2 if norm_phi else 0.0
-    if norm_w * t_max * float(np.linalg.norm(h_phi - alpha * phi)) <= budget:
-        values = np.vdot(w, phi) * np.exp(1j * (e_psi - alpha) * times)
+    if norm_phi * t_max * float(np.linalg.norm(h_phi - alpha * phi)) <= budget:
+        values = np.vdot(phi, phi) * np.exp(1j * (e_psi - alpha) * times)
     else:
         centre, half_width = _window(gershgorin_interval(groups))
-        order, _ = _chebyshev_order(half_width * t_max, norm_w * norm_phi, budget)
-        mu = _chebyshev_moments(matvec, w, phi, h_phi, centre, half_width, order)
+        order, _ = _chebyshev_order(half_width * t_max, norm_phi * norm_phi, budget)
+        mu = _chebyshev_moments(matvec, phi, h_phi, centre, half_width, order)
         coeffs = mu * _expansion_weights(order)
         values = _bessel_series(half_width * times, coeffs) * np.exp(1j * (e_psi - centre) * times)
     return CorrelationSeries(grid=grid, values=values, method="krylov")
@@ -483,12 +479,11 @@ def correlator_krylov(
 def correlator_krylov_general(
     op: Operator,
     a: Operator,
-    b: Operator,
     psi: StateVector,
     grid: TimeGrid,
     step_tol: float = 1e-10,
 ) -> CorrelationSeries:
-    """C(t) = <psi(t)| A |chi(t)> with chi = B psi, for an arbitrary state.
+    """C(t) = <psi(t)| A |chi(t)> with chi = A psi, for an arbitrary state.
 
     Two trajectories are propagated instead of one, lifting the eigenstate
     requirement of :func:`correlator_krylov` (needed e.g. for a superposition
@@ -501,26 +496,25 @@ def correlator_krylov_general(
     is split evenly over the m propagations of each trajectory: each is cut
     at B / 2m times the norm it moves. The cut is the same at every step, so
     its errors can add up coherently, but a trajectory stays within B / 2 of
-    exact relative to its norm, and |Delta C| <= B ||A|| ||psi|| ||B psi||
+    exact relative to its norm, and |Delta C| <= B ||A|| ||psi|| ||A psi||
     to first order in B.
 
-    Raises ModelError for a non-Hermitian ``op``.
+    Raises ModelError for a non-Hermitian ``op`` or ``a``.
     """
     _check_step_tol(step_tol)
-    _check_operands(op, psi, a, b)
+    _check_operands(op, psi, a)
     budget = (grid.n_samples - 1) * step_tol
     cut = budget / (2 * (grid.n_samples - 1 + (grid.t_start != 0.0)))
-    a_dag = a.dagger()
-    top, chi = psi.amplitudes, b.matvec(psi.amplitudes)
+    top, chi = psi.amplitudes, a.matvec(psi.amplitudes)
     if grid.t_start != 0.0:
         jump = _propagator(op, grid.t_start, cut)
         top, chi = jump(top), jump(chi)
     step = _propagator(op, grid.spacing, cut)
     values = np.empty(grid.n_samples, dtype=np.complex128)
-    values[0] = np.vdot(a_dag.matvec(top), chi)
+    values[0] = np.vdot(a.matvec(top), chi)
     for i in range(1, grid.n_samples):
         top, chi = step(top), step(chi)
-        values[i] = np.vdot(a_dag.matvec(top), chi)
+        values[i] = np.vdot(a.matvec(top), chi)
     return CorrelationSeries(grid=grid, values=values, method="krylov_general")
 
 

@@ -112,10 +112,6 @@ class PauliString:
         """i^{#Y}, the phase relating X^x Z^z bit action to the letter product."""
         return _I_POWER[self.y_count % 4]
 
-    def conjugated(self) -> "PauliString":
-        """The Hermitian conjugate (letters are self-adjoint, so conj the weight)."""
-        return PauliString(self.n_sites, self.x_mask, self.z_mask, self.coeff.conjugate())
-
     def __repr__(self) -> str:
         return f"PauliString({self.coeff!r} * {self.letters()})"
 
@@ -190,14 +186,6 @@ class Operator:
         canon = self.canonicalize()
         scale = max((abs(t.coeff) for t in canon.terms), default=1.0)
         return all(abs(t.coeff.imag) <= tol * max(1.0, scale) for t in canon.terms)
-
-    def dagger(self) -> "Operator":
-        """The Hermitian conjugate: ``self`` when every weight has imaginary
-        part exactly 0 (it is then equal term for term, and keeps its
-        compiled groups), else a new operator with conjugated weights."""
-        if not any(t.coeff.imag for t in self.terms):
-            return self
-        return Operator(self.n_sites, tuple(t.conjugated() for t in self.terms))
 
     def one_norm(self) -> float:
         """Sum of |coeff| over canonical terms; an upper bound on the operator norm."""

@@ -28,7 +28,7 @@ class SpectrumResult:
     case, ``blocks = arange(2^N)[None]``. Each read has one method:
     :meth:`vector` and :meth:`state` scatter one eigenvector on demand,
     :meth:`amplitudes` reads one basis amplitude of every pair, and
-    :meth:`overlaps` reads only the blocks that some states all meet.
+    :meth:`overlaps` reads only the blocks that one state meets.
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| computed with the matrix-free
     matvec (on the Lanczos route, the check that accepted the pair). Both
@@ -72,17 +72,16 @@ class SpectrumResult:
         block, position = np.argwhere(self.blocks == index)[0]
         return np.where(self.block_of == block, self.coeffs[:, position], 0)
 
-    def overlaps(self, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The pairs i whose block meets every one of ``vectors`` (ascending),
-        then <vector|v_i> for each vector; only those blocks are read."""
-        met = np.logical_and.reduce([np.any(v[self.blocks] != 0, axis=1) for v in vectors])
+    def overlaps(self, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i whose block meets ``vector`` (ascending), and
+        <vector|v_i> for each; only those blocks are read."""
+        met = np.any(vector[self.blocks] != 0, axis=1)
         pairs = np.flatnonzero(met[self.block_of])
-        out = [np.empty(len(pairs), dtype=np.result_type(self.coeffs, v)) for v in vectors]
+        out = np.empty(len(pairs), dtype=np.result_type(self.coeffs, vector))
         for b in np.flatnonzero(met):
             members = self.block_of[pairs] == b
-            for o, v in zip(out, vectors):
-                o[members] = self.coeffs[pairs[members]] @ v[self.blocks[b]].conj()
-        return pairs, *out
+            out[members] = self.coeffs[pairs[members]] @ vector[self.blocks[b]].conj()
+        return pairs, out
 
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (consecutive gap < CLUSTER_TOL)."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Literal
 
@@ -58,6 +57,8 @@ def check_lanczos_keys(section) -> None:
         raise ConfigError(f"lanczos_tol must be finite and > 0, got {section.lanczos_tol}")
     if section.lanczos_max_iter < 1:
         raise ConfigError(f"lanczos_max_iter must be >= 1, got {section.lanczos_max_iter}")
+    if section.lanczos_seed < 0:
+        raise ConfigError(f"lanczos_seed must be >= 0, got {section.lanczos_seed}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,8 @@ class SolverSettings:
         check_lanczos_keys(self)
         if not self.step_tol > 0:
             raise PlanError(f"step_tol must be > 0, got {self.step_tol}")
+        if self.max_peaks < 1:
+            raise PlanError(f"max_peaks must be >= 1, got {self.max_peaks}")
 
 
 @dataclass(frozen=True)
@@ -341,11 +344,11 @@ def run_point(
         if method == "spectral":
             if spectrum is None:
                 raise TcspinError("the spectral correlator needs a dense spectrum and an eigenstate")
-            series[method] = correlator_spectral(op, spectrum, observable, observable, psi, grid)
+            series[method] = correlator_spectral(op, spectrum, observable, psi, grid)
         elif energy is not None:
-            series[method] = correlator_krylov(op, observable, observable, psi, energy, grid, step_tol=settings.step_tol)
+            series[method] = correlator_krylov(op, observable, psi, energy, grid, step_tol=settings.step_tol)
         else:
-            series[method] = correlator_krylov_general(op, observable, observable, psi, grid, step_tol=settings.step_tol)
+            series[method] = correlator_krylov_general(op, observable, psi, grid, step_tol=settings.step_tol)
     report = extract_oscillation(series[methods[0]], max_peaks=settings.max_peaks)
     gap_consistent = None
     if dense and energy is not None and abs(energy - float(spectrum.eigenvalues[0])) <= 1e-8:
@@ -442,6 +445,8 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> list[SweepRecord]:
             points.setdefault((op, row.axis, row.initial_state, row.solver), []).append(row)
         row.wall_time_s = time.perf_counter() - t0
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # a 1-worker run never loads it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda point: _run_rows(*point, plan), _drain(points)))
     else:

@@ -591,6 +591,19 @@ REJECTED_UP_FRONT = {
     "correlate_lanczos_max_iter_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_max_iter=0)),
     "plan_lanczos_tol_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_tol=-1e-10)),
     "plan_lanczos_max_iter_zero": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_max_iter=0)),
+    "spectrum_lanczos_seed_negative": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "lanczos_seed": -1},
+    },
+    "correlate_lanczos_seed_negative": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_seed=-1)),
+    "plan_lanczos_seed_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_seed=-1)),
+    "correlate_max_peaks_zero": _edited(CORRELATE_DOC, lambda d: d.update(oscillation={"max_peaks": 0})),
+    "plan_max_peaks_zero": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(max_peaks=0)),
+    "correlate_observable_non_hermitian": _edited(
+        CORRELATE_DOC,
+        lambda d: d.update(observable={"type": "pauli_terms", "terms": [{"coeff": [0.0, 1.0], "letters": "ZIIIII"}]}),
+    ),
     "baseline_hbar": {
         "command": "baseline",
         "oscillator": {"n_values": [2, 4], "hbar": 0.0},

@@ -346,30 +346,6 @@ class TestHermiticity:
         assert op.is_hermitian()
 
 
-class TestDagger:
-    # real weights on strings with one Y each: the compiled groups are complex
-    DM_BONDS = Operator.from_label_terms([(0.1, "XYII"), (-0.1, "YXII"), (0.1, "IXYI"), (-0.1, "IYXI")])
-
-    def test_real_weights_give_self(self):
-        chain = build_tc_hamiltonian(TCModelConfig(6, 0.5))
-        assert chain.dagger() is chain
-        assert self.DM_BONDS.dagger() is self.DM_BONDS
-        mat = to_dense(self.DM_BONDS)
-        assert mat.dtype == np.complex128
-        assert np.array_equal(mat.conj().T, mat)
-
-    def test_complex_weights_are_conjugated(self):
-        op = Operator.from_label_terms([(0.1j, "XZII"), (0.3 - 0.2j, "IYZI"), (0.7, "ZZII")])
-        dag = op.dagger()
-        assert dag is not op
-        assert [t.coeff for t in dag.terms] == [-0.1j, 0.3 + 0.2j, 0.7]
-        assert np.allclose(to_dense(dag), to_dense(op).conj().T, atol=1e-15)
-
-    def test_negative_zero_imaginary_part_counts_as_real(self):
-        op = Operator(2, (PauliString(2, 1, 2, complex(0.5, -0.0)),))
-        assert op.dagger() is op
-
-
 class TestSerialization:
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=63))
     @settings(max_examples=40, deadline=None)

@@ -477,15 +477,6 @@ class TestInvariantBlocks:
                 assert amplitudes.dtype == spec.coeffs.dtype
                 assert np.array_equal(amplitudes, vectors[:, index])
 
-    def test_overlaps_of_two_vectors_share_their_blocks(self):
-        # m_x moves the ground state out of its block, so no block meets both
-        spec = dense_spectrum(self.OPERATORS["z_field"]())
-        phi_z, phi_x = (magnetization_operator(8, axis).matvec(spec.vector(0)) for axis in "zx")
-        pairs, amps_z, amps_z_again = spec.overlaps(phi_z, phi_z)
-        assert len(pairs) == 4 and np.array_equal(amps_z, amps_z_again)
-        pairs, amps_z, amps_x = spec.overlaps(phi_z, phi_x)
-        assert len(pairs) == len(amps_z) == len(amps_x) == 0
-
     def test_n_converged_is_the_pair_count(self):
         spec = dense_spectrum(self.OPERATORS["chain"]())
         assert spec.n_converged == spec.n_pairs == 256
