@@ -1,6 +1,7 @@
 """Correlators (spectral vs Krylov), Krylov propagation, oscillation analysis."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ PERTURBATIONS = [
 ]
 
 
+def _observable(n, name):
+    """m_axis for an axis name; "z+x/2" is the Hermitian sum m_z + m_x/2,
+    which moves psi into its own coset and into others at once."""
+    if name != "z+x/2":
+        return magnetization_operator(n, name)
+    m_x = magnetization_operator(n, "x")
+    return magnetization_operator(n, "z") + Operator(n, tuple(replace(t, coeff=0.5 * t.coeff) for t in m_x.terms))
+
+
 def _full_lehmann(op, a, psi, times):
     """C(t) from every eigenpair of the full matrix: the oracle of the block sum."""
     h = to_dense(op)
@@ -215,6 +225,8 @@ class TestSpectralCorrelatorBlocks:
         [
             (0.5, "ground", "z"),  # one block of 4
             (0.5, "ground", "x"),  # m_x moves psi into other cosets
+            (0.5, "ground", "y"),  # complex A psi from a real psi
+            (0.5, "ground", "z+x/2"),  # A psi in psi's coset and in others
             (0.0, 0b010110, "x"),  # a basis eigenstate, degenerate clusters across blocks
         ],
     )
@@ -222,7 +234,7 @@ class TestSpectralCorrelatorBlocks:
         op = build_tc_hamiltonian(TCModelConfig(6, j))
         spec = dense_spectrum(op)
         psi = spec.state(0).normalized() if state == "ground" else StateVector.basis_state(6, state)
-        m = magnetization_operator(6, axis)
+        m = _observable(6, axis)
         series = correlator_spectral(op, spec, m, psi, self.GRID)
         assert np.max(np.abs(series.values - _full_lehmann(op, m, psi, self.GRID.times()))) < 1e-12
 
@@ -277,13 +289,13 @@ class TestChebyshevCorrelator:
         assert _bessel_series(z, coeffs).tobytes() == _bessel_series_per_order(z, coeffs).tobytes()
 
     @pytest.mark.parametrize("spec", PERTURBATIONS)
-    @pytest.mark.parametrize("axis", ["z", "x"])
+    @pytest.mark.parametrize("axis", ["z", "x", "y", "z+x/2"])
     @pytest.mark.parametrize("grid", [TimeGrid(-12.0, 12.0, 49), TimeGrid(5.0, 120.0, 192)])
     def test_agrees_with_spectral_route_within_budget(self, spec, axis, grid):
         op = _chain(8, spec)
         spectrum = dense_spectrum(op)
         psi = spectrum.state(0).normalized()
-        m = magnetization_operator(8, axis)
+        m = _observable(8, axis)
         step_tol = 1e-10
         chebyshev = correlator_krylov(op, m, psi, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
         spectral = correlator_spectral(op, spectrum, m, psi, grid)
@@ -593,6 +605,21 @@ class TestOperandChecks:
                 correlator_krylov(op, a, psi, float(spectrum.eigenvalues[0]), self.GRID)
             else:
                 correlator_krylov_general(op, a, psi, self.GRID)
+
+    @pytest.mark.parametrize("route", ["spectral", "krylov", "krylov_general"])
+    def test_correlators_accept_real_weights_on_y_strings(self, route):
+        # Hermitian, with a complex matrix: the observable check must not refuse it
+        op = build_tc_hamiltonian(TCModelConfig(4, 0.5))
+        spectrum = dense_spectrum(op)
+        psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        a = Operator.from_label_terms([(0.1, "XYII"), (-0.1, "YXII"), (0.1, "IXYI"), (-0.1, "IYXI")])
+        if route == "spectral":
+            series = correlator_spectral(op, spectrum, a, psi, self.GRID)
+        elif route == "krylov":
+            series = correlator_krylov(op, a, psi, energy, self.GRID, step_tol=1e-12)
+        else:
+            series = correlator_krylov_general(op, a, psi, self.GRID, step_tol=1e-12)
+        assert np.max(np.abs(series.values - _full_lehmann(op, a, psi, self.GRID.times()))) < 1e-9
 
     def test_evolve_rejects_a_site_count_mismatch(self):
         with pytest.raises(DimensionError):

@@ -467,6 +467,17 @@ class TestInvariantBlocks:
         assert np.array_equal(np.flatnonzero(full), pairs)
         assert np.max(np.abs(amps - full[pairs])) < 1e-15
 
+    def test_overlaps_of_vectors_in_other_blocks_are_disjoint(self):
+        # m_x moves the ground state out of its block, m_z keeps it there
+        spec = dense_spectrum(self.OPERATORS["z_field"]())
+        phi_z, phi_x = (magnetization_operator(8, axis).matvec(spec.vector(0)) for axis in "zx")
+        pairs_z, _ = spec.overlaps(phi_z)
+        pairs_x, amps_x = spec.overlaps(phi_x)
+        assert len(pairs_z) == 4 and len(pairs_x) > 0
+        assert not set(spec.block_of[pairs_z]) & set(spec.block_of[pairs_x])
+        full = dense_vectors(spec) @ phi_x.conj()
+        assert np.max(np.abs(amps_x - full[pairs_x])) < 1e-15
+
     @pytest.mark.parametrize("name", BLOCK_BUILDS)
     def test_amplitudes_are_the_columns_of_the_full_vectors(self, name):
         op = self.OPERATORS[name]()
