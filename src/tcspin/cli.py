@@ -249,12 +249,16 @@ def _resolve_config(raw, command: str):
         op = _hamiltonian(cfg)
         if not op.is_hermitian():
             raise ConfigError("the Hamiltonian (model plus perturbations) is not Hermitian: a term has a complex weight")
-    if command == "spectrum":
         n = op.n_sites
-        if cfg.solver.method == "lanczos" and cfg.solver.lanczos_k > (1 << n):
+        if command == "spectrum":
+            lanczos = cfg.solver.method == "lanczos"
+        else:  # above the cap, the states that need a spectrum take it from Lanczos
+            lanczos = n > cap and cfg.initial_state.type in ("ground", "ghz_pair")
+        if lanczos and cfg.solver.lanczos_k > (1 << n):
             raise ConfigError(
                 f"config.solver.lanczos_k={cfg.solver.lanczos_k} is not in [1, {1 << n}], the Hilbert-space dimension"
             )
+    if command == "spectrum":
         if cfg.solver.method == "dense" and n > cap:
             raise ConfigError(f"dense solver at N={n} exceeds the dense cap {cap}")
     elif command == "correlate":
@@ -395,12 +399,12 @@ def cmd_sweep(cfg: SweepConfig, resolved: dict, out_dir: Path, workers: int) -> 
 # ---------------------------------------------------------------------------
 
 def _load_config(args: argparse.Namespace, command: str) -> dict:
-    if args.config is not None:
-        text = Path(args.config).read_text()
-    elif command == "validate":
-        text = sys.stdin.read()
-    else:
+    if args.config is None and command != "validate":
         raise ConfigError(f"--config is required for the {command} command")
+    try:
+        text = sys.stdin.read() if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read the config: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -443,12 +447,15 @@ def main(argv: list[str] | None = None) -> int:
             print(f"ok {config_hash(resolved)}")
             return EXIT_OK
         cfg, resolved = _resolve_config(raw, args.command)
-    except (ConfigError, FileNotFoundError) as exc:
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. --out names a file
+            raise ConfigError(f"cannot create --out {args.out}: {exc}") from exc
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if args.command == "spectrum":
             return cmd_spectrum(cfg, resolved, out_dir)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, EigenstateError, ModelError
 from .pauli import Operator, StateVector, apply_groups, gershgorin_interval, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
-from .spectra import SpectrumResult, coset_groups, invariant_blocks
+from .spectra import SpectrumResult
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
 
@@ -416,13 +416,14 @@ def correlator_krylov(
     B = (n_samples - 1) * ``step_tol``, spent in two parts:
 
     * d, on cosets left out. H is block diagonal on the invariant cosets of
-      its flip masks (:func:`~tcspin.spectra.invariant_blocks`), so
-      e^{-iHt} is too, and a coset moves every C(t) by at most ||phi_c||^2.
+      its flip masks (:attr:`~tcspin.pauli.Operator.flip_span`, one per
+      operator, which the dense route reads too), so e^{-iHt} is too, and a
+      coset moves every C(t) by at most ||phi_c||^2.
       Those masses are dropped in ascending order while their sum d stays
       <= B / 2 (all of them when phi = 0: the series is then 0 with no
       matvec past it). The rest runs on the kept cosets stacked into one
       flat vector, with H restricted to them
-      (:func:`~tcspin.spectra.coset_groups`) and a the half-width of the
+      (:meth:`~tcspin.pauli.FlipSpan.restrict`) and a the half-width of the
       Gershgorin window of their rows alone: for m_z on the z-field chain's
       ground state that is one coset of 4 states. When nothing is dropped
       the recursion runs on the full vectors and H's own compiled groups.
@@ -447,7 +448,7 @@ def correlator_krylov(
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol
-    blocks = invariant_blocks(op)
+    blocks = op.flip_span.cosets
     norms = np.linalg.norm(phi[blocks], axis=1)
     mass = norms * norms
     by_mass = np.argsort(mass, kind="stable")
@@ -459,7 +460,7 @@ def correlator_krylov(
     if n_dropped:
         budget -= dropped[n_dropped - 1]
         kept = blocks[np.sort(by_mass[n_dropped:])]
-        groups = coset_groups(op, kept)
+        groups = op.flip_span.restrict(groups, kept)
         phi = phi[kept].ravel()
     matvec = functools.partial(apply_groups, groups)
     norm_phi = float(np.linalg.norm(phi))

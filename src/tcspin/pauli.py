@@ -16,7 +16,7 @@ Conventions, used everywhere in this package:
   Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec``, the dense route's
   block matrices and ``to_dense`` all read that form, and
   :func:`apply_groups` applies it, or its restriction to some invariant
-  cosets, to a vector.
+  cosets of :attr:`Operator.flip_span` (read from the terms), to a vector.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -130,6 +130,85 @@ def strings_commute(a: PauliString, b: PauliString) -> bool:
 
 
 @dataclass(frozen=True)
+class FlipSpan:
+    """The GF(2) span of flip masks; a string with mask x maps s only to
+    s ^ x, so an operator leaves each coset of its span invariant. ``masks``
+    are the distinct masks, ascending as in :attr:`Operator._groups`;
+    ``basis`` the reduced echelon basis, ascending (no member holds another's
+    leading bit, its pivot). A representative has no pivot bit set."""
+
+    n_sites: int
+    masks: tuple[int, ...]
+    basis: tuple[int, ...]
+
+    @classmethod
+    def of(cls, n_sites: int, masks) -> "FlipSpan":
+        masks = tuple(sorted(set(masks)))
+        basis: list[int] = []
+        for x in masks:
+            for b in basis:
+                x = min(x, x ^ b)  # clears b's leading bit from x when set
+            if x:
+                basis = [min(b, b ^ x) for b in basis] + [x]
+        return cls(n_sites, masks, tuple(sorted(basis)))
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+    @functools.cached_property
+    def members(self) -> np.ndarray:
+        """The 2^r members, ascending (a later basis member is 0 at every
+        earlier pivot): member j XORs the basis members at j's set bits."""
+        members = np.zeros(1, dtype=np.intp)
+        for b in self.basis:
+            members = np.concatenate([members, members ^ b])
+        return members
+
+    @functools.cached_property
+    def cosets(self) -> np.ndarray:
+        """The (2^(N-r), 2^r) :meth:`rows` of every representative, ascending:
+        row k's representative is k with a 0 bit put in at each pivot."""
+        reps = np.arange(1 << (self.n_sites - self.rank), dtype=np.intp)
+        for b in self.basis:
+            p = b.bit_length() - 1
+            reps = reps >> p << (p + 1) | reps & ((1 << p) - 1)
+        return self.rows(reps)
+
+    def representative(self, index):
+        """The representative of an index or an integer array, by O(r) reduction."""
+        for b in self.basis:
+            index = index ^ (index >> (b.bit_length() - 1) & 1) * b
+        return index
+
+    def rows(self, reps) -> np.ndarray:
+        """Row k holds the coset of ``reps[k]``, ascending: member j at position j."""
+        return np.asarray(reps)[:, None] ^ self.members
+
+    def locate(self, index: int) -> tuple[int, int]:
+        """(row of :attr:`cosets`, position in it) of one index, in O(r):
+        position bit k is its bit at pivot k, and the row its representative
+        with the (zero) pivot bits taken out, highest first."""
+        row, position = self.representative(index), 0
+        for k in reversed(range(self.rank)):
+            p = self.basis[k].bit_length() - 1
+            position |= (index >> p & 1) << k
+            row = row >> (p + 1) << p | row & ((1 << p) - 1)
+        return row, position
+
+    def restrict(self, groups, rows: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """``groups``, compiled for these masks, on the flat vector stacking
+        ``rows`` (cosets from :meth:`rows`): entry k * 2^r + i is rows[k, i].
+        Group x keeps c[rows] and gathers from k * 2^r + j, member j being
+        member i ^ x in every coset."""
+        offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
+        return tuple(
+            (c[rows].ravel(), (offsets + np.searchsorted(self.members, self.members ^ x)).ravel() if x else None)
+            for x, (c, _) in zip(self.masks, groups, strict=True)
+        )
+
+
+@dataclass(frozen=True)
 class Operator:
     """Weighted sum of Pauli strings on a fixed number of sites.
 
@@ -192,16 +271,21 @@ class Operator:
         return sum(abs(t.coeff) for t in self.canonicalize().terms)
 
     @functools.cached_property
+    def flip_span(self) -> FlipSpan:
+        """The span of the terms' flip masks: no compile, built once."""
+        return FlipSpan.of(self.n_sites, (t.x_mask for t in self.terms))
+
+    @functools.cached_property
     def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
         """The compiled form: one (coefficients, gather index) pair per x_mask.
 
-        Groups come in ascending x_mask order. Group x acts as
-        out[r] += c[r] * amps[r ^ x], where c[r] sums coeff * i^{#Y} *
-        (-1)^{popcount((r ^ x) & z_mask)} over the terms with that x_mask, in
-        their stored order. The diagonal group (x = 0) has no gather index.
-        The coefficients are float64 when every group is real, complex128
-        otherwise (see :attr:`_is_real`). Built on first use and kept for the
-        life of the instance.
+        Groups come in ascending x_mask order, that of ``flip_span.masks``.
+        Group x acts as out[r] += c[r] * amps[r ^ x], where c[r] sums coeff *
+        i^{#Y} * (-1)^{popcount((r ^ x) & z_mask)} over the terms with that
+        x_mask, in their stored order. The diagonal group (x = 0) has no
+        gather index. The coefficients are float64 when every group is real,
+        complex128 otherwise (see :attr:`_is_real`). Built on first use and
+        kept for the life of the instance.
         """
         dim = 1 << self.n_sites
         idx = np.arange(dim, dtype=np.intp)
@@ -293,10 +377,10 @@ def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
 
     ``groups`` is a sequence of (coefficients, gather index or None) pairs
     of one length and one coefficient dtype, as :attr:`Operator._groups`
-    holds them for the whole space and :func:`~tcspin.spectra.coset_groups`
-    for a set of its invariant cosets. Groups are accumulated in their given
-    order, so the result is bit-deterministic regardless of any outer worker
-    pool. It is float64 when ``amps`` and the coefficients are, complex128
+    holds them for the whole space and :meth:`FlipSpan.restrict` for a set
+    of its invariant cosets. Groups are accumulated in their given order,
+    so the result is bit-deterministic regardless of any outer worker pool.
+    It is float64 when ``amps`` and the coefficients are, complex128
     otherwise.
     """
     real = amps.dtype == np.float64 and (not groups or groups[0][0].dtype == np.float64)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
-from .pauli import Operator, StateVector, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .pauli import FlipSpan, Operator, StateVector, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
 # solvers return an arbitrary basis inside such a cluster, so GHZ overlaps
@@ -20,14 +20,15 @@ CLUSTER_TOL = 1e-9
 class SpectrumResult:
     """Eigenvalues in ascending order with their eigenvectors in block form.
 
-    Every eigenvector lies in one block of basis indices: pair i has the
-    amplitudes ``coeffs[i]`` on ``blocks[block_of[i]]`` and is zero
-    elsewhere. The dense route's blocks are the invariant cosets of
-    :func:`invariant_blocks`, so it stores 2^N x 2^r numbers for blocks of
-    2^r rather than a 2^N x 2^N array; a Lanczos result is the one-block
-    case, ``blocks = arange(2^N)[None]``. Each read has one method:
-    :meth:`vector` and :meth:`state` scatter one eigenvector on demand,
-    :meth:`amplitudes` reads one basis amplitude of every pair, and
+    Every eigenvector lies in one block, a coset of ``span``: pair i has the
+    amplitudes ``coeffs[i]`` on ``span.cosets[block_of[i]]`` and is zero
+    elsewhere. The dense route keeps its operator's
+    :attr:`~tcspin.pauli.Operator.flip_span`, so it stores 2^N x 2^r
+    numbers for blocks of 2^r rather than a 2^N x 2^N array; a Lanczos
+    result keeps the full-rank span, one block in natural order. Each read
+    has one method: :meth:`vector` and :meth:`state` scatter one
+    eigenvector on demand, :meth:`amplitudes` reads one basis amplitude of
+    every pair at the block and position that the span locates, and
     :meth:`overlaps` reads only the blocks that one state meets.
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| computed with the matrix-free
@@ -41,9 +42,9 @@ class SpectrumResult:
     """
 
     eigenvalues: np.ndarray
-    blocks: np.ndarray  # (n_blocks, block_size) basis indices
-    block_of: np.ndarray  # (n_pairs,) block index of each pair
-    coeffs: np.ndarray  # (n_pairs, block_size), row i is pair i on blocks[block_of[i]]
+    span: FlipSpan
+    block_of: np.ndarray  # (n_pairs,) row of span.cosets holding each pair
+    coeffs: np.ndarray  # (n_pairs, 2^r), row i is pair i on span.cosets[block_of[i]]
     method: str
     residuals: np.ndarray
     n_sites: int
@@ -60,7 +61,7 @@ class SpectrumResult:
     def vector(self, i: int) -> np.ndarray:
         """Eigenvector i as a full amplitude array, in the dtype of ``coeffs``."""
         v = np.zeros(1 << self.n_sites, dtype=self.coeffs.dtype)
-        v[self.blocks[self.block_of[i]]] = self.coeffs[i]
+        v[self.span.cosets[self.block_of[i]]] = self.coeffs[i]
         return v
 
     def state(self, i: int) -> StateVector:
@@ -69,18 +70,19 @@ class SpectrumResult:
     def amplitudes(self, index: int) -> np.ndarray:
         """<index|v_i> for every pair i, in the dtype of ``coeffs``: read from
         the one block that holds basis state ``index``, 0 for the others."""
-        block, position = np.argwhere(self.blocks == index)[0]
+        block, position = self.span.locate(index)
         return np.where(self.block_of == block, self.coeffs[:, position], 0)
 
     def overlaps(self, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pairs i whose block meets ``vector`` (ascending), and
         <vector|v_i> for each; only those blocks are read."""
-        met = np.any(vector[self.blocks] != 0, axis=1)
+        blocks = self.span.cosets
+        met = np.any(vector[blocks] != 0, axis=1)
         pairs = np.flatnonzero(met[self.block_of])
         out = np.empty(len(pairs), dtype=np.result_type(self.coeffs, vector))
         for b in np.flatnonzero(met):
             members = self.block_of[pairs] == b
-            out[members] = self.coeffs[pairs[members]] @ vector[self.blocks[b]].conj()
+            out[members] = self.coeffs[pairs[members]] @ vector[blocks[b]].conj()
         return pairs, out
 
     def clusters(self) -> list[list[int]]:
@@ -117,67 +119,21 @@ def _residuals(op: Operator, spectrum: SpectrumResult) -> np.ndarray:
     return out
 
 
-def invariant_blocks(op: Operator) -> np.ndarray:
-    """Basis indices grouped into the cosets of the span of op's flip masks.
+def _block_matrices(op: Operator) -> np.ndarray:
+    """The (n_blocks, 2^r, 2^r) matrices of op on ``blocks``, the cosets of
+    its flip span.
 
-    Group x of the compiled operator maps |s> only to |s ^ x>, so each coset
-    of the GF(2) span of the non-zero x_masks is invariant under op. With r
-    the rank of that span, row b of the (2^(N-r), 2^r) result is one coset in
-    ascending index order; rows are ordered by their representative, the
-    member whose pivot bits (the leading bits of a reduced echelon basis)
-    are all zero. A full-rank span gives the single row 0 ... 2^N - 1.
-    """
-    basis: list[int] = []  # reduced: no member holds another's leading bit
-    for _, perm in op._groups:
-        x = 0 if perm is None else int(perm[0])  # perm = idx ^ x, so perm[0] = x
-        for b in basis:
-            x = min(x, x ^ b)  # clears b's leading bit from x when set
-        if x:
-            basis = [min(b, b ^ x) for b in basis] + [x]
-    # doubling over ascending leading bits lists the span in ascending order,
-    # and XOR with a representative keeps that order
-    span = np.zeros(1, dtype=np.intp)
-    for b in sorted(basis):
-        span = np.concatenate([span, span ^ b])
-    pivots = sum(1 << (b.bit_length() - 1) for b in basis)
-    idx = np.arange(1 << op.n_sites, dtype=np.intp)
-    reps = idx[(idx & pivots) == 0]
-    return reps[:, None] ^ span
-
-
-def coset_groups(op: Operator, blocks: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-    """op's compiled groups restricted to some of its invariant cosets.
-
-    ``blocks`` holds rows of :func:`invariant_blocks` (any subset, in any
-    order). The result is the group form :func:`~tcspin.pauli.apply_groups`
-    takes, on the flat vector that stacks those rows: entry k * 2^r + i is
-    basis index ``blocks[k, i]``. Group x keeps c[blocks], flattened, and
-    gathers from k * 2^r + j, where span[j] = span[i] ^ x; every row is
-    rep ^ span, so j is the same for every coset. The diagonal group has no
-    gather index, as in the full form. Costs one sorted search of the span
-    per group.
-    """
-    span = blocks[0] ^ blocks[0, 0]  # a row's first member is its representative
-    offsets = np.arange(0, blocks.size, blocks.shape[1])[:, None]
-    return tuple(
-        (c[blocks].ravel(), None if perm is None else (offsets + np.searchsorted(span, span ^ int(perm[0]))).ravel())
-        for c, perm in op._groups  # perm = idx ^ x, so perm[0] = x
-    )
-
-
-def _block_matrices(op: Operator, blocks: np.ndarray) -> np.ndarray:
-    """The (n_blocks, 2^r, 2^r) matrices of op on the rows of ``blocks``.
-
-    Filled straight from :func:`coset_groups`, one scatter per group: the
-    first 2^r entries of a group's gather index are its columns in every
-    block. Entry for entry this is
+    Filled straight from the groups restricted to them, one scatter per
+    group: the first 2^r entries of a group's gather index are its columns
+    in every block. Entry for entry this is
     ``to_dense(op)[blocks[:, :, None], blocks[:, None, :]]``, float64 for a
     real operator and complex128 otherwise; nothing of size 4^N is built.
     """
+    blocks = op.flip_span.cosets
     n_blocks, size = blocks.shape
     rows = np.arange(size)
     mats = np.zeros((n_blocks, size, size), dtype=np.float64 if op._is_real else np.complex128)
-    for c, perm in coset_groups(op, blocks):
+    for c, perm in op.flip_span.restrict(op._groups, blocks):
         mats[:, rows, rows if perm is None else perm[:size]] = c.reshape(n_blocks, size)
     return mats
 
@@ -186,32 +142,29 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
     """Full Hermitian eigendecomposition, one invariant block at a time.
 
     Subject to the dense site cap (:func:`~tcspin.pauli.dense_cap`; beyond
-    it a DenseCapError). The matrices of the blocks of
-    :func:`invariant_blocks` (:func:`_block_matrices`) are diagonalized by one
-    batched ``eigh``, and the eigenvalues merged in ascending (stable)
-    order; each pair keeps its block and its block eigenvector, so the
-    result holds 2^N x 2^r numbers for blocks of 2^r. Every eigenvector is
-    therefore confined to one block, also inside a degenerate cluster that
-    spans several blocks: a different basis of such a cluster than a
-    full-matrix ``eigh`` would pick, and an equally valid one; it is the
-    basis ``tcspin spectrum`` writes with ``include_eigenvectors``. A
-    full-rank span is one block in natural order, so the result is then
+    it a DenseCapError). The matrices of the cosets of ``op.flip_span``
+    (:func:`_block_matrices`) go through one batched ``eigh`` and the
+    eigenvalues are merged in ascending (stable) order; each pair keeps its
+    block and block eigenvector, and the result keeps that one span. So
+    every eigenvector is confined to one block, also inside a degenerate
+    cluster that spans several: an equally valid basis of it, which
+    ``tcspin spectrum`` writes with ``include_eigenvectors``. A full-rank
+    span is one block in natural order, and the result is then
     bit-identical to ``np.linalg.eigh(to_dense(op))``. A real operator is
-    diagonalized in real arithmetic, so its eigenvectors come back as
-    float64. Raises ModelError for a non-Hermitian operator.
+    diagonalized in real arithmetic (float64 eigenvectors). Raises
+    ModelError for a non-Hermitian operator.
     """
     cap = dense_cap()
     if op.n_sites > cap:
         raise DenseCapError(f"dense spectrum at N={op.n_sites} exceeds cap {cap}")
     if not op.is_hermitian():
         raise ModelError("dense_spectrum requires a Hermitian operator")
-    blocks = invariant_blocks(op)
-    values, columns = np.linalg.eigh(_block_matrices(op, blocks))
+    values, columns = np.linalg.eigh(_block_matrices(op))
     order = np.argsort(values, axis=None, kind="stable")
-    block, column = np.divmod(order, blocks.shape[1])
+    block, column = np.divmod(order, values.shape[1])
     spectrum = SpectrumResult(
         eigenvalues=values.ravel()[order],
-        blocks=blocks,
+        span=op.flip_span,
         block_of=block,
         coeffs=columns[block, :, column],
         method="dense",
@@ -450,7 +403,7 @@ def lanczos_extremal(
     order = np.argsort(found_vals)
     return SpectrumResult(
         eigenvalues=np.array([found_vals[i] for i in order]),
-        blocks=np.arange(dim)[None],
+        span=FlipSpan.of(op.n_sites, (1 << site for site in range(op.n_sites))),
         block_of=np.zeros(len(order), dtype=np.intp),
         coeffs=np.array([found_vecs[i] for i in order]) if found_vals else np.empty((0, dim), dtype),
         method="lanczos",

@@ -167,6 +167,11 @@ class SweepPlan:
                     f"N={n} exceeds the dense cap {cap} but the plan routes it dense; "
                     "set solver.dense_max_sites below it"
                 )
+            if n > self.solver.dense_max_sites and self.solver.lanczos_k > 1 << n:
+                raise PlanError(
+                    f"solver.lanczos_k={self.solver.lanczos_k} exceeds {1 << n}, the Hilbert-space "
+                    f"dimension at N={n}, which the plan routes to Lanczos"
+                )
         if self.solver.lanczos_k < 2:
             raise PlanError("solver.lanczos_k must be >= 2 (the energy gap needs two pairs)")
 

@@ -609,6 +609,14 @@ REJECTED_UP_FRONT = {
         "oscillator": {"n_values": [2, 4], "hbar": 0.0},
         "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
     },
+    # lanczos_k above 2^N on the Lanczos route: validated, then exited 3
+    "plan_lanczos_k_above_dimension": _edited(
+        SWEEP_DOC,
+        lambda d: (d["plan"].update(n_values=[4]), d["plan"]["solver"].update(dense_max_sites=3, lanczos_k=17)),
+    ),
+    "correlate_lanczos_k_above_dimension": _edited(
+        CORRELATE_DOC, lambda d: (d["model"].update(n_sites=15), d["solver"].update(lanczos_k=(1 << 15) + 1))
+    ),
 }
 
 
@@ -620,6 +628,44 @@ def test_config_rejected_up_front(tmp_path, capsys, name):
     out = tmp_path / "out"
     assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
+    assert "config error" in capsys.readouterr().err
+
+
+# lanczos_k = 2^N at N = 4 on the Lanczos route, with the cap lowered to 2 for correlate
+LANCZOS_K_AT_THE_DIMENSION = {
+    "sweep": _edited(
+        SWEEP_DOC,
+        lambda d: (d["plan"].update(n_values=[4]), d["plan"]["solver"].update(dense_max_sites=3, lanczos_k=16)),
+    ),
+    "correlate": _edited(CORRELATE_DOC, lambda d: (d["model"].update(n_sites=4), d["solver"].update(lanczos_k=16))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANCZOS_K_AT_THE_DIMENSION))
+def test_lanczos_k_at_the_dimension_runs(tmp_path, monkeypatch, name):
+    monkeypatch.setenv("TCSPIN_DENSE_CAP", "2")
+    cfg = write_config(tmp_path, LANCZOS_K_AT_THE_DIMENSION[name])
+    assert main(["validate", "--config", cfg]) == 0
+    assert main([name, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"command": "correlate", "note": "gr\xf6\xdfe"}')  # Latin-1 bytes
+    for config in (tmp_path, not_utf8):
+        out = tmp_path / "out"
+        assert main(["validate", "--config", str(config)]) == 2
+        assert main(["correlate", "--config", str(config), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, CORRELATE_DOC)
+    out = tmp_path / "out"
+    out.write_text("kept")
+    assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+    assert out.read_text() == "kept"
     assert "config error" in capsys.readouterr().err
 
 

@@ -22,7 +22,6 @@ from tcspin.spectra import (
     _block_matrices,
     dense_spectrum,
     ghz_overlap_report,
-    invariant_blocks,
     lanczos_extremal,
 )
 from tcspin.sweep import SolverSettings, run_point
@@ -394,13 +393,13 @@ class TestInvariantBlocks:
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_blocks_partition_the_basis(self, name):
         op = self.OPERATORS[name]()
-        blocks = invariant_blocks(op)
+        blocks = op.flip_span.cosets
         assert np.array_equal(np.sort(blocks.ravel()), np.arange(1 << op.n_sites))
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
     def test_every_group_maps_each_block_into_itself(self, name):
         op = self.OPERATORS[name]()
-        blocks = invariant_blocks(op)
+        blocks = op.flip_span.cosets
         for _, perm in op._groups:
             if perm is not None:
                 assert np.array_equal(np.sort(perm[blocks], axis=1), blocks)
@@ -418,16 +417,16 @@ class TestInvariantBlocks:
         ],
     )
     def test_block_size_is_two_to_the_rank(self, name, shape):
-        assert invariant_blocks(self.OPERATORS[name]()).shape == shape
+        assert self.OPERATORS[name]().flip_span.cosets.shape == shape
 
     BLOCK_BUILDS = ["chain", "z_field", "heisenberg", "x_field", "y_field"]
 
     @pytest.mark.parametrize("name", BLOCK_BUILDS)
     def test_block_matrices_are_the_gathered_dense_matrix(self, name):
         op = self.OPERATORS[name]()
-        blocks = invariant_blocks(op)
+        blocks = op.flip_span.cosets
         gathered = to_dense(op)[blocks[:, :, None], blocks[:, None, :]]
-        mats = _block_matrices(op, blocks)
+        mats = _block_matrices(op)
         assert mats.dtype == gathered.dtype == (np.complex128 if name == "y_field" else np.float64)
         assert np.array_equal(mats, gathered)
 
@@ -438,12 +437,12 @@ class TestInvariantBlocks:
         compiled groups."""
         op = self.OPERATORS[name]()
         spec = dense_spectrum(op)
-        blocks = invariant_blocks(op)
+        blocks = op.flip_span.cosets
         values, columns = np.linalg.eigh(to_dense(op)[blocks[:, :, None], blocks[:, None, :]])
         order = np.argsort(values, axis=None, kind="stable")
         block, column = np.divmod(order, blocks.shape[1])
         assert np.array_equal(spec.eigenvalues, values.ravel()[order])
-        assert np.array_equal(spec.blocks, blocks)
+        assert np.array_equal(spec.span.cosets, blocks)
         assert np.array_equal(spec.block_of, block)
         assert np.array_equal(spec.coeffs, columns[block, :, column])
 
@@ -504,7 +503,7 @@ class TestInvariantBlocks:
     @pytest.mark.parametrize("x_basis", X_BASES, ids=lambda basis: f"rank{len(basis)}")
     def test_random_operators_match_the_full_matrix(self, x_basis):
         op = random_operator(np.random.default_rng(len(x_basis)), 6, 16, x_basis=x_basis)
-        assert invariant_blocks(op).shape[1] == 1 << len(x_basis)
+        assert op.flip_span.cosets.shape[1] == 1 << len(x_basis)
         self.assert_matches_full_matrix(op)
 
     @pytest.mark.parametrize("name", ["chain", "lone_y", "uniform_z"])
@@ -533,6 +532,67 @@ class TestInvariantBlocks:
             block_vectors, full_vectors = vectors[group], columns[:, group].T
             projector = block_vectors.T @ block_vectors.conj()
             assert np.max(np.abs(projector - full_vectors.T @ full_vectors.conj())) < 1e-10
+
+
+def _span_operators():
+    """TestInvariantBlocks' operators, its X_BASES random operators, and
+    random operators at N = 4 ... 12 whose masks span about half the sites."""
+    ops = {name: build() for name, build in TestInvariantBlocks.OPERATORS.items()}
+    for x_basis in X_BASES:
+        ops[f"rank{len(x_basis)}"] = random_operator(np.random.default_rng(len(x_basis)), 6, 16, x_basis=x_basis)
+    for n in (4, 5, 7, 9, 10, 11, 12):
+        rng = np.random.default_rng(n)
+        x_basis = tuple(int(x) for x in rng.integers(1, 1 << n, n // 2))
+        ops[f"random{n}"] = random_operator(rng, n, 12, x_basis=x_basis)
+    return ops
+
+
+SPAN_OPERATORS = _span_operators()
+
+
+class TestFlipSpan:
+    """Operator.flip_span, read from the terms, against the compiled groups
+    and against a scan of its cosets."""
+
+    @pytest.mark.parametrize("name", sorted(SPAN_OPERATORS))
+    def test_reduction_matches_the_row_scan(self, name):
+        op = SPAN_OPERATORS[name]
+        span = op.flip_span
+        cosets = span.cosets
+        dim = 1 << op.n_sites
+        row_of, position_of = np.empty(dim, dtype=np.intp), np.empty(dim, dtype=np.intp)
+        row_of[cosets] = np.arange(len(cosets))[:, None]
+        position_of[cosets] = np.arange(cosets.shape[1])
+        index = np.arange(dim)
+        assert np.array_equal(span.representative(index), cosets[row_of, 0])
+        for i in range(dim):
+            assert span.representative(i) == cosets[row_of[i], 0]
+            assert span.locate(i) == (row_of[i], position_of[i])
+        assert np.array_equal(span.rows(cosets[::-1, 0]), cosets[::-1])
+
+    @pytest.mark.parametrize("name", sorted(SPAN_OPERATORS))
+    def test_masks_and_rank_are_those_of_the_compiled_groups(self, name):
+        op = SPAN_OPERATORS[name]
+        masks = tuple(0 if perm is None else int(perm[0]) for _, perm in op._groups)
+        members = {0}
+        for x in masks:
+            members |= {m ^ x for m in members}
+        span = op.flip_span
+        assert span.masks == masks
+        assert 1 << span.rank == len(members) == len(span.members)
+        assert span.members.tolist() == sorted(members)
+
+    def test_is_read_once_with_no_compile(self):
+        op = chain_with(8)
+        assert op.flip_span is op.flip_span
+        assert "_groups" not in vars(op)
+        spec = dense_spectrum(op)
+        assert spec.span is op.flip_span
+
+    def test_lanczos_result_holds_the_full_rank_span(self):
+        spec = lanczos_extremal(chain_with(8), k=2, seed=1)
+        assert spec.span.rank == 8
+        assert np.array_equal(spec.span.cosets, np.arange(256)[None])
 
 
 class TestOrbitBlockOracle:
