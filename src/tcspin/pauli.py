@@ -373,20 +373,31 @@ class StateVector:
 
 
 def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
-    """sum over groups of c * amps[perm]: a compiled operator on a vector.
+    """sum over groups of c * amps[perm]: a compiled operator on a vector,
+    or on each column of a (dim, k) slab.
 
     ``groups`` is a sequence of (coefficients, gather index or None) pairs
     of one length and one coefficient dtype, as :attr:`Operator._groups`
     holds them for the whole space and :meth:`FlipSpan.restrict` for a set
     of its invariant cosets. Groups are accumulated in their given order,
-    so the result is bit-deterministic regardless of any outer worker pool.
-    It is float64 when ``amps`` and the coefficients are, complex128
-    otherwise.
+    so the result is bit-deterministic regardless of any outer worker pool,
+    and column j of a slab's result equals, bit for bit, the result for
+    column j alone. It has the shape of ``amps``, and is float64 when
+    ``amps`` and the coefficients are, complex128 otherwise.
     """
     real = amps.dtype == np.float64 and (not groups or groups[0][0].dtype == np.float64)
-    out = np.zeros(len(amps), dtype=np.float64 if real else np.complex128)
+    dtype = np.float64 if real else np.complex128
+    out = np.zeros(amps.shape, dtype=dtype)
+    # one contiguous copy of a strided slab, and the cast numpy makes for
+    # each complex product anyway, made once
+    amps = np.ascontiguousarray(amps, dtype=dtype)
     for c, perm in groups:
-        out += c * (amps if perm is None else amps[perm])
+        c = c if amps.ndim == 1 else c[:, None]
+        if perm is None:
+            out += c * amps
+        else:
+            gathered = amps[perm]
+            out += np.multiply(c, gathered, out=gathered)
     return out
 
 

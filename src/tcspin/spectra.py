@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
-from .pauli import FlipSpan, Operator, StateVector, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
 # solvers return an arbitrary basis inside such a cluster, so GHZ overlaps
@@ -31,8 +31,10 @@ class SpectrumResult:
     every pair at the block and position that the span locates, and
     :meth:`overlaps` reads only the blocks that one state meets.
 
-    ``residuals[i]`` is ||H v_i - E_i v_i|| computed with the matrix-free
-    matvec (on the Lanczos route, the check that accepted the pair). Both
+    ``residuals[i]`` is ||H v_i - E_i v_i|| computed from the compiled
+    groups: on the dense route in block coordinates, for every pair at once
+    (see :func:`dense_spectrum`); on the Lanczos route, the matvec check
+    that accepted the pair. Both
     solvers keep only pairs that meet their tolerance, so ``n_converged``
     is ``n_pairs``. ``coeffs`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
@@ -111,31 +113,52 @@ class SpectrumResult:
         return json.dumps(doc)
 
 
-def _residuals(op: Operator, spectrum: SpectrumResult) -> np.ndarray:
-    out = np.empty(spectrum.n_pairs)
-    for i, e in enumerate(spectrum.eigenvalues):
-        v = spectrum.vector(i)
-        out[i] = np.linalg.norm(op.matvec(v) - e * v)
-    return out
-
-
-def _block_matrices(op: Operator) -> np.ndarray:
+def _block_matrices(op: Operator, groups) -> np.ndarray:
     """The (n_blocks, 2^r, 2^r) matrices of op on ``blocks``, the cosets of
     its flip span.
 
-    Filled straight from the groups restricted to them, one scatter per
-    group: the first 2^r entries of a group's gather index are its columns
-    in every block. Entry for entry this is
+    Filled from ``groups``, op's groups restricted to them
+    (:meth:`~tcspin.pauli.FlipSpan.restrict`), one scatter per group: the
+    first 2^r entries of a group's gather index are its columns in every
+    block. Entry for entry this is
     ``to_dense(op)[blocks[:, :, None], blocks[:, None, :]]``, float64 for a
     real operator and complex128 otherwise; nothing of size 4^N is built.
     """
-    blocks = op.flip_span.cosets
-    n_blocks, size = blocks.shape
+    n_blocks, size = op.flip_span.cosets.shape
     rows = np.arange(size)
     mats = np.zeros((n_blocks, size, size), dtype=np.float64 if op._is_real else np.complex128)
-    for c, perm in op.flip_span.restrict(op._groups, blocks):
+    for c, perm in groups:
         mats[:, rows, rows if perm is None else perm[:size]] = c.reshape(n_blocks, size)
     return mats
+
+
+# Eigenvector columns per apply_groups call in the residual step, so that no
+# temporary exceeds 2^N x RESIDUAL_SLAB entries. Where one block fills the
+# space (N = 10-12), 32 columns ran as fast as one matvec per pair; 16 and
+# 64 ran slower at N = 12
+RESIDUAL_SLAB = 32
+
+
+def _block_residuals(groups, values: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """||M_b v - lambda v|| of every block eigenpair, shaped like ``values``.
+
+    ``columns`` is ``eigh``'s (n_blocks, 2^r, 2^r) output; viewed as one
+    (2^N, 2^r) array, column j stacks eigenvector j of every block in the
+    layout of ``groups`` (:meth:`~tcspin.pauli.FlipSpan.restrict`), so one
+    :func:`~tcspin.pauli.apply_groups` call per slab of columns applies
+    every block matrix at once: G 2^N 2^r multiply-adds for G groups, and
+    no pair is scattered to 2^N amplitudes.
+    """
+    n_blocks, size = values.shape
+    stacked = columns.reshape(n_blocks * size, size)
+    out = np.empty(values.shape)
+    for start in range(0, size, RESIDUAL_SLAB):
+        cols = slice(start, start + RESIDUAL_SLAB)
+        residual = apply_groups(groups, stacked[:, cols]).reshape(n_blocks, size, -1)
+        residual -= values[:, None, cols] * columns[:, :, cols]
+        # each pair's entries contiguous, so the norm sums them pairwise
+        out[:, cols] = np.linalg.norm(np.ascontiguousarray(residual.transpose(0, 2, 1)), axis=-1)
+    return out
 
 
 def dense_spectrum(op: Operator) -> SpectrumResult:
@@ -151,29 +174,30 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
     ``tcspin spectrum`` writes with ``include_eigenvectors``. A full-rank
     span is one block in natural order, and the result is then
     bit-identical to ``np.linalg.eigh(to_dense(op))``. A real operator is
-    diagonalized in real arithmetic (float64 eigenvectors). Raises
-    ModelError for a non-Hermitian operator.
+    diagonalized in real arithmetic (float64 eigenvectors). The residuals
+    come from the same restricted groups, in block coordinates
+    (:func:`_block_residuals`), with no matvec. Raises ModelError for a
+    non-Hermitian operator.
     """
     cap = dense_cap()
     if op.n_sites > cap:
         raise DenseCapError(f"dense spectrum at N={op.n_sites} exceeds cap {cap}")
     if not op.is_hermitian():
         raise ModelError("dense_spectrum requires a Hermitian operator")
-    values, columns = np.linalg.eigh(_block_matrices(op))
+    groups = op.flip_span.restrict(op._groups, op.flip_span.cosets)
+    values, columns = np.linalg.eigh(_block_matrices(op, groups))
     order = np.argsort(values, axis=None, kind="stable")
     block, column = np.divmod(order, values.shape[1])
-    spectrum = SpectrumResult(
+    return SpectrumResult(
         eigenvalues=values.ravel()[order],
         span=op.flip_span,
         block_of=block,
         coeffs=columns[block, :, column],
         method="dense",
-        residuals=np.empty(0),
+        residuals=_block_residuals(groups, values, columns).ravel()[order],
         n_sites=op.n_sites,
         n_requested=len(order),
     )
-    spectrum.residuals = _residuals(op, spectrum)
-    return spectrum
 
 
 # Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 772 (1976): a

@@ -82,6 +82,17 @@ def dense_vectors(spec) -> np.ndarray:
     return np.array([spec.vector(i) for i in range(spec.n_pairs)])
 
 
+def matvec_residuals(op: Operator, spectrum) -> np.ndarray:
+    """||H v_i - E_i v_i|| of every pair of a SpectrumResult, one full-space
+    matvec per scattered eigenvector: the oracle for the dense route's block
+    residuals and for the Lanczos route's accepting checks."""
+    out = np.empty(spectrum.n_pairs)
+    for i, e in enumerate(spectrum.eigenvalues):
+        v = spectrum.vector(i)
+        out[i] = np.linalg.norm(op.matvec(v) - e * v)
+    return out
+
+
 def random_operator(
     rng: np.random.Generator,
     n_sites: int,

@@ -247,6 +247,18 @@ def test_criterion_6_ghz_diagnostics():
     _finish(6, "GHZ diagnostics", 300.0, started, failures)
 
 
+def _chain_line(j: float) -> tuple[float, float]:
+    """Frequency and amplitude of the bare chain's one m_z line at coupling J.
+
+    For even N the ground-state m_z autocorrelator stays in the 4-state
+    orbit of the all-up state, {s, s^m1, s^m2, s^all} with m1, m2 the two
+    half-chain string masks, so it is one line whose frequency and
+    amplitude do not depend on N.
+    """
+    root = np.sqrt(1.0 + j**2)
+    return 2.0 * root - 2.0, (1.0 + 1.0 / root) / 2.0
+
+
 def test_criterion_7_persistence_vs_baseline():
     started = time.perf_counter()
     failures = []
@@ -259,12 +271,7 @@ def test_criterion_7_persistence_vs_baseline():
         ),
         oscillator_control=OscillatorControl(n_values=(6, 8, 10, 12, 14)),
     )
-    # For even N the ground-state m_z autocorrelator stays in the 4-state
-    # orbit of the all-up state, {s, s^m1, s^m2, s^all} with m1, m2 the two
-    # half-chain string masks, so it is one line whose frequency and
-    # amplitude do not depend on N.
-    root = np.sqrt(1.0 + plan.j_values[0] ** 2)
-    line_frequency, line_amplitude = 2.0 * root - 2.0, (1.0 + 1.0 / root) / 2.0
+    line_frequency, line_amplitude = _chain_line(plan.j_values[0])
     records = run_sweep(plan)
     for rec in records:
         if rec.status != "ok":
@@ -294,6 +301,32 @@ def test_criterion_7_persistence_vs_baseline():
     if json.dumps(summary, sort_keys=True) != json.dumps(summarize_sweep(plan, rerun), sort_keys=True):
         failures.append("sweep summary not byte-deterministic across reruns")
     _finish(7, "persistence vs baseline", 1800.0, started, failures)
+
+
+def test_criterion_7_on_the_exact_block_route():
+    """Criterion 7's N = 12 and 14 rows at the default dense cap: the block
+    route's spectrum and spectral correlator find the same closed-form line
+    as the Lanczos rows."""
+    started = time.perf_counter()
+    failures = []
+    plan = SweepPlan(
+        n_values=(12, 14),
+        j_values=(0.5,),
+        grid=TimeGrid(0.0, 240.0, 512),
+        solver=SolverSettings(dense_max_sites=14, step_tol=1e-12),
+    )
+    line_frequency, line_amplitude = _chain_line(plan.j_values[0])
+    for rec in run_sweep(plan):
+        if rec.status != "ok" or rec.solver != "dense":
+            failures.append(f"row N={rec.n_sites}: status {rec.status}, solver {rec.solver}: {rec.error}")
+            continue
+        for name, value, exact in (
+            ("frequency", rec.dominant_frequency, line_frequency),
+            ("amplitude", rec.dominant_amplitude, line_amplitude),
+        ):
+            if value is None or abs(value - exact) > 1e-10:
+                failures.append(f"row N={rec.n_sites}: dominant {name} {value!r} not {exact!r} within 1e-10")
+    _finish(7, "persistence on the exact block route", 60.0, started, failures)
 
 
 def test_criterion_8_stability_study():

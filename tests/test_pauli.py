@@ -11,6 +11,7 @@ from tcspin.pauli import (
     Operator,
     PauliString,
     StateVector,
+    apply_groups,
     dense_cap,
     global_flip_operator,
     strings_commute,
@@ -227,6 +228,51 @@ class TestCompiledGroups:
     def test_gershgorin_interval_of_the_chain(self):
         # every row of the N = 12 chain sits at distance 13 from zero
         assert build_tc_hamiltonian(TCModelConfig(12, 0.5)).gershgorin_interval() == (-13.0, 13.0)
+
+
+def _slab_operator(name: str) -> Operator:
+    """The N = 6 chain with a z field (real groups, blocks of 4), with a y
+    field (complex groups, one block), or a z field alone (rank 0: no group
+    has a gather index)."""
+    if name == "diagonal":
+        return Operator.from_label_terms([(0.3 * (i + 1), "I" * i + "Z" + "I" * (5 - i)) for i in range(6)])
+    spec = PerturbationSpec("random_onsite_field", 0.05, axis=name[0], seed=3)
+    return (build_tc_hamiltonian(TCModelConfig(6, 0.5)) + build_perturbation(6, spec)).canonicalize()
+
+
+class TestSlabs:
+    """apply_groups on a (dim, k) slab of columns."""
+
+    @pytest.mark.parametrize("name, groups_real", [("z_field", True), ("y_field", False), ("diagonal", True)])
+    @pytest.mark.parametrize("slab_real", [True, False], ids=["real_slab", "complex_slab"])
+    @pytest.mark.parametrize("restricted", [False, True], ids=["full", "restricted"])
+    def test_columns_are_single_calls_bit_for_bit(self, name, groups_real, slab_real, restricted):
+        op = _slab_operator(name)
+        groups = op._groups
+        if restricted:
+            cosets = op.flip_span.cosets
+            groups = op.flip_span.restrict(groups, cosets[::3] if len(cosets) > 1 else cosets)
+        assert all(c.dtype == (np.float64 if groups_real else np.complex128) for c, _ in groups)
+        assert any(perm is None for _, perm in groups)
+        assert any(perm is not None for _, perm in groups) == (name != "diagonal")
+        rng = np.random.default_rng(7)
+        dim = len(groups[0][0])
+        wide = rng.standard_normal((dim, 8))
+        if not slab_real:
+            wide = wide + 1j * rng.standard_normal((dim, 8))
+        slab = wide[:, 1:6]  # a strided view, as the dense route passes
+        out = apply_groups(groups, slab)
+        assert out.shape == slab.shape
+        assert out.dtype == (np.float64 if groups_real and slab_real else np.complex128)
+        for j in range(slab.shape[1]):
+            column = apply_groups(groups, np.ascontiguousarray(slab[:, j]))
+            assert column.dtype == out.dtype
+            assert np.array_equal(out[:, j], column)
+            # and a 1-D call is the plain sum over groups of c * amps[perm]
+            reference = np.zeros(dim, dtype=out.dtype)
+            for c, perm in groups:
+                reference += c * (slab[:, j] if perm is None else slab[perm, j])
+            assert np.array_equal(column, reference)
 
 
 class TestStringsCommute:
