@@ -243,7 +243,17 @@ class Operator:
     def n_terms(self) -> int:
         return len(self.terms)
 
+    # True on the operators canonicalize returns: a flag, not a reference to
+    # self, so that reference counting alone frees a dropped operator
+    _is_canonical = False
+
     def canonicalize(self) -> "Operator":
+        """The canonical form, computed once and kept (:attr:`_canonical`);
+        an operator that this returned returns itself."""
+        return self if self._is_canonical else self._canonical
+
+    @functools.cached_property
+    def _canonical(self) -> "Operator":
         merged: dict[tuple[int, int], complex] = {}
         for t in self.terms:
             key = (t.x_mask, t.z_mask)
@@ -253,7 +263,9 @@ class Operator:
             for (x, z), c in sorted(merged.items())
             if c != 0
         )
-        return Operator(self.n_sites, canon)
+        op = Operator(self.n_sites, canon)
+        object.__setattr__(op, "_is_canonical", True)
+        return op
 
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         """True iff every canonical coefficient is real (within ``tol``).

@@ -382,8 +382,9 @@ def _failure(exc: Exception) -> dict:
     return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _run_rows(op: Operator, rows: list[SweepRecord], plan: SweepPlan) -> None:
-    """Run the point ``op`` once and fill every row that shares it.
+def _run_rows(op: Operator, rows: list[SweepRecord], observable: Operator, plan: SweepPlan) -> None:
+    """Run the point ``op`` once, correlating ``observable``, and fill every
+    row that shares it.
 
     The first row's ``wall_time_s`` becomes the point's time plus every
     row's operator build time (which the rows carry in); the others get 0.0.
@@ -394,7 +395,7 @@ def _run_rows(op: Operator, rows: list[SweepRecord], plan: SweepPlan) -> None:
         spectral = first.solver == "dense" and first.initial_state == "ground"
         point = run_point(
             op,
-            magnetization_operator(first.n_sites, first.axis),
+            observable,
             plan.grid,
             first.initial_state,
             plan.solver,
@@ -420,12 +421,20 @@ def _run_rows(op: Operator, rows: list[SweepRecord], plan: SweepPlan) -> None:
     first.wall_time_s = elapsed
 
 
-def _drain(points: dict) -> Iterator[tuple[Operator, list[SweepRecord]]]:
-    """Pop each point as it is handed out, so no reference to its compiled
-    operator outlives its run."""
+def _drain(points: dict) -> Iterator[tuple[Operator, list[SweepRecord], Operator]]:
+    """Pop each point as it is handed out, with its observable, so no
+    reference to its compiled operator outlives its run.
+
+    Points come in row order, N by N, and consecutive points of one N and
+    axis share one observable and its compiled groups; it is dropped when
+    the next N begins.
+    """
+    built = None  # the (N, axis) of ``observable``
     while points:
-        key = next(iter(points))
-        yield key[0], points.pop(key)
+        op, axis, *_ = key = next(iter(points))
+        if built != (op.n_sites, axis):
+            built, observable = (op.n_sites, axis), magnetization_operator(op.n_sites, axis)
+        yield op, points.pop(key), observable
 
 
 def run_sweep(plan: SweepPlan, workers: int = 1) -> list[SweepRecord]:
@@ -455,8 +464,8 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> list[SweepRecord]:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda point: _run_rows(*point, plan), _drain(points)))
     else:
-        for op, members in _drain(points):
-            _run_rows(op, members, plan)
+        for op, members, observable in _drain(points):
+            _run_rows(op, members, observable, plan)
     if rows and all(r.status == "failed" for r in rows):
         raise TcspinError("sweep failed: every row failed; first error: " + rows[0].error)
     return rows

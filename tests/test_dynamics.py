@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from tcspin import dynamics, pauli
+from tcspin import dynamics, pauli, sweep
 from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
@@ -33,10 +33,12 @@ from tcspin.models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
+from tcspin.oscillator import cm_correlator_numeric
 from tcspin.pauli import Operator, StateVector, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
+from tcspin.sweep import OscillatorControl
 
-from conftest import dense_vectors, random_state
+from conftest import criterion_8_plan, dense_vectors, oracle_extract_oscillation, random_state
 
 SIGMA_Z = Operator.from_label_terms([(1.0, "Z")])
 SIGMA_X = Operator.from_label_terms([(1.0, "X")])
@@ -110,6 +112,14 @@ class TestSpectralCorrelator:
         m = magnetization_operator(6, "x")
         series = correlator_spectral(op, spec, m, psi, TimeGrid(0.0, 50.0, 128))
         assert np.max(np.abs(series.values)) <= m.one_norm() ** 2 + 1e-12
+
+    def test_applies_h_once(self, monkeypatch):
+        # E_psi and the eigenstate check read the same H psi
+        op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
+        spec = dense_spectrum(op)
+        calls = _count_matvecs_of(monkeypatch, op)
+        correlator_spectral(op, spec, magnetization_operator(6, "z"), spec.state(0).normalized(), TimeGrid(0.0, 10.0, 16))
+        assert len(calls) == 1
 
 
 class TestKrylovCorrelator:
@@ -795,3 +805,79 @@ class TestGapConsistency:
         rep = extract_oscillation(series, 8)
         assert rep.n_peaks >= 1
         assert gap_frequency_consistency(spec, rep, tol=1e-6)
+
+
+def _extraction_corpus():
+    """(name, series, max_peaks) for the extraction oracle test: every series
+    a sweep or a study extracts, and series that reach the pursuit's edges."""
+    cases = []
+    plan = criterion_8_plan()
+    m_8 = magnetization_operator(8, "z")
+    points = dict.fromkeys(sweep._row_operator(row) for row in sweep._enumerate_points(plan))
+    for i, op in enumerate(points):  # the dense route of run_point
+        spec = dense_spectrum(op)
+        series = correlator_spectral(op, spec, m_8, spec.state(0).normalized(), plan.grid)
+        cases.append((f"criterion-8 point {i}", series, plan.solver.max_peaks))
+    control, control_grid = OscillatorControl(n_values=(6, 8, 10, 12, 14)), TimeGrid(0.0, 240.0, 512)
+    for n in control.n_values:
+        series = cm_correlator_numeric(control.oscillator(n), control.cutoff, control_grid)
+        cases.append((f"oscillator control N={n}", series, sweep.CONTROL_MAX_PEAKS))
+    m_10 = magnetization_operator(10, "z")
+    for pert in PERTURBATIONS[1:]:
+        op = _chain(10, pert)
+        ground = dense_spectrum(op)
+        series = correlator_krylov(
+            op, m_10, ground.state(0).normalized(), float(ground.eigenvalues[0]), TimeGrid(0.0, 60.0, 128), 1e-12
+        )
+        cases.append((f"Chebyshev N=10 {pert.kind}", series, 8))
+    grid = TimeGrid(-40.0, 25.0, 160)
+    t = grid.times()
+    two_tones = 0.2 + 0.7 * np.exp(-2.3j * t) + 0.3 * np.exp(0.9j * t)
+    cases.append(("t_start < 0", CorrelationSeries(grid, two_tones), 8))
+    decaying = (0.6 * np.exp(-1.7j * t) + 0.3 * np.cos(0.4 * t)) * np.exp(-0.01 * (t - t[0]))
+    for max_peaks in (1, 8):
+        cases.append((f"max_peaks {max_peaks}", CorrelationSeries(grid, decaying), max_peaks))
+    cases.append(("flat", CorrelationSeries(TimeGrid(0.0, 10.0, 64), np.full(64, 0.7 + 0.1j)), 8))
+    spikes = np.zeros(17, dtype=np.complex128)
+    spikes[[0, 2, 4]] = 1.0
+    cases.append(("merge: three spikes", CorrelationSeries(TimeGrid(0.0, 16.0, 17), spikes), 8))
+    grid = TimeGrid(0.0, 120.0, 192)
+    noise = np.random.default_rng(5).standard_normal((2, 192))
+    noisy = np.exp(1j * grid.times()) + 1e-9 * (noise[0] + 1j * noise[1])
+    cases.append(("amplitude floor: a tone in 1e-9 noise", CorrelationSeries(grid, noisy), 8))
+    return cases
+
+
+def _report_bits(report):
+    """The report's numbers as bytes, so that equal means bit for bit."""
+    return (
+        report.frequencies.tobytes(),
+        report.amplitudes.tobytes(),
+        np.complex128(report.dc_component).tobytes(),
+        np.float64(report.residual_fraction).tobytes(),
+    )
+
+
+@pytest.fixture(scope="module")
+def extraction_corpus():
+    return _extraction_corpus()
+
+
+class TestExtractionOracle:
+    """extract_oscillation reuses the exponentials its solves form; its
+    reports must not move by a bit from the oracle that forms them anew."""
+
+    def test_bit_identical_to_the_oracle(self, extraction_corpus):
+        differ = [
+            name
+            for name, series, max_peaks in extraction_corpus
+            if _report_bits(extract_oscillation(series, max_peaks)) != _report_bits(oracle_extract_oscillation(series, max_peaks))
+        ]
+        assert len(extraction_corpus) == 35 + 5 + 2 + 6
+        assert not differ
+
+    def test_corpus_reaches_the_merge_and_amplitude_floor_branches(self, extraction_corpus):
+        taken = set()
+        for _, series, max_peaks in extraction_corpus:
+            oracle_extract_oscillation(series, max_peaks, taken)
+        assert taken == {"merge", "floor"}

@@ -1,5 +1,8 @@
 """Pauli-string algebra against independent dense (tensor-product) oracles."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -369,6 +372,57 @@ class TestCanonicalization:
         assert [(t.x_mask, t.z_mask, t.coeff) for t in once.terms] == [
             (t.x_mask, t.z_mask, t.coeff) for t in twice.terms
         ]
+
+
+class TestCanonicalFormIsKept:
+    @staticmethod
+    def _count_operators_built(monkeypatch):
+        built = []
+        post_init = Operator.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Operator, "__post_init__", counting)
+        return built
+
+    def test_hermiticity_and_norm_canonicalize_at_most_once(self, monkeypatch):
+        op = Operator.from_label_terms([(1.0, "XZ"), (0.5, "ZZ"), (1.0, "XZ")])
+        built = self._count_operators_built(monkeypatch)
+        for _ in range(3):
+            assert op.is_hermitian() and op.one_norm() == 2.5
+        assert len(built) == 1
+        canon = op.canonicalize()
+        assert canon is built[0] and canon.canonicalize() is canon
+        for _ in range(3):
+            assert canon.is_hermitian() and canon.one_norm() == 2.5
+        assert len(built) == 1
+
+    def test_a_canonical_chain_never_canonicalizes_again(self, monkeypatch):
+        op = build_tc_hamiltonian(TCModelConfig(6, 0.5))
+        built = self._count_operators_built(monkeypatch)
+        assert op.canonicalize() is op and op.is_hermitian() and op.one_norm() > 0
+        assert built == []
+
+    def test_a_dropped_operator_is_freed_without_the_cycle_collector(self):
+        # the sweep drops each point's compiled operator after its run and
+        # relies on reference counting alone to free it
+        rng = np.random.default_rng(41)
+        gc.disable()
+        try:
+            op = random_operator(rng, 6, 8, hermitian=True)
+            canon = op.canonicalize()
+            amps = random_state(rng, 6).amplitudes
+            for o in (op, canon):
+                assert o.is_hermitian() and o.one_norm() > 0
+                o.matvec(amps)
+                o.flip_span
+            refs = [weakref.ref(op), weakref.ref(canon)]
+            del op, canon, o
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestHermiticity:

@@ -24,6 +24,8 @@ from tcspin.sweep import (
     summarize_sweep,
 )
 
+from conftest import criterion_8_plan
+
 GRID = TimeGrid(0.0, 150.0, 192)
 
 
@@ -235,8 +237,9 @@ class TestDistinctPoints:
         import tcspin.sweep as sweep_mod
 
         alone = sweep_mod._enumerate_points(self.PLAN)
-        for row in alone:
-            sweep_mod._run_rows(sweep_mod._row_operator(row), [row], self.PLAN)
+        for row in alone:  # each with its own observable, where the sweep shares one
+            observable = magnetization_operator(row.n_sites, row.axis)
+            sweep_mod._run_rows(sweep_mod._row_operator(row), [row], observable, self.PLAN)
         assert records_to_csv(run_sweep(self.PLAN)) == records_to_csv(alone)
 
     def test_worker_pool_maps_over_points(self):
@@ -274,6 +277,71 @@ class TestDistinctPoints:
         monkeypatch.setattr(sweep_mod, "run_point", spying)
         run_sweep(self.PLAN)
         assert len(refs) == 4
+
+    def test_compiled_operator_freed_without_the_cycle_collector(self, monkeypatch):
+        import gc
+        import weakref
+
+        import tcspin.sweep as sweep_mod
+
+        refs = []
+        real = sweep_mod.run_point
+
+        def spying(op, *args):
+            assert [r() for r in refs] == [None] * len(refs)
+            refs.append(weakref.ref(op))
+            return real(op, *args)
+
+        monkeypatch.setattr(sweep_mod, "run_point", spying)
+        gc.disable()
+        try:
+            run_sweep(self.PLAN)
+        finally:
+            gc.enable()
+        assert len(refs) == 4
+
+
+class TestSharedObservable:
+    """Every point of one N and axis correlates one observable object, built
+    once with its compiled groups, not one per point."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import tcspin.sweep as sweep_mod
+
+        observables, built = [], []
+        run, build = sweep_mod.run_point, sweep_mod.magnetization_operator
+
+        def running(op, observable, *args):
+            observables.append(observable)
+            return run(op, observable, *args)
+
+        def building(n, axis):
+            built.append((n, axis))
+            return build(n, axis)
+
+        monkeypatch.setattr(sweep_mod, "run_point", running)
+        monkeypatch.setattr(sweep_mod, "magnetization_operator", building)
+        return observables, built
+
+    def test_criterion_8_sweep_hands_every_point_the_same_observable(self, monkeypatch):
+        observables, built = self._spy(monkeypatch)
+        records = run_sweep(criterion_8_plan())
+        assert len(records) == 52 and all(r.status == "ok" for r in records)
+        assert len(observables) == 35 and all(o is observables[0] for o in observables)
+        assert built == [(8, "z")]
+
+    def test_one_observable_per_n(self, monkeypatch):
+        observables, built = self._spy(monkeypatch)
+        plan = small_plan(
+            n_values=(6, 8),
+            axis="x",
+            perturbations=(PerturbationFamily(kind="heisenberg_exchange", strengths=(0.01, 0.05)),),
+        )
+        run_sweep(plan)
+        assert built == [(6, "x"), (8, "x")]
+        assert [o.n_sites for o in observables] == [6] * 3 + [8] * 3
+        assert len({id(o) for o in observables}) == 2
 
     def test_copies_take_no_wall_time(self, tmp_path):
         from tcspin.cli import main
