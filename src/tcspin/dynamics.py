@@ -8,8 +8,9 @@ routes for sizes the dense path cannot reach. Both rest on one Chebyshev
 expansion of e^{-iHt} over a Gershgorin window of H, cut a priori by a
 Bessel tail bound. An eigenstate correlator is one moment sum
 (:func:`correlator_krylov`), run only on the invariant cosets of H that
-carry A psi, over the window of those rows; the cosets it leaves out and
-the cut series share one error budget. :func:`evolve` and the correlator
+carry A psi, or on their global-flip sectors where H keeps those apart,
+over the window of those rows; the parts it leaves out and the cut series
+share one error budget. :func:`evolve` and the correlator
 of an arbitrary state (:func:`correlator_krylov_general`) apply the
 expansion to full vectors, one fixed-dt propagator per time step.
 """
@@ -393,6 +394,23 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
     return StateVector(v.n_sites, _propagator(op, t, step_tol)(amps, h_v))
 
 
+def _drop_light(mass: np.ndarray, allowance: float) -> tuple[np.ndarray, float]:
+    """(indices kept, ascending; the mass dropped): the rows of ``mass`` are
+    dropped in ascending order of mass while their sum stays <= ``allowance``."""
+    by_mass = np.argsort(mass, kind="stable")
+    dropped = np.cumsum(mass[by_mass])
+    n_dropped = int(np.searchsorted(dropped, allowance, side="right"))
+    return np.sort(by_mass[n_dropped:]), float(dropped[n_dropped - 1]) if n_dropped else 0.0
+
+
+def _folds_global_flip(op: Operator) -> bool:
+    """True when the global flip P = X...X splits every coset of H into two
+    invariant sectors: P lies in the flip span (it maps each coset onto
+    itself) and commutes with every term (each z_mask has even popcount).
+    Read from the terms, with no compile."""
+    return op.flip_span.flip_position is not None and all(t.z_mask.bit_count() % 2 == 0 for t in op.terms)
+
+
 def correlator_krylov(
     op: Operator,
     a: Operator,
@@ -417,8 +435,8 @@ def correlator_krylov(
     The truncation error of every sample is bounded a priori by
     B = (n_samples - 1) * ``step_tol``, spent in two parts:
 
-    * d, on cosets left out. H is block diagonal on the invariant cosets of
-      its flip masks (:attr:`~tcspin.pauli.Operator.flip_span`, one per
+    * d, on the parts left out. H is block diagonal on the invariant cosets
+      of its flip masks (:attr:`~tcspin.pauli.Operator.flip_span`, one per
       operator, which the dense route reads too), so e^{-iHt} is too, and a
       coset moves every C(t) by at most ||phi_c||^2.
       Those masses are dropped in ascending order while their sum d stays
@@ -429,6 +447,17 @@ def correlator_krylov(
       Gershgorin window of their rows alone: for m_z on the z-field chain's
       ground state that is one coset of 4 states. When nothing is dropped
       the recursion runs on the full vectors and H's own compiled groups.
+      When the global flip P = X...X lies in the span and commutes with H
+      (the bare, Heisenberg and x-field chains), each kept coset splits
+      into its two P sectors, (a + b) / sqrt(2) and (a - b) / sqrt(2), with
+      a and b phi on the coset's representatives and on their P partners
+      (:attr:`~tcspin.pauli.FlipSpan.halves`). The drop goes on over these
+      sectors, still while d <= B / 2, and the recursion runs on the kept
+      sectors with H folded onto them (:meth:`~tcspin.pauli.FlipSpan.fold`):
+      m_z flips P, so m_z psi0 on the N = 12 Heisenberg chain is one
+      sector of 1024 states, half its coset. Only the kept cosets are
+      split. :func:`evolve` and :func:`correlator_krylov_general` do not
+      fold.
     * B - d, on the kept part. |mu_k| <= ||phi||^2, and the series stops at
       the order :func:`_chebyshev_order` gives for z = a max|t|, scale
       ||phi||^2 and budget B - d. Shortcut: one matvec gives
@@ -450,20 +479,26 @@ def correlator_krylov(
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol
-    blocks = op.flip_span.cosets
-    norms = np.linalg.norm(phi[blocks], axis=1)
-    mass = norms * norms
-    by_mass = np.argsort(mass, kind="stable")
-    dropped = np.cumsum(mass[by_mass])
-    n_dropped = int(np.searchsorted(dropped, 0.5 * budget, side="right"))
-    if n_dropped == len(blocks):
+    span = op.flip_span
+    blocks = span.cosets
+    kept, dropped = _drop_light(np.linalg.norm(phi[blocks], axis=1) ** 2, 0.5 * budget)
+    if not len(kept):
         return CorrelationSeries(grid=grid, values=np.zeros(len(times)), method="krylov")
-    groups = op._groups
-    if n_dropped:
-        budget -= dropped[n_dropped - 1]
-        kept = blocks[np.sort(by_mass[n_dropped:])]
-        groups = op.flip_span.restrict(groups, kept)
-        phi = phi[kept].ravel()
+    if _folds_global_flip(op):
+        reps, partners = span.halves
+        rows = blocks[kept]
+        a_half, b_half = phi[rows[:, reps]], phi[rows[:, partners]]
+        sectors = np.concatenate([a_half + b_half, a_half - b_half]) / math.sqrt(2.0)  # P = +1, then -1
+        keep, more = _drop_light(np.linalg.norm(sectors, axis=1) ** 2, 0.5 * budget - dropped)
+        dropped += more
+        groups = span.fold(op._groups, rows[keep % len(rows)], np.where(keep < len(rows), 1.0, -1.0))
+        phi = sectors[keep].ravel()
+    elif len(kept) == len(blocks):
+        groups = op._groups
+    else:
+        groups = span.restrict(op._groups, blocks[kept])
+        phi = phi[blocks[kept]].ravel()
+    budget -= dropped
     matvec = functools.partial(apply_groups, groups)
     norm_phi = float(np.linalg.norm(phi))
     h_phi = matvec(phi)

@@ -16,7 +16,8 @@ Conventions, used everywhere in this package:
   Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec``, the dense route's
   block matrices and ``to_dense`` all read that form, and
   :func:`apply_groups` applies it, or its restriction to some invariant
-  cosets of :attr:`Operator.flip_span` (read from the terms), to a vector.
+  cosets of :attr:`Operator.flip_span` (read from the terms), or its fold
+  onto global-flip sectors of those cosets, to a vector.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -207,6 +208,58 @@ class FlipSpan:
             for x, (c, _) in zip(self.masks, groups, strict=True)
         )
 
+    @functools.cached_property
+    def flip_position(self) -> int | None:
+        """Member position jP of the global flip 1...1, None when the span
+        lacks it. Member j ^ jP is member j XOR 1...1, so position j of a
+        coset pairs with position j ^ jP; the representatives of the pairs
+        are the positions with jP's top bit clear (:attr:`halves`)."""
+        full = (1 << self.n_sites) - 1
+        return None if self.representative(full) else self.locate(full)[1]
+
+    @functools.cached_property
+    def halves(self) -> tuple[np.ndarray, np.ndarray]:
+        """(representative positions, ascending; their partners, each ^ jP):
+        the two halves of every coset under the global flip."""
+        j_p = self.flip_position
+        positions = np.arange(1 << self.rank, dtype=np.intp)
+        reps = positions[positions >> (j_p.bit_length() - 1) & 1 == 0]
+        return reps, reps ^ j_p
+
+    def fold(self, groups, rows: np.ndarray, parities: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """``groups``, compiled for these masks and commuting with the global
+        flip P, on the flat vector stacking the P = parities[k] sectors of
+        ``rows`` (cosets from :meth:`rows`; a row may appear once per
+        parity). With a and b the i-th pair of :attr:`halves` in row k,
+        entry k * 2^(r-1) + i holds (v[a] + p v[b]) / sqrt(2) of a vector v:
+        on that sector v[b] = p v[a], so the entries determine it, with its
+        norm.
+
+        Group x at member position jx gathers from position ^ jx; when jx
+        has jP's top bit set that target is a partner, read as its
+        representative target ^ jP, with c * p. Groups whose masks differ
+        by P then share a gather and are merged, in ascending order of
+        their first mask; x = P joins the diagonal group. The result is
+        the form :func:`apply_groups` takes.
+        """
+        j_p = self.flip_position
+        top = 1 << (j_p.bit_length() - 1)
+        reps, _ = self.halves
+        at_reps = rows[:, reps]
+        merged: dict[int, np.ndarray] = {}
+        for x, (c, _) in zip(self.masks, groups, strict=True):
+            jx = int(np.searchsorted(self.members, x))
+            c = c[at_reps]
+            if jx & top:
+                jx ^= j_p
+                c *= parities[:, None]
+            merged[jx] = merged[jx] + c if jx in merged else c
+        offsets = np.arange(0, at_reps.size, len(reps))[:, None]
+        return tuple(
+            (c.ravel(), (offsets + np.searchsorted(reps, reps ^ jx)).ravel() if jx else None)
+            for jx, c in merged.items()
+        )
+
 
 @dataclass(frozen=True)
 class Operator:
@@ -390,8 +443,9 @@ def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
 
     ``groups`` is a sequence of (coefficients, gather index or None) pairs
     of one length and one coefficient dtype, as :attr:`Operator._groups`
-    holds them for the whole space and :meth:`FlipSpan.restrict` for a set
-    of its invariant cosets. Groups are accumulated in their given order,
+    holds them for the whole space, :meth:`FlipSpan.restrict` for a set
+    of its invariant cosets and :meth:`FlipSpan.fold` for global-flip
+    sectors of them. Groups are accumulated in their given order,
     so the result is bit-deterministic regardless of any outer worker pool,
     and column j of a slab's result equals, bit for bit, the result for
     column j alone. It has the shape of ``amps``, and is float64 when

@@ -25,7 +25,13 @@ from tcspin.dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.models import (
+    PerturbationSpec,
+    TCModelConfig,
+    build_perturbation,
+    build_tc_hamiltonian,
+    magnetization_operator,
+)
 from tcspin.oscillator import OscillatorConfig, baseline_scaling, cm_correlator_numeric
 from tcspin.pauli import Operator, PauliString, global_flip_operator, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
@@ -170,6 +176,12 @@ def test_criterion_4_solver_cross_validation():
     _finish(4, "solver cross-validation", 600.0, started, failures)
 
 
+FOLDED_PERTURBATIONS = {
+    "heisenberg 0.05": PerturbationSpec("heisenberg_exchange", 0.05),
+    "x field 0.05": PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3),
+}
+
+
 def test_criterion_5_dynamics_consistency():
     started = time.perf_counter()
     failures = []
@@ -186,6 +198,18 @@ def test_criterion_5_dynamics_consistency():
         diff = float(np.max(np.abs(spectral.values - krylov.values)))
         if diff > 1e-8:
             failures.append(f"N={n}: spectral vs krylov {diff:.2e}")
+        # the perturbed chains whose Chebyshev correlator folds the global flip
+        for name, pert in FOLDED_PERTURBATIONS.items():
+            chain = (op + build_perturbation(n, pert)).canonicalize()
+            chain_spec = dense_spectrum(chain)
+            ground = chain_spec.state(0).normalized()
+            chain_spectral = correlator_spectral(chain, chain_spec, m, ground, grid)
+            chain_krylov = correlator_krylov(
+                chain, m, ground, float(chain_spec.eigenvalues[0]), grid, step_tol=1e-12
+            )
+            diff = float(np.max(np.abs(chain_spectral.values - chain_krylov.values)))
+            if diff > 1e-8:
+                failures.append(f"N={n} {name}: spectral vs krylov {diff:.2e}")
         static = complex(np.vdot(psi.amplitudes, m.matvec(m.matvec(psi.amplitudes))))
         if abs(spectral.values[0] - static) > 1e-10:
             failures.append(f"N={n}: C(0) mismatch {abs(spectral.values[0]-static):.2e}")

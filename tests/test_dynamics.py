@@ -163,9 +163,9 @@ class TestKrylovCorrelator:
         assert np.max(np.abs(one_track.values - two_track.values)) < 1e-9
 
 
-def _chain(n_sites, spec):
-    op = build_tc_hamiltonian(TCModelConfig(n_sites, 0.5))
-    return op if spec is None else (op + build_perturbation(n_sites, spec)).canonicalize()
+def _chain(n_sites, spec, boundary="periodic"):
+    op = build_tc_hamiltonian(TCModelConfig(n_sites, 0.5, boundary=boundary))
+    return op if spec is None else (op + build_perturbation(n_sites, spec, boundary)).canonicalize()
 
 
 def _count_matvecs_of(monkeypatch, target):
@@ -507,9 +507,10 @@ class TestCosetRestriction:
         assert restricted_order <= full_order / 3
 
     def test_full_rank_span_reuses_the_compiled_groups(self, monkeypatch):
-        # an x field makes the flip-mask span full rank: one coset, the
-        # whole space in natural order, so nothing is dropped or copied
-        op = _chain(10, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3))
+        # a y field makes the flip-mask span full rank: one coset, the
+        # whole space in natural order, so nothing is dropped or copied;
+        # the global flip anticommutes with its terms, so nothing is folded
+        op = _chain(10, PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3))
         spectrum = lanczos_extremal(op, k=1, seed=100)
         psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
         m_x, m_z = magnetization_operator(10, "x"), magnetization_operator(10, "z")
@@ -521,6 +522,139 @@ class TestCosetRestriction:
             assert np.array_equal(series.values, values)
             # past the eigenstate check and A psi: H phi and the recursion
             assert len(calls) > 20 and all(groups is op._groups for groups, _ in calls[2:])
+
+
+FOLD_FAMILIES = {
+    "bare": None,
+    "heisenberg": PerturbationSpec("heisenberg_exchange", 0.05),
+    "x_field": PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3),
+    "y_field": PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3),
+    "z_field": PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3),
+}
+
+
+def _in_span(n, masks, target):
+    """``target`` in the GF(2) span of ``masks``, by marking every reachable mask."""
+    idx = np.arange(1 << n)
+    reached = idx == 0
+    for x in masks:
+        reached |= reached[idx ^ x]
+    return bool(reached[target])
+
+
+def _flip_parity_eigenpairs(op):
+    """Eigenpairs of an H that commutes with the global flip P, from
+    ``to_dense(op)`` alone: (rows, p, energies, vectors) per eigh of a block
+    <s|H|s'> + p <s|H|s' ^ 1...1> in the basis (|s> + p |s ^ 1...1>) / sqrt 2,
+    s < 2^(N-1), split further by the Z parity when N is even and every
+    flip mask has even weight."""
+    n = op.n_sites
+    full = (1 << n) - 1
+    dense = to_dense(op)
+    reps = np.arange(1 << (n - 1))
+    parts = [reps]
+    if n % 2 == 0 and all(t.x_mask.bit_count() % 2 == 0 for t in op.terms):
+        odd = np.bitwise_count(reps) % 2 == 1
+        parts = [reps[~odd], reps[odd]]
+    return [
+        (rows, p, *np.linalg.eigh(dense[np.ix_(rows, rows)] + p * dense[np.ix_(rows, rows ^ full)]))
+        for rows in parts
+        for p in (1.0, -1.0)
+    ]
+
+
+def _flip_parity_lehmann(eigenpairs, phi, e_psi, times):
+    """Exact e^{i E_psi t} <phi| e^{-iHt} |phi> from :func:`_flip_parity_eigenpairs`."""
+    full = phi.size - 1
+    values = np.zeros(len(times), dtype=np.complex128)
+    for rows, p, energies, vectors in eigenpairs:
+        weights = np.abs(vectors.conj().T @ ((phi[rows] + p * phi[rows ^ full]) / np.sqrt(2.0))) ** 2
+        values += weights @ np.exp(-1j * np.outer(energies - e_psi, times))
+    return values
+
+
+class TestGlobalFlipFold:
+    """The Chebyshev correlator on the global flip's sectors: the cosets of
+    the bare, Heisenberg and x-field chains split in two halves of opposite
+    P = X...X parity, and the recursion runs on the halves that carry A psi."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("family", FOLD_FAMILIES)
+    def test_fold_decision_matches_the_commutation_oracle(self, family, boundary):
+        for n in range(7, 13):
+            op = _chain(n, FOLD_FAMILIES[family], boundary)
+            flip = pauli.global_flip_operator(n).terms[0]
+            oracle = all(pauli.strings_commute(flip, t) for t in op.terms) and _in_span(
+                n, [t.x_mask for t in op.terms], flip.x_mask
+            )
+            assert dynamics._folds_global_flip(op) == oracle
+            assert oracle == (family in ("bare", "heisenberg", "x_field"))
+
+    @pytest.mark.parametrize("n", [8, 10, 12])
+    @pytest.mark.parametrize("family", ["bare", "heisenberg", "x_field"])
+    def test_folded_series_within_budget_of_lehmann_sum(self, family, n):
+        # dense ground states at N = 8 and 10, a Lanczos one at N = 12
+        op = _chain(n, FOLD_FAMILIES[family])
+        spectrum = dense_spectrum(op) if n < 12 else lanczos_extremal(op, k=2, seed=100)
+        psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        self._check_against_lehmann(op, psi, e_psi)
+
+    @staticmethod
+    def _check_against_lehmann(op, psi, e_psi):
+        eigenpairs = _flip_parity_eigenpairs(op)
+        for axis in ("z", "x", "z+x/2"):  # m_z flips P, m_x keeps it, their sum does both
+            m = _observable(op.n_sites, axis)
+            series = correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+            exact = _flip_parity_lehmann(eigenpairs, m.matvec(psi.amplitudes), e_psi, ROW_GRID.times())
+            assert np.max(np.abs(series.values - exact)) <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL, axis
+
+    @pytest.mark.parametrize("family", ["bare", "heisenberg", "x_field"])
+    def test_odd_open_chain_within_budget_of_lehmann_sum(self, family):
+        # at N = 9 the half-chain strings cover 4 and 5 sites
+        op = _chain(9, FOLD_FAMILIES[family], "open")
+        spectrum = dense_spectrum(op)
+        psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        assert dynamics._folds_global_flip(op)
+        self._check_against_lehmann(op, psi, e_psi)
+
+    @pytest.mark.parametrize("axis, length", [("z", 128), ("x", 128), ("z+x/2", 256)])
+    def test_a_sum_of_both_parities_keeps_both_sectors(self, axis, length, monkeypatch):
+        # the x-field chain is one coset of 256: m_z moves the ground state
+        # into the other P sector, m_x keeps it in its own, their sum does both
+        op = _chain(8, FOLD_FAMILIES["x_field"])
+        spectrum = dense_spectrum(op)
+        psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        calls = _count_group_applications(monkeypatch)
+        correlator_krylov(op, _observable(8, axis), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        # past the eigenstate check and A psi: H phi and the recursion
+        assert len(calls) > 2 and {len(x) for _, x in calls[2:]} == {length}
+
+    @pytest.mark.parametrize(
+        "row, length",
+        [("heisenberg", 1024), ("x_field", 512), ("z_field", 4)],
+    )
+    def test_recursion_runs_on_the_folded_sector(self, lanczos_row, row, length, monkeypatch):
+        if row == "x_field":
+            op = _chain(10, FOLD_FAMILIES["x_field"])
+            spectrum = lanczos_extremal(op, k=1, seed=100)
+            psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        else:
+            op, psi, e_psi, _ = lanczos_row[row]
+        m = magnetization_operator(op.n_sites, "z")
+        calls = _count_group_applications(monkeypatch)
+        correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        # past the eigenstate check and A psi: H phi and the recursion
+        assert len(calls) > 2 and {len(x) for _, x in calls[2:]} == {length}
+
+    def test_fold_merges_the_groups_that_differ_by_the_flip(self):
+        # the chain's half-chain strings L and R = L ^ 1...1 share one gather
+        op = _chain(8, None)
+        span = op.flip_span
+        rows = span.cosets[:1]
+        for parity in (1.0, -1.0):
+            groups = span.fold(op._groups, rows, np.array([parity]))
+            assert len(groups) == len(op._groups) - 1
+            assert all(len(c) == rows.shape[1] // 2 for c, _ in groups)
 
 
 def _ghz_pair(op, spectrum):
