@@ -222,6 +222,62 @@ def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     return w
 
 
+def _lanczos_step(
+    matvec, basis: np.ndarray, small: np.ndarray, omega: np.ndarray, j: int, kept: int, beta: float,
+    deflate: np.ndarray, eta: float, h_norm: float, again: bool, h_q: np.ndarray | None = None,
+) -> tuple[np.ndarray, float, np.ndarray, bool, np.ndarray]:
+    """One Lanczos step from ``basis[j]``, H applied by ``matvec`` (or read
+    from ``h_q``, overwritten): alpha_j into ``small[j, j]``, the three-term
+    recurrence with the last ``beta`` subtracted (the arrow of a thick
+    restart when j == ``kept`` > 0), ``deflate`` projected out.
+
+    Simon's recurrence (Math. Comp. 42, 115 (1984)) estimates the new
+    vector's overlaps with the basis from T = ``small``: with omega_j the
+    overlaps of basis vector j, q_i^H H q_j is (T omega_j)_i, so
+    omega_{j+1} = (T omega_j - alpha_j omega_j - beta_{j-1} omega_{j-1} +
+    4 eps ||H||) / beta_j, the last term for rounding (``h_norm`` bounds
+    ||H||). A Gram-Schmidt pass against ``deflate`` and the basis (a second
+    on the DGKS test) runs only when max |omega_{j+1}| passes ``eta``, and
+    again on the next step (``again``); the estimate then resets to eps.
+    After a thick restart every step takes it: the kept Ritz vectors carry
+    the last cycle's passes in their residuals, which T does not record.
+
+    Returns (w, beta_j = ||w||, the estimated overlaps of w / beta_j with
+    basis[:j + 1], ``again``, w before the pass or w itself); the caller
+    stores the first three in ``basis``, ``small`` and ``omega``.
+    """
+    w = matvec(basis[j]) if h_q is None else h_q
+    alpha = float(np.vdot(basis[j], w).real)
+    small[j, j] = alpha
+    w -= alpha * basis[j]
+    if j > kept:
+        w -= beta * basis[j - 1]
+    elif kept:
+        w -= basis[:kept].T @ small[kept, :kept]
+    if len(deflate):
+        w -= deflate.T @ (deflate @ w.conj()).conj()
+    before = float(np.linalg.norm(w))
+    if kept or again:
+        full, again = True, False
+    else:
+        # Simon's estimate, times beta: q_i^H H q_j read from T, less what
+        # the recurrence subtracted, plus eps ||H|| of rounding for each of
+        # the matvec and the three subtractions
+        t = small[: j + 1, : j + 1]
+        drift = t @ omega[: j + 1, j] - omega[: j + 1, : j + 1] @ t[:, j]
+        drift += np.copysign(4 * EPS * h_norm, drift)
+        full = again = float(np.abs(drift).max()) > eta * before
+    if not full:
+        return w, before, drift / before, again, w
+    unpassed = w
+    w = _orthogonalize(w, deflate, basis[: j + 1])
+    beta = float(np.linalg.norm(w))
+    if beta < DGKS_RATIO * before:
+        w = _orthogonalize(w, deflate, basis[: j + 1])
+        beta = float(np.linalg.norm(w))
+    return w, beta, np.full(j + 1, EPS), again, unpassed
+
+
 def _lowest_deflated_eigenpair(
     op: Operator,
     v0: np.ndarray,
@@ -240,19 +296,11 @@ def _lowest_deflated_eigenpair(
     projected matrix T is diagonal on the kept block with an arrow coupling
     to the first continuation vector, then tridiagonal.
 
-    Each step subtracts the three-term recurrence (or the arrow) and
-    projects out ``deflate``. Simon's recurrence (Math. Comp. 42, 115
-    (1984)) estimates the new vector's overlaps with the basis from T: with
-    omega_j the overlaps of basis vector j, q_i^H H q_j is (T omega_j)_i,
-    so omega_{j+1} = (T omega_j - alpha_j omega_j - beta_{j-1} omega_{j-1}
-    + 4 eps ||H||) / beta_j, the last term for rounding. A Gram-Schmidt pass
-    against the locked vectors and the whole basis (a second on the DGKS
-    test) runs only when max |omega_{j+1}| passes eta = min(sqrt(eps),
-    tol / ||H||), and again on the next step; the estimate then resets to
-    eps. ``h_norm`` bounds ||H||. After a thick restart every step takes the
-    pass: the kept Ritz vectors carry the last cycle's passes in their
-    residuals, which T does not record, so the estimate does not hold for
-    them.
+    Each step is one :func:`_lanczos_step`: it subtracts the three-term
+    recurrence (or the arrow), projects out ``deflate``, and runs a
+    Gram-Schmidt pass against the locked vectors and the whole basis only
+    when Simon's estimate of the overlaps passes eta = min(sqrt(eps),
+    tol / ||H||), or after a thick restart. ``h_norm`` bounds ||H||.
 
     Convergence is tested at every step: with the basis orthonormal to eta,
     |beta_j u[j, 0]| (the new beta times the last component of the lowest
@@ -284,38 +332,11 @@ def _lowest_deflated_eigenpair(
         j = kept
         beta = 0.0
         while j < m_cap and matvecs + 2 <= budget:
-            w = op.matvec(basis[j])
+            # w before the pass is dropped here, not held through a step
+            w, beta, w_omega, again = _lanczos_step(
+                op.matvec, basis, small, omega, j, kept, beta, deflate, eta, h_norm, again
+            )[:4]
             matvecs += 1
-            alpha = float(np.vdot(basis[j], w).real)
-            small[j, j] = alpha
-            w -= alpha * basis[j]
-            if j > kept:
-                w -= beta * basis[j - 1]
-            elif kept:
-                w -= basis[:kept].T @ small[kept, :kept]
-            if len(deflate):
-                w -= deflate.T @ (deflate @ w.conj()).conj()
-            before = float(np.linalg.norm(w))
-            if kept or again:
-                full, again = True, False
-            else:
-                # Simon's estimate, times beta: q_i^H H q_j read from T,
-                # less what the recurrence subtracted, plus eps ||H|| of
-                # rounding for each of the matvec and the three subtractions
-                t = small[: j + 1, : j + 1]
-                drift = t @ omega[: j + 1, j] - omega[: j + 1, : j + 1] @ t[:, j]
-                drift += np.copysign(4 * EPS * h_norm, drift)
-                full = again = float(np.abs(drift).max()) > eta * before
-            if full:
-                w = _orthogonalize(w, deflate, basis[: j + 1])
-                beta = float(np.linalg.norm(w))
-                if beta < DGKS_RATIO * before:
-                    w = _orthogonalize(w, deflate, basis[: j + 1])
-                    beta = float(np.linalg.norm(w))
-                w_omega = np.full(j + 1, EPS)
-            else:
-                beta = before
-                w_omega = drift / beta
             if beta < breakdown_tol:
                 beta = 0.0
             j += 1

@@ -198,7 +198,7 @@ def test_criterion_5_dynamics_consistency():
         diff = float(np.max(np.abs(spectral.values - krylov.values)))
         if diff > 1e-8:
             failures.append(f"N={n}: spectral vs krylov {diff:.2e}")
-        # the perturbed chains whose Chebyshev correlator folds the global flip
+        # the perturbed chains whose Krylov correlator folds the global flip
         for name, pert in FOLDED_PERTURBATIONS.items():
             chain = (op + build_perturbation(n, pert)).canonicalize()
             chain_spec = dense_spectrum(chain)

@@ -452,6 +452,37 @@ class TestRuntimeImports:
         assert result["scipy_modules"] == []
 
 
+class TestLogLevel:
+    # the Krylov correlator logs how hard it worked at info, and the default
+    # warn level prints none of it
+    DOC = {
+        "command": "correlate",
+        "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
+        "perturbations": [{"kind": "heisenberg_exchange", "strength": 0.05}],
+        "observable": {"type": "magnetization", "axis": "z"},
+        "initial_state": {"type": "ground"},
+        "time_grid": {"t_start": 0.0, "t_end": 60.0, "n_samples": 128},
+        "solver": {"method": "krylov", "step_tol": 1e-12},
+    }
+
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_krylov_correlator_record(self, tmp_path, level):
+        cfg = write_config(tmp_path, self.DOC)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        args = [sys.executable, "-m", "tcspin.cli", "correlate", "--config", cfg, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            args + (["--log-level", level] if level else []),
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        records = [line for line in proc.stderr.splitlines() if "krylov correlator" in line]
+        if level is None:
+            assert proc.stderr == ""
+        else:
+            # m_z psi0 is one global-flip sector of 64 states
+            assert len(records) == 1 and "64 amplitudes kept" in records[0], proc.stderr
+
+
 class TestValidateCommand:
     def test_reports_hash(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SWEEP_DOC)

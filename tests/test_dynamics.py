@@ -13,9 +13,8 @@ from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
     _bessel_column,
-    _bessel_series,
-    _chebyshev_moments,
     _chebyshev_order,
+    _chebyshev_vectors,
     _expansion_weights,
     _window,
     correlator_krylov,
@@ -361,7 +360,7 @@ class TestChebyshevCorrelator:
 
     @pytest.mark.parametrize("spec", PERTURBATIONS[1:])
     def test_real_and_phased_states_agree_with_spectral_route(self, spec, monkeypatch):
-        # a real psi runs the moment recursion in float64; e^{i theta} psi
+        # a real psi runs the Lanczos quadrature in float64; e^{i theta} psi
         # forces the complex path; C(t) ignores the global phase
         op = _chain(8, spec)
         spectrum = dense_spectrum(op)
@@ -377,13 +376,90 @@ class TestChebyshevCorrelator:
             calls.clear()
             series = correlator_krylov(op, m, state, float(spectrum.eigenvalues[0]), grid, step_tol=step_tol)
             assert np.max(np.abs(series.values - spectral.values)) <= bound
-            # calls[0] is the eigenstate check; every later call is A psi, H phi or the recursion
-            assert len(calls) > 20 and {x.dtype for _, x in calls[1:]} == {np.dtype(dtype)}
+            # calls[0] is the eigenstate check; every later call is A psi, H phi or a Lanczos step
+            assert len(calls) > 3 and {x.dtype for _, x in calls[1:]} == {np.dtype(dtype)}
 
     def test_rejects_non_hermitian_hamiltonian(self):
         op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])
         with pytest.raises(ModelError):
             correlator_krylov(op, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
+
+
+# The Chebyshev moment route that correlator_krylov ran before its Lanczos
+# quadrature, kept bit for bit as an oracle: the moment recursion of
+# _chebyshev_moments and the Bessel sum of _bessel_series, checked against
+# scipy and against its per-order reference form
+
+
+def _bessel_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] J_k(z_j) for every z_j, in O(len(z) + len(coeffs)) memory.
+
+    The recurrence of :func:`_bessel_column`, vectorized over z with each
+    column seeded at its own start order. The unnormalized sum and the
+    normalization J_0 + 2 sum_k J_{2k} are both linear in the column, so
+    they accumulate as the orders go down (and take the column's 2^-500
+    rescalings) and are divided once at the end; no table of orders by
+    samples is stored. Even and odd orders are summed apart, so that
+    J_k(-z) = (-1)^k J_k(z) gives negative z. |z| <= 1e-30 gives coeffs[0].
+    """
+    x = np.abs(z)
+    tiny = x <= 1e-30
+    x = np.where(tiny, 1.0, x)
+    starts = dynamics._miller_start(x)
+    # the samples whose column is seeded at each start order
+    by_start = np.argsort(starts, kind="stable")
+    orders, first = np.unique(starts[by_start], return_index=True)
+    seeded = dict(zip(orders.tolist(), np.split(by_start, first[1:])))
+    two_over_x = 2.0 / x
+    sums = np.zeros((2, len(z)), dtype=np.complex128)  # even and odd orders
+    term = np.empty(len(z), dtype=np.complex128)
+    even = np.zeros(len(z))  # unnormalized J_k over even k > 0, doubled (exactly) at the end
+    above = np.zeros(len(z))  # unnormalized J_{k+1}
+    cur = np.zeros(len(z))  # unnormalized J_k
+    below = np.empty(len(z))
+    for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
+        if k in seeded:
+            cur[seeded[k]] = 1.0
+        if k < len(coeffs):
+            sums[k % 2] += np.multiply(coeffs[k], cur, out=term)
+        if k == 0:
+            break
+        if k % 2 == 0:
+            even += cur
+        np.multiply(k, two_over_x, out=below)
+        below *= cur
+        below -= above
+        if np.abs(below).max() > 2.0**500:
+            big = np.abs(below) > 2.0**500
+            for arr in (below, cur, sums[0], sums[1], even):
+                arr[big] *= 2.0**-500
+        above, cur, below = cur, below, above
+    values = (sums[0] + np.sign(z) * sums[1]) / (2.0 * even + cur)
+    values[tiny] = coeffs[0]
+    return values
+
+
+def _chebyshev_moments(
+    matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
+) -> np.ndarray:
+    """mu_k = <phi|T_k(H~)|phi> for k = 0 .. order.
+
+    T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k+1 T_k - T_1 give two moments per
+    vector (Weisse et al., Rev. Mod. Phys. 78, 275 (2006), Sec. II), so
+    ceil(order / 2) matvecs do, counting the one that made ``h_phi``.
+    """
+    mu = np.empty(order + 1, dtype=np.complex128)
+    vectors = _chebyshev_vectors(matvec, phi, h_phi, centre, half_width)
+    prev = next(vectors)
+    mu[0] = np.vdot(prev, prev)
+    for k in range(1, (order + 1) // 2 + 1):
+        cur = next(vectors)
+        overlap = np.vdot(cur, prev)
+        mu[2 * k - 1] = overlap if k == 1 else 2.0 * overlap - mu[1]
+        if 2 * k <= order:
+            mu[2 * k] = 2.0 * np.vdot(cur, cur) - mu[0]
+        prev = cur
+    return mu
 
 
 def _bessel_series_per_order(z, coeffs):
@@ -458,8 +534,9 @@ def _sector_lehmann(sectors, phi, e_psi, times):
 
 
 def _unrestricted_series(op, a, psi, e_psi, grid, step_tol):
-    """The moment recursion of correlator_krylov on the full space, with H's
-    own matvec and window: what it ran before it split phi by coset."""
+    """The Chebyshev moment series on the full space, with H's own matvec
+    and window: what correlator_krylov ran before it split phi by coset and
+    before its Lanczos quadrature; within B of exact."""
     amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
     phi = a.matvec(amps)
     times = grid.times()
@@ -469,6 +546,54 @@ def _unrestricted_series(op, a, psi, e_psi, grid, step_tol):
     order, _ = _chebyshev_order(half_width * grid.t_end, scale, (grid.n_samples - 1) * step_tol)
     mu = _chebyshev_moments(op.matvec, phi, op.matvec(phi), centre, half_width, order)
     return _bessel_series(half_width * times, mu * _expansion_weights(order)) * np.exp(1j * (e_psi - centre) * times)
+
+
+def _drop_light_by_argsort(mass, allowance):
+    """The form of dynamics._drop_light that sorted every mass."""
+    by_mass = np.argsort(mass, kind="stable")
+    dropped = np.cumsum(mass[by_mass])
+    n_dropped = int(np.searchsorted(dropped, allowance, side="right"))
+    return np.sort(by_mass[n_dropped:]), float(dropped[n_dropped - 1]) if n_dropped else 0.0
+
+
+class TestDropLight:
+    """_drop_light sorts only the masses at or below the allowance; its kept
+    indices and dropped mass are bit for bit those of a sort of every mass."""
+
+    @pytest.mark.parametrize(
+        "mass, allowance",
+        [
+            # ties, below and at the allowance: the stable order drops the first
+            (np.array([0.1, 0.05, 0.1, 0.05, 0.3, 0.1]), 0.2),
+            (np.array([0.1, 0.05, 0.1, 0.05, 0.3, 0.1]), 0.1),
+            (np.array([0.25, 0.25, 0.25, 0.25]), 0.5),
+            (np.array([1e-30, 0.0, 1e-30, 0.0, 2.0]), 1e-30),
+            # every mass dropped, and none
+            (np.array([1e-14, 3e-15, 2e-14]), 1e-13),
+            (np.array([0.4, 0.2, 0.7]), 0.1),
+            # phi = 0: every mass is 0, and all of them go
+            (np.zeros(16), 6.35e-11),
+        ],
+        ids=["ties", "ties at the allowance", "all equal", "zeros and ties", "all dropped", "none dropped", "phi = 0"],
+    )
+    def test_bit_identical_to_the_argsort_form(self, mass, allowance):
+        kept, dropped = dynamics._drop_light(mass, allowance)
+        want_kept, want_dropped = _drop_light_by_argsort(mass, allowance)
+        assert kept.dtype == want_kept.dtype and np.array_equal(kept, want_kept)
+        assert np.float64(dropped).tobytes() == np.float64(want_dropped).tobytes()
+
+    @pytest.mark.parametrize("axis", ["x", "z+x/2"])
+    def test_bit_identical_on_coset_masses(self, lanczos_row, axis):
+        # the z-field row has 1024 cosets of 4; m_x moves psi0 into a dozen
+        # of them, and the rest carry round-off far below the allowance
+        op, psi, _, _ = lanczos_row["z_field"]
+        phi = _observable(12, axis).matvec(psi.amplitudes)
+        mass = np.linalg.norm(phi[op.flip_span.cosets], axis=1) ** 2
+        for allowance in (0.5 * (ROW_GRID.n_samples - 1) * ROW_STEP_TOL, 1e-3, 0.0):
+            kept, dropped = dynamics._drop_light(mass, allowance)
+            want_kept, want_dropped = _drop_light_by_argsort(mass, allowance)
+            assert np.array_equal(kept, want_kept)
+            assert np.float64(dropped).tobytes() == np.float64(want_dropped).tobytes()
 
 
 class TestCosetRestriction:
@@ -495,16 +620,14 @@ class TestCosetRestriction:
     def test_z_field_row_runs_on_the_ground_state_coset(self, lanczos_row, monkeypatch):
         op, psi, e_psi, _ = lanczos_row["z_field"]
         m = magnetization_operator(12, "z")
+        expected = _unrestricted_series(op, m, psi, e_psi, ROW_GRID, ROW_STEP_TOL)
         calls = _count_group_applications(monkeypatch)
-        correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
-        # past the eigenstate check and A psi: H phi and the recursion
+        series = correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        # past the eigenstate check and A psi: H phi and the Lanczos steps,
+        # which the coset's 4 dimensions end at 4 (the first reuses H phi)
         assert {len(x) for _, x in calls[2:]} == {4}
-        restricted_order = 2 * len(calls[2:])  # moment doubling: two moments per vector
-        phi = m.matvec(psi.amplitudes)
-        _, half_width = _window(op.gershgorin_interval())
-        scale = np.linalg.norm(phi) ** 2
-        full_order, _ = _chebyshev_order(half_width * ROW_GRID.t_end, scale, (ROW_GRID.n_samples - 1) * ROW_STEP_TOL)
-        assert restricted_order <= full_order / 3
+        assert len(calls[2:]) <= 4
+        assert np.max(np.abs(series.values - expected)) <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
 
     def test_full_rank_span_reuses_the_compiled_groups(self, monkeypatch):
         # a y field makes the flip-mask span full rank: one coset, the
@@ -519,9 +642,10 @@ class TestCosetRestriction:
         for m, values in expected.items():
             calls.clear()
             series = correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
-            assert np.array_equal(series.values, values)
-            # past the eigenstate check and A psi: H phi and the recursion
-            assert len(calls) > 20 and all(groups is op._groups for groups, _ in calls[2:])
+            assert np.max(np.abs(series.values - values)) <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+            # past the eigenstate check and A psi: H phi and the Lanczos steps
+            assert len(calls) > 3 and all(groups is op._groups for groups, _ in calls[2:])
+            assert {len(x) for _, x in calls[2:]} == {1 << 10}
 
 
 FOLD_FAMILIES = {
@@ -574,9 +698,9 @@ def _flip_parity_lehmann(eigenpairs, phi, e_psi, times):
 
 
 class TestGlobalFlipFold:
-    """The Chebyshev correlator on the global flip's sectors: the cosets of
+    """The Krylov correlator on the global flip's sectors: the cosets of
     the bare, Heisenberg and x-field chains split in two halves of opposite
-    P = X...X parity, and the recursion runs on the halves that carry A psi."""
+    P = X...X parity, and the Lanczos run is on the halves that carry A psi."""
 
     @pytest.mark.parametrize("boundary", ["periodic", "open"])
     @pytest.mark.parametrize("family", FOLD_FAMILIES)
@@ -626,7 +750,7 @@ class TestGlobalFlipFold:
         psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
         calls = _count_group_applications(monkeypatch)
         correlator_krylov(op, _observable(8, axis), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
-        # past the eigenstate check and A psi: H phi and the recursion
+        # past the eigenstate check and A psi: H phi and the Lanczos steps
         assert len(calls) > 2 and {len(x) for _, x in calls[2:]} == {length}
 
     @pytest.mark.parametrize(
@@ -643,7 +767,7 @@ class TestGlobalFlipFold:
         m = magnetization_operator(op.n_sites, "z")
         calls = _count_group_applications(monkeypatch)
         correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
-        # past the eigenstate check and A psi: H phi and the recursion
+        # past the eigenstate check and A psi: H phi and the Lanczos steps
         assert len(calls) > 2 and {len(x) for _, x in calls[2:]} == {length}
 
     def test_fold_merges_the_groups_that_differ_by_the_flip(self):
@@ -655,6 +779,111 @@ class TestGlobalFlipFold:
             groups = span.fold(op._groups, rows, np.array([parity]))
             assert len(groups) == len(op._groups) - 1
             assert all(len(c) == rows.shape[1] // 2 for c, _ in groups)
+
+
+def _dm_chain(n):
+    """The chain with complex Dzyaloshinskii-Moriya bonds 0.1 (X_i Y_i+1 -
+    Y_i X_i+1): real weights on Y strings, so H is complex."""
+    bonds = [(c, "I" * i + pair + "I" * (n - 2 - i)) for i in range(n - 1) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
+    return (build_tc_hamiltonian(TCModelConfig(n, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+
+
+QUADRATURE_CHAINS = [*FOLD_FAMILIES, "dzyaloshinskii_moriya"]
+QUADRATURE_GRIDS = {"t_start<0": TimeGrid(-30.0, 90.0, 160), "t_start=0": TimeGrid(0.0, 120.0, 192)}
+
+
+@pytest.fixture(scope="module")
+def quadrature_chains():
+    """(op, psi0, E0, dense spectrum) per (family, N), built on first use."""
+    cache = {}
+
+    def get(family, n):
+        if (family, n) not in cache:
+            op = _dm_chain(n) if family == "dzyaloshinskii_moriya" else _chain(n, FOLD_FAMILIES[family])
+            spectrum = dense_spectrum(op)
+            cache[family, n] = (op, spectrum.state(0).normalized(), float(spectrum.eigenvalues[0]), spectrum)
+        return cache[family, n]
+
+    return get
+
+
+def _krylov_record(caplog):
+    """The (kept length, steps, cap, bound, dropped) of the one record a
+    correlator_krylov call logs."""
+    records = [r for r in caplog.records if r.name == "tcspin.dynamics"]
+    assert len(records) == 1
+    return records[0].args
+
+
+class TestLanczosQuadrature:
+    """The eigenstate correlator as a Gauss rule from a Lanczos run on A psi:
+    within B of the Lehmann sum, its stated bound above the true error, its
+    basis orthogonal to the eta it was given, and few matvecs."""
+
+    @pytest.mark.parametrize("grid", QUADRATURE_GRIDS.values(), ids=QUADRATURE_GRIDS.keys())
+    @pytest.mark.parametrize("axis", ["z", "x"])
+    @pytest.mark.parametrize("n", [8, 10])
+    @pytest.mark.parametrize("family", QUADRATURE_CHAINS)
+    def test_within_budget_and_its_bound_of_lehmann_sum(self, quadrature_chains, family, n, axis, grid, caplog):
+        op, psi, e_psi, spectrum = quadrature_chains(family, n)
+        m = magnetization_operator(n, axis)
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov(op, m, psi, e_psi, grid, step_tol=1e-12)
+        error = np.max(np.abs(series.values - correlator_spectral(op, spectrum, m, psi, grid).values))
+        assert error <= (grid.n_samples - 1) * 1e-12
+        _, steps, cap, bound, dropped = _krylov_record(caplog)
+        assert 1 <= steps <= cap
+        if steps > 1:  # the quadrature ran; the shortcut's bound has no round-off term
+            assert error <= bound + dropped
+
+    @pytest.mark.parametrize(
+        "family, n, axis, grid",
+        [("heisenberg", 12, "z", ROW_GRID), ("heisenberg_0.3", 10, "x", TimeGrid(0.0, 240.0, 512))],
+        ids=["N=12 Heisenberg-0.05 row", "N=10 Heisenberg-0.3, t <= 240"],
+    )
+    def test_basis_stays_orthogonal_to_eta(self, lanczos_row, family, n, axis, grid, monkeypatch, caplog):
+        if family == "heisenberg":
+            op, psi, e_psi, _ = lanczos_row[family]
+        else:
+            op = build_tc_hamiltonian(TCModelConfig(n, 1.0))
+            op = (op + build_perturbation(n, PerturbationSpec("heisenberg_exchange", 0.3))).canonicalize()
+            spectrum = dense_spectrum(op)
+            psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        seen = []
+        step = dynamics._lanczos_step
+
+        def spying(matvec, basis, small, omega, j, kept, beta, deflate, eta, *rest):
+            seen.append((basis, eta))
+            return step(matvec, basis, small, omega, j, kept, beta, deflate, eta, *rest)
+
+        monkeypatch.setattr(dynamics, "_lanczos_step", spying)
+        with caplog.at_level("INFO", logger="tcspin"):
+            correlator_krylov(op, magnetization_operator(n, axis), psi, e_psi, grid, step_tol=1e-12)
+        _, steps, _, _, _ = _krylov_record(caplog)
+        basis, eta = seen[-1]  # the buffers grow past 64 steps
+        assert len(seen) == steps > 40 and len({id(b) for b, _ in seen}) == 1 + (steps > 64) + (steps > 128)
+        q = basis[:steps]
+        assert 0.0 < eta <= np.sqrt(np.finfo(float).eps)
+        assert np.max(np.abs(q.conj() @ q.T - np.eye(steps))) <= eta
+
+    def test_heisenberg_row_makes_at_most_64_matvecs(self, lanczos_row, monkeypatch):
+        # the Chebyshev moment recursion made about 395 here (order 790)
+        op, psi, e_psi, sectors = lanczos_row["heisenberg"]
+        m = magnetization_operator(12, "z")
+        calls = _count_group_applications(monkeypatch)
+        series = correlator_krylov(op, m, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        assert len(calls) <= 64
+        exact = _sector_lehmann(sectors, m.matvec(psi.amplitudes), e_psi, ROW_GRID.times())
+        assert np.max(np.abs(series.values - exact)) <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+
+    def test_logs_one_record_per_call(self, lanczos_row, caplog):
+        op, psi, e_psi, _ = lanczos_row["heisenberg"]
+        with caplog.at_level("INFO", logger="tcspin"):
+            correlator_krylov(op, magnetization_operator(12, "z"), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        kept, steps, cap, bound, dropped = _krylov_record(caplog)
+        # m_z psi0 is one P sector of 1024 states; the a-priori cap is order 790 / 2
+        assert (kept, cap) == (1024, 396) and steps < 64
+        assert bound + dropped <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
 
 
 def _ghz_pair(op, spectrum):
@@ -963,7 +1192,7 @@ def _extraction_corpus():
         series = correlator_krylov(
             op, m_10, ground.state(0).normalized(), float(ground.eigenvalues[0]), TimeGrid(0.0, 60.0, 128), 1e-12
         )
-        cases.append((f"Chebyshev N=10 {pert.kind}", series, 8))
+        cases.append((f"Krylov N=10 {pert.kind}", series, 8))
     grid = TimeGrid(-40.0, 25.0, 160)
     t = grid.times()
     two_tones = 0.2 + 0.7 * np.exp(-2.3j * t) + 0.3 * np.exp(0.9j * t)
