@@ -7,12 +7,12 @@ spectral (Lehmann) summation over the dense eigenbasis, and two matrix-free
 routes for sizes the dense path cannot reach. An eigenstate correlator
 (:func:`correlator_krylov`) is a Gauss rule from one short Lanczos run on
 A psi, stopped by an a-posteriori bound and capped a priori, run only on
-the invariant cosets of H that carry A psi, or on their global-flip
-sectors where H keeps those apart; the parts it leaves out and the rule
-share one error budget. :func:`evolve` and the correlator of an arbitrary
-state (:func:`correlator_krylov_general`) apply a Chebyshev expansion of
-e^{-iHt} over a Gershgorin window of H, cut a priori by a Bessel tail
-bound, to full vectors, one fixed-dt propagator per time step.
+the invariant sectors of H (:attr:`~tcspin.pauli.Operator.sectors`) that
+carry A psi; the parts it leaves out and the rule share one error budget.
+:func:`evolve` and the correlator of an arbitrary state
+(:func:`correlator_krylov_general`) apply a Chebyshev expansion of e^{-iHt}
+over a Gershgorin window of H, cut a priori by a Bessel tail bound, to full
+vectors, one fixed-dt propagator per time step.
 """
 
 from __future__ import annotations
@@ -327,15 +327,16 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
     return StateVector(v.n_sites, _propagator(op, t, step_tol)(amps, h_v))
 
 
-# Lanczos steps between checks of the quadrature's bound (past 32, m / 8)
+# Lanczos steps between checks of the quadrature's bound, after the check at
+# m = 1 (past 32, m / 8)
 QUADRATURE_CHECK = 4
 
 
-def _gauss_rule(groups, phi: np.ndarray, h_phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
+def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
     """Nodes theta_j and weights w_j, <phi|e^{-iHt}|phi> ~ sum_j w_j
     e^{-i theta_j t} within ``budget`` for |t| <= ``t_max``, from a Lanczos
     run on phi; returns (nodes, weights, steps m, the cap on m, the bound).
-    H is ``groups``, ``h_phi`` = H phi, ``interval`` encloses H's spectrum
+    H is ``groups``, ``interval`` encloses H's spectrum
     (||H|| <= h = max |interval|), and ``rounding`` = (G + 3) EPS h bounds
     the rounding of a step of G groups summed in order and 3 subtractions.
 
@@ -363,33 +364,39 @@ def _gauss_rule(groups, phi: np.ndarray, h_phi: np.ndarray, interval, rounding: 
     sqrt(m) eta bounds ||Q_m^H q_1 - e_1|| and ||Q_m^H q_{m+1}||. A column
     of F_m is at most ``rounding`` (which also covers a node's phase over
     t_max) plus what a Gram-Schmidt pass took out of w, measured. The run
-    stops at the first check, every :data:`QUADRATURE_CHECK` steps, with
-    ||phi||^2 (eps^2 + (1 + eps) rho) <= ``budget``. Its steps
+    stops at the first check, at m = 1 and then every
+    :data:`QUADRATURE_CHECK` steps, with ||phi||^2 (eps^2 + (1 + eps) rho)
+    <= ``budget``. At m = 1, eps = t_max ||(H - alpha) phi|| / ||phi||: a
+    phi that is an eigenvector to that accuracy costs one matvec. Its steps
     (:func:`~tcspin.spectra._lanczos_step`) keep eta = min(sqrt(EPS),
     budget / (||phi||^2 h t_max)), the accuracy the budget asks of the
-    phases; a larger eta makes rarer passes take out more, and rho grow.
+    phases (sqrt(EPS) when h = 0); a larger eta makes rarer passes take out
+    more, and rho grow.
 
     A priori, the rule errs by at most 2 ||phi||^2 times the best uniform
     approximation of e^{-ixt} of degree 2m - 1 on the spectrum, bounded by
     the Chebyshev cut of :func:`_chebyshev_order`: m is capped where 2m - 1
     reaches that order for budget / 2, and there the error is within
-    ``budget`` in exact arithmetic (reported if smaller). A breakdown,
+    ``budget`` in exact arithmetic (reported if smaller). That order is
+    above z = a t_max (a the window's half-width), so from z >= 2 dim on
+    the cap is the dimension, with no Bessel column. A breakdown,
     beta_m <= 1e-13 h, stops the run, its beta_m in eps.
     """
     dim = len(phi)
     h_norm = max(abs(interval[0]), abs(interval[1]))
     scale = float(np.vdot(phi, phi).real)
-    order, _ = _chebyshev_order(_window(interval)[1] * t_max, scale, 0.5 * budget)
-    cap = min(order // 2 + 1, dim)
-    eta = min(math.sqrt(EPS), budget / (scale * h_norm * t_max))
+    z = _window(interval)[1] * t_max
+    cap = dim if z >= 2 * dim else min(_chebyshev_order(z, scale, 0.5 * budget)[0] // 2 + 1, dim)
+    eta = min(math.sqrt(EPS), budget / (scale * h_norm * t_max)) if h_norm else math.sqrt(EPS)
+    matvec = functools.partial(apply_groups, groups)
     norm = math.sqrt(scale)
+    # the first step reads H phi / ||phi||, which rounds unlike H (phi / ||phi||)
+    h_q, beta, again = matvec(phi) / norm, 0.0, False
     # the basis, T and the overlaps grow by doubling: memory follows m, not the cap
-    basis = np.empty((min(cap, 64), dim), dtype=h_phi.dtype)
+    basis = np.empty((min(cap, 64), dim), dtype=h_q.dtype)
     basis[0] = phi / norm
     small, omega = np.zeros((2, len(basis), len(basis)))
     omega[0, 0] = 1.0
-    matvec = functools.partial(apply_groups, groups)
-    h_q, beta, again = h_phi / norm, 0.0, False
     defect = 0.0  # squared bound on ||F_m||, column by column
     check = QUADRATURE_CHECK
     for j in range(cap):
@@ -401,8 +408,9 @@ def _gauss_rule(groups, phi: np.ndarray, h_phi: np.ndarray, interval, rounding: 
         defect += (rounding + removed) ** 2
         m = j + 1
         breakdown = beta <= 1e-13 * h_norm
-        if m == check or m == cap or breakdown:
-            check = m + max(QUADRATURE_CHECK, m // 8)
+        if m in (1, check, cap) or breakdown:
+            # the next check: m = 4, 8, ..., 32, then every m / 8
+            check = m + max(QUADRATURE_CHECK - m % QUADRATURE_CHECK, m // 8)
             nodes, vectors = np.linalg.eigh(small[:m, :m])
             c = vectors[0] * vectors[-1]
             energy = t_max * float(c @ np.sinc(np.subtract.outer(nodes, nodes) * (t_max / math.pi)) @ c)
@@ -439,14 +447,6 @@ def _drop_light(mass: np.ndarray, allowance: float) -> tuple[np.ndarray, float]:
     return np.delete(np.arange(len(mass)), by_mass[:n_dropped]), float(dropped[n_dropped - 1])
 
 
-def _folds_global_flip(op: Operator) -> bool:
-    """True when the global flip P = X...X splits every coset of H into two
-    invariant sectors: P lies in the flip span (it maps each coset onto
-    itself) and commutes with every term (each z_mask has even popcount).
-    Read from the terms, with no compile."""
-    return op.flip_span.flip_position is not None and all(t.z_mask.bit_count() % 2 == 0 for t in op.terms)
-
-
 def correlator_krylov(
     op: Operator,
     a: Operator,
@@ -469,38 +469,35 @@ def correlator_krylov(
     The error of every sample is bounded by B = (n_samples - 1) *
     ``step_tol``, spent in two parts:
 
-    * d, on the parts left out. H is block diagonal on the invariant cosets
-      of its flip masks (:attr:`~tcspin.pauli.Operator.flip_span`, one per
-      operator, which the dense route reads too), so e^{-iHt} is too, and a
-      coset moves every C(t) by at most ||phi_c||^2.
-      Those masses are dropped in ascending order while their sum d stays
-      <= B / 2 (all of them when phi = 0: the series is then 0 with no
-      matvec past it). The rest runs on the kept cosets stacked into one
-      flat vector, with H restricted to them
-      (:meth:`~tcspin.pauli.FlipSpan.restrict`) and its spectrum enclosed
-      by the Gershgorin interval of their rows alone: for m_z on the
-      z-field chain's ground state that is one coset of 4 states. When
-      nothing is dropped the run is on the full vectors and H's own
-      compiled groups. When the global flip P = X...X lies in the span and
-      commutes with H (the bare, Heisenberg and x-field chains), each kept
-      coset splits into its two P sectors, (a + b) / sqrt(2) and (a - b) /
+    * d, on the parts left out. H is block diagonal on its invariant
+      sectors (:attr:`~tcspin.pauli.Operator.sectors`): the cosets of its
+      flip masks, or, where the global flip P = X...X lies in their span
+      and commutes with H (the bare, Heisenberg and x-field chains), the
+      two P halves of each coset. So e^{-iHt} is too, and a sector moves
+      every C(t) by at most the squared norm of phi's coordinates there
+      (:meth:`~tcspin.pauli.Operator.coordinates`; on a P half, (a + p b) /
       sqrt(2), with a and b phi on the coset's representatives and on their
-      P partners (:attr:`~tcspin.pauli.FlipSpan.halves`). The drop goes on
-      over these sectors, still while d <= B / 2, and the run is on the kept
-      sectors with H folded onto them (:meth:`~tcspin.pauli.FlipSpan.fold`):
-      m_z flips P, so m_z psi0 on the N = 12 Heisenberg chain is one sector
-      of 1024 states, half its coset. Only the kept cosets are split.
-      :func:`evolve` and :func:`correlator_krylov_general` do not fold.
+      P partners). Those masses are dropped in ascending order while their
+      sum d stays <= B / 2 (all of them when phi = 0: the series is then 0
+      with no matvec past it). The rest runs on the kept sectors stacked
+      into one flat vector, with H cut to them
+      (:meth:`~tcspin.pauli.FlipSpan.cut`) and its spectrum enclosed by the
+      Gershgorin interval of their rows alone: for m_z on the z-field
+      chain's ground state that is one coset of 4 states; m_z flips P, so
+      on the N = 12 Heisenberg chain it is one P half of 1024 states. When
+      nothing folds and nothing is dropped, the run is on the full vectors
+      and H's own compiled groups. :func:`evolve` and
+      :func:`correlator_krylov_general` do not cut.
     * B - d, on the kept part: the quadrature stops at the bound of
-      :func:`_gauss_rule` <= B - d, or at its a-priori cap. Shortcut, the
-      m = 1 case: one matvec gives alpha = <phi|H|phi> / <phi|phi> and
-      r = ||(H - alpha) phi||. If ||phi|| max|t| r, plus the round-off
-      term of one step, is <= B - d, phi is an eigenvector to that accuracy
-      (Duhamel) and C(t) = <phi|phi> e^{i (E_psi - alpha) t}.
+      :func:`_gauss_rule` <= B - d, or at its a-priori cap. Its first check
+      is at m = 1, one matvec: if phi is an eigenvector to within B - d
+      (Duhamel), C(t) = <phi|phi> e^{i (E_psi - alpha) t} with alpha =
+      <phi|H|phi> / <phi|phi>, as for m_z on the bare chain.
 
-    Each call logs one ``info`` record: the kept length, the steps m (1 for
-    the shortcut), the cap on m, the bound on the kept part and d. When psi
-    has no imaginary part and H and A are real, the basis stays float64.
+    Each call logs one ``info`` record: the kept length, the steps m, the
+    a-priori cap on m (also when m = 1), the bound on the kept part and d.
+    When psi has no imaginary part and H and A are real, the basis stays
+    float64.
 
     Raises ModelError for a non-Hermitian ``op`` or ``a``.
     """
@@ -513,39 +510,22 @@ def correlator_krylov(
     times = grid.times()
     t_max = float(np.max(np.abs(times)))
     budget = (grid.n_samples - 1) * step_tol
-    span = op.flip_span
-    blocks = span.cosets
-    kept, dropped = _drop_light(np.linalg.norm(phi[blocks], axis=1) ** 2, 0.5 * budget)
+    rows, parities = op.sectors
+    coordinates = op.coordinates(phi)
+    kept, dropped = _drop_light(np.linalg.norm(coordinates, axis=1) ** 2, 0.5 * budget)
     if not len(kept):
         log.info(_KRYLOV_RECORD, 0, 0, 0, 0.0, dropped)
         return CorrelationSeries(grid=grid, values=np.zeros(len(times)), method="krylov")
-    if _folds_global_flip(op):
-        reps, partners = span.halves
-        rows = blocks[kept]
-        a_half, b_half = phi[rows[:, reps]], phi[rows[:, partners]]
-        sectors = np.concatenate([a_half + b_half, a_half - b_half]) / math.sqrt(2.0)  # P = +1, then -1
-        keep, more = _drop_light(np.linalg.norm(sectors, axis=1) ** 2, 0.5 * budget - dropped)
-        dropped += more
-        groups = span.fold(op._groups, rows[keep % len(rows)], np.where(keep < len(rows), 1.0, -1.0))
-        phi = sectors[keep].ravel()
-    elif len(kept) == len(blocks):
-        groups = op._groups
+    if parities is None and len(kept) == len(rows):
+        groups = op._groups  # the whole space in natural order: nothing is copied
     else:
-        groups = span.restrict(op._groups, blocks[kept])
-        phi = phi[blocks[kept]].ravel()
+        groups = op.flip_span.cut(op._groups, rows[kept], None if parities is None else parities[kept])
+        phi = coordinates[kept].ravel()
     budget -= dropped
     interval = gershgorin_interval(groups)
     rounding = (len(groups) + 3) * EPS * max(abs(interval[0]), abs(interval[1]))
-    norm_phi = float(np.linalg.norm(phi))
-    h_phi = apply_groups(groups, phi)
-    alpha = float(np.vdot(phi, h_phi).real) / norm_phi**2 if norm_phi else 0.0
-    bound = norm_phi * t_max * (float(np.linalg.norm(h_phi - alpha * phi)) + norm_phi * rounding)
-    if bound <= budget:
-        values = np.vdot(phi, phi) * np.exp(1j * (e_psi - alpha) * times)
-        steps = cap = 1
-    else:
-        nodes, weights, steps, cap, bound = _gauss_rule(groups, phi, h_phi, interval, rounding, t_max, budget)
-        values = weights @ np.exp(-1j * np.outer(nodes - e_psi, times))
+    nodes, weights, steps, cap, bound = _gauss_rule(groups, phi, interval, rounding, t_max, budget)
+    values = weights @ np.exp(-1j * np.outer(nodes - e_psi, times))
     log.info(_KRYLOV_RECORD, len(phi), steps, cap, bound, dropped)
     return CorrelationSeries(grid=grid, values=values, method="krylov")
 

@@ -15,9 +15,10 @@ Conventions, used everywhere in this package:
   vector per distinct ``x_mask`` (bit representation as in Sandvik, AIP
   Conf. Proc. 1297, 135 (2010), Sec. 4); ``matvec``, the dense route's
   block matrices and ``to_dense`` all read that form, and
-  :func:`apply_groups` applies it, or its restriction to some invariant
-  cosets of :attr:`Operator.flip_span` (read from the terms), or its fold
-  onto global-flip sectors of those cosets, to a vector.
+  :func:`apply_groups` applies it to a vector, or :meth:`FlipSpan.cut` of
+  it to the stacked coordinates of some invariant sectors. A sector is a
+  coset of :attr:`Operator.flip_span` (read from the terms), or one
+  global-flip half of it; :attr:`Operator.sectors` lists them all.
 
 Single-site actions: Z|0> = +|0>, Z|1> = -|1>, X|b> = |1-b>,
 Y|0> = i|1>, Y|1> = -i|0>.
@@ -197,17 +198,6 @@ class FlipSpan:
             row = row >> (p + 1) << p | row & ((1 << p) - 1)
         return row, position
 
-    def restrict(self, groups, rows: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """``groups``, compiled for these masks, on the flat vector stacking
-        ``rows`` (cosets from :meth:`rows`): entry k * 2^r + i is rows[k, i].
-        Group x keeps c[rows] and gathers from k * 2^r + j, member j being
-        member i ^ x in every coset."""
-        offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
-        return tuple(
-            (c[rows].ravel(), (offsets + np.searchsorted(self.members, self.members ^ x)).ravel() if x else None)
-            for x, (c, _) in zip(self.masks, groups, strict=True)
-        )
-
     @functools.cached_property
     def flip_position(self) -> int | None:
         """Member position jP of the global flip 1...1, None when the span
@@ -226,37 +216,39 @@ class FlipSpan:
         reps = positions[positions >> (j_p.bit_length() - 1) & 1 == 0]
         return reps, reps ^ j_p
 
-    def fold(self, groups, rows: np.ndarray, parities: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
-        """``groups``, compiled for these masks and commuting with the global
-        flip P, on the flat vector stacking the P = parities[k] sectors of
-        ``rows`` (cosets from :meth:`rows`; a row may appear once per
-        parity). With a and b the i-th pair of :attr:`halves` in row k,
-        entry k * 2^(r-1) + i holds (v[a] + p v[b]) / sqrt(2) of a vector v:
-        on that sector v[b] = p v[a], so the entries determine it, with its
-        norm.
+    def cut(self, groups, rows: np.ndarray, parities: np.ndarray | None = None) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
+        """``groups``, compiled for these masks, on the flat vector stacking
+        the sectors of ``rows`` (cosets from :meth:`rows`), in the
+        coordinates of :meth:`Operator.coordinates`. With no ``parities`` a
+        sector is its whole coset: entry k * 2^r + j is rows[k, j]. With them
+        the groups must commute with the global flip P, and sector k is the
+        P = parities[k] half of rows[k] (a row may appear once per parity):
+        entry k * 2^(r-1) + i is the i-th pair of :attr:`halves`.
 
-        Group x at member position jx gathers from position ^ jx; when jx
-        has jP's top bit set that target is a partner, read as its
-        representative target ^ jP, with c * p. Groups whose masks differ
-        by P then share a gather and are merged, in ascending order of
-        their first mask; x = P joins the diagonal group. The result is
-        the form :func:`apply_groups` takes.
+        Group x, at member position jx (member j ^ member jx is member
+        j ^ jx), gathers from position ^ jx. With parities, a target with
+        jP's top bit set is a partner, read as its representative target ^ jP
+        with c * p; groups whose masks differ by P then share a gather and are
+        merged, in ascending order of their first mask, and x = P joins the
+        diagonal group. The result is the form :func:`apply_groups` takes.
         """
-        j_p = self.flip_position
-        top = 1 << (j_p.bit_length() - 1)
-        reps, _ = self.halves
-        at_reps = rows[:, reps]
+        positions, at, j_p, top = np.arange(rows.shape[1]), rows, 0, 0
+        if parities is not None:
+            j_p = self.flip_position
+            top = 1 << (j_p.bit_length() - 1)
+            positions = self.halves[0]
+            at = rows[:, positions]
         merged: dict[int, np.ndarray] = {}
         for x, (c, _) in zip(self.masks, groups, strict=True):
             jx = int(np.searchsorted(self.members, x))
-            c = c[at_reps]
+            c = c[at]
             if jx & top:
                 jx ^= j_p
                 c *= parities[:, None]
             merged[jx] = merged[jx] + c if jx in merged else c
-        offsets = np.arange(0, at_reps.size, len(reps))[:, None]
+        offsets = np.arange(0, at.size, len(positions))[:, None]
         return tuple(
-            (c.ravel(), (offsets + np.searchsorted(reps, reps ^ jx)).ravel() if jx else None)
+            (c.ravel(), (offsets + np.searchsorted(positions, positions ^ jx)).ravel() if jx else None)
             for jx, c in merged.items()
         )
 
@@ -339,6 +331,31 @@ class Operator:
     def flip_span(self) -> FlipSpan:
         """The span of the terms' flip masks: no compile, built once."""
         return FlipSpan.of(self.n_sites, (t.x_mask for t in self.terms))
+
+    @functools.cached_property
+    def sectors(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """H's invariant sectors as (rows, parities) for :meth:`FlipSpan.cut`
+        and :meth:`coordinates`: the cosets of :attr:`flip_span` with no
+        parities or, where the global flip P = X...X lies in the span and
+        commutes with every term (each z_mask has even weight: the bare,
+        Heisenberg and x-field chains), each coset twice, all P = +1 halves
+        and then all P = -1 ones. Read from the terms, with no compile."""
+        span = self.flip_span
+        if span.flip_position is None or any(t.z_mask.bit_count() % 2 for t in self.terms):
+            return span.cosets, None
+        return np.concatenate([span.cosets, span.cosets]), np.repeat([1.0, -1.0], len(span.cosets))
+
+    def coordinates(self, v: np.ndarray) -> np.ndarray:
+        """``v`` on :attr:`sectors`, one row per sector: v on the coset, or
+        on a P = p half (v[a] + p v[b]) / sqrt(2) over the pairs a, b of
+        :attr:`FlipSpan.halves`. On that half v[b] = p v[a], so the row
+        determines v there, with its norm."""
+        cosets, parities = self.flip_span.cosets, self.sectors[1]
+        if parities is None:
+            return v[cosets]
+        reps, partners = self.flip_span.halves
+        a, b = v[cosets[:, reps]], v[cosets[:, partners]]
+        return np.concatenate([a + b, a - b]) / math.sqrt(2.0)
 
     @functools.cached_property
     def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:
@@ -443,9 +460,8 @@ def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
 
     ``groups`` is a sequence of (coefficients, gather index or None) pairs
     of one length and one coefficient dtype, as :attr:`Operator._groups`
-    holds them for the whole space, :meth:`FlipSpan.restrict` for a set
-    of its invariant cosets and :meth:`FlipSpan.fold` for global-flip
-    sectors of them. Groups are accumulated in their given order,
+    holds them for the whole space and :meth:`FlipSpan.cut` for a set of
+    its invariant sectors. Groups are accumulated in their given order,
     so the result is bit-deterministic regardless of any outer worker pool,
     and column j of a slab's result equals, bit for bit, the result for
     column j alone. It has the shape of ``amps``, and is float64 when

@@ -117,8 +117,8 @@ def _block_matrices(op: Operator, groups) -> np.ndarray:
     """The (n_blocks, 2^r, 2^r) matrices of op on ``blocks``, the cosets of
     its flip span.
 
-    Filled from ``groups``, op's groups restricted to them
-    (:meth:`~tcspin.pauli.FlipSpan.restrict`), one scatter per group: the
+    Filled from ``groups``, op's groups cut to them
+    (:meth:`~tcspin.pauli.FlipSpan.cut`), one scatter per group: the
     first 2^r entries of a group's gather index are its columns in every
     block. Entry for entry this is
     ``to_dense(op)[blocks[:, :, None], blocks[:, None, :]]``, float64 for a
@@ -144,7 +144,7 @@ def _block_residuals(groups, values: np.ndarray, columns: np.ndarray) -> np.ndar
 
     ``columns`` is ``eigh``'s (n_blocks, 2^r, 2^r) output; viewed as one
     (2^N, 2^r) array, column j stacks eigenvector j of every block in the
-    layout of ``groups`` (:meth:`~tcspin.pauli.FlipSpan.restrict`), so one
+    layout of ``groups`` (:meth:`~tcspin.pauli.FlipSpan.cut`), so one
     :func:`~tcspin.pauli.apply_groups` call per slab of columns applies
     every block matrix at once: G 2^N 2^r multiply-adds for G groups, and
     no pair is scattered to 2^N amplitudes.
@@ -175,7 +175,7 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
     span is one block in natural order, and the result is then
     bit-identical to ``np.linalg.eigh(to_dense(op))``. A real operator is
     diagonalized in real arithmetic (float64 eigenvectors). The residuals
-    come from the same restricted groups, in block coordinates
+    come from the same cut groups, in block coordinates
     (:func:`_block_residuals`), with no matvec. Raises ModelError for a
     non-Hermitian operator.
     """
@@ -184,7 +184,7 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
         raise DenseCapError(f"dense spectrum at N={op.n_sites} exceeds cap {cap}")
     if not op.is_hermitian():
         raise ModelError("dense_spectrum requires a Hermitian operator")
-    groups = op.flip_span.restrict(op._groups, op.flip_span.cosets)
+    groups = op.flip_span.cut(op._groups, op.flip_span.cosets)
     values, columns = np.linalg.eigh(_block_matrices(op, groups))
     order = np.argsort(values, axis=None, kind="stable")
     block, column = np.divmod(order, values.shape[1])
@@ -239,6 +239,7 @@ def _lanczos_step(
     ||H||). A Gram-Schmidt pass against ``deflate`` and the basis (a second
     on the DGKS test) runs only when max |omega_{j+1}| passes ``eta``, and
     again on the next step (``again``); the estimate then resets to eps.
+    A w of norm 0 (H = 0) takes the pass too: its estimate would be 0 / 0.
     After a thick restart every step takes it: the kept Ritz vectors carry
     the last cycle's passes in their residuals, which T does not record.
 
@@ -266,7 +267,7 @@ def _lanczos_step(
         t = small[: j + 1, : j + 1]
         drift = t @ omega[: j + 1, j] - omega[: j + 1, : j + 1] @ t[:, j]
         drift += np.copysign(4 * EPS * h_norm, drift)
-        full = again = float(np.abs(drift).max()) > eta * before
+        full = again = float(np.abs(drift).max()) >= eta * before
     if not full:
         return w, before, drift / before, again, w
     unpassed = w

@@ -1,10 +1,12 @@
-"""The benchmark's ``perturbed`` plan, run in process against its committed
-reference rows: a correlator change that moves a row past the benchmark's
-correctness gate fails here first. perfbench's files are only read."""
+"""The benchmark's three plans, run in process against their committed
+reference rows: a change that moves a row past the benchmark's correctness
+gate fails here first. perfbench's files are only read."""
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 from tcspin.cli import main
 
@@ -18,14 +20,25 @@ def _perfbench_module(name):
     return module
 
 
-def test_perturbed_plan_matches_its_reference_rows(tmp_path):
-    workloads, gate = _perfbench_module("workloads"), _perfbench_module("gate")
+WORKLOADS, GATE = _perfbench_module("workloads"), _perfbench_module("gate")
+
+# rows per plan: criterion 7's N = 6..14, the N = 12 perturbed rows, criterion 8's study
+ROWS = {"persistence": 5, "perturbed": 3, "disorder": 52}
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.WORKLOADS)
+def test_plan_matches_its_reference_rows(workload, tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"command": "sweep", "plan": workloads.perturbed_plan(workloads.DEFAULT_SEED)}))
+    plan = WORKLOADS.WORKLOADS[workload](WORKLOADS.DEFAULT_SEED)
+    config.write_text(json.dumps({"command": "sweep", "plan": plan}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
-    rows = gate.read_rows(tmp_path / "out" / "sweep.csv")
-    reference = gate.read_rows(PERFBENCH / "reference" / "perturbed.csv")
+    rows = GATE.read_rows(tmp_path / "out" / "sweep.csv")
+    reference = GATE.read_rows(PERFBENCH / "reference" / f"{workload}.csv")
     # float columns within gate.FLOAT_TOL = 1e-9 of the reference, the rest exactly
-    assert gate.FLOAT_TOL == 1e-9
-    assert len(rows) == 3
-    assert gate.failed_rows(rows, reference, full_reference=True) == []
+    assert GATE.FLOAT_TOL == 1e-9
+    assert len(rows) == ROWS[workload]
+    assert GATE.failed_rows(rows, reference, full_reference=True) == []
+    if workload == "persistence":
+        # criterion 7: the oscillator-control amplitude falls off as exactly 1/N
+        summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert GATE.control_exponent_problem(summary) is None

@@ -711,7 +711,7 @@ class TestGlobalFlipFold:
             oracle = all(pauli.strings_commute(flip, t) for t in op.terms) and _in_span(
                 n, [t.x_mask for t in op.terms], flip.x_mask
             )
-            assert dynamics._folds_global_flip(op) == oracle
+            assert (op.sectors[1] is not None) == oracle
             assert oracle == (family in ("bare", "heisenberg", "x_field"))
 
     @pytest.mark.parametrize("n", [8, 10, 12])
@@ -738,7 +738,7 @@ class TestGlobalFlipFold:
         op = _chain(9, FOLD_FAMILIES[family], "open")
         spectrum = dense_spectrum(op)
         psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
-        assert dynamics._folds_global_flip(op)
+        assert op.sectors[1] is not None
         self._check_against_lehmann(op, psi, e_psi)
 
     @pytest.mark.parametrize("axis, length", [("z", 128), ("x", 128), ("z+x/2", 256)])
@@ -776,7 +776,7 @@ class TestGlobalFlipFold:
         span = op.flip_span
         rows = span.cosets[:1]
         for parity in (1.0, -1.0):
-            groups = span.fold(op._groups, rows, np.array([parity]))
+            groups = span.cut(op._groups, rows, np.array([parity]))
             assert len(groups) == len(op._groups) - 1
             assert all(len(c) == rows.shape[1] // 2 for c, _ in groups)
 
@@ -833,8 +833,7 @@ class TestLanczosQuadrature:
         assert error <= (grid.n_samples - 1) * 1e-12
         _, steps, cap, bound, dropped = _krylov_record(caplog)
         assert 1 <= steps <= cap
-        if steps > 1:  # the quadrature ran; the shortcut's bound has no round-off term
-            assert error <= bound + dropped
+        assert error <= bound + dropped
 
     @pytest.mark.parametrize(
         "family, n, axis, grid",
@@ -884,6 +883,65 @@ class TestLanczosQuadrature:
         # m_z psi0 is one P sector of 1024 states; the a-priori cap is order 790 / 2
         assert (kept, cap) == (1024, 396) and steps < 64
         assert bound + dropped <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+
+    def test_first_check_accepts_a_near_eigenvector(self, caplog):
+        # on H = Z + 5e-9 X, m_z psi0 is an eigenvector to r = 1e-8: the
+        # one-sided bound ||phi|| t_max r that the one-matvec shortcut used
+        # is 6e-7, over B, while the two-sided (t_max r)^2 is 3.6e-13
+        op = Operator.from_label_terms([(1.0, "Z"), (5e-9, "X")])
+        spectrum = dense_spectrum(op)
+        psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
+        budget = (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+        phi = SIGMA_Z.matvec(psi.amplitudes)
+        h_phi = op.matvec(phi)
+        residual = np.linalg.norm(h_phi - np.vdot(phi, h_phi).real * phi)
+        assert 5e-9 < residual < 2e-8 and ROW_GRID.t_end * residual > budget
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov(op, SIGMA_Z, psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        kept, steps, cap, bound, _ = _krylov_record(caplog)
+        # one step, and the log carries the real cap: the coset's 2 states
+        assert (kept, steps, cap) == (2, 1, 2) and bound <= budget
+        exact = correlator_spectral(op, spectrum, SIGMA_Z, psi, ROW_GRID)
+        assert np.max(np.abs(series.values - exact.values)) <= budget
+
+    def test_zero_hamiltonian_on_the_kept_sector(self, caplog):
+        # H = ZI + IZ is 0 on basis state 0b10, the one state m_z psi keeps:
+        # h = 0 there, and eta must not divide by it
+        op = Operator.from_label_terms([(1.0, "ZI"), (1.0, "IZ")])
+        psi = StateVector.basis_state(2, 0b10)
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov(op, Operator.from_label_terms([(1.0, "ZI")]), psi, 0.0, ROW_GRID)
+        assert np.array_equal(series.values, np.ones(ROW_GRID.n_samples))
+        assert _krylov_record(caplog)[:3] == (1, 1, 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 16, 64, 256])
+    @pytest.mark.parametrize("budget", [1e-10, 1e-3])
+    def test_cap_needs_no_bessel_column_from_z_over_twice_the_dimension(self, dim, budget, monkeypatch):
+        # the Chebyshev order is above z, so the Bessel rule's cap is dim there too
+        calls = []
+        column = dynamics._bessel_column
+        monkeypatch.setattr(dynamics, "_bessel_column", lambda z: calls.append(z) or column(z))
+        groups = ((np.linspace(-1.0, 1.0, dim), None),)
+        phi = np.full(dim, 1.0 / np.sqrt(dim))
+        half_width = _window((-1.0, 1.0))[1]
+        for target in (0.5, 1.0, 2.5, dim - 0.5, 2 * dim - 2.5, 2 * dim - 1, 2 * dim - 0.5, 2 * dim, 2 * dim + 0.5,
+                       4 * dim, 10 * dim + 7):
+            if target <= 0:
+                continue
+            t_max = target / half_width
+            z = half_width * t_max  # as _gauss_rule forms it
+            calls.clear()
+            cap = dynamics._gauss_rule(groups, phi, (-1.0, 1.0), 0.0, t_max, budget)[3]
+            assert bool(calls) == (z < 2 * dim)
+            assert cap == min(_chebyshev_order(z, 1.0, 0.5 * budget)[0] // 2 + 1, dim), z
+
+    def test_z_field_row_computes_no_bessel_column(self, lanczos_row, monkeypatch, caplog):
+        op, psi, e_psi, _ = lanczos_row["z_field"]
+        calls = []
+        monkeypatch.setattr(dynamics, "_bessel_column", lambda z: calls.append(z))
+        with caplog.at_level("INFO", logger="tcspin"):
+            correlator_krylov(op, magnetization_operator(12, "z"), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        assert calls == [] and _krylov_record(caplog)[:3] == (4, 4, 4)
 
 
 def _ghz_pair(op, spectrum):

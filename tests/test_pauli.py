@@ -254,7 +254,7 @@ class TestSlabs:
         groups = op._groups
         if restricted:
             cosets = op.flip_span.cosets
-            groups = op.flip_span.restrict(groups, cosets[::3] if len(cosets) > 1 else cosets)
+            groups = op.flip_span.cut(groups, cosets[::3] if len(cosets) > 1 else cosets)
         assert all(c.dtype == (np.float64 if groups_real else np.complex128) for c, _ in groups)
         assert any(perm is None for _, perm in groups)
         assert any(perm is not None for _, perm in groups) == (name != "diagonal")
@@ -276,6 +276,114 @@ class TestSlabs:
             for c, perm in groups:
                 reference += c * (slab[:, j] if perm is None else slab[perm, j])
             assert np.array_equal(column, reference)
+
+
+# FlipSpan.restrict and FlipSpan.fold, the two ways to cut compiled groups
+# before FlipSpan.cut replaced both, kept bit for bit as oracles
+
+
+def _restrict_oracle(span, groups, rows):
+    """``groups`` on the flat vector stacking ``rows``: entry k * 2^r + i is
+    rows[k, i]. Group x keeps c[rows] and gathers from k * 2^r + j, member j
+    being member i ^ x in every coset."""
+    offsets = np.arange(0, rows.size, rows.shape[1])[:, None]
+    return tuple(
+        (c[rows].ravel(), (offsets + np.searchsorted(span.members, span.members ^ x)).ravel() if x else None)
+        for x, (c, _) in zip(span.masks, groups, strict=True)
+    )
+
+
+def _fold_oracle(span, groups, rows, parities):
+    """``groups``, commuting with the global flip P, on the flat vector
+    stacking the P = parities[k] sectors of ``rows``: group x at member
+    position jx gathers from position ^ jx; a target with jP's top bit set
+    is read as its representative target ^ jP, with c * p, and groups that
+    then share a gather are merged."""
+    j_p = span.flip_position
+    top = 1 << (j_p.bit_length() - 1)
+    reps, _ = span.halves
+    at_reps = rows[:, reps]
+    merged = {}
+    for x, (c, _) in zip(span.masks, groups, strict=True):
+        jx = int(np.searchsorted(span.members, x))
+        c = c[at_reps]
+        if jx & top:
+            jx ^= j_p
+            c *= parities[:, None]
+        merged[jx] = merged[jx] + c if jx in merged else c
+    offsets = np.arange(0, at_reps.size, len(reps))[:, None]
+    return tuple(
+        (c.ravel(), (offsets + np.searchsorted(reps, reps ^ jx)).ravel() if jx else None)
+        for jx, c in merged.items()
+    )
+
+
+CUT_FAMILIES = {
+    "bare": None,
+    "heisenberg": PerturbationSpec("heisenberg_exchange", 0.05),
+    "x_field": PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3),
+    "y_field": PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3),
+    "z_field": PerturbationSpec("random_onsite_field", 0.05, axis="z", seed=3),
+}
+
+
+def _family_chain(n, family, boundary):
+    op = build_tc_hamiltonian(TCModelConfig(n, 0.5, boundary=boundary))
+    spec = CUT_FAMILIES[family]
+    return op if spec is None else (op + build_perturbation(n, spec, boundary)).canonicalize()
+
+
+def _assert_same_groups(got, want):
+    assert len(got) == len(want)
+    for (c, perm), (want_c, want_perm) in zip(got, want):
+        assert c.dtype == want_c.dtype and c.tobytes() == want_c.tobytes()
+        assert (perm is None) == (want_perm is None)
+        if perm is not None:
+            assert perm.dtype == want_perm.dtype and np.array_equal(perm, want_perm)
+
+
+class TestCut:
+    """FlipSpan.cut against the restrict and fold it replaced, bit for bit,
+    and with Operator.coordinates against the full-space matvec."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("family", CUT_FAMILIES)
+    def test_bit_for_bit_the_restrict_and_fold_oracles(self, family, boundary):
+        folds = family in ("bare", "heisenberg", "x_field")
+        for n in range(4, 13):
+            op = _family_chain(n, family, boundary)
+            span, groups = op.flip_span, op._groups
+            assert (op.sectors[1] is not None) == folds
+            for rows in (span.cosets, span.cosets[::3]):
+                _assert_same_groups(span.cut(groups, rows), _restrict_oracle(span, groups, rows))
+                if folds:
+                    parities = np.where(np.arange(len(rows)) % 2 == 0, 1.0, -1.0)
+                    _assert_same_groups(span.cut(groups, rows, parities), _fold_oracle(span, groups, rows, parities))
+            if folds:
+                rows, parities = op.sectors
+                _assert_same_groups(span.cut(groups, rows, parities), _fold_oracle(span, groups, rows, parities))
+
+    @pytest.mark.parametrize("family", CUT_FAMILIES)
+    def test_sectors_carry_the_matvec_and_the_norm(self, family):
+        op = _family_chain(8, family, "open")
+        rows, parities = op.sectors
+        v = np.random.default_rng(4).standard_normal(256)
+        coordinates = op.coordinates(v)
+        assert coordinates.shape == (len(rows), 256 // len(rows))
+        # the sectors split the space orthonormally, and H acts on each alone
+        assert np.sum(coordinates**2) == pytest.approx(v @ v, rel=1e-13)
+        h_v = apply_groups(op.flip_span.cut(op._groups, rows, parities), coordinates.ravel())
+        assert np.max(np.abs(h_v - op.coordinates(op.matvec(v)).ravel())) < 1e-12
+
+    def test_sectors_are_read_from_the_terms_once(self):
+        op = _family_chain(8, "heisenberg", "periodic")
+        rows, parities = op.sectors
+        assert op.sectors is op.sectors and "_groups" not in vars(op)
+        cosets = op.flip_span.cosets
+        assert np.array_equal(rows, np.concatenate([cosets, cosets]))
+        assert parities.tolist() == [1.0] * len(cosets) + [-1.0] * len(cosets)
+        y_field = _family_chain(8, "y_field", "periodic")
+        assert y_field.sectors[0] is y_field.flip_span.cosets and y_field.sectors[1] is None
 
 
 class TestStringsCommute:

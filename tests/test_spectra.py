@@ -434,7 +434,7 @@ class TestInvariantBlocks:
         op = self.OPERATORS[name]()
         blocks = op.flip_span.cosets
         gathered = to_dense(op)[blocks[:, :, None], blocks[:, None, :]]
-        mats = _block_matrices(op, op.flip_span.restrict(op._groups, blocks))
+        mats = _block_matrices(op, op.flip_span.cut(op._groups, blocks))
         assert mats.dtype == gathered.dtype == (np.complex128 if name == "y_field" else np.float64)
         assert np.array_equal(mats, gathered)
 
