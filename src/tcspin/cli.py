@@ -221,16 +221,17 @@ def _observable(cfg: CorrelateConfig, n_sites: int) -> Operator:
 
 
 def _resolve_config(raw, command: str):
-    """The ``command`` config read from ``raw``, and its normalized JSON form.
+    """The ``command`` config read from ``raw``, its normalized JSON form,
+    and the one SolverSettings of a ``spectrum`` or ``correlate`` run (else None).
 
     Sections are checked on their own while they are read; the checks that
-    span sections (Hermitian H and A, the dense cap, the basis index,
-    the spectral route's need for an eigenstate) follow here. Every command
-    but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a malformed value
-    is a config error before anything runs. ``correlate`` routes its point
-    by that cap, so its normalized form records it as ``"dense_cap"``; a
-    ``correlate`` config may state it, as any config may state its
-    ``command``, and must then state the cap in force.
+    span sections (Hermitian H and A, :meth:`SolverSettings.check`, the
+    basis index, the spectral route's need for an eigenstate) follow here.
+    Every command but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a
+    malformed value is a config error before anything runs. ``correlate``
+    routes its point by that cap, so its normalized form records it as
+    ``"dense_cap"``; a ``correlate`` config may state it, as any config may
+    state its ``command``, and must then state the cap in force.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -245,32 +246,30 @@ def _resolve_config(raw, command: str):
         if type(stated_cap) is not int or stated_cap != cap:
             raise ConfigError(f"config declares dense_cap {stated_cap!r} but TCSPIN_DENSE_CAP gives {cap}")
     cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k not in declared}, "config")
+    settings = None
     if command in ("spectrum", "correlate"):
         op = _hamiltonian(cfg)
         if not op.is_hermitian():
             raise ConfigError("the Hamiltonian (model plus perturbations) is not Hermitian: a term has a complex weight")
         n = op.n_sites
-        if command == "spectrum":
-            lanczos = cfg.solver.method == "lanczos"
-        else:  # above the cap, the states that need a spectrum take it from Lanczos
-            lanczos = n > cap and cfg.initial_state.type in ("ground", "ghz_pair")
-        if lanczos and cfg.solver.lanczos_k > (1 << n):
-            raise ConfigError(
-                f"config.solver.lanczos_k={cfg.solver.lanczos_k} is not in [1, {1 << n}], the Hilbert-space dimension"
-            )
-    if command == "spectrum":
-        if cfg.solver.method == "dense" and n > cap:
-            raise ConfigError(f"dense solver at N={n} exceeds the dense cap {cap}")
-    elif command == "correlate":
-        if not _observable(cfg, op.n_sites).is_hermitian():
+        solver = dump(cfg.solver)
+        method = solver.pop("method")
+        if command == "spectrum":  # the method names the route
+            settings = SolverSettings(dense_max_sites=n if method == "dense" else 0, **solver)
+        else:  # the cap routes a correlate point
+            settings = SolverSettings(dense_max_sites=cap, max_peaks=cfg.oscillation.max_peaks, **solver)
+        if command == "spectrum" or cfg.initial_state.type != "basis":  # a basis state past the cap takes no spectrum
+            settings.check(n)
+    if command == "correlate":
+        if not _observable(cfg, n).is_hermitian():
             raise ConfigError("the observable is not Hermitian: a term has a complex weight")
         spectral = cfg.solver.method in ("spectral", "both")
         state = cfg.initial_state
-        if state.type == "basis" and not 0 <= state.index < (1 << op.n_sites):
-            raise ConfigError(f"config.initial_state.index must be in [0, {1 << op.n_sites}), got {state.index}")
-        if spectral and op.n_sites > cap:
+        if state.type == "basis" and not 0 <= state.index < (1 << n):
+            raise ConfigError(f"config.initial_state.index must be in [0, {1 << n}), got {state.index}")
+        if spectral and settings.route(n) != "dense":
             raise ConfigError(
-                f"the spectral route at N={op.n_sites} exceeds the dense cap {cap}; "
+                f"the spectral route at N={n} exceeds the dense cap {cap}; "
                 "use solver.method 'krylov'"
             )
         if spectral and state.type != "ground" and (state.type == "ghz_pair" or basis_state(op, state.index)[1] is None):
@@ -281,7 +280,7 @@ def _resolve_config(raw, command: str):
     resolved = {"command": command, **dump(cfg)}
     if command == "correlate":
         resolved["dense_cap"] = cap
-    return cfg, resolved
+    return cfg, resolved, settings
 
 
 def config_hash(resolved: dict) -> str:
@@ -310,11 +309,9 @@ def _write_csv(path: Path, resolved: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_spectrum(cfg: SpectrumConfig, resolved: dict, out_dir: Path) -> int:
+def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, resolved: dict, out_dir: Path) -> int:
     op = _hamiltonian(cfg)
-    solver = dump(cfg.solver)
-    dense = solver.pop("method") == "dense"
-    spectrum = point_spectrum(op, SolverSettings(dense_max_sites=op.n_sites if dense else 0, **solver))
+    spectrum = point_spectrum(op, settings)
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     _write_json(
         out_dir / "spectrum.json",
@@ -326,11 +323,9 @@ def cmd_spectrum(cfg: SpectrumConfig, resolved: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_correlate(cfg: CorrelateConfig, resolved: dict, out_dir: Path) -> int:
+def cmd_correlate(cfg: CorrelateConfig, settings: SolverSettings, resolved: dict, out_dir: Path) -> int:
     op = _hamiltonian(cfg)
-    solver = dump(cfg.solver)
-    method = solver.pop("method")
-    settings = SolverSettings(dense_max_sites=resolved["dense_cap"], max_peaks=cfg.oscillation.max_peaks, **solver)
+    method = cfg.solver.method
     state = cfg.initial_state
     methods = ("spectral", "krylov") if method == "both" else (method,)
     point = run_point(
@@ -443,10 +438,10 @@ def main(argv: list[str] | None = None) -> int:
                     "validate needs a config with a 'command' key naming one of "
                     "spectrum/correlate/baseline/sweep"
                 )
-            _, resolved = _resolve_config(raw, command)
+            _, resolved, _ = _resolve_config(raw, command)
             print(f"ok {config_hash(resolved)}")
             return EXIT_OK
-        cfg, resolved = _resolve_config(raw, args.command)
+        cfg, resolved, settings = _resolve_config(raw, args.command)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -458,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, resolved, out_dir)
+            return cmd_spectrum(cfg, settings, resolved, out_dir)
         if args.command == "correlate":
-            return cmd_correlate(cfg, resolved, out_dir)
+            return cmd_correlate(cfg, settings, resolved, out_dir)
         if args.command == "baseline":
             return cmd_baseline(cfg, resolved, out_dir)
         return cmd_sweep(cfg, resolved, out_dir, workers=args.workers)

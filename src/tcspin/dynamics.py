@@ -143,13 +143,18 @@ def _check_operands(op: Operator, psi: StateVector, a: Operator | None = None, h
         raise ModelError("time evolution requires a Hermitian operator")
 
 
-def _check_eigenstate(psi: StateVector, energy: float, h_psi: np.ndarray) -> None:
-    """EigenstateError unless ||H psi - energy psi|| is within tolerance; ``h_psi`` is H psi."""
+def eigenstate_energy(op: Operator, psi: StateVector, energy: float | None = None) -> float:
+    """``energy``, by default <psi|H|psi>, once ||H psi - energy psi|| <=
+    EIGENSTATE_RESIDUAL_TOL (one matvec); EigenstateError otherwise."""
+    h_psi = op.matvec(psi.amplitudes)
+    if energy is None:
+        energy = float(np.vdot(psi.amplitudes, h_psi).real)
     resid = np.linalg.norm(h_psi - energy * psi.amplitudes)
     if resid > EIGENSTATE_RESIDUAL_TOL:
         raise EigenstateError(
             f"state is not an eigenstate at energy {energy}: residual {resid:.3e} > {EIGENSTATE_RESIDUAL_TOL:.1e}"
         )
+    return energy
 
 
 def correlator_spectral(
@@ -175,9 +180,7 @@ def correlator_spectral(
     _check_operands(op, psi, a, hermitian=False)
     if spectrum.n_sites != op.n_sites or spectrum.n_pairs != 1 << op.n_sites:
         raise DimensionError("the spectral route needs every eigenpair of H")
-    h_psi = op.matvec(psi.amplitudes)
-    e_psi = float(np.vdot(psi.amplitudes, h_psi).real)
-    _check_eigenstate(psi, e_psi, h_psi)
+    e_psi = eigenstate_energy(op, psi)
 
     # a pair outside the blocks that A psi meets has weight 0
     pairs, amps = spectrum.overlaps(a.matvec(psi.amplitudes))  # <psi|A|n>
@@ -503,7 +506,7 @@ def correlator_krylov(
     """
     _check_step_tol(step_tol)
     _check_operands(op, psi, a)
-    _check_eigenstate(psi, e_psi, op.matvec(psi.amplitudes))
+    eigenstate_energy(op, psi, e_psi)
 
     amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
     phi = a.matvec(amps)

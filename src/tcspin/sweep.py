@@ -20,7 +20,6 @@ from typing import Literal
 import numpy as np
 
 from .dynamics import (
-    EIGENSTATE_RESIDUAL_TOL,
     MIN_SAMPLES,
     CorrelationSeries,
     OscillationReport,
@@ -28,10 +27,11 @@ from .dynamics import (
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
+    eigenstate_energy,
     extract_oscillation,
     gap_frequency_consistency,
 )
-from .errors import ConfigError, PlanError, TcspinError
+from .errors import ConfigError, EigenstateError, PlanError, TcspinError
 from .models import (
     Axis,
     Boundary,
@@ -65,11 +65,11 @@ def check_lanczos_keys(section) -> None:
 class SolverSettings:
     """Route selection and iterative-solver knobs of :func:`run_point`.
 
-    Points at N <= dense_max_sites use the dense spectrum, larger ones
-    Lanczos; sweep rows on the dense route correlate the ground state with
-    the spectral correlator. ``krylov_dim`` is accepted and ignored; it
-    stays because perfbench plans set it and config hashes cover it
-    (ROADMAP item 1a drops it with the next benchmark change).
+    :meth:`route` is the one routing rule (N <= dense_max_sites is dense,
+    larger N Lanczos) and :meth:`check` its up-front checks, for the sweep
+    and every CLI command. ``krylov_dim`` is accepted and ignored; it stays
+    because perfbench plans set it and config hashes cover it (ROADMAP item
+    1a drops it with the next benchmark change).
     """
 
     dense_max_sites: int = 10
@@ -87,6 +87,17 @@ class SolverSettings:
             raise PlanError(f"step_tol must be > 0, got {self.step_tol}")
         if self.max_peaks < 1:
             raise PlanError(f"max_peaks must be >= 1, got {self.max_peaks}")
+
+    def route(self, n_sites: int) -> Literal["dense", "lanczos"]:
+        return "dense" if n_sites <= self.dense_max_sites else "lanczos"
+
+    def check(self, n_sites: int) -> None:
+        """PlanError unless the route of ``n_sites`` can take its spectrum:
+        dense up to :func:`dense_cap`, Lanczos for lanczos_k <= 2^N pairs."""
+        if self.route(n_sites) == "dense" and n_sites > dense_cap():
+            raise PlanError(f"the dense route at N={n_sites} exceeds the dense cap {dense_cap()}")
+        if self.route(n_sites) == "lanczos" and self.lanczos_k > 1 << n_sites:
+            raise PlanError(f"lanczos_k={self.lanczos_k} exceeds {1 << n_sites}, the Hilbert-space dimension at N={n_sites}")
 
 
 @dataclass(frozen=True)
@@ -160,18 +171,8 @@ class SweepPlan:
                 f"time_grid.n_samples must be >= {MIN_SAMPLES} for the oscillation analysis, "
                 f"got {self.grid.n_samples}"
             )
-        cap = dense_cap()
         for n in self.n_values:
-            if n > cap and n <= self.solver.dense_max_sites:
-                raise PlanError(
-                    f"N={n} exceeds the dense cap {cap} but the plan routes it dense; "
-                    "set solver.dense_max_sites below it"
-                )
-            if n > self.solver.dense_max_sites and self.solver.lanczos_k > 1 << n:
-                raise PlanError(
-                    f"solver.lanczos_k={self.solver.lanczos_k} exceeds {1 << n}, the Hilbert-space "
-                    f"dimension at N={n}, which the plan routes to Lanczos"
-                )
+            self.solver.check(n)
         if self.solver.lanczos_k < 2:
             raise PlanError("solver.lanczos_k must be >= 2 (the energy gap needs two pairs)")
 
@@ -235,7 +236,7 @@ def _enumerate_points(plan: SweepPlan) -> list[SweepRecord]:
     """Blank records for every grid point, in canonical row order."""
     rows: list[SweepRecord] = []
     for n in plan.n_values:
-        solver = "dense" if n <= plan.solver.dense_max_sites else "lanczos"
+        solver = plan.solver.route(n)
         for j in plan.j_values:
             base = SweepRecord(
                 n_sites=n,
@@ -275,10 +276,10 @@ def _enumerate_points(plan: SweepPlan) -> list[SweepRecord]:
 def basis_state(op: Operator, index: int) -> tuple[StateVector, float | None]:
     """Basis state ``index`` and its energy, or None when it is not an eigenstate."""
     psi = StateVector.basis_state(op.n_sites, index)
-    h_psi = op.matvec(psi.amplitudes)
-    energy = float(np.vdot(psi.amplitudes, h_psi).real)
-    residual = float(np.linalg.norm(h_psi - energy * psi.amplitudes))
-    return psi, energy if residual <= EIGENSTATE_RESIDUAL_TOL else None
+    try:
+        return psi, eigenstate_energy(op, psi)
+    except EigenstateError:
+        return psi, None
 
 
 @dataclass
@@ -293,9 +294,9 @@ class PointResult:
 
 
 def point_spectrum(op: Operator, settings: SolverSettings) -> SpectrumResult:
-    """Every eigenpair at N <= ``settings.dense_max_sites``, else the
-    ``lanczos_k`` lowest from Lanczos; a TcspinError if fewer converge."""
-    if op.n_sites <= settings.dense_max_sites:
+    """Every eigenpair on the dense route, else the ``lanczos_k`` lowest
+    from Lanczos; a TcspinError if fewer converge."""
+    if settings.route(op.n_sites) == "dense":
         return dense_spectrum(op)
     spectrum = lanczos_extremal(
         op, k=settings.lanczos_k, tol=settings.lanczos_tol,
@@ -329,7 +330,7 @@ def run_point(
     """
     if isinstance(initial_state, str) and initial_state not in ("ground", "ghz_pair"):
         raise ValueError(f"initial_state must be 'ground', 'ghz_pair' or a basis index, got {initial_state!r}")
-    dense = op.n_sites <= settings.dense_max_sites
+    dense = settings.route(op.n_sites) == "dense"
     spectrum = ghz = None
     if isinstance(initial_state, str):
         spectrum = point_spectrum(op, settings)
@@ -533,16 +534,17 @@ def _relative(value: float, reference: float) -> float:
     return value - reference
 
 
+SHIFT_COLUMNS = ("rel_frequency_shift", "rel_amplitude_shift", "ghz_overlap_retention", "ground_gap_shift")
+
+
 def stability_report(records: list[SweepRecord]) -> list[StabilityRow]:
     """Shift table for every perturbed row of a sweep against its unperturbed reference.
 
-    Disorder families additionally get mean and sample-std rows per strength.
+    Rows whose reference failed are left out; a reference missing from
+    ``records`` is a PlanError. Disorder families additionally get mean and
+    sample-std rows per strength.
     """
-    references = {
-        (r.n_sites, r.j_coupling): r
-        for r in records
-        if r.pert_kind == "none" and r.status == "ok"
-    }
+    references = {(r.n_sites, r.j_coupling): r for r in records if r.pert_kind == "none"}
     rows: list[StabilityRow] = []
     perturbed = [r for r in records if r.pert_kind != "none" and r.status == "ok"]
     for rec in perturbed:
@@ -551,6 +553,8 @@ def stability_report(records: list[SweepRecord]) -> list[StabilityRow]:
             raise PlanError(
                 f"no unperturbed reference row for N={rec.n_sites}, J={rec.j_coupling}"
             )
+        if ref.status != "ok":
+            continue
         ref_overlap = (ref.ghz_overlap_plus or 0.0) + (ref.ghz_overlap_minus or 0.0)
         overlap = (rec.ghz_overlap_plus or 0.0) + (rec.ghz_overlap_minus or 0.0)
         rows.append(
@@ -573,24 +577,16 @@ def stability_report(records: list[SweepRecord]) -> list[StabilityRow]:
         if row.pert_seed is not None:
             key = (row.n_sites, row.j_coupling, row.pert_kind, row.pert_strength)
             groups.setdefault(key, []).append(row)
-    aggregates: list[StabilityRow] = []
-    for key in sorted(groups):
-        members = groups[key]
-        for stat, func in (("mean", np.mean), ("std", _sample_std)):
-            aggregates.append(
-                StabilityRow(
-                    n_sites=key[0],
-                    j_coupling=key[1],
-                    pert_kind=key[2],
-                    pert_strength=key[3],
-                    pert_seed=None,
-                    statistic=stat,
-                    rel_frequency_shift=float(func([m.rel_frequency_shift for m in members])),
-                    rel_amplitude_shift=float(func([m.rel_amplitude_shift for m in members])),
-                    ghz_overlap_retention=float(func([m.ghz_overlap_retention for m in members])),
-                    ground_gap_shift=float(func([m.ground_gap_shift for m in members])),
-                )
-            )
+    aggregates = [
+        StabilityRow(
+            *key,
+            pert_seed=None,
+            statistic=stat,
+            **{col: float(func([getattr(m, col) for m in groups[key]])) for col in SHIFT_COLUMNS},
+        )
+        for key in sorted(groups)
+        for stat, func in (("mean", np.mean), ("std", _sample_std))
+    ]
     return rows + aggregates
 
 
@@ -662,19 +658,6 @@ def summarize_sweep(plan: SweepPlan, records: list[SweepRecord]) -> dict:
     if plan.perturbations:
         stability = stability_report(records=records)
         summary["stability_monotonicity"] = stability_monotonicity_flags(stability)
-        summary["stability"] = [
-            {
-                "n_sites": s.n_sites,
-                "j_coupling": s.j_coupling,
-                "kind": s.pert_kind,
-                "strength": s.pert_strength,
-                "seed": s.pert_seed,
-                "statistic": s.statistic,
-                "rel_frequency_shift": s.rel_frequency_shift,
-                "rel_amplitude_shift": s.rel_amplitude_shift,
-                "ghz_overlap_retention": s.ghz_overlap_retention,
-                "ground_gap_shift": s.ground_gap_shift,
-            }
-            for s in stability
-        ]
+        renamed = {"pert_kind": "kind", "pert_strength": "strength", "pert_seed": "seed"}
+        summary["stability"] = [{renamed.get(k, k): v for k, v in vars(s).items()} for s in stability]
     return summary

@@ -411,6 +411,35 @@ class TestSweepCommand:
         cfg = write_config(tmp_path, doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_failed_reference_row_is_a_partial_sweep(self, tmp_path, monkeypatch):
+        # the bare N = 4 point fails: its Heisenberg row leaves the stability
+        # table, and every output is still written
+        doc = _edited(
+            SWEEP_DOC,
+            lambda d: d["plan"].update(n_values=[4, 6], perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.05]}]),
+        )
+        bare, run_point = build_tc_hamiltonian(TCModelConfig(4, 0.5)), sweep.run_point
+
+        def failing(op, *args):
+            if op == bare:
+                raise RuntimeError("forced point failure")
+            return run_point(op, *args)
+
+        monkeypatch.setattr(sweep, "run_point", failing)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 4
+        rows = csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:])
+        assert [(r["n_sites"], r["pert_kind"], r["status"]) for r in rows] == [
+            ("4", "none", "failed"), ("4", "heisenberg_exchange", "ok"),
+            ("6", "none", "ok"), ("6", "heisenberg_exchange", "ok"),
+        ]
+        summary = json.loads((out / "sweep_summary.json").read_text())["summary"]
+        assert summary["n_failed"] == 1
+        assert [(s["n_sites"], s["kind"], s["strength"]) for s in summary["stability"]] == [
+            (6, "heisenberg_exchange", 0.05)
+        ]
+        assert (out / "timings.csv").exists()
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_DOC)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -649,6 +678,13 @@ REJECTED_UP_FRONT = {
     "correlate_lanczos_k_above_dimension": _edited(
         CORRELATE_DOC, lambda d: (d["model"].update(n_sites=15), d["solver"].update(lanczos_k=(1 << 15) + 1))
     ),
+    # the dense route past the default cap of 14, and a plan whose Lanczos pairs give no gap
+    "spectrum_dense_above_cap": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 15, "j_coupling": 0.5},
+        "solver": {"method": "dense"},
+    },
+    "plan_lanczos_k_one": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_k=1)),
 }
 
 
