@@ -31,8 +31,7 @@ from .models import (  # noqa: E402
     magnetization_operator,
 )
 from .oscillator import (  # noqa: E402
-    OscillatorConfig,
-    TruncatedOscillator,
+    OscillatorControl,
     baseline_scaling,
     cm_correlator_analytic,
     cm_correlator_numeric,
@@ -54,7 +53,6 @@ from .spectra import (  # noqa: E402
     lanczos_extremal,
 )
 from .sweep import (  # noqa: E402
-    OscillatorControl,
     PerturbationFamily,
     SolverSettings,
     StabilityRow,
@@ -72,7 +70,6 @@ __all__ = [
     "GHZReport",
     "Operator",
     "OscillationReport",
-    "OscillatorConfig",
     "OscillatorControl",
     "PauliString",
     "PerturbationFamily",
@@ -85,7 +82,6 @@ __all__ = [
     "SweepRecord",
     "TCModelConfig",
     "TimeGrid",
-    "TruncatedOscillator",
     "baseline_scaling",
     "build_ghz",
     "build_perturbation",

@@ -36,12 +36,11 @@ from .models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from .oscillator import baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
+from .oscillator import OscillatorControl, baseline_scaling, cm_correlator_analytic, cm_correlator_numeric
 from .pauli import Operator, PauliString, dense_cap
 from .schema import dump, read
 from .spectra import ghz_overlap_report
 from .sweep import (
-    OscillatorControl,
     SolverSettings,
     SweepPlan,
     basis_state,
@@ -222,7 +221,8 @@ def _observable(cfg: CorrelateConfig, n_sites: int) -> Operator:
 
 def _resolve_config(raw, command: str):
     """The ``command`` config read from ``raw``, its normalized JSON form,
-    and the one SolverSettings of a ``spectrum`` or ``correlate`` run (else None).
+    and the one SolverSettings, Hamiltonian and observable of a ``spectrum``
+    or ``correlate`` run (each None where the command has none), built once.
 
     Sections are checked on their own while they are read; the checks that
     span sections (Hermitian H and A, :meth:`SolverSettings.check`, the
@@ -246,7 +246,7 @@ def _resolve_config(raw, command: str):
         if type(stated_cap) is not int or stated_cap != cap:
             raise ConfigError(f"config declares dense_cap {stated_cap!r} but TCSPIN_DENSE_CAP gives {cap}")
     cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k not in declared}, "config")
-    settings = None
+    settings = op = observable = None
     if command in ("spectrum", "correlate"):
         op = _hamiltonian(cfg)
         if not op.is_hermitian():
@@ -261,7 +261,8 @@ def _resolve_config(raw, command: str):
         if command == "spectrum" or cfg.initial_state.type != "basis":  # a basis state past the cap takes no spectrum
             settings.check(n)
     if command == "correlate":
-        if not _observable(cfg, n).is_hermitian():
+        observable = _observable(cfg, n)
+        if not observable.is_hermitian():
             raise ConfigError("the observable is not Hermitian: a term has a complex weight")
         spectral = cfg.solver.method in ("spectral", "both")
         state = cfg.initial_state
@@ -280,7 +281,7 @@ def _resolve_config(raw, command: str):
     resolved = {"command": command, **dump(cfg)}
     if command == "correlate":
         resolved["dense_cap"] = cap
-    return cfg, resolved, settings
+    return cfg, resolved, settings, op, observable
 
 
 def config_hash(resolved: dict) -> str:
@@ -309,8 +310,7 @@ def _write_csv(path: Path, resolved: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, resolved: dict, out_dir: Path) -> int:
-    op = _hamiltonian(cfg)
+def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, op: Operator, resolved: dict, out_dir: Path) -> int:
     spectrum = point_spectrum(op, settings)
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     _write_json(
@@ -323,14 +323,15 @@ def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, resolved: dict, 
     return EXIT_OK
 
 
-def cmd_correlate(cfg: CorrelateConfig, settings: SolverSettings, resolved: dict, out_dir: Path) -> int:
-    op = _hamiltonian(cfg)
+def cmd_correlate(
+    cfg: CorrelateConfig, settings: SolverSettings, op: Operator, observable: Operator, resolved: dict, out_dir: Path
+) -> int:
     method = cfg.solver.method
     state = cfg.initial_state
     methods = ("spectral", "krylov") if method == "both" else (method,)
     point = run_point(
         op,
-        _observable(cfg, op.n_sites),
+        observable,
         cfg.time_grid,
         state.index if state.type == "basis" else state.type,
         settings,
@@ -355,12 +356,11 @@ def cmd_correlate(cfg: CorrelateConfig, settings: SolverSettings, resolved: dict
 
 def cmd_baseline(cfg: BaselineConfig, resolved: dict, out_dir: Path) -> int:
     control, grid = cfg.oscillator, cfg.time_grid
-    scaling = baseline_scaling(control.oscillator(control.n_values[0]), control.n_values)
+    scaling = baseline_scaling(control)
     max_diffs = {}
     for n in control.n_values:
-        osc = control.oscillator(n)
-        analytic = cm_correlator_analytic(osc, grid)
-        numeric = cm_correlator_numeric(osc, control.cutoff, grid)
+        analytic = cm_correlator_analytic(control, n, grid)
+        numeric = cm_correlator_numeric(control, n, grid)
         max_diffs[n] = float(np.max(np.abs(analytic.values - numeric.values)))
         _write_csv(out_dir / f"baseline_analytic_N{n}.csv", resolved, analytic.to_csv())
         _write_csv(out_dir / f"baseline_numeric_N{n}.csv", resolved, numeric.to_csv())
@@ -438,10 +438,10 @@ def main(argv: list[str] | None = None) -> int:
                     "validate needs a config with a 'command' key naming one of "
                     "spectrum/correlate/baseline/sweep"
                 )
-            _, resolved, _ = _resolve_config(raw, command)
+            resolved = _resolve_config(raw, command)[1]
             print(f"ok {config_hash(resolved)}")
             return EXIT_OK
-        cfg, resolved, settings = _resolve_config(raw, args.command)
+        cfg, resolved, settings, op, observable = _resolve_config(raw, args.command)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -453,9 +453,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, settings, resolved, out_dir)
+            return cmd_spectrum(cfg, settings, op, resolved, out_dir)
         if args.command == "correlate":
-            return cmd_correlate(cfg, settings, resolved, out_dir)
+            return cmd_correlate(cfg, settings, op, observable, resolved, out_dir)
         if args.command == "baseline":
             return cmd_baseline(cfg, resolved, out_dir)
         return cmd_sweep(cfg, resolved, out_dir, workers=args.workers)

@@ -43,7 +43,7 @@ from .models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from .oscillator import OscillatorConfig, cm_correlator_numeric
+from .oscillator import OscillatorControl, cm_correlator_numeric
 from .pauli import Operator, StateVector, dense_cap
 from .schema import dump
 from .spectra import GHZReport, SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
@@ -118,27 +118,17 @@ class PerturbationFamily:
             for seed in self.seeds:
                 PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
 
-
-@dataclass(frozen=True)
-class OscillatorControl:
-    """Oscillator amplitudes computed on the same N grid, through the same pipeline."""
-
-    n_values: tuple[int, ...]
-    m0: float = 1.0
-    omega: float = 1.0
-    hbar: float = 1.0
-    cutoff: int = 2
-
-    def __post_init__(self) -> None:
-        if not self.n_values or len(set(self.n_values)) != len(self.n_values):
-            raise PlanError(f"n_values must be non-empty and distinct, got {self.n_values}")
-        if self.cutoff < 2:
-            raise PlanError(f"cutoff must be >= 2, got {self.cutoff}")
-        for n in self.n_values:  # validates n >= 1 and positive m0, omega, hbar
-            self.oscillator(n)
-
-    def oscillator(self, n: int) -> OscillatorConfig:
-        return OscillatorConfig(n_particles=n, m0=self.m0, omega=self.omega, hbar=self.hbar)
+    def specs(self) -> tuple[PerturbationSpec, ...]:
+        """The spec of each of the family's sweep rows, in row order: one per
+        strength and seed of a random field, one per strength of an exchange
+        (whose operator reads no axis, seed or distribution)."""
+        if self.kind == "random_onsite_field":
+            return tuple(
+                PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
+                for strength in self.strengths
+                for seed in self.seeds
+            )
+        return tuple(PerturbationSpec(self.kind, strength) for strength in self.strengths)
 
 
 @dataclass(frozen=True)
@@ -232,9 +222,10 @@ def records_to_csv(records: list[SweepRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _enumerate_points(plan: SweepPlan) -> list[SweepRecord]:
-    """Blank records for every grid point, in canonical row order."""
-    rows: list[SweepRecord] = []
+def _enumerate_points(plan: SweepPlan) -> list[tuple[SweepRecord, tuple[PerturbationSpec, ...]]]:
+    """Blank records for every grid point, in canonical row order, each with
+    the perturbations its Hamiltonian adds to the chain."""
+    rows: list[tuple[SweepRecord, tuple[PerturbationSpec, ...]]] = []
     for n in plan.n_values:
         solver = plan.solver.route(n)
         for j in plan.j_values:
@@ -251,25 +242,13 @@ def _enumerate_points(plan: SweepPlan) -> list[SweepRecord]:
                 pert_seed=None,
                 solver=solver,
             )
-            rows.append(base)
+            rows.append((base, ()))
             for fam in plan.perturbations:
-                for strength in fam.strengths:
-                    if fam.kind == "random_onsite_field":
-                        for seed in fam.seeds:
-                            rows.append(
-                                replace(
-                                    base,
-                                    pert_kind=fam.kind,
-                                    pert_strength=strength,
-                                    pert_axis=fam.axis,
-                                    pert_distribution=fam.distribution,
-                                    pert_seed=seed,
-                                )
-                            )
-                    else:
-                        rows.append(
-                            replace(base, pert_kind=fam.kind, pert_strength=strength)
-                        )
+                for spec in fam.specs():
+                    cells = {}
+                    if spec.kind == "random_onsite_field":
+                        cells = {"pert_axis": spec.axis, "pert_distribution": spec.distribution, "pert_seed": spec.seed}
+                    rows.append((replace(base, pert_kind=spec.kind, pert_strength=spec.strength, **cells), (spec,)))
     return rows
 
 
@@ -362,23 +341,6 @@ def run_point(
     return PointResult(spectrum, ghz, psi, energy, series, report, gap_consistent)
 
 
-def _row_operator(row: SweepRecord) -> Operator:
-    """The row's Hamiltonian: the chain plus its perturbation, canonicalized."""
-    cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
-    specs = ()
-    if row.pert_kind != "none":
-        specs = (
-            PerturbationSpec(
-                kind=row.pert_kind,
-                strength=row.pert_strength,
-                axis=row.pert_axis or "z",
-                seed=0 if row.pert_seed is None else row.pert_seed,
-                distribution=row.pert_distribution or "uniform_pm1",
-            ),
-        )
-    return add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
-
-
 def _failure(exc: Exception) -> dict:
     return {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
 
@@ -448,12 +410,14 @@ def run_sweep(plan: SweepPlan, workers: int = 1) -> list[SweepRecord]:
     The worker pool maps over points. The sweep itself fails only if every
     row fails.
     """
-    rows = _enumerate_points(plan)
+    rows = []
     points: dict[tuple, list[SweepRecord]] = {}
-    for row in rows:
+    for row, specs in _enumerate_points(plan):
+        rows.append(row)
         t0 = time.perf_counter()
         try:
-            op = _row_operator(row)
+            cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
+            op = add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
         except Exception as exc:  # per-row failures are recorded, not fatal
             vars(row).update(_failure(exc))
         else:
@@ -506,7 +470,7 @@ def oscillator_control_table(control: OscillatorControl, grid: TimeGrid) -> list
     """Oscillator amplitudes measured through the same extraction pipeline."""
     table = []
     for n in control.n_values:
-        series = cm_correlator_numeric(control.oscillator(n), control.cutoff, grid)
+        series = cm_correlator_numeric(control, n, grid)
         report = extract_oscillation(series, max_peaks=CONTROL_MAX_PEAKS)
         table.append((n, report.dominant_amplitude))
     return table

@@ -19,7 +19,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from tcspin.dynamics import CorrelationSeries, OscillationReport, TimeGrid  # noqa: E402
-from tcspin.models import TCModelConfig  # noqa: E402
+from tcspin.models import TCModelConfig, add_perturbations, build_tc_hamiltonian  # noqa: E402
 from tcspin.pauli import Operator, PauliString, StateVector  # noqa: E402
 from tcspin.sweep import PerturbationFamily, SolverSettings, SweepPlan  # noqa: E402
 
@@ -95,6 +95,13 @@ def matvec_residuals(op: Operator, spectrum) -> np.ndarray:
         v = spectrum.vector(i)
         out[i] = np.linalg.norm(op.matvec(v) - e * v)
     return out
+
+
+def sweep_row_operator(row, specs) -> Operator:
+    """The Hamiltonian of a sweep row and its perturbation specs, built as
+    ``run_sweep`` builds it."""
+    cfg = TCModelConfig(n_sites=row.n_sites, j_coupling=row.j_coupling, boundary=row.boundary)
+    return add_perturbations(build_tc_hamiltonian(cfg), specs, row.boundary)
 
 
 def criterion_8_plan() -> SweepPlan:

@@ -32,11 +32,10 @@ from tcspin.models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from tcspin.oscillator import OscillatorConfig, baseline_scaling, cm_correlator_numeric
+from tcspin.oscillator import OscillatorControl, baseline_scaling, cm_correlator_numeric
 from tcspin.pauli import Operator, PauliString, global_flip_operator, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
 from tcspin.sweep import (
-    OscillatorControl,
     PerturbationFamily,
     SolverSettings,
     SweepPlan,
@@ -64,14 +63,14 @@ def test_criterion_1_oscillator_baseline():
     failures = []
     grid = TimeGrid(0.0, 50.0, 1024)
     for n in (1, 7, 100):
-        cfg = OscillatorConfig(n)
-        expected = cfg.amplitude * np.exp(-1j * cfg.omega * grid.times())
         for cutoff in (2, 5):
-            numeric = cm_correlator_numeric(cfg, cutoff, grid)
+            control = OscillatorControl((n,), cutoff=cutoff)
+            expected = control.amplitude(n) * np.exp(-1j * control.omega * grid.times())
+            numeric = cm_correlator_numeric(control, n, grid)
             diff = float(np.max(np.abs(numeric.values - expected)))
             if diff > 1e-12:
                 failures.append(f"N={n} cutoff={cutoff}: formula deviation {diff:.2e}")
-    table = baseline_scaling(OscillatorConfig(1), [1, 2, 4, 8, 16, 32, 64, 128])
+    table = baseline_scaling(OscillatorControl((1, 2, 4, 8, 16, 32, 64, 128)))
     exponent, _, _ = fit_power_law([(float(n), a) for n, a in table])
     if abs(exponent + 1.0) > 1e-10:
         failures.append(f"scaling exponent {exponent} not -1 within 1e-10")

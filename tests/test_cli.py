@@ -353,6 +353,23 @@ class TestBaselineCommand:
         doc = json.loads((out / "baseline_summary.json").read_text())
         assert doc["scaling"] == [{"n": 1, "amplitude": 0.5}]
 
+    def test_cutoff_far_past_memory_writes_cutoff_2s_series(self, tmp_path):
+        # only level 1 enters the Lehmann sum, so no array grows with the cutoff
+        bodies = {}
+        for cutoff in (2, 2**40):
+            doc = {
+                "command": "baseline",
+                "oscillator": {"n_values": [2, 4, 8], "cutoff": cutoff},
+                "time_grid": {"t_start": -10.0, "t_end": 30.0, "n_samples": 161},
+            }
+            out = tmp_path / str(cutoff)
+            assert main(["baseline", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+            # the first line holds the config hash, which covers the cutoff
+            bodies[cutoff] = [(out / f"baseline_numeric_N{n}.csv").read_bytes().split(b"\n", 1) for n in (2, 4, 8)]
+        for (head_2, body_2), (head_big, body_big) in zip(bodies[2], bodies[2**40]):
+            assert head_2 != head_big
+            assert body_2 == body_big
+
     def test_duplicate_n_values_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -582,6 +599,16 @@ CORRELATE_DOC = {
 }
 
 # each config validated (or ran to exit 3, or crashed) before the schema was strict
+# every check of an oscillator section, run through a baseline config and a sweep plan
+OSCILLATOR_REJECTED = {
+    "n_values_zero": {"n_values": [0, 2]},
+    "n_values_duplicate": {"n_values": [2, 2]},
+    "m0": {"n_values": [2, 4], "m0": -1.0},
+    "omega": {"n_values": [2, 4], "omega": 0.0},
+    "hbar": {"n_values": [2, 4], "hbar": 0.0},
+    "cutoff": {"n_values": [2, 4], "cutoff": 1},
+}
+
 REJECTED_UP_FRONT = {
     "plan_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"].update(bogus=1)),
     "time_grid_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"]["time_grid"].update(dt=0.1)),
@@ -601,12 +628,6 @@ REJECTED_UP_FRONT = {
     "family_later_strength_negative": _edited(
         SWEEP_DOC,
         lambda d: d["plan"].update(perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1, -0.1]}]),
-    ),
-    "oscillator_control_cutoff": _edited(
-        SWEEP_DOC, lambda d: d["plan"].update(oscillator_control={"n_values": [2, 4], "cutoff": 1})
-    ),
-    "oscillator_control_m0": _edited(
-        SWEEP_DOC, lambda d: d["plan"].update(oscillator_control={"n_values": [2, 4], "m0": -1.0})
     ),
     "correlate_n_samples": _edited(CORRELATE_DOC, lambda d: d["time_grid"].update(n_samples=8)),
     "correlate_step_tol_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(step_tol=0.0)),
@@ -665,10 +686,17 @@ REJECTED_UP_FRONT = {
         CORRELATE_DOC,
         lambda d: d.update(observable={"type": "pauli_terms", "terms": [{"coeff": [0.0, 1.0], "letters": "ZIIIII"}]}),
     ),
-    "baseline_hbar": {
-        "command": "baseline",
-        "oscillator": {"n_values": [2, 4], "hbar": 0.0},
-        "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
+    **{
+        f"baseline_{name}": {
+            "command": "baseline",
+            "oscillator": section,
+            "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
+        }
+        for name, section in OSCILLATOR_REJECTED.items()
+    },
+    **{
+        f"oscillator_control_{name}": _edited(SWEEP_DOC, lambda d, s=section: d["plan"].update(oscillator_control=s))
+        for name, section in OSCILLATOR_REJECTED.items()
     },
     # lanczos_k above 2^N on the Lanczos route: validated, then exited 3
     "plan_lanczos_k_above_dimension": _edited(

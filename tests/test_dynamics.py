@@ -32,12 +32,11 @@ from tcspin.models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from tcspin.oscillator import cm_correlator_numeric
+from tcspin.oscillator import OscillatorControl, cm_correlator_numeric
 from tcspin.pauli import Operator, StateVector, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
-from tcspin.sweep import OscillatorControl
 
-from conftest import criterion_8_plan, dense_vectors, oracle_extract_oscillation, random_state
+from conftest import criterion_8_plan, dense_vectors, oracle_extract_oscillation, random_state, sweep_row_operator
 
 SIGMA_Z = Operator.from_label_terms([(1.0, "Z")])
 SIGMA_X = Operator.from_label_terms([(1.0, "X")])
@@ -1234,14 +1233,14 @@ def _extraction_corpus():
     cases = []
     plan = criterion_8_plan()
     m_8 = magnetization_operator(8, "z")
-    points = dict.fromkeys(sweep._row_operator(row) for row in sweep._enumerate_points(plan))
+    points = dict.fromkeys(sweep_row_operator(*row) for row in sweep._enumerate_points(plan))
     for i, op in enumerate(points):  # the dense route of run_point
         spec = dense_spectrum(op)
         series = correlator_spectral(op, spec, m_8, spec.state(0).normalized(), plan.grid)
         cases.append((f"criterion-8 point {i}", series, plan.solver.max_peaks))
     control, control_grid = OscillatorControl(n_values=(6, 8, 10, 12, 14)), TimeGrid(0.0, 240.0, 512)
     for n in control.n_values:
-        series = cm_correlator_numeric(control.oscillator(n), control.cutoff, control_grid)
+        series = cm_correlator_numeric(control, n, control_grid)
         cases.append((f"oscillator control N={n}", series, sweep.CONTROL_MAX_PEAKS))
     m_10 = magnetization_operator(10, "z")
     for pert in PERTURBATIONS[1:]:

@@ -7,11 +7,11 @@ import pytest
 
 from tcspin.dynamics import TimeGrid
 from tcspin.errors import PlanError, TcspinError
-from tcspin.models import TCModelConfig, build_tc_hamiltonian, magnetization_operator
+from tcspin.models import PerturbationSpec, TCModelConfig, build_tc_hamiltonian, magnetization_operator
 from tcspin.pauli import Operator
 from tcspin.spectra import dense_spectrum
+from tcspin.oscillator import OscillatorControl
 from tcspin.sweep import (
-    OscillatorControl,
     PerturbationFamily,
     SolverSettings,
     SweepPlan,
@@ -24,7 +24,7 @@ from tcspin.sweep import (
     summarize_sweep,
 )
 
-from conftest import criterion_8_plan
+from conftest import criterion_8_plan, sweep_row_operator
 
 GRID = TimeGrid(0.0, 150.0, 192)
 
@@ -237,10 +237,34 @@ class TestDistinctPoints:
         import tcspin.sweep as sweep_mod
 
         alone = sweep_mod._enumerate_points(self.PLAN)
-        for row in alone:  # each with its own observable, where the sweep shares one
+        for row, specs in alone:  # each with its own observable, where the sweep shares one
             observable = magnetization_operator(row.n_sites, row.axis)
-            sweep_mod._run_rows(sweep_mod._row_operator(row), [row], observable, self.PLAN)
-        assert records_to_csv(run_sweep(self.PLAN)) == records_to_csv(alone)
+            sweep_mod._run_rows(sweep_row_operator(row, specs), [row], observable, self.PLAN)
+        assert records_to_csv(run_sweep(self.PLAN)) == records_to_csv([row for row, _ in alone])
+
+    def test_rows_carry_the_specs_their_cells_name(self):
+        import tcspin.sweep as sweep_mod
+
+        plan = small_plan(
+            perturbations=(
+                PerturbationFamily(kind="heisenberg_exchange", strengths=(0.0, 0.02), axis="y", seeds=(5, 6)),
+                PerturbationFamily(
+                    kind="random_onsite_field", strengths=(0.01, 0.05), axis="x",
+                    distribution="gaussian_unit", seeds=(0, 3),
+                ),
+            )
+        )
+        rows = sweep_mod._enumerate_points(plan)
+        assert [len(specs) for _, specs in rows] == [0] + [1] * 6
+        for row, specs in rows[1:]:
+            # the spec as the row's CSV cells spell it, with the spec's defaults for empty cells
+            cells = PerturbationSpec(
+                row.pert_kind, row.pert_strength, row.pert_axis or "z",
+                row.pert_seed or 0, row.pert_distribution or "uniform_pm1",
+            )
+            if row.pert_kind == "random_onsite_field":
+                assert specs == (cells,)
+            assert sweep_row_operator(row, specs) == sweep_row_operator(row, (cells,))
 
     def test_worker_pool_maps_over_points(self):
         serial = records_to_csv(run_sweep(self.PLAN, workers=1))
