@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionError, EigenstateError, ModelError
 from .pauli import Operator, StateVector, apply_groups, gershgorin_interval, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
-from .spectra import EPS, SpectrumResult, _lanczos_step
+from .spectra import EPS, SpectrumResult, _lanczos_step, _next_check
 
 log = logging.getLogger(__name__)
 _KRYLOV_RECORD = "krylov correlator: %d amplitudes kept, %d Lanczos steps (cap %d), bound %.3g, dropped %.3g"
@@ -330,11 +330,6 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
     return StateVector(v.n_sites, _propagator(op, t, step_tol)(amps, h_v))
 
 
-# Lanczos steps between checks of the quadrature's bound, after the check at
-# m = 1 (past 32, m / 8)
-QUADRATURE_CHECK = 4
-
-
 def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
     """Nodes theta_j and weights w_j, <phi|e^{-iHt}|phi> ~ sum_j w_j
     e^{-i theta_j t} within ``budget`` for |t| <= ``t_max``, from a Lanczos
@@ -367,8 +362,8 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
     sqrt(m) eta bounds ||Q_m^H q_1 - e_1|| and ||Q_m^H q_{m+1}||. A column
     of F_m is at most ``rounding`` (which also covers a node's phase over
     t_max) plus what a Gram-Schmidt pass took out of w, measured. The run
-    stops at the first check, at m = 1 and then every
-    :data:`QUADRATURE_CHECK` steps, with ||phi||^2 (eps^2 + (1 + eps) rho)
+    stops at the first check (m = 1, 4, 8, ...:
+    :func:`~tcspin.spectra._next_check`) with ||phi||^2 (eps^2 + (1 + eps) rho)
     <= ``budget``. At m = 1, eps = t_max ||(H - alpha) phi|| / ||phi||: a
     phi that is an eigenvector to that accuracy costs one matvec. Its steps
     (:func:`~tcspin.spectra._lanczos_step`) keep eta = min(sqrt(EPS),
@@ -401,7 +396,7 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
     small, omega = np.zeros((2, len(basis), len(basis)))
     omega[0, 0] = 1.0
     defect = 0.0  # squared bound on ||F_m||, column by column
-    check = QUADRATURE_CHECK
+    check = 1
     for j in range(cap):
         w, beta, w_omega, again, unpassed = _lanczos_step(
             matvec, basis, small, omega, j, 0, beta, basis[:0], eta, h_norm, again, h_q
@@ -411,9 +406,8 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
         defect += (rounding + removed) ** 2
         m = j + 1
         breakdown = beta <= 1e-13 * h_norm
-        if m in (1, check, cap) or breakdown:
-            # the next check: m = 4, 8, ..., 32, then every m / 8
-            check = m + max(QUADRATURE_CHECK - m % QUADRATURE_CHECK, m // 8)
+        if m in (check, cap) or breakdown:
+            check = _next_check(m)
             nodes, vectors = np.linalg.eigh(small[:m, :m])
             c = vectors[0] * vectors[-1]
             energy = t_max * float(c @ np.sinc(np.subtract.outer(nodes, nodes) * (t_max / math.pi)) @ c)

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import json
+import logging
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
 from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+
+log = logging.getLogger(__name__)
+_LANCZOS_RECORD = (
+    "lanczos: %d of %d pairs converged, %d matvecs, %d thick restarts, "
+    "%d steps with a Gram-Schmidt pass, %d diagonalizations of T"
+)
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
 # solvers return an arbitrary basis inside such a cluster, so GHZ overlaps
@@ -89,13 +97,11 @@ class SpectrumResult:
 
     def clusters(self) -> list[list[int]]:
         """Indices grouped into degenerate clusters (consecutive gap < CLUSTER_TOL)."""
-        groups: list[list[int]] = []
-        for i, e in enumerate(self.eigenvalues):
-            if groups and e - self.eigenvalues[groups[-1][-1]] < CLUSTER_TOL:
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
+        # each level opens a cluster when it lies CLUSTER_TOL or more above the
+        # one before it; the first always does
+        cuts = [*np.flatnonzero(np.diff(self.eigenvalues, prepend=-np.inf) >= CLUSTER_TOL).tolist(), self.n_pairs]
+        levels = list(range(self.n_pairs))
+        return [levels[start:end] for start, end in zip(cuts, cuts[1:])]
 
     def to_json(self, include_vectors: bool = False) -> str:
         doc: dict = {
@@ -207,6 +213,23 @@ def dense_spectrum(op: Operator) -> SpectrumResult:
 DGKS_RATIO = 1 / np.sqrt(2)
 EPS = np.finfo(np.float64).eps
 
+# Lanczos steps between the checks of a Krylov loop's stopping test (from
+# m = 40 on, m / 8): a check diagonalizes the m x m projected matrix, O(m^3),
+# where a step past the stopping point costs one matvec
+CHECK_EVERY = 4
+
+
+def _next_check(m: int) -> int:
+    """The step after a check at step m at which a Krylov loop checks next.
+
+    From a first check at m = 1 the schedule is m = 1, 4, 8, ..., 32, 36,
+    40, 45, 50, 56, ...: every :data:`CHECK_EVERY` steps, then every m / 8.
+    A loop whose test would pass between two checks runs on to the next:
+    at most 3 steps further while the checks are 4 apart (up to m = 40),
+    and at most m / 8 - 1 past a check at m >= 40.
+    """
+    return m + max(CHECK_EVERY - m % CHECK_EVERY, m // 8)
+
 
 def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     """One classical Gram-Schmidt pass of w against the rows of each set in turn.
@@ -218,7 +241,7 @@ def _orthogonalize(w: np.ndarray, *sets: np.ndarray) -> np.ndarray:
     """
     for rows in sets:
         if len(rows):
-            w = w - rows.T @ (rows @ w.conj()).conj()
+            w = w - (rows @ w.conj()).conj() @ rows
     return w
 
 
@@ -256,7 +279,7 @@ def _lanczos_step(
     elif kept:
         w -= basis[:kept].T @ small[kept, :kept]
     if len(deflate):
-        w -= deflate.T @ (deflate @ w.conj()).conj()
+        w -= (deflate @ w.conj()).conj() @ deflate
     before = float(np.linalg.norm(w))
     if kept or again:
         full, again = True, False
@@ -288,6 +311,7 @@ def _lowest_deflated_eigenpair(
     keep: int,
     deflate: np.ndarray,
     h_norm: float,
+    tally: Counter,
 ) -> tuple[tuple[float, np.ndarray, float] | None, int]:
     """Lowest eigenpair orthogonal to ``deflate`` by thick-restart Lanczos.
 
@@ -303,14 +327,22 @@ def _lowest_deflated_eigenpair(
     when Simon's estimate of the overlaps passes eta = min(sqrt(eps),
     tol / ||H||), or after a thick restart. ``h_norm`` bounds ||H||.
 
-    Convergence is tested at every step: with the basis orthonormal to eta,
-    |beta_j u[j, 0]| (the new beta times the last component of the lowest
-    eigenvector of T) is the Ritz pair's residual to within tol, which is
-    why eta is tied to tol. A cycle ends as soon as it is <= tol, or after
-    ``m_cap`` basis vectors. The Ritz pair is then accepted only if
-    ||H v - theta v||, from one more matvec, is <= tol as well; otherwise
-    the cycle restarts. The returned residual is that check, so it lies
-    near tol rather than at round-off.
+    Convergence is tested on the schedule of :func:`_next_check`, counted
+    in steps from the cycle's start (s = 1, 4, 8, ...), and always at a
+    breakdown, at ``m_cap`` basis vectors and at the last step the budget
+    leaves room for; each test diagonalizes T, O(j^3), where a step that
+    ran past convergence costs one matvec. With the basis orthonormal to
+    eta, |beta_j u[j, 0]| (the new beta times the last component of the
+    lowest eigenvector of T) is the Ritz pair's residual to within tol,
+    which is why eta is tied to tol. A cycle ends at the first test where
+    it is <= tol, or at one of the three forced tests. The Ritz pair is
+    then accepted only if ||H v - theta v||, from one more matvec, is <=
+    tol as well; otherwise the cycle restarts. The returned residual is
+    that check, so it lies near tol rather than at round-off.
+
+    ``tally`` gains the solve's thick restarts (``"restarts"``), the steps
+    that took a Gram-Schmidt pass (``"passes"``) and the diagonalizations
+    of T (``"diagonalizations"``).
 
     Returns ((value, vector, residual), matvecs_used) with matvecs_used <=
     ``budget``, or (None, matvecs_used) when the budget runs out or the
@@ -332,19 +364,25 @@ def _lowest_deflated_eigenpair(
     while matvecs + 2 <= budget:
         j = kept
         beta = 0.0
-        while j < m_cap and matvecs + 2 <= budget:
-            # w before the pass is dropped here, not held through a step
-            w, beta, w_omega, again = _lanczos_step(
+        check = 1  # the step of this cycle at which T is next diagonalized
+        while True:
+            w, beta, w_omega, again, unpassed = _lanczos_step(
                 op.matvec, basis, small, omega, j, kept, beta, deflate, eta, h_norm, again
-            )[:4]
+            )
+            tally["passes"] += unpassed is not w
+            del unpassed  # w before the pass is not held through a step
             matvecs += 1
             if beta < breakdown_tol:
                 beta = 0.0
             j += 1
-            theta, u = np.linalg.eigh(small[:j, :j])
             # a breakdown makes the estimate 0: the Krylov space is invariant
-            if beta * abs(u[-1, 0]) <= tol or j == m_cap:
-                break
+            last = beta == 0.0 or j == m_cap or matvecs + 2 > budget
+            if j - kept == check or last:
+                check = _next_check(j - kept)
+                theta, u = np.linalg.eigh(small[:j, :j])
+                tally["diagonalizations"] += 1
+                if last or beta * abs(u[-1, 0]) <= tol:
+                    break
             np.divide(w, beta, out=basis[j])
             small[j - 1, j] = small[j, j - 1] = beta
             omega[j, :j] = omega[:j, j] = w_omega
@@ -360,6 +398,7 @@ def _lowest_deflated_eigenpair(
             # invariant subspace exhausted: no restart can improve the pair
             return None, matvecs
 
+        tally["restarts"] += 1
         p = min(keep, n_small - 1)
         basis[:p] = u[:, :p].T @ basis[:n_small]
         np.divide(w, beta, out=basis[p])
@@ -389,7 +428,10 @@ def lanczos_extremal(
     ``residuals`` lie near ``tol``. Deterministic for a fixed seed.
     ``max_iter`` caps the total matvec count, the true-residual checks
     included; on exhaustion a partial result is returned with
-    ``n_converged < k`` rather than failing silently.
+    ``n_converged < k`` rather than failing silently. Each call logs one
+    ``info`` record: the pairs converged and requested, the matvecs, the
+    thick restarts, the steps that took a Gram-Schmidt pass and the
+    diagonalizations of the projected matrix.
 
     A real operator gets real start vectors, so the Krylov basis, the
     deflation set and the returned vectors are float64 (half the memory of
@@ -412,6 +454,7 @@ def lanczos_extremal(
     found_vecs: list[np.ndarray] = []
     found_resids: list[float] = []
     matvecs = 0
+    tally: Counter = Counter()
     h_norm = max(1.0, op.one_norm())
 
     def next_start() -> np.ndarray | None:
@@ -435,7 +478,7 @@ def lanczos_extremal(
             break
         deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
         pair, used = _lowest_deflated_eigenpair(
-            op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm
+            op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm, tally
         )
         matvecs += used
         if pair is None:
@@ -444,6 +487,10 @@ def lanczos_extremal(
         found_vals.append(val)
         found_vecs.append(vec)
         found_resids.append(resid)
+    log.info(
+        _LANCZOS_RECORD, len(found_vals), k, matvecs,
+        tally["restarts"], tally["passes"], tally["diagonalizations"],
+    )
 
     # only converged pairs are kept, each with the residual that accepted it
     order = np.argsort(found_vals)

@@ -114,21 +114,25 @@ class PerturbationFamily:
         for name, values in (("strengths", self.strengths), ("seeds", self.seeds)):
             if not values or len(set(values)) != len(values):
                 raise PlanError(f"perturbation family {self.kind} needs non-empty, distinct {name}, got {values}")
-        for strength in self.strengths:  # a spec validates kind, strength, axis, seed and distribution
-            for seed in self.seeds:
-                PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
+        if self.kind == "heisenberg_exchange":
+            # the exchange operator reads no axis, distribution or seed: its
+            # family has one row per strength, so these keys keep their defaults
+            defaults = {f.name: f.default for f in fields(self)}
+            for name in ("axis", "distribution", "seeds"):
+                if getattr(self, name) != defaults[name]:
+                    raise PlanError(
+                        f"perturbation family heisenberg_exchange reads no {name}; got {getattr(self, name)!r}"
+                    )
+        self.specs()  # a spec validates kind, strength, axis, seed and distribution
 
     def specs(self) -> tuple[PerturbationSpec, ...]:
         """The spec of each of the family's sweep rows, in row order: one per
-        strength and seed of a random field, one per strength of an exchange
-        (whose operator reads no axis, seed or distribution)."""
-        if self.kind == "random_onsite_field":
-            return tuple(
-                PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
-                for strength in self.strengths
-                for seed in self.seeds
-            )
-        return tuple(PerturbationSpec(self.kind, strength) for strength in self.strengths)
+        strength and seed (an exchange family has the one default seed)."""
+        return tuple(
+            PerturbationSpec(self.kind, strength, self.axis, seed, self.distribution)
+            for strength in self.strengths
+            for seed in self.seeds
+        )
 
 
 @dataclass(frozen=True)

@@ -500,8 +500,8 @@ class TestRuntimeImports:
 
 
 class TestLogLevel:
-    # the Krylov correlator logs how hard it worked at info, and the default
-    # warn level prints none of it
+    # the Krylov correlator, and Lanczos below the dense cap, log how hard
+    # they worked at info, and the default warn level prints none of it
     DOC = {
         "command": "correlate",
         "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
@@ -512,22 +512,28 @@ class TestLogLevel:
         "solver": {"method": "krylov", "step_tol": 1e-12},
     }
 
+    @pytest.mark.parametrize("dense_cap", [None, "6"], ids=["dense", "lanczos"])
     @pytest.mark.parametrize("level", [None, "info"])
-    def test_krylov_correlator_record(self, tmp_path, level):
+    def test_krylov_correlator_record(self, tmp_path, level, dense_cap):
         cfg = write_config(tmp_path, self.DOC)
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        env.pop("TCSPIN_DENSE_CAP", None)
+        if dense_cap:
+            env["TCSPIN_DENSE_CAP"] = dense_cap
         args = [sys.executable, "-m", "tcspin.cli", "correlate", "--config", cfg, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
             args + (["--log-level", level] if level else []),
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         records = [line for line in proc.stderr.splitlines() if "krylov correlator" in line]
+        lanczos = [line for line in proc.stderr.splitlines() if line.startswith("INFO tcspin.spectra: lanczos:")]
         if level is None:
             assert proc.stderr == ""
         else:
             # m_z psi0 is one global-flip sector of 64 states
             assert len(records) == 1 and "64 amplitudes kept" in records[0], proc.stderr
+            assert len(lanczos) == (1 if dense_cap else 0), proc.stderr
 
 
 class TestValidateCommand:
@@ -625,6 +631,21 @@ REJECTED_UP_FRONT = {
     "plan_n_samples": _edited(SWEEP_DOC, lambda d: d["plan"]["time_grid"].update(n_samples=8)),
     "plan_step_tol_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(step_tol=-1.0)),
     "plan_step_tol_nan": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(step_tol=float("nan"))),
+    # an exchange family has one row per strength and reads no seed, axis or distribution
+    "family_exchange_seeds": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"].update(perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1], "seeds": [1, 2]}]),
+    ),
+    "family_exchange_axis": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"].update(perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1], "axis": "x"}]),
+    ),
+    "family_exchange_distribution": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"].update(
+            perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1], "distribution": "gaussian_unit"}]
+        ),
+    ),
     "family_later_strength_negative": _edited(
         SWEEP_DOC,
         lambda d: d["plan"].update(perturbations=[{"kind": "heisenberg_exchange", "strengths": [0.1, -0.1]}]),

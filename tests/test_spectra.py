@@ -1,6 +1,8 @@
 """Dense and Lanczos eigensolvers, GHZ diagnostics, parity sector labels."""
 
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -240,20 +242,80 @@ class TestLanczos:
 
     def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
         """No pass is repeated away from breakdowns, and Simon's estimate asks
-        for the pass against the Krylov basis at 9 of the 57 Lanczos steps,
+        for the pass against the Krylov basis at 9 of the 60 Lanczos steps,
         where every step ran it before."""
         passes = count_repeated_passes(monkeypatch)
         lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
         assert passes["basis"] == 9 and passes["repeated"] == 0
 
     def test_matvec_count_is_pinned(self, monkeypatch):
-        """Each pair takes the Lanczos steps until its Ritz residual estimate
-        reaches tol and one true-residual matvec; the residuals are not
-        recomputed afterwards."""
+        """Each pair takes the Lanczos steps up to the first check of the
+        schedule at which its Ritz residual estimate has reached tol, and one
+        true-residual matvec; the residuals are not recomputed afterwards."""
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
         assert lan.n_converged == 2
-        assert counter["matvecs"] == 59
+        assert counter["matvecs"] == 62
+
+    def test_projected_matrix_is_diagonalized_on_the_check_schedule(self, monkeypatch, caplog):
+        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 17
+        times for the 60 steps of the two pairs, where every step did it
+        before. The call's one info record counts them."""
+        sizes = record_diagonalizations(monkeypatch)
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
+        assert lan.n_converged == 2
+        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32] + [1, 4, 8, 12, 16, 20, 24, 28]
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        # converged, requested, matvecs, thick restarts, steps with a pass, diagonalizations
+        assert record.args == (2, 2, 62, 0, 9, len(sizes))
+
+    def test_check_schedule(self):
+        """Every 4 steps after the first, every m / 8 past m = 40."""
+        checks = [1]
+        while checks[-1] < 100:
+            checks.append(tcspin.spectra._next_check(checks[-1]))
+        assert checks == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 45, 50, 56, 63, 70, 78, 87, 97, 109]
+
+    @pytest.mark.parametrize(
+        "op, k, sizes",
+        [
+            (Operator.from_label_terms([(1.0, "III")]), 1, [1]),
+            # three levels: the Krylov space is invariant after 3 steps
+            (Operator.from_label_terms([(1.0, "ZII"), (1.0, "IZI")]), 1, [1, 3]),
+        ],
+        ids=["identity", "three_levels"],
+    )
+    def test_breakdown_forces_a_check(self, monkeypatch, op, k, sizes):
+        recorded = record_diagonalizations(monkeypatch)
+        lan = lanczos_extremal(op, k=k, seed=0)
+        assert recorded == sizes
+        assert lan.n_converged == k and lan.residuals.max() <= 1e-10
+
+    def test_exhausted_budget_forces_a_check(self, monkeypatch):
+        """With max_iter = 10 the cycle's last step is the 9th, off the
+        schedule; T is diagonalized there for the Ritz pair the last matvec
+        checks."""
+        sizes = record_diagonalizations(monkeypatch)
+        counter = count_matvecs(monkeypatch)
+        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(10, 0.5)), k=2, max_iter=10, seed=0)
+        assert sizes == [1, 4, 8, 9]
+        assert counter["matvecs"] == 10 and lan.n_converged == 0
+
+    def test_m_cap_forces_a_check(self, monkeypatch):
+        """With m_cap = 10 and 3 kept Ritz vectors, each cycle ends at the
+        10th basis vector, off the schedule counted from its start (steps 1,
+        4, 8 of the first cycle, 1, 4 of the later ones)."""
+        sizes = record_diagonalizations(monkeypatch)
+        op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
+        v0 = np.random.default_rng(0).standard_normal(256)
+        tally = Counter()
+        pair, _ = tcspin.spectra._lowest_deflated_eigenpair(
+            op, v0 / np.linalg.norm(v0), 1e-10, 5000, 10, 3, np.empty((0, 256)), max(1.0, op.one_norm()), tally
+        )
+        assert pair is not None and tally["restarts"] == 4
+        assert sizes == [1, 4, 8, 10] + [4, 7, 10] * 3 + [4, 7]
+        assert tally["diagonalizations"] == len(sizes)
 
     def test_stops_before_a_full_cycle(self, monkeypatch):
         """The estimate |beta_j u[j, 0]| ends the cycle at the step it reaches
@@ -293,7 +355,7 @@ class TestLanczos:
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
 
-    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (31, 31, 1), (40, 40, 1), (60, 49, 2)])
+    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (31, 31, 1), (40, 40, 1), (60, 50, 2)])
     def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
         """The true-residual check of a pair counts against ``max_iter``: a
         solve that runs out of budget stops at exactly ``max_iter`` matvecs."""
@@ -305,7 +367,10 @@ class TestLanczos:
     def test_thick_restart_still_converges(self, monkeypatch):
         """Above the lowest two pairs of the N = 10 Heisenberg-0.05 chain the
         estimate does not reach tol within one 60-step cycle: those pairs go
-        through thick restarts and still converge, orthonormal to round-off."""
+        through thick restarts and still converge, orthonormal to round-off.
+        Each cycle diagonalizes T on its own check schedule, so the solve
+        makes at most 150 diagonalizations, where one per step made 536."""
+        sizes = record_diagonalizations(monkeypatch)
         solve = tcspin.spectra._lowest_deflated_eigenpair
         used = []
 
@@ -319,6 +384,7 @@ class TestLanczos:
         tol = 1e-10
         lan = lanczos_extremal(op, k=6, tol=tol, seed=100)
         assert max(used) > 60 + 1
+        assert len(sizes) <= 150
         assert lan.n_converged == 6
         assert lan.residuals.max() <= tol
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:6])) < tol
@@ -337,6 +403,19 @@ def count_matvecs(monkeypatch) -> dict:
 
     monkeypatch.setattr(Operator, "matvec", counting)
     return counter
+
+
+def record_diagonalizations(monkeypatch) -> list:
+    """Wrap numpy's eigh; the list holds the order of each matrix it gets."""
+    eigh = np.linalg.eigh
+    sizes = []
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return sizes
 
 
 def count_repeated_passes(monkeypatch) -> dict:
@@ -749,6 +828,55 @@ class TestGHZReport:
             ghz = build_ghz(6, sign).amplitudes
             projected = basis.T @ (basis.conj() @ ghz)
             assert np.linalg.norm(projected) == pytest.approx(1.0, abs=1e-10)
+
+
+def loop_clusters(eigenvalues) -> list[list[int]]:
+    """The per-level loop that SpectrumResult.clusters replaced: a level
+    joins the cluster of the level before it when it lies less than
+    CLUSTER_TOL above it."""
+    groups: list[list[int]] = []
+    for i, e in enumerate(eigenvalues):
+        if groups and e - eigenvalues[groups[-1][-1]] < tcspin.spectra.CLUSTER_TOL:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return groups
+
+
+class TestClusters:
+    TOL = tcspin.spectra.CLUSTER_TOL
+
+    @staticmethod
+    def with_levels(eigenvalues) -> tcspin.spectra.SpectrumResult:
+        return replace(dense_spectrum(Operator.from_label_terms([(1.0, "X")])), eigenvalues=np.asarray(eigenvalues))
+
+    @pytest.mark.parametrize(
+        "gap, joined",
+        [(TOL, False), (np.nextafter(TOL, 0.0), True), (np.nextafter(TOL, 1.0), False)],
+        ids=["at", "below", "above"],
+    )
+    def test_gaps_at_the_tolerance_match_the_loop(self, gap, joined):
+        levels = np.array([-1.0, -1.0, 0.0, gap, gap, 1.0])
+        assert levels[3] - levels[2] == gap  # gap - 0.0 is exact
+        expected = [[0, 1], [2, 3, 4], [5]] if joined else [[0, 1], [2], [3, 4], [5]]
+        assert self.with_levels(levels).clusters() == loop_clusters(levels) == expected
+
+    @pytest.mark.parametrize(
+        "op",
+        [
+            build_tc_hamiltonian(TCModelConfig(6, 0.0)),
+            build_tc_hamiltonian(TCModelConfig(8, 1.0)),
+            # clusters [33, 34] and [35, 36] lie 2.5e-9 apart
+            chain_with(8, PerturbationSpec("heisenberg_exchange", 0.05)),
+        ],
+        ids=["n6_j0", "n8_j1", "n8_heisenberg"],
+    )
+    def test_spectra_match_the_loop(self, op):
+        spec = dense_spectrum(op)
+        assert spec.clusters() == loop_clusters(spec.eigenvalues)
+
+    def test_no_levels_no_clusters(self):
+        assert self.with_levels(np.empty(0)).clusters() == loop_clusters(np.empty(0)) == []
 
 
 def _parity(v: StateVector) -> float:

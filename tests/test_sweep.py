@@ -68,6 +68,17 @@ class TestPlanValidation:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "keys", [{"seeds": (1, 2)}, {"seeds": (5,)}, {"axis": "y"}, {"distribution": "gaussian_unit"}],
+        ids=["seeds", "one_seed", "axis", "distribution"],
+    )
+    def test_exchange_family_rejects_the_keys_it_ignores(self, keys):
+        """An exchange family runs one row per strength with no axis,
+        distribution or seed, so setting one is a plan error, not a no-op."""
+        with pytest.raises(PlanError, match=next(iter(keys))):
+            PerturbationFamily(kind="heisenberg_exchange", strengths=(0.1,), **keys)
+        PerturbationFamily(kind="random_onsite_field", strengths=(0.1,), **keys)
+
     def test_dense_routing_beyond_cap_rejected(self, monkeypatch):
         monkeypatch.setenv("TCSPIN_DENSE_CAP", "8")
         with pytest.raises(PlanError):
@@ -247,7 +258,7 @@ class TestDistinctPoints:
 
         plan = small_plan(
             perturbations=(
-                PerturbationFamily(kind="heisenberg_exchange", strengths=(0.0, 0.02), axis="y", seeds=(5, 6)),
+                PerturbationFamily(kind="heisenberg_exchange", strengths=(0.0, 0.02)),
                 PerturbationFamily(
                     kind="random_onsite_field", strengths=(0.01, 0.05), axis="x",
                     distribution="gaussian_unit", seeds=(0, 3),
@@ -262,8 +273,7 @@ class TestDistinctPoints:
                 row.pert_kind, row.pert_strength, row.pert_axis or "z",
                 row.pert_seed or 0, row.pert_distribution or "uniform_pm1",
             )
-            if row.pert_kind == "random_onsite_field":
-                assert specs == (cells,)
+            assert specs == (cells,)
             assert sweep_row_operator(row, specs) == sweep_row_operator(row, (cells,))
 
     def test_worker_pool_maps_over_points(self):
