@@ -483,13 +483,15 @@ def apply_groups(groups, amps: np.ndarray) -> np.ndarray:
     return out
 
 
-def gershgorin_interval(groups) -> tuple[float, float]:
-    """An interval [lo, hi] holding every eigenvalue of a Hermitian group list.
+def gershgorin_discs(groups) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """(centre, radius) of every row's Gershgorin disc, in one pass over a
+    Hermitian group list.
 
-    Gershgorin's theorem: row r of the matrix has the diagonal group's c[r]
-    as centre, and the other groups' |c[r]| summed as radius (each group
-    puts one entry in the row). On the groups of some invariant cosets it
-    encloses the spectrum on those cosets only. Costs no matvec.
+    Row r of the matrix has the diagonal group's c[r] as centre, and the
+    other groups' |c[r]| summed as radius (each group puts one entry in the
+    row, in another column). Either is the float 0.0 when no group adds to
+    it. Gershgorin's theorem: every eigenvalue of the matrix, or of one of
+    its invariant cosets, lies in a disc of a row of it. Costs no matvec.
     """
     centre = radius = 0.0
     for c, perm in groups:
@@ -497,6 +499,14 @@ def gershgorin_interval(groups) -> tuple[float, float]:
             centre = c.real
         else:
             radius = radius + np.abs(c)
+    return centre, radius
+
+
+def gershgorin_interval(groups) -> tuple[float, float]:
+    """An interval [lo, hi] holding every eigenvalue of a Hermitian group
+    list: the union of its :func:`gershgorin_discs`. On the groups of some
+    invariant cosets it encloses the spectrum on those cosets only."""
+    centre, radius = gershgorin_discs(groups)
     return float(np.min(centre - radius)), float(np.max(centre + radius))
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from collections import Counter
@@ -10,12 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
-from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, gershgorin_discs, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 log = logging.getLogger(__name__)
 _LANCZOS_RECORD = (
     "lanczos: %d of %d pairs converged, %d matvecs, %d thick restarts, "
-    "%d steps with a Gram-Schmidt pass, %d diagonalizations of T"
+    "%d steps with a Gram-Schmidt pass, %d diagonalizations of T, "
+    "on %d of %d states (%d of %d cosets)"
 )
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
@@ -303,7 +305,7 @@ def _lanczos_step(
 
 
 def _lowest_deflated_eigenpair(
-    op: Operator,
+    matvec,
     v0: np.ndarray,
     tol: float,
     budget: int,
@@ -313,7 +315,8 @@ def _lowest_deflated_eigenpair(
     h_norm: float,
     tally: Counter,
 ) -> tuple[tuple[float, np.ndarray, float] | None, int]:
-    """Lowest eigenpair orthogonal to ``deflate`` by thick-restart Lanczos.
+    """Lowest eigenpair orthogonal to ``deflate`` by thick-restart Lanczos,
+    H applied by ``matvec``.
 
     At every restart the ``keep`` lowest Ritz vectors are retained together
     with the next Lanczos vector, so convergence inside quasi-degenerate
@@ -367,7 +370,7 @@ def _lowest_deflated_eigenpair(
         check = 1  # the step of this cycle at which T is next diagonalized
         while True:
             w, beta, w_omega, again, unpassed = _lanczos_step(
-                op.matvec, basis, small, omega, j, kept, beta, deflate, eta, h_norm, again
+                matvec, basis, small, omega, j, kept, beta, deflate, eta, h_norm, again
             )
             tally["passes"] += unpassed is not w
             del unpassed  # w before the pass is not held through a step
@@ -390,7 +393,7 @@ def _lowest_deflated_eigenpair(
         n_small = j
         ritz = basis[:n_small].T @ u[:, 0]
         ritz /= float(np.linalg.norm(ritz))
-        resid = float(np.linalg.norm(op.matvec(ritz) - theta[0] * ritz))
+        resid = float(np.linalg.norm(matvec(ritz) - theta[0] * ritz))
         matvecs += 1
         if resid <= tol:
             return (float(theta[0]), ritz, resid), matvecs
@@ -407,6 +410,36 @@ def _lowest_deflated_eigenpair(
         small[p, :p] = small[:p, p] = beta * u[n_small - 1, :p]
         kept = p
     return None, matvecs
+
+
+def _low_cosets(op: Operator, k: int, h_norm: float) -> np.ndarray:
+    """The rows of ``op.flip_span.cosets`` that can hold one of the k lowest
+    levels of op, ascending; all of them when there are at most k.
+
+    H leaves each coset invariant, so its spectrum is the union of theirs.
+    A coset's lowest level is at most its smallest diagonal entry, the
+    Rayleigh quotient of that basis state. So U, the k-th smallest of those
+    coset minima, bounds E_{k-1} from above: k distinct cosets each hold a
+    level <= U. By Gershgorin's theorem (:func:`~tcspin.pauli.gershgorin_discs`)
+    every level of a coset is at least its smallest centre - radius; a
+    coset where that exceeds U holds only levels above E_{k-1}, none of
+    the k lowest, and is dropped. A coset whose bound equals U is kept, and
+    so is every coset that holds a level equal to E_{k-1}. The diagonal
+    entries and U are stored values, exact; only the bound rounds, in a sum
+    of fewer than G radius terms and one subtraction for G groups, on
+    numbers of at most ||H||_1 <= ``h_norm``. So a coset is dropped only
+    when its bound exceeds U by more than 4 G eps h_norm.
+    """
+    cosets = op.flip_span.cosets
+    if len(cosets) <= k:
+        return cosets
+    dim = 1 << op.n_sites
+    centre, radius = gershgorin_discs(op._groups)
+    # each coset's lowest level lies in [floor, ceiling]
+    ceiling = np.broadcast_to(centre, dim)[cosets].min(axis=1)
+    floor = np.broadcast_to(centre - radius, dim)[cosets].min(axis=1)
+    u = np.partition(ceiling, k - 1)[k - 1]
+    return cosets[floor <= u + 4 * len(op._groups) * EPS * h_norm]
 
 
 def lanczos_extremal(
@@ -433,21 +466,38 @@ def lanczos_extremal(
     thick restarts, the steps that took a Gram-Schmidt pass and the
     diagonalizations of the projected matrix.
 
+    The solve runs only on the cosets of ``op.flip_span`` that can hold one
+    of the k lowest levels (:func:`_low_cosets`: those whose Gershgorin
+    lower bound does not exceed the k-th smallest coset minimum of the
+    diagonal), through op's groups cut to them
+    (:meth:`~tcspin.pauli.FlipSpan.cut`). Start vectors are drawn on the
+    kept amplitudes, and the vectors are scattered back to 2^N amplitudes,
+    zero on the dropped cosets; the info record ends with the kept states
+    and cosets. When every coset is kept, the solve runs on the whole
+    basis in natural order through ``op.matvec``.
+
     A real operator gets real start vectors, so the Krylov basis, the
     deflation set and the returned vectors are float64 (half the memory of
     complex128); otherwise they are complex128.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    dim = 1 << op.n_sites
-    if k > dim:
-        raise ValueError(f"k={k} exceeds the Hilbert-space dimension {dim}")
+    full = 1 << op.n_sites
+    if k > full:
+        raise ValueError(f"k={k} exceeds the Hilbert-space dimension {full}")
     if not op.is_hermitian():
         raise ModelError("lanczos_extremal requires a Hermitian operator")
 
     rng = np.random.default_rng(seed)
     real = op._is_real
     dtype = np.float64 if real else np.complex128
+    h_norm = max(1.0, op.one_norm())
+    rows = _low_cosets(op, k, h_norm)
+    dim = rows.size
+    if dim == full:  # every coset kept: the whole basis in natural order
+        kept, matvec = np.s_[:], op.matvec
+    else:
+        kept, matvec = rows.ravel(), functools.partial(apply_groups, op.flip_span.cut(op._groups, rows))
     m_cap = min(dim, max(60, 3 * k + 10))
     keep = max(8, min(m_cap // 3, 20))
     found_vals: list[float] = []
@@ -455,7 +505,6 @@ def lanczos_extremal(
     found_resids: list[float] = []
     matvecs = 0
     tally: Counter = Counter()
-    h_norm = max(1.0, op.one_norm())
 
     def next_start() -> np.ndarray | None:
         for _ in range(8):
@@ -478,7 +527,7 @@ def lanczos_extremal(
             break
         deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
         pair, used = _lowest_deflated_eigenpair(
-            op, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm, tally
+            matvec, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm, tally
         )
         matvecs += used
         if pair is None:
@@ -490,15 +539,19 @@ def lanczos_extremal(
     log.info(
         _LANCZOS_RECORD, len(found_vals), k, matvecs,
         tally["restarts"], tally["passes"], tally["diagonalizations"],
+        dim, full, len(rows), len(op.flip_span.cosets),
     )
 
     # only converged pairs are kept, each with the residual that accepted it
     order = np.argsort(found_vals)
+    coeffs = np.zeros((len(order), full), dtype)
+    if found_vals:
+        coeffs[:, kept] = [found_vecs[i] for i in order]
     return SpectrumResult(
         eigenvalues=np.array([found_vals[i] for i in order]),
         span=FlipSpan.of(op.n_sites, (1 << site for site in range(op.n_sites))),
         block_of=np.zeros(len(order), dtype=np.intp),
-        coeffs=np.array([found_vecs[i] for i in order]) if found_vals else np.empty((0, dim), dtype),
+        coeffs=coeffs,
         method="lanczos",
         residuals=np.array([found_resids[i] for i in order]),
         n_sites=op.n_sites,

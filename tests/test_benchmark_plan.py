@@ -4,6 +4,7 @@ gate fails here first. perfbench's files are only read."""
 
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -42,3 +43,22 @@ def test_plan_matches_its_reference_rows(workload, tmp_path):
         # criterion 7: the oscillator-control amplitude falls off as exactly 1/N
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         assert GATE.control_exponent_problem(summary) is None
+
+
+def test_persistence_lanczos_rows_keep_fewer_than_all_states(tmp_path, caplog):
+    """The persistence plan's N = 12 and 14 rows take the Lanczos route on
+    the bare chain, which solves only on the flip-span cosets that can hold
+    its two lowest levels: fewer than 2^N states, read from each solve's
+    info record."""
+    config = tmp_path / "config.json"
+    plan = WORKLOADS.WORKLOADS["persistence"](WORKLOADS.DEFAULT_SEED)
+    config.write_text(json.dumps({"command": "sweep", "plan": plan}))
+    with caplog.at_level("INFO", logger="tcspin.spectra"):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    kept = {}
+    for record in caplog.records:
+        match = re.search(r"on (\d+) of (\d+) states", record.getMessage())
+        if record.name == "tcspin.spectra" and match:
+            kept[int(match[2])] = int(match[1])
+    assert sorted(kept) == [1 << 12, 1 << 14]
+    assert all(states < full for full, states in kept.items()), kept

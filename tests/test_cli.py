@@ -534,6 +534,8 @@ class TestLogLevel:
             # m_z psi0 is one global-flip sector of 64 states
             assert len(records) == 1 and "64 amplitudes kept" in records[0], proc.stderr
             assert len(lanczos) == (1 if dense_cap else 0), proc.stderr
+            # k = 4 of the chain's two cosets: both kept, the whole space
+            assert all(line.endswith("on 256 of 256 states (2 of 2 cosets)") for line in lanczos), proc.stderr
 
 
 class TestValidateCommand:

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcspin.pauli
 import tcspin.spectra
@@ -22,6 +24,7 @@ from tcspin.models import (
 from tcspin.pauli import Operator, PauliString, StateVector, global_flip_operator, to_dense
 from tcspin.spectra import (
     _block_matrices,
+    _low_cosets,
     dense_spectrum,
     ghz_overlap_report,
     lanczos_extremal,
@@ -98,6 +101,19 @@ def chain_n8(perturbation: PerturbationSpec | str | None) -> Operator:
         return chain_with(8, *([perturbation] if perturbation else []))
     bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
     return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+
+
+def h_norm(op: Operator) -> float:
+    """The bound on ||H|| that lanczos_extremal hands its solves."""
+    return max(1.0, op.one_norm())
+
+
+def x_basis_ising_chain(n: int) -> Operator:
+    """-sum X_j X_{j+1}, periodic: the J = 0 chain rotated to the x basis.
+    Its flip masks span the even-weight masks, two cosets."""
+    return Operator.from_label_terms(
+        [(-1.0, "".join("X" if i in (j, (j + 1) % n) else "I" for i in range(n))) for j in range(n)]
+    )
 
 
 HEISENBERG = PerturbationSpec("heisenberg_exchange", 0.05)
@@ -221,7 +237,7 @@ class TestLanczos:
     @pytest.mark.parametrize(
         "op, k",
         [
-            (build_tc_hamiltonian(TCModelConfig(6, 0.0)), 2),
+            (x_basis_ising_chain(6), 2),
             (build_tc_hamiltonian(TCModelConfig(8, 0.0)), 6),
             (Operator.from_label_terms([(1.0, "III")]), 1),
         ],
@@ -230,7 +246,9 @@ class TestLanczos:
     def test_breakdowns_take_the_second_pass(self, monkeypatch, op, k):
         """Where the recurrence leaves only round-off (an invariant subspace
         reached), the single pass cancels most of the norm and the DGKS test
-        repeats it; the vectors stay orthonormal to round-off."""
+        repeats it; the vectors stay orthonormal to round-off. The N = 6
+        J = 0 chain runs in the x basis, where its two cosets are both kept
+        and the solve spans all 64 states."""
         passes = count_repeated_passes(monkeypatch)
         tol = 1e-10
         lan = lanczos_extremal(op, k=k, tol=tol, seed=0)
@@ -242,33 +260,39 @@ class TestLanczos:
 
     def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
         """No pass is repeated away from breakdowns, and Simon's estimate asks
-        for the pass against the Krylov basis at 9 of the 60 Lanczos steps,
-        where every step ran it before."""
+        for the pass against the Krylov basis at 10 of the 80 Lanczos steps
+        of the N = 12 Heisenberg-0.05 chain, where every step ran it
+        before."""
         passes = count_repeated_passes(monkeypatch)
-        lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
-        assert passes["basis"] == 9 and passes["repeated"] == 0
+        lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
+        assert passes["basis"] == 10 and passes["repeated"] == 0
 
     def test_matvec_count_is_pinned(self, monkeypatch):
         """Each pair takes the Lanczos steps up to the first check of the
         schedule at which its Ritz residual estimate has reached tol, and one
-        true-residual matvec; the residuals are not recomputed afterwards."""
+        true-residual matvec; the residuals are not recomputed afterwards.
+        Both cosets of the N = 12 Heisenberg-0.05 chain are kept, so every
+        matvec is Operator.matvec."""
         counter = count_matvecs(monkeypatch)
-        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
+        lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert counter["matvecs"] == 62
+        assert counter["matvecs"] == 82
 
     def test_projected_matrix_is_diagonalized_on_the_check_schedule(self, monkeypatch, caplog):
-        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 17
-        times for the 60 steps of the two pairs, where every step did it
-        before. The call's one info record counts them."""
+        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 22
+        times for the 80 steps of the two pairs of the N = 12
+        Heisenberg-0.05 chain, where every step did it before. The call's
+        one info record counts them."""
         sizes = record_diagonalizations(monkeypatch)
         with caplog.at_level("INFO", logger="tcspin"):
-            lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(12, 0.5)), k=2, seed=100)
+            lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32] + [1, 4, 8, 12, 16, 20, 24, 28]
+        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40] * 2
         (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
-        # converged, requested, matvecs, thick restarts, steps with a pass, diagonalizations
-        assert record.args == (2, 2, 62, 0, 9, len(sizes))
+        # converged, requested, matvecs, thick restarts, steps with a pass,
+        # diagonalizations, kept and all states, kept and all cosets
+        assert record.args == (2, 2, 82, 0, 10, len(sizes), 4096, 4096, 2, 2)
+        assert record.getMessage().endswith("on 4096 of 4096 states (2 of 2 cosets)")
 
     def test_check_schedule(self):
         """Every 4 steps after the first, every m / 8 past m = 40."""
@@ -281,8 +305,9 @@ class TestLanczos:
         "op, k, sizes",
         [
             (Operator.from_label_terms([(1.0, "III")]), 1, [1]),
-            # three levels: the Krylov space is invariant after 3 steps
-            (Operator.from_label_terms([(1.0, "ZII"), (1.0, "IZI")]), 1, [1, 3]),
+            # three levels: the Krylov space is invariant after 3 steps; the
+            # x-basis form keeps both cosets, so the solve spans all 8 states
+            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI")]), 1, [1, 3]),
         ],
         ids=["identity", "three_levels"],
     )
@@ -295,23 +320,24 @@ class TestLanczos:
     def test_exhausted_budget_forces_a_check(self, monkeypatch):
         """With max_iter = 10 the cycle's last step is the 9th, off the
         schedule; T is diagonalized there for the Ritz pair the last matvec
-        checks."""
+        checks. The N = 10 Heisenberg-0.05 chain is one coset, all kept."""
         sizes = record_diagonalizations(monkeypatch)
         counter = count_matvecs(monkeypatch)
-        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(10, 0.5)), k=2, max_iter=10, seed=0)
+        lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=10, seed=0)
         assert sizes == [1, 4, 8, 9]
         assert counter["matvecs"] == 10 and lan.n_converged == 0
 
     def test_m_cap_forces_a_check(self, monkeypatch):
         """With m_cap = 10 and 3 kept Ritz vectors, each cycle ends at the
         10th basis vector, off the schedule counted from its start (steps 1,
-        4, 8 of the first cycle, 1, 4 of the later ones)."""
+        4, 8 of the first cycle, 1, 4 of the later ones). Called directly,
+        the solve runs on the whole space it is handed."""
         sizes = record_diagonalizations(monkeypatch)
         op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
         v0 = np.random.default_rng(0).standard_normal(256)
         tally = Counter()
         pair, _ = tcspin.spectra._lowest_deflated_eigenpair(
-            op, v0 / np.linalg.norm(v0), 1e-10, 5000, 10, 3, np.empty((0, 256)), max(1.0, op.one_norm()), tally
+            op.matvec, v0 / np.linalg.norm(v0), 1e-10, 5000, 10, 3, np.empty((0, 256)), max(1.0, op.one_norm()), tally
         )
         assert pair is not None and tally["restarts"] == 4
         assert sizes == [1, 4, 8, 10] + [4, 7, 10] * 3 + [4, 7]
@@ -355,12 +381,14 @@ class TestLanczos:
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
 
-    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (31, 31, 1), (40, 40, 1), (60, 50, 2)])
+    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (40, 40, 1), (60, 60, 1), (80, 78, 2)])
     def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
         """The true-residual check of a pair counts against ``max_iter``: a
-        solve that runs out of budget stops at exactly ``max_iter`` matvecs."""
+        solve that runs out of budget stops at exactly ``max_iter`` matvecs.
+        On the N = 10 Heisenberg-0.05 chain (one coset, all kept) the first
+        pair takes 40 matvecs and both 78."""
         counter = count_matvecs(monkeypatch)
-        lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(10, 0.5)), k=2, max_iter=max_iter, seed=0)
+        lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=max_iter, seed=0)
         assert counter["matvecs"] == matvecs
         assert lan.n_converged == converged
 
@@ -390,6 +418,131 @@ class TestLanczos:
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:6])) < tol
         gram = lan.coeffs.conj() @ lan.coeffs.T
         assert np.max(np.abs(gram - np.eye(6))) < 1e-13
+
+
+# chain families at N sites for the pruned solve against the dense route
+PRUNED_FAMILIES = {
+    "chain": lambda n: chain_with(n),
+    "j0": lambda n: build_tc_hamiltonian(TCModelConfig(n, 0.0)),
+    "open": lambda n: build_tc_hamiltonian(TCModelConfig(n, 0.5, "open")),
+    "x_field": lambda n: chain_with(n, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3)),
+    "y_field": lambda n: chain_with(n, PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3)),
+    "z_field": lambda n: chain_with(n, Z_FIELD),
+    "heisenberg": lambda n: chain_with(n, HEISENBERG),
+}
+
+
+class TestPrunedLanczos:
+    """lanczos_extremal on the cosets of the flip span that Gershgorin's
+    bound lets hold the k lowest levels (_low_cosets)."""
+
+    @pytest.mark.parametrize(
+        "n, states, cosets", [(12, 224, 56), (14, 316, 79), (16, 424, 106)]
+    )
+    def test_bare_chain_counts_are_pinned(self, monkeypatch, caplog, n, states, cosets):
+        """The bare chain keeps a few of its 2^(N-2) cosets of 4, and each of
+        its 22 matvecs applies the cut groups to the kept amplitudes only:
+        Operator.matvec is not called. Seven diagonalizations of T."""
+        counter = count_matvecs(monkeypatch)
+        sizes = record_diagonalizations(monkeypatch)
+        lengths = []
+        apply_groups = tcspin.spectra.apply_groups
+
+        def recording(groups, amps):
+            lengths.append(len(amps))
+            return apply_groups(groups, amps)
+
+        monkeypatch.setattr(tcspin.spectra, "apply_groups", recording)
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(n, 0.5)), k=2, seed=100)
+        assert lan.n_converged == 2 and lan.residuals.max() <= 1e-10
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        assert record.args == (2, 2, 22, 0, 4, 7, states, 1 << n, cosets, 1 << (n - 2))
+        assert record.getMessage().endswith(f"on {states} of {1 << n} states ({cosets} of {1 << (n - 2)} cosets)")
+        assert sizes == [1, 4, 8, 12, 1, 4, 8]
+        assert counter["matvecs"] == 0 and lengths == [states] * 22
+
+    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("name", sorted(PRUNED_FAMILIES))
+    def test_matches_dense(self, name, n):
+        """k = 1 ... 6 lowest levels within tol of the dense route, and each
+        scattered vector's full-space residual is the accepting check up to
+        the norm's summation order. The families of rank 2 (the chain and a
+        z field) and 0 (J = 0, which builds no X string) drop cosets."""
+        op = PRUNED_FAMILIES[name](n)
+        dense = dense_spectrum(op)
+        tol = 1e-10
+        for k in range(1, 7):
+            lan = lanczos_extremal(op, k=k, tol=tol, seed=100)
+            assert lan.n_converged == k
+            assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:k])) < tol
+            assert np.allclose(matvec_residuals(op, lan), lan.residuals, rtol=1e-12, atol=0)
+            kept = _low_cosets(op, k, h_norm(op))
+            assert (len(kept) < len(op.flip_span.cosets)) == (name in ("chain", "j0", "open", "z_field"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 6),
+        rank=st.integers(0, 4),
+        n_terms=st.integers(1, 12),
+        k=st.integers(1, 6),
+    )
+    def test_kept_cosets_hold_the_k_lowest_levels(self, seed, n, rank, n_terms, k):
+        """On random Hermitian Pauli sums: every coset holding a level at or
+        below E_{k-1} is kept, and Lanczos on the kept cosets finds the k
+        lowest levels of the dense route."""
+        rng = np.random.default_rng(seed)
+        x_basis = tuple(int(x) for x in rng.integers(1, 1 << n, rank))
+        op = random_operator(rng, n, n_terms, x_basis=x_basis)
+        k = min(k, 1 << n)
+        dense = dense_spectrum(op)
+        cosets = op.flip_span.cosets
+        kept = _low_cosets(op, k, h_norm(op))
+        assert kept.size >= k
+        holding = dense.block_of[dense.eigenvalues <= dense.eigenvalues[k - 1]]
+        assert set(holding.tolist()) <= set(np.flatnonzero(np.isin(cosets[:, 0], kept[:, 0])).tolist())
+        lan = lanczos_extremal(op, k=k, seed=seed % 1000)
+        assert lan.n_converged == k
+        assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:k])) < 1e-8
+
+    def test_a_coset_whose_bound_equals_u_is_kept(self):
+        """Z_1 + a X_2 has the cosets {0, 2} (diagonal +1) and {1, 3}
+        (diagonal -1), and every disc has radius a. At k = 1, U = -1, and
+        {0, 2}'s Gershgorin bound 1 - a equals it at a = 2: kept, though its
+        levels are -1 and 3 against the ground level -3. Just below a = 2
+        the bound exceeds U and the coset is dropped."""
+        tie = Operator.from_label_terms([(1.0, "ZI"), (2.0, "IX")])
+        assert _low_cosets(tie, 1, h_norm(tie)).tolist() == [[0, 2], [1, 3]]
+        above = Operator.from_label_terms([(1.0, "ZI"), (1.999, "IX")])
+        assert _low_cosets(above, 1, h_norm(above)).tolist() == [[1, 3]]
+        for op, ground in ((tie, -3.0), (above, -2.999)):
+            lan = lanczos_extremal(op, k=1, seed=0)
+            assert lan.eigenvalues[0] == pytest.approx(ground, abs=1e-12)
+
+    def test_at_most_k_cosets_are_all_kept(self):
+        """The N = 8 Heisenberg-0.05 chain has two cosets: both kept at
+        k = 2, with no bound read; at k = 1 only the ground level's."""
+        op = chain_with(8, HEISENBERG)
+        assert len(op.flip_span.cosets) == 2
+        assert _low_cosets(op, 2, h_norm(op)) is op.flip_span.cosets
+        (row,) = _low_cosets(op, 1, h_norm(op))
+        assert np.array_equal(row, op.flip_span.cosets[dense_spectrum(op).block_of[0]])
+
+    def test_diagonal_operator(self, caplog):
+        """Rank 0: every coset is one basis state, each disc a point, so the
+        kept states are those at or below the k-th smallest diagonal entry:
+        at k = 3 on sum_i Z_i, the 1 + 6 states of the levels -6 and -4."""
+        op = TestInvariantBlocks.OPERATORS["uniform_z"]()
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(op, k=3, seed=0)
+        assert np.allclose(lan.eigenvalues, [-6.0, -4.0, -4.0], atol=1e-12)
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        assert record.args[6:] == (7, 64, 7, 64)
+        vectors = dense_vectors(lan)
+        levels = np.array([bin(i).count("1") for i in range(64)]) * -2 + 6
+        assert np.all(vectors[:, levels > -4] == 0)
+        assert np.max(np.abs(vectors @ vectors.T - np.eye(3))) < 1e-13
 
 
 def count_matvecs(monkeypatch) -> dict:
