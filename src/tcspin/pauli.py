@@ -253,6 +253,28 @@ class FlipSpan:
         )
 
 
+@functools.cache
+def _parity_signs(count: int) -> np.ndarray:
+    """(-1)^{popcount(j)} for j < 2^count, read-only: the entries of every
+    S_z with |z_mask| = count, which :func:`_z_signs` views."""
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << count)) & 1)
+    signs.flags.writeable = False
+    return signs
+
+
+@functools.lru_cache(maxsize=128)
+def _z_signs(n_sites: int, z_mask: int) -> np.ndarray:
+    """S_z[r] = (-1)^{popcount(r & z_mask)} in the shape that broadcasts
+    into a (2,)*n_sites view of a 2^N vector: axis a stands for bit
+    n_sites - 1 - a and has length 2 where z_mask has that bit, 1 elsewhere.
+    S_z is the outer product of [1, -1] over the bits of z_mask, whose
+    entry is the parity of its compact index, so it holds 2^|z_mask|
+    entries. It is a read-only view of :func:`_parity_signs`, so the two
+    caches hold one array per popcount: fewer than 2^(N+1) entries in all."""
+    shape = tuple(2 if z_mask >> bit & 1 else 1 for bit in reversed(range(n_sites)))
+    return _parity_signs(z_mask.bit_count()).reshape(shape)
+
+
 @dataclass(frozen=True)
 class Operator:
     """Weighted sum of Pauli strings on a fixed number of sites.
@@ -368,19 +390,31 @@ class Operator:
         gather index. The coefficients are float64 when every group is real,
         complex128 otherwise (see :attr:`_is_real`). Built on first use and
         kept for the life of the instance.
+
+        The sign splits as (-1)^{popcount(x & z)} * S_z[r], so each term adds
+        its weight w, times that scalar sign, as w * S_z (:func:`_z_signs`)
+        broadcast into a (2,)*N view of its group's accumulator: 2^|z| sign
+        entries per term, not 2^N index temporaries. Every added entry is
+        exactly +-w, summed in stored order, so the groups are bit for bit
+        those of the full-width parity sum. The accumulators are float64
+        when every weight is real; otherwise complex128, cast down to
+        float64 when every imaginary part cancels exactly.
         """
-        dim = 1 << self.n_sites
-        idx = np.arange(dim, dtype=np.intp)
+        n = self.n_sites
+        weights = [t.coeff * t.phase for t in self.terms]
+        real = all(w.imag == 0 for w in weights)
         coeffs: dict[int, np.ndarray] = {}
-        for t in self.terms:
-            parity = np.bitwise_count((idx ^ t.x_mask) & t.z_mask) & 1
-            c = coeffs.setdefault(t.x_mask, np.zeros(dim, dtype=np.complex128))
-            c += (t.coeff * t.phase) * (1.0 - 2.0 * parity)
-        real = not any(c.imag.any() for c in coeffs.values())
-        return tuple(
-            (c.real.copy() if real else c, idx ^ x if x else None)
-            for x, c in sorted(coeffs.items())
-        )
+        for t, w in zip(self.terms, weights):
+            c = coeffs.get(t.x_mask)
+            if c is None:
+                c = coeffs[t.x_mask] = np.zeros((2,) * n, np.float64 if real else np.complex128)
+            w = w.real if real else w
+            c += (-w if (t.x_mask & t.z_mask).bit_count() & 1 else w) * _z_signs(n, t.z_mask)
+        groups = {x: c.reshape(-1) for x, c in sorted(coeffs.items())}
+        if not real and not any(c.imag.any() for c in groups.values()):
+            groups = {x: c.real.copy() for x, c in groups.items()}
+        idx = np.arange(1 << n, dtype=np.intp)
+        return tuple((c, idx ^ x if x else None) for x, c in groups.items())
 
     @functools.cached_property
     def _is_real(self) -> bool:

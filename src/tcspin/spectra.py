@@ -412,6 +412,34 @@ def _lowest_deflated_eigenpair(
     return None, matvecs
 
 
+# splitmix64 (Steele, Lea & Flood, OOPSLA 2014, in Vigna's reference form):
+# the golden-ratio state increment and the two multipliers of its finalizer
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+
+
+def _splitmix64_uniform(seed: int, start: int, count: int) -> np.ndarray:
+    """Positions start .. start + count - 1 of the splitmix64 stream from
+    state ``seed`` (0 <= seed < 2^64), as float64 uniform on [-1, 1).
+
+    Position i is splitmix64's output i + 1, the finalizer of
+    seed + (i + 1) * gamma mod 2^64, so any stretch of the stream is read
+    directly from its counter. Its top 53 bits b give b * 2^-52 - 1, exact.
+    The arithmetic is on uint64 arrays, which wrap mod 2^64 without the
+    overflow warning of numpy's scalar uint64 arithmetic. The stream is
+    defined by these integer operations alone, so it is the same on every
+    numpy version.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _SPLITMIX_GAMMA
+    z += np.uint64(seed)
+    for shift, mix in zip((30, 27), _SPLITMIX_MIX):
+        z ^= z >> shift
+        z *= mix
+    z ^= z >> 31
+    return (z >> 11) * 2.0**-52 - 1.0
+
+
 def _low_cosets(op: Operator, k: int, h_norm: float) -> np.ndarray:
     """The rows of ``op.flip_span.cosets`` that can hold one of the k lowest
     levels of op, ascending; all of them when there are at most k.
@@ -476,6 +504,14 @@ def lanczos_extremal(
     and cosets. When every coset is kept, the solve runs on the whole
     basis in natural order through ``op.matvec``.
 
+    Start vectors come from the counter-based splitmix64 stream keyed by
+    ``seed`` (:func:`_splitmix64_uniform`, 0 <= seed < 2^64), entries
+    uniform on [-1, 1): each candidate takes the next ``dim`` positions, or
+    for a complex operator the next ``dim`` for its real part and the
+    ``dim`` after them for its imaginary part. The stream is integer
+    arithmetic only, so a seed gives the same start vectors on every numpy
+    version, and the solve never imports ``numpy.random``.
+
     A real operator gets real start vectors, so the Krylov basis, the
     deflation set and the returned vectors are float64 (half the memory of
     complex128); otherwise they are complex128.
@@ -488,7 +524,8 @@ def lanczos_extremal(
     if not op.is_hermitian():
         raise ModelError("lanczos_extremal requires a Hermitian operator")
 
-    rng = np.random.default_rng(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     real = op._is_real
     dtype = np.float64 if real else np.complex128
     h_norm = max(1.0, op.one_norm())
@@ -506,11 +543,15 @@ def lanczos_extremal(
     matvecs = 0
     tally: Counter = Counter()
 
+    drawn = 0  # stream position of the next start vector's first entry
+
     def next_start() -> np.ndarray | None:
+        nonlocal drawn
         for _ in range(8):
-            v = rng.standard_normal(dim)
+            v = _splitmix64_uniform(seed, drawn, dim)
             if not real:
-                v = v + 1j * rng.standard_normal(dim)
+                v = v + 1j * _splitmix64_uniform(seed, drawn + dim, dim)
+            drawn += dim if real else 2 * dim
             if found_vecs:
                 found = np.asarray(found_vecs)
                 v, before = _orthogonalize(v, found), np.linalg.norm(v)

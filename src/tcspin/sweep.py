@@ -57,8 +57,9 @@ def check_lanczos_keys(section) -> None:
         raise ConfigError(f"lanczos_tol must be finite and > 0, got {section.lanczos_tol}")
     if section.lanczos_max_iter < 1:
         raise ConfigError(f"lanczos_max_iter must be >= 1, got {section.lanczos_max_iter}")
-    if section.lanczos_seed < 0:
-        raise ConfigError(f"lanczos_seed must be >= 0, got {section.lanczos_seed}")
+    # the key of lanczos_extremal's splitmix64 start stream is a uint64
+    if not 0 <= section.lanczos_seed < 1 << 64:
+        raise ConfigError(f"lanczos_seed must be in [0, 2**64), got {section.lanczos_seed}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,10 @@ gate fails here first. perfbench's files are only read."""
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,24 @@ def test_persistence_lanczos_rows_keep_fewer_than_all_states(tmp_path, caplog):
             kept[int(match[2])] = int(match[1])
     assert sorted(kept) == [1 << 12, 1 << 14]
     assert all(states < full for full, states in kept.items()), kept
+
+
+def test_persistence_sweep_never_imports_numpy_random(tmp_path):
+    """The persistence plan has no random field, so a sweep of it in a fresh
+    interpreter leaves numpy.random unimported: numpy loads it lazily, on
+    first use, and the Lanczos start vectors come from splitmix64. The test
+    process cannot show it, since its own imports load numpy.random."""
+    config = tmp_path / "config.json"
+    plan = WORKLOADS.WORKLOADS["persistence"](WORKLOADS.DEFAULT_SEED)
+    config.write_text(json.dumps({"command": "sweep", "plan": plan}))
+    script = (
+        "import sys\n"
+        "from tcspin.cli import main\n"
+        f"code = main(['sweep', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]

@@ -703,6 +703,15 @@ REJECTED_UP_FRONT = {
     },
     "correlate_lanczos_seed_negative": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_seed=-1)),
     "plan_lanczos_seed_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_seed=-1)),
+    # the Lanczos start stream is keyed by a uint64: a seed of 2^64 once
+    # validated and then failed its first Lanczos row
+    "spectrum_lanczos_seed_2_64": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "lanczos_seed": 1 << 64},
+    },
+    "correlate_lanczos_seed_2_64": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_seed=1 << 64)),
+    "plan_lanczos_seed_2_64": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_seed=1 << 64)),
     "correlate_max_peaks_zero": _edited(CORRELATE_DOC, lambda d: d.update(oscillation={"max_peaks": 0})),
     "plan_max_peaks_zero": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(max_peaks=0)),
     "correlate_observable_non_hermitian": _edited(
@@ -766,6 +775,31 @@ def test_lanczos_k_at_the_dimension_runs(tmp_path, monkeypatch, name):
     cfg = write_config(tmp_path, LANCZOS_K_AT_THE_DIMENSION[name])
     assert main(["validate", "--config", cfg]) == 0
     assert main([name, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# the largest seed of the Lanczos start stream, on a Lanczos route: N = 6 past dense_max_sites = 4
+LANCZOS_SEED_AT_THE_TOP = {
+    "sweep": _edited(
+        SWEEP_DOC,
+        lambda d: d["plan"]["solver"].update(dense_max_sites=4, lanczos_k=2, lanczos_seed=(1 << 64) - 1),
+    ),
+    "spectrum": {
+        "command": "spectrum",
+        "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
+        "solver": {"method": "lanczos", "lanczos_k": 2, "lanczos_seed": (1 << 64) - 1},
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANCZOS_SEED_AT_THE_TOP))
+def test_lanczos_seed_2_64_minus_1_runs(tmp_path, name):
+    cfg = write_config(tmp_path, LANCZOS_SEED_AT_THE_TOP[name])
+    assert main(["validate", "--config", cfg]) == 0
+    out = tmp_path / "out"
+    assert main([name, "--config", cfg, "--out", str(out)]) == 0
+    if name == "sweep":
+        (row,) = csv.DictReader((out / "sweep.csv").read_text().splitlines()[1:])
+        assert (row["solver"], row["status"]) == ("lanczos", "ok")
 
 
 def test_unreadable_config_exits_2(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcspin.errors import ConfigError, DenseCapError, DimensionError
-from tcspin.models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian
+import tcspin.pauli
+from tcspin.models import PerturbationSpec, TCModelConfig, build_perturbation, build_tc_hamiltonian, magnetization_operator
 from tcspin.pauli import (
     Operator,
     PauliString,
@@ -384,6 +385,89 @@ class TestCut:
         assert parities.tolist() == [1.0] * len(cosets) + [-1.0] * len(cosets)
         y_field = _family_chain(8, "y_field", "periodic")
         assert y_field.sectors[0] is y_field.flip_span.cosets and y_field.sectors[1] is None
+
+
+def _groups_oracle(op: Operator):
+    """The index-arithmetic compile that :attr:`Operator._groups` replaced:
+    every term adds coeff * i^{#Y} * (1 - 2 parity) over all 2^N indices,
+    with parity = popcount((r ^ x) & z) & 1, into a complex128 accumulator
+    per x_mask; all groups are cast to float64 when no imaginary part is left."""
+    dim = 1 << op.n_sites
+    idx = np.arange(dim, dtype=np.intp)
+    coeffs = {}
+    for t in op.terms:
+        parity = np.bitwise_count((idx ^ t.x_mask) & t.z_mask) & 1
+        c = coeffs.setdefault(t.x_mask, np.zeros(dim, dtype=np.complex128))
+        c += (t.coeff * t.phase) * (1.0 - 2.0 * parity)
+    real = not any(c.imag.any() for c in coeffs.values())
+    return tuple((c.real.copy() if real else c, idx ^ x if x else None) for x, c in sorted(coeffs.items()))
+
+
+# coeff = weight * conj(i^{#Y}) gives the term the weight coeff * i^{#Y}, exactly
+_UNDO_PHASE = (1.0, -1.0j, -1.0, 1.0j)
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, [(weight, letters)]): 1 to 18 strings on 1 to 10 sites, Y letters
+    included, finite complex weights, some strings repeated with new weights,
+    in a drawn order."""
+    n = draw(st.integers(1, 10))
+    letters = st.text("IXYZ", min_size=n, max_size=n)
+    weight = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    terms = draw(st.lists(st.tuples(weight, letters), min_size=1, max_size=12))
+    terms += draw(st.lists(st.tuples(weight, st.sampled_from([s for _, s in terms])), max_size=6))
+    return n, draw(st.permutations(terms))
+
+
+def _weighted(n, terms) -> Operator:
+    """The operator whose terms have these weights coeff * i^{#Y}."""
+    return Operator(n, tuple(PauliString.from_letters(s, w * _UNDO_PHASE[s.count("Y") % 4]) for w, s in terms))
+
+
+class TestBroadcastCompile:
+    """Operator._groups, which adds w * S_z into a (2,)*N view, against the
+    index-arithmetic oracle: the dtype and the bytes of every group."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("family", CUT_FAMILIES)
+    def test_chain_families_bit_for_bit(self, family, boundary):
+        for n in range(4, 15):
+            for op in (_family_chain(n, family, boundary), magnetization_operator(n, "z")):
+                _assert_same_groups(op._groups, _groups_oracle(op))
+
+    @settings(max_examples=150, deadline=None)
+    @given(pauli_sums())
+    def test_random_pauli_sums_bit_for_bit(self, drawn):
+        op = _weighted(*drawn)
+        _assert_same_groups(op._groups, _groups_oracle(op))
+
+    @settings(max_examples=60, deadline=None)
+    @given(pauli_sums(), st.floats(-2.0, 2.0), st.floats(0.5, 2.0), st.data())
+    def test_exact_imaginary_cancellation_is_float64(self, drawn, a, b, data):
+        """Real weights, and on one string the weights a + bi and -bi: the
+        imaginary parts cancel exactly, so every group is float64."""
+        n, terms = drawn
+        terms = [(complex(w.real), s) for w, s in terms]
+        s = data.draw(st.sampled_from([s for _, s in terms]))
+        for w in (complex(a, b), complex(0.0, -b)):
+            terms.insert(data.draw(st.integers(0, len(terms))), (w, s))
+        op = _weighted(n, terms)
+        assert all(c.dtype == np.float64 for c, _ in op._groups)
+        _assert_same_groups(op._groups, _groups_oracle(op))
+
+    @pytest.mark.parametrize("n, z_mask", [(1, 0), (1, 1), (5, 0b10110), (6, 0b111111)])
+    def test_z_signs_broadcast_to_the_parity_signs(self, n, z_mask):
+        signs = tcspin.pauli._z_signs(n, z_mask)
+        assert signs.size == 1 << z_mask.bit_count() and not signs.flags.writeable
+        r = np.arange(1 << n)
+        want = 1.0 - 2.0 * (np.bitwise_count(r & z_mask) & 1)
+        assert np.array_equal(np.broadcast_to(signs, (2,) * n).ravel(), want)
+
+    def test_z_signs_of_one_popcount_share_their_entries(self):
+        """The cache's memory is one array per popcount, not one per z_mask."""
+        a, b = tcspin.pauli._z_signs(7, 0b1000101), tcspin.pauli._z_signs(9, 0b011000010)
+        assert a.shape != b.shape and np.shares_memory(a, b)
 
 
 class TestStringsCommute:

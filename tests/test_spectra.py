@@ -1,5 +1,6 @@
 """Dense and Lanczos eigensolvers, GHZ diagnostics, parity sector labels."""
 
+import functools
 import json
 from collections import Counter
 from dataclasses import replace
@@ -260,12 +261,12 @@ class TestLanczos:
 
     def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
         """No pass is repeated away from breakdowns, and Simon's estimate asks
-        for the pass against the Krylov basis at 10 of the 80 Lanczos steps
+        for the pass against the Krylov basis at 12 of the 85 Lanczos steps
         of the N = 12 Heisenberg-0.05 chain, where every step ran it
         before."""
         passes = count_repeated_passes(monkeypatch)
         lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
-        assert passes["basis"] == 10 and passes["repeated"] == 0
+        assert passes["basis"] == 12 and passes["repeated"] == 0
 
     def test_matvec_count_is_pinned(self, monkeypatch):
         """Each pair takes the Lanczos steps up to the first check of the
@@ -276,22 +277,22 @@ class TestLanczos:
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert counter["matvecs"] == 82
+        assert counter["matvecs"] == 87
 
     def test_projected_matrix_is_diagonalized_on_the_check_schedule(self, monkeypatch, caplog):
-        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 22
-        times for the 80 steps of the two pairs of the N = 12
+        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 23
+        times for the 45 + 40 steps of the two pairs of the N = 12
         Heisenberg-0.05 chain, where every step did it before. The call's
         one info record counts them."""
         sizes = record_diagonalizations(monkeypatch)
         with caplog.at_level("INFO", logger="tcspin"):
             lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40] * 2
+        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 45, 1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40]
         (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
         # converged, requested, matvecs, thick restarts, steps with a pass,
         # diagonalizations, kept and all states, kept and all cosets
-        assert record.args == (2, 2, 82, 0, 10, len(sizes), 4096, 4096, 2, 2)
+        assert record.args == (2, 2, 87, 0, 12, len(sizes), 4096, 4096, 2, 2)
         assert record.getMessage().endswith("on 4096 of 4096 states (2 of 2 cosets)")
 
     def test_check_schedule(self):
@@ -381,12 +382,12 @@ class TestLanczos:
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
 
-    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (40, 40, 1), (60, 60, 1), (80, 78, 2)])
+    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (40, 40, 1), (60, 60, 1), (80, 74, 2)])
     def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
         """The true-residual check of a pair counts against ``max_iter``: a
         solve that runs out of budget stops at exactly ``max_iter`` matvecs.
         On the N = 10 Heisenberg-0.05 chain (one coset, all kept) the first
-        pair takes 40 matvecs and both 78."""
+        pair takes 37 matvecs (36 steps and its residual check) and both 74."""
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=max_iter, seed=0)
         assert counter["matvecs"] == matvecs
@@ -543,6 +544,93 @@ class TestPrunedLanczos:
         levels = np.array([bin(i).count("1") for i in range(64)]) * -2 + 6
         assert np.all(vectors[:, levels > -4] == 0)
         assert np.max(np.abs(vectors @ vectors.T - np.eye(3))) < 1e-13
+
+
+def _splitmix64_reference(seed: int, count: int) -> list[int]:
+    """splitmix64's outputs 1..count from state ``seed``, in Python integers,
+    as in Vigna's reference code."""
+    out, state = [], seed
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ state >> 30) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ z >> 27) * 0x94D049BB133111EB % 2**64
+        out.append(z ^ z >> 31)
+    return out
+
+
+def record_start_vectors(monkeypatch) -> list:
+    """Wrap the one-pair solve; the list holds the start vector of each call."""
+    solve = tcspin.spectra._lowest_deflated_eigenpair
+    starts = []
+
+    def recording(matvec, v0, *args):
+        starts.append(v0)
+        return solve(matvec, v0, *args)
+
+    monkeypatch.setattr(tcspin.spectra, "_lowest_deflated_eigenpair", recording)
+    return starts
+
+
+class TestStartStream:
+    """lanczos_extremal's start vectors: the splitmix64 stream keyed by the seed."""
+
+    def test_first_values_are_pinned(self):
+        stream = tcspin.spectra._splitmix64_uniform
+        # the first outputs from state 0 are those published with the reference code
+        assert _splitmix64_reference(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert _splitmix64_reference(2**64 - 1, 3) == [0xE4D971771B652C20, 0xE99FF867DBF682C9, 0x382FF84CB27281E9]
+        assert stream(0, 0, 4).tolist() == [0.7666216164272852, -0.13694400590298006, -0.9471324568148045, 0.941763956307657]
+        assert stream(2**64 - 1, 0, 4).tolist() == [
+            0.7878858405663689, 0.8251944071889064, -0.5610360742094649, -0.14753110110966716
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 100, 2**63, 2**64 - 1])
+    def test_top_53_bits_of_the_integer_reference(self, seed):
+        """Position i is output i + 1 mapped to b * 2^-52 - 1 by its top 53
+        bits b; any stretch of the stream is read from its counter."""
+        stream = tcspin.spectra._splitmix64_uniform
+        want = [(z >> 11) * 2.0**-52 - 1.0 for z in _splitmix64_reference(seed, 40)]
+        assert stream(seed, 0, 40).tolist() == want
+        assert stream(seed, 13, 27).tolist() == want[13:]
+
+    def test_uniform_on_the_half_open_interval(self):
+        u = tcspin.spectra._splitmix64_uniform(3, 0, 1 << 16)
+        assert u.dtype == np.float64 and -1.0 <= u.min() and u.max() < 1.0
+        # mean 0 and variance 1/3, each to about ten standard errors
+        assert abs(u.mean()) < 0.025 and abs(u.var() - 1 / 3) < 0.015
+
+    @pytest.mark.parametrize("name", ["real", "complex"])
+    def test_start_vectors_read_the_stream_in_turn(self, monkeypatch, name):
+        """The first start vector is the stream from position 0, normalized:
+        dim entries, or for a complex operator dim for the real part and the
+        next dim for the imaginary part. The second starts where the first
+        ended, with the first pair projected out of it. Both operators keep
+        their one coset: the solve spans all 256 states."""
+        op = chain_n8(HEISENBERG if name == "real" else "dzyaloshinskii_moriya")
+        starts = record_start_vectors(monkeypatch)
+        lan = lanczos_extremal(op, k=2, seed=5)
+        stream = functools.partial(tcspin.spectra._splitmix64_uniform, 5, count=256)
+        if name == "real":
+            v0, v1 = stream(0), stream(256)
+        else:
+            v0, v1 = stream(0) + 1j * stream(256), stream(512) + 1j * stream(768)
+        assert [v.dtype for v in starts] == [v0.dtype] * 2
+        assert np.allclose(starts[0], v0 / np.linalg.norm(v0), rtol=0, atol=1e-15)
+        found = lan.coeffs[0]  # the lower pair, converged first
+        v1 = v1 - found * np.vdot(found, v1)
+        assert np.allclose(starts[1], v1 / np.linalg.norm(v1), rtol=0, atol=1e-12)
+
+    def test_seeds_give_different_vectors_and_one_seed_the_same(self, monkeypatch):
+        starts = record_start_vectors(monkeypatch)
+        op = chain_with(10, HEISENBERG)
+        for seed in (1, 2, 1):
+            lanczos_extremal(op, k=1, seed=seed)
+        assert not np.allclose(starts[0], starts[1]) and np.array_equal(starts[0], starts[2])
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_stream_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            lanczos_extremal(chain_n8(None), k=1, seed=seed)
 
 
 def count_matvecs(monkeypatch) -> dict:
