@@ -247,10 +247,15 @@ class FlipSpan:
                 c *= parities[:, None]
             merged[jx] = merged[jx] + c if jx in merged else c
         offsets = np.arange(0, at.size, len(positions))[:, None]
-        return tuple(
-            (c.ravel(), (offsets + np.searchsorted(positions, positions ^ jx)).ravel() if jx else None)
-            for jx, c in merged.items()
-        )
+
+        def index(jx: int) -> np.ndarray:
+            # position ^ jx is a representative, and its index among them is
+            # it with jP's top bit (clear in each) taken out; with no
+            # parities top is 0, and the index is position ^ jx itself
+            gather = positions ^ jx
+            return gather >> 1 & ~(top - 1) | gather & (top - 1)
+
+        return tuple((c.ravel(), (offsets + index(jx)).ravel() if jx else None) for jx, c in merged.items())
 
 
 @functools.cache
@@ -378,6 +383,48 @@ class Operator:
         reps, partners = self.flip_span.halves
         a, b = v[cosets[:, reps]], v[cosets[:, partners]]
         return np.concatenate([a + b, a - b]) / math.sqrt(2.0)
+
+    def scatter(self, sectors: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The inverse of :meth:`coordinates` for vectors on one sector each:
+        row i of the (n, 2^N) result has the coordinates ``rows[i]`` on
+        :attr:`sectors` row ``sectors[i]`` and 0 on every other. On a P = p
+        half the pair a, b of :attr:`FlipSpan.halves` gets u / sqrt(2) and
+        p u / sqrt(2), so v[b] = p v[a] bit for bit."""
+        cosets, parities = self.sectors
+        out = np.zeros((len(rows), 1 << self.n_sites), dtype=rows.dtype)
+        at = np.arange(len(rows))[:, None]
+        if parities is None:
+            out[at, cosets[sectors]] = rows
+            return out
+        reps, partners = self.flip_span.halves
+        half = rows / math.sqrt(2.0)
+        out[at, cosets[sectors][:, reps]] = half
+        out[at, cosets[sectors][:, partners]] = half * parities[sectors][:, None]
+        return out
+
+    def sector_discs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(centre, radius) of the Gershgorin disc of every row of every
+        sector's matrix, shaped like :meth:`coordinates`' output, from the
+        compiled groups and with no matvec.
+
+        On a coset a row is a basis state r, with its full-space disc
+        (:func:`gershgorin_discs`). On a P = p half, row (|a> + p|b>) /
+        sqrt(2) has the centre c_0[a] + p c_P[a], c_P the coefficients of
+        the group of the global flip, and its other entries are
+        H[a, a'] + p H[a, b'] over the other pairs a', b': so its radius is
+        at most the radius of row a less |c_P[a]|, the sum over the groups
+        other than the diagonal and P. That bound is the radius returned."""
+        cosets, parities = self.sectors
+        dim = 1 << self.n_sites
+        groups = dict(zip(self.flip_span.masks, self._groups))
+        flip = groups.pop(dim - 1, None) if parities is not None else None
+        centre, radius = (np.broadcast_to(a, dim) for a in gershgorin_discs(tuple(groups.values())))
+        if parities is None:
+            return centre[cosets], radius[cosets]
+        at = self.flip_span.cosets[:, self.flip_span.halves[0]]
+        centre, radius = centre[at], radius[at]
+        flip = 0.0 if flip is None else flip[0].real[at]
+        return np.concatenate([centre + flip, centre - flip]), np.concatenate([radius, radius])
 
     @functools.cached_property
     def _groups(self) -> tuple[tuple[np.ndarray, np.ndarray | None], ...]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import logging
@@ -11,13 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DenseCapError, DimensionError, ModelError
-from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, gershgorin_discs, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
+from .pauli import FlipSpan, Operator, StateVector, apply_groups, dense_cap, to_dense  # noqa: F401  (perfbench's tracer patches to_dense here)
 
 log = logging.getLogger(__name__)
 _LANCZOS_RECORD = (
     "lanczos: %d of %d pairs converged, %d matvecs, %d thick restarts, "
     "%d steps with a Gram-Schmidt pass, %d diagonalizations of T, "
-    "on %d of %d states (%d of %d cosets)"
+    "on %d of %d states (%d of %d sectors)"
 )
 
 # Eigenvalues closer than this are treated as one degenerate cluster; dense
@@ -43,8 +44,8 @@ class SpectrumResult:
 
     ``residuals[i]`` is ||H v_i - E_i v_i|| computed from the compiled
     groups: on the dense route in block coordinates, for every pair at once
-    (see :func:`dense_spectrum`); on the Lanczos route, the matvec check
-    that accepted the pair. Both
+    (see :func:`dense_spectrum`); on the Lanczos route, over the 2^N
+    amplitudes of the returned vector (see :func:`lanczos_extremal`). Both
     solvers keep only pairs that meet their tolerance, so ``n_converged``
     is ``n_pairs``. ``coeffs`` is float64 when the
     operator is real (both solvers then work in real arithmetic) and
@@ -440,34 +441,109 @@ def _splitmix64_uniform(seed: int, start: int, count: int) -> np.ndarray:
     return (z >> 11) * 2.0**-52 - 1.0
 
 
-def _low_cosets(op: Operator, k: int, h_norm: float) -> np.ndarray:
-    """The rows of ``op.flip_span.cosets`` that can hold one of the k lowest
-    levels of op, ascending; all of them when there are at most k.
+def _disc_components(op: Operator, k: int, slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(candidates, minima, starts, U) for the sectors of op
+    (:attr:`~tcspin.pauli.Operator.sectors`).
 
-    H leaves each coset invariant, so its spectrum is the union of theirs.
-    A coset's lowest level is at most its smallest diagonal entry, the
-    Rayleigh quotient of that basis state. So U, the k-th smallest of those
-    coset minima, bounds E_{k-1} from above: k distinct cosets each hold a
-    level <= U. By Gershgorin's theorem (:func:`~tcspin.pauli.gershgorin_discs`)
-    every level of a coset is at least its smallest centre - radius; a
-    coset where that exceeds U holds only levels above E_{k-1}, none of
-    the k lowest, and is dropped. A coset whose bound equals U is kept, and
-    so is every coset that holds a level equal to E_{k-1}. The diagonal
-    entries and U are stored values, exact; only the bound rounds, in a sum
-    of fewer than G radius terms and one subtraction for G groups, on
-    numbers of at most ||H||_1 <= ``h_norm``. So a coset is dropped only
-    when its bound exceeds U by more than 4 G eps h_norm.
+    Each sector's lowest level is at most its smallest diagonal entry, the
+    Rayleigh quotient of one of its basis vectors. So U, the k-th smallest
+    of those sector minima, bounds E_{k-1}: k distinct sectors each hold a
+    level <= U. With fewer than k sectors U is infinite.
+
+    The Gershgorin discs of each sector's rows
+    (:meth:`~tcspin.pauli.Operator.sector_discs`) are widened by ``slack``
+    on both sides. At 4 G eps ||H||_1 for G groups it exceeds the rounding
+    of a computed centre (one addition on a P half), radius (a sum of fewer
+    than G terms), disc end and U together, so the widened discs hold the
+    exact ones. By Gershgorin's counting theorem a union of connected
+    components that is disjoint from the other discs holds as many levels
+    as discs, also for discs larger than the rows' own, and a level <= U
+    lies in a component that starts at or below U. So a sector's count at
+    U, the number of its discs in components that start at or below U, is
+    at least its number of levels <= U.
+
+    ``candidates`` are the sectors with a disc that starts at or below U
+    (the others count 0), in ascending order of their smallest diagonal
+    entry, ties in sector order, and ``minima`` holds those entries.
+    ``starts`` has one row per candidate: for each of its discs, the start
+    of its component. So ``np.count_nonzero(starts <= u, axis=1)`` is the
+    candidates' counts at any u <= U.
     """
-    cosets = op.flip_span.cosets
-    if len(cosets) <= k:
-        return cosets
-    dim = 1 << op.n_sites
-    centre, radius = gershgorin_discs(op._groups)
-    # each coset's lowest level lies in [floor, ceiling]
-    ceiling = np.broadcast_to(centre, dim)[cosets].min(axis=1)
-    floor = np.broadcast_to(centre - radius, dim)[cosets].min(axis=1)
-    u = np.partition(ceiling, k - 1)[k - 1]
-    return cosets[floor <= u + 4 * len(op._groups) * EPS * h_norm]
+    centre, radius = op.sector_discs()
+    minima = centre.min(axis=1)
+    bound = float(np.partition(minima, k - 1)[k - 1]) if len(minima) >= k else np.inf
+    low = centre - radius - slack
+    candidates = np.flatnonzero(low.min(axis=1) <= bound)
+    candidates = candidates[np.argsort(minima[candidates], kind="stable")]
+    # discs that start together never open a component apart, so any order
+    # of equal starts will do
+    order = np.argsort(low[candidates], axis=1)
+    low = np.take_along_axis(low[candidates], order, axis=1)
+    reach = np.maximum.accumulate(np.take_along_axis((centre + radius)[candidates], order, axis=1) + slack, axis=1)
+    # a disc opens a component when it starts above every disc before it
+    opens = np.ones(low.shape, dtype=bool)
+    opens[:, 1:] = low[:, 1:] > reach[:, :-1]
+    return candidates, minima[candidates], np.maximum.accumulate(np.where(opens, low, -np.inf), axis=1), bound
+
+
+def _kth_level_bound(pairs: list[tuple[float, int, np.ndarray, float]], dim: int, slack: float) -> float:
+    """An upper bound on E_{k-1} from k found pairs (value, sector,
+    coordinates, accepting residual), ascending in value, in sectors of at
+    most ``dim`` states.
+
+    Let V hold the k vectors, r_j = H v_j - theta_j v_j and F = V^H V - I;
+    pairs in different sectors are orthogonal exactly, so F is the Gram
+    matrices of each sector's pairs less I. Then v_i^H H v_j =
+    theta_j (I + F)_ij + W_ij with W = V^H R, so for x = V c and
+    mu = theta_{k-1} + m, after symmetrizing,
+    x^H H x - mu x^H x = c^H (Theta - mu) c + c^H [F (Theta - mu) +
+    (Theta - mu) F] c / 2 + Re c^H W c
+    <= ||c||^2 (-m + phi (theta_{k-1} - theta_0 + m) + ||W||_2)
+    for any phi >= ||F||_2, and ||W||_2 <= sqrt(1 + phi) ||R||_F. When
+    phi < 1 the span of V has dimension k, so by Courant-Fischer
+    E_{k-1} <= mu once
+    m >= (sqrt(1 + phi) ||R||_F + phi (theta_{k-1} - theta_0)) / (1 - phi).
+
+    Each exact residual is at most its computed value plus ``slack``: the
+    sector matvec and the subtraction round by less than
+    (G + 2) eps ||H||_1 <= 4 G eps ||H||_1 for G >= 1 groups. Each Gram
+    entry of vectors of norm about 1 rounds by less than 2 dim eps, so
+    phi = ||F_computed||_F + 2 k dim eps. Past phi = 1/2 the bound is
+    infinite.
+    """
+    values = [value for value, *_ in pairs]
+    by_sector: dict[int, list[np.ndarray]] = {}
+    for _, sector, vec, _ in pairs:
+        by_sector.setdefault(sector, []).append(vec)
+    drift = sum(np.sum(np.abs(u.conj() @ u.T - np.eye(len(u))) ** 2) for u in map(np.asarray, by_sector.values()))
+    phi = float(np.sqrt(drift)) + 2 * len(pairs) * dim * EPS
+    if phi >= 0.5:
+        return np.inf
+    r_norm = float(np.sqrt(sum((r + slack) ** 2 for *_, r in pairs)))
+    return values[-1] + (np.sqrt(1 + phi) * r_norm + phi * (values[-1] - values[0])) / (1 - phi)
+
+
+def _full_residuals(op: Operator, pairs: list[tuple[float, int, np.ndarray, float]], vectors: np.ndarray) -> np.ndarray:
+    """||H v - theta v|| of each pair (theta, sector, ...) with its vector
+    scattered to 2^N amplitudes (a row of ``vectors``), through op's groups
+    cut to the coset of its sector, one slab per coset: the entries there
+    are those of ``op.matvec(v)`` bit for bit, and the norm is taken over
+    all 2^N amplitudes, as of the full-space residual."""
+    rows = op.sectors[0]
+    out = np.empty(len(pairs))
+    by_coset: dict[int, list[int]] = {}
+    for i, (_, sector, *_) in enumerate(pairs):
+        by_coset.setdefault(int(rows[sector, 0]), []).append(i)
+    for members in by_coset.values():
+        coset = rows[pairs[members[0]][1]]
+        on = vectors[members][:, coset].T
+        residual = apply_groups(op.flip_span.cut(op._groups, coset[None]), on)
+        residual -= np.array([pairs[i][0] for i in members]) * on
+        r = np.zeros_like(vectors[0])
+        for column, i in enumerate(members):
+            r[coset] = residual[:, column]
+            out[i] = np.linalg.norm(r)
+    return out
 
 
 def lanczos_extremal(
@@ -491,26 +567,41 @@ def lanczos_extremal(
     included; on exhaustion a partial result is returned with
     ``n_converged < k`` rather than failing silently. Each call logs one
     ``info`` record: the pairs converged and requested, the matvecs, the
-    thick restarts, the steps that took a Gram-Schmidt pass and the
-    diagonalizations of the projected matrix.
+    thick restarts, the steps that took a Gram-Schmidt pass, the
+    diagonalizations of the projected matrix, and the states and sectors
+    solved out of all.
 
-    The solve runs only on the cosets of ``op.flip_span`` that can hold one
-    of the k lowest levels (:func:`_low_cosets`: those whose Gershgorin
-    lower bound does not exceed the k-th smallest coset minimum of the
-    diagonal), through op's groups cut to them
-    (:meth:`~tcspin.pauli.FlipSpan.cut`). Start vectors are drawn on the
-    kept amplitudes, and the vectors are scattered back to 2^N amplitudes,
-    zero on the dropped cosets; the info record ends with the kept states
-    and cosets. When every coset is kept, the solve runs on the whole
-    basis in natural order through ``op.matvec``.
+    Each sector of op (:attr:`~tcspin.pauli.Operator.sectors`: a coset of
+    its flip span, or a global-flip half of one) is solved on its own,
+    through op's groups cut to it (:meth:`~tcspin.pauli.FlipSpan.cut`),
+    for at most its count of pairs (:func:`_disc_components`), the number
+    of its Gershgorin discs in components that start at or below U. U is
+    first the k-th smallest sector minimum of the diagonal; once k pairs
+    are in hand it falls to their bound on E_{k-1}
+    (:func:`_kth_level_bound`), and a sector whose count drops to 0 is
+    skipped. A sector's count is at least its number of levels <= E_{k-1}.
+    Sectors are taken up in ascending order of their smallest diagonal
+    entry, and each pair goes to the open sector of lowest key: its last
+    value once solved (its next level lies above), else its smallest
+    diagonal entry (it holds a level below). A solved sector stays open
+    while its last value lies below the k-th lowest found, so once every
+    sector is closed the k lowest found are the k lowest of op. They are
+    scattered back to 2^N amplitudes
+    (:meth:`~tcspin.pauli.Operator.scatter`), and ``residuals`` holds
+    each one's full-space ||H v - theta v||, from the groups cut to its
+    coset (:func:`_full_residuals`). A sole sector that is the whole basis
+    in natural order is solved through ``op.matvec``, call for call, and
+    its accepting checks are the residuals.
 
     Start vectors come from the counter-based splitmix64 stream keyed by
     ``seed`` (:func:`_splitmix64_uniform`, 0 <= seed < 2^64), entries
-    uniform on [-1, 1): each candidate takes the next ``dim`` positions, or
-    for a complex operator the next ``dim`` for its real part and the
-    ``dim`` after them for its imaginary part. The stream is integer
-    arithmetic only, so a seed gives the same start vectors on every numpy
-    version, and the solve never imports ``numpy.random``.
+    uniform on [-1, 1): each candidate takes the next ``dim`` positions
+    for a sector of ``dim`` states, or for a complex operator the next
+    ``dim`` for its real part and the ``dim`` after them for its imaginary
+    part; the sectors read the stream in the order they are solved. The
+    stream is integer arithmetic only, so a seed gives the same start
+    vectors on every numpy version, and the solve never imports
+    ``numpy.random``.
 
     A real operator gets real start vectors, so the Krylov basis, the
     deflation set and the returned vectors are float64 (half the memory of
@@ -529,72 +620,99 @@ def lanczos_extremal(
     real = op._is_real
     dtype = np.float64 if real else np.complex128
     h_norm = max(1.0, op.one_norm())
-    rows = _low_cosets(op, k, h_norm)
-    dim = rows.size
-    if dim == full:  # every coset kept: the whole basis in natural order
-        kept, matvec = np.s_[:], op.matvec
-    else:
-        kept, matvec = rows.ravel(), functools.partial(apply_groups, op.flip_span.cut(op._groups, rows))
-    m_cap = min(dim, max(60, 3 * k + 10))
-    keep = max(8, min(m_cap // 3, 20))
-    found_vals: list[float] = []
-    found_vecs: list[np.ndarray] = []
-    found_resids: list[float] = []
+    rows, parities = op.sectors
+    dim = rows.shape[1] if parities is None else rows.shape[1] // 2
+    natural = dim == full
+    slack = 4 * len(op._groups) * EPS * h_norm
+    # a candidate's key is its smallest diagonal entry until solved, then
+    # its last value
+    candidates, keys, starts, bound = _disc_components(op, k, slack)
+    counts = np.count_nonzero(starts <= bound, axis=1)
+    found: list[tuple[float, int, np.ndarray, float]] = []  # (value, sector, coordinates, residual)
     matvecs = 0
     tally: Counter = Counter()
-
     drawn = 0  # stream position of the next start vector's first entry
 
-    def next_start() -> np.ndarray | None:
+    def next_start(vecs: list[np.ndarray]) -> np.ndarray | None:
         nonlocal drawn
         for _ in range(8):
             v = _splitmix64_uniform(seed, drawn, dim)
             if not real:
                 v = v + 1j * _splitmix64_uniform(seed, drawn + dim, dim)
             drawn += dim if real else 2 * dim
-            if found_vecs:
-                found = np.asarray(found_vecs)
-                v, before = _orthogonalize(v, found), np.linalg.norm(v)
+            if vecs:
+                done = np.asarray(vecs)
+                v, before = _orthogonalize(v, done), np.linalg.norm(v)
                 if np.linalg.norm(v) < DGKS_RATIO * before:
-                    v = _orthogonalize(v, found)
+                    v = _orthogonalize(v, done)
             nrm = np.linalg.norm(v)
             if nrm > 1e-8:
                 return v / nrm
         return None
 
-    while len(found_vals) < k and matvecs < max_iter:
-        v0 = next_start()
-        if v0 is None:
+    # each pair comes from the open candidate of lowest key; a solved one is
+    # open while its count allows more pairs and its last value lies below
+    # the k-th lowest found
+    n_found = np.zeros(len(candidates), dtype=int)
+    solves: dict[int, tuple] = {}  # candidate -> (sector, matvec, vectors found)
+    m_cap = min(dim, max(60, 3 * k + 10))
+    keep = max(8, min(m_cap // 3, 20))
+    while True:
+        kth = found[k - 1][0] if len(found) >= k else np.inf
+        active = np.flatnonzero((counts > n_found) & ((n_found == 0) | (keys < kth)))
+        if not len(active):
             break
-        deflate = np.asarray(found_vecs) if found_vecs else np.empty((0, dim), dtype)
-        pair, used = _lowest_deflated_eigenpair(
-            matvec, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm, tally
-        )
-        matvecs += used
+        c = int(active[np.argmin(keys[active])])
+        if c not in solves:
+            s = int(candidates[c])
+            if natural:
+                solves[c] = (s, op.matvec, [])
+            else:
+                cut = op.flip_span.cut(op._groups, rows[s : s + 1], None if parities is None else parities[s : s + 1])
+                solves[c] = (s, functools.partial(apply_groups, cut), [])
+        s, matvec, vecs = solves[c]
+        v0 = next_start(vecs) if matvecs < max_iter else None
+        pair = None
+        if v0 is not None:
+            deflate = np.asarray(vecs) if vecs else np.empty((0, dim), dtype)
+            pair, used = _lowest_deflated_eigenpair(
+                matvec, v0, tol, max_iter - matvecs, m_cap, keep, deflate, h_norm, tally
+            )
+            matvecs += used
         if pair is None:
+            # out of budget, or no pair found: keep only the pairs below U
+            # and below every level that an open sector may still hold
+            floor = min([bound] + [keys[c] if n_found[c] else starts[c, 0] for c in active])
+            found = [pair for pair in found if pair[0] <= floor]
             break
         val, vec, resid = pair
-        found_vals.append(val)
-        found_vecs.append(vec)
-        found_resids.append(resid)
+        keys[c] = val
+        n_found[c] += 1
+        vecs.append(vec)
+        at = bisect.bisect(found, val, key=lambda pair: pair[0])
+        found.insert(at, (val, s, vec, resid))
+        if at < k <= len(found):  # the k lowest changed
+            bound = min(bound, _kth_level_bound(found[:k], dim, slack))
+            counts = np.count_nonzero(starts <= bound, axis=1)
     log.info(
-        _LANCZOS_RECORD, len(found_vals), k, matvecs,
+        _LANCZOS_RECORD, min(len(found), k), k, matvecs,
         tally["restarts"], tally["passes"], tally["diagonalizations"],
-        dim, full, len(rows), len(op.flip_span.cosets),
+        len(solves) * dim, full, len(solves), len(rows),
     )
 
-    # only converged pairs are kept, each with the residual that accepted it
-    order = np.argsort(found_vals)
-    coeffs = np.zeros((len(order), full), dtype)
-    if found_vals:
-        coeffs[:, kept] = [found_vecs[i] for i in order]
+    # the k lowest pairs, each with its full-space residual
+    found = found[:k]
+    coeffs = op.scatter(
+        np.array([s for _, s, *_ in found], dtype=np.intp), np.array([vec for *_, vec, _ in found], dtype).reshape(-1, dim)
+    )
+    residuals = np.array([resid for *_, resid in found]) if natural else _full_residuals(op, found, coeffs)
     return SpectrumResult(
-        eigenvalues=np.array([found_vals[i] for i in order]),
+        eigenvalues=np.array([val for val, *_ in found]),
         span=FlipSpan.of(op.n_sites, (1 << site for site in range(op.n_sites))),
-        block_of=np.zeros(len(order), dtype=np.intp),
+        block_of=np.zeros(len(found), dtype=np.intp),
         coeffs=coeffs,
         method="lanczos",
-        residuals=np.array([found_resids[i] for i in order]),
+        residuals=residuals,
         n_sites=op.n_sites,
         n_requested=k,
     )

@@ -89,7 +89,7 @@ def dense_vectors(spec) -> np.ndarray:
 def matvec_residuals(op: Operator, spectrum) -> np.ndarray:
     """||H v_i - E_i v_i|| of every pair of a SpectrumResult, one full-space
     matvec per scattered eigenvector: the oracle for the dense route's block
-    residuals and for the Lanczos route's accepting checks."""
+    residuals and for the Lanczos route's full-space residuals."""
     out = np.empty(spectrum.n_pairs)
     for i, e in enumerate(spectrum.eigenvalues):
         v = spectrum.vector(i)

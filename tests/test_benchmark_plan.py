@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import tcspin.spectra
 from tcspin.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -65,6 +66,33 @@ def test_persistence_lanczos_rows_keep_fewer_than_all_states(tmp_path, caplog):
             kept[int(match[2])] = int(match[1])
     assert sorted(kept) == [1 << 12, 1 << 14]
     assert all(states < full for full, states in kept.items()), kept
+
+
+def test_perturbed_lanczos_rows_solve_only_the_ground_sectors(tmp_path, caplog, monkeypatch):
+    """The perturbed plan's three N = 12 rows (bare, Heisenberg-0.05, z
+    field, in that order) take the Lanczos route at k = 2, one sector at a
+    time. The Heisenberg row solves 2 of its 4 global-flip sectors, 2 048 of
+    4 096 states, at k = 1 each: two one-pair solves of 1 024 amplitudes with
+    nothing to deflate. The bare and z-field rows solve at most 4 states.
+    Read from each solve's info record and from the one-pair solves."""
+    solve, solves = tcspin.spectra._lowest_deflated_eigenpair, []
+
+    def recording(matvec, v0, tol, budget, m_cap, keep, deflate, *args):
+        solves.append((len(v0), len(deflate)))
+        return solve(matvec, v0, tol, budget, m_cap, keep, deflate, *args)
+
+    monkeypatch.setattr(tcspin.spectra, "_lowest_deflated_eigenpair", recording)
+    config = tmp_path / "config.json"
+    plan = WORKLOADS.WORKLOADS["perturbed"](WORKLOADS.DEFAULT_SEED)
+    config.write_text(json.dumps({"command": "sweep", "plan": plan}))
+    with caplog.at_level("INFO", logger="tcspin.spectra"):
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    bare, heisenberg, z_field = [record.args for record in caplog.records if record.name == "tcspin.spectra"]
+    # converged, requested, ..., solved and all states, solved and all sectors
+    assert heisenberg[:2] == (2, 2) and heisenberg[6:] == (2048, 4096, 2, 4)
+    assert bare[:2] == z_field[:2] == (2, 2) and bare[6] <= 4 and z_field[6] <= 4
+    assert solves[2:4] == [(1024, 0), (1024, 0)]
+    assert all(size <= 4 for size, _ in solves[:2] + solves[4:])
 
 
 def test_persistence_sweep_never_imports_numpy_random(tmp_path):

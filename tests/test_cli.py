@@ -219,8 +219,9 @@ class TestCorrelateCommand:
     @pytest.mark.parametrize("max_iter", [8, 30])
     @pytest.mark.parametrize("command", ["correlate", "spectrum"])
     def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter, command):
-        # 8 matvecs converge no pair, 30 converge one of the four asked for;
-        # both commands share run_point's spectrum step and its solver keys
+        # the chain's sectors hold 2 states: 8 matvecs leave one pair below
+        # every level an unfinished sector may hold, 30 two of the four asked
+        # for; both commands share run_point's spectrum step and its solver keys
         monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
         model = {"type": "tc", "n_sites": 8, "j_coupling": 0.5}
         if command == "correlate":
@@ -534,8 +535,9 @@ class TestLogLevel:
             # m_z psi0 is one global-flip sector of 64 states
             assert len(records) == 1 and "64 amplitudes kept" in records[0], proc.stderr
             assert len(lanczos) == (1 if dense_cap else 0), proc.stderr
-            # k = 4 of the chain's two cosets: both kept, the whole space
-            assert all(line.endswith("on 256 of 256 states (2 of 2 cosets)") for line in lanczos), proc.stderr
+            # k = 4 on the chain's two cosets, split in four global-flip
+            # sectors of 64: all four are solved
+            assert all(line.endswith("on 256 of 256 states (4 of 4 sectors)") for line in lanczos), proc.stderr
 
 
 class TestValidateCommand:

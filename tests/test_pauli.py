@@ -387,6 +387,57 @@ class TestCut:
         assert y_field.sectors[0] is y_field.flip_span.cosets and y_field.sectors[1] is None
 
 
+class TestSectorDiscsAndScatter:
+    """Operator.sector_discs against each sector's matrix, and
+    Operator.scatter as the inverse of Operator.coordinates."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "open"])
+    @pytest.mark.parametrize("family", CUT_FAMILIES)
+    def test_discs_hold_every_sector_row(self, family, boundary):
+        """The centre is the sector matrix's diagonal entry bit for bit, and
+        the radius at least the row's off-diagonal absolute sum."""
+        op = _family_chain(8, family, boundary)
+        rows, parities = op.sectors
+        centre, radius = op.sector_discs()
+        assert centre.shape == radius.shape == op.coordinates(np.zeros(256)).shape
+        for s in range(len(rows)):
+            groups = op.flip_span.cut(op._groups, rows[s : s + 1], None if parities is None else parities[s : s + 1])
+            matrix = apply_groups(groups, np.eye(centre.shape[1]))
+            assert np.array_equal(centre[s], np.diag(matrix).real)
+            off = np.abs(matrix).sum(axis=1) - np.abs(np.diag(matrix))
+            assert np.all(radius[s] >= off - 1e-12)
+
+    def test_a_global_flip_term_moves_the_half_centres(self):
+        """With a weight-w X...X term the P = +-1 halves' centres are the
+        coset's diagonal +- w, and that term leaves their radii."""
+        op = Operator.from_label_terms([(1.0, "ZZI"), (0.5, "IZZ"), (0.3, "XXX"), (0.2, "XXI")])
+        parities = op.sectors[1]
+        assert parities.tolist() == [1.0, 1.0, -1.0, -1.0]
+        centre, radius = op.sector_discs()
+        diagonal = np.diag(to_dense(op))[op.flip_span.cosets[:, op.flip_span.halves[0]]]
+        assert np.array_equal(centre, np.concatenate([diagonal + 0.3, diagonal - 0.3]))
+        assert np.array_equal(radius, np.full((4, 2), 0.2))
+
+    @pytest.mark.parametrize("family", CUT_FAMILIES)
+    def test_scatter_inverts_the_coordinates(self, family):
+        """Scattering each sector's coordinates of v and summing gives v
+        back, and a vector scattered from one P = p half satisfies
+        v[i ^ (2^N - 1)] = p v[i] bit for bit."""
+        op = _family_chain(8, family, "periodic")
+        rows, parities = op.sectors
+        v = np.random.default_rng(5).standard_normal(256)
+        coordinates = op.coordinates(v)
+        scattered = op.scatter(np.arange(len(rows)), coordinates)
+        assert scattered.shape == (len(rows), 256)
+        assert np.allclose(scattered.sum(axis=0), v, rtol=0, atol=1e-14)
+        for s, u in enumerate(scattered):
+            back = op.coordinates(u)
+            assert np.allclose(back[s], coordinates[s], rtol=0, atol=1e-14)
+            assert np.count_nonzero(np.delete(back, s, axis=0)) == 0
+            if parities is not None:
+                assert np.array_equal(u[np.arange(256) ^ 255], parities[s] * u)
+
+
 def _groups_oracle(op: Operator):
     """The index-arithmetic compile that :attr:`Operator._groups` replaced:
     every term adds coeff * i^{#Y} * (1 - 2 parity) over all 2^N indices,

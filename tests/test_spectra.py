@@ -22,10 +22,10 @@ from tcspin.models import (
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from tcspin.pauli import Operator, PauliString, StateVector, global_flip_operator, to_dense
+from tcspin.pauli import Operator, PauliString, StateVector, apply_groups, global_flip_operator, to_dense
 from tcspin.spectra import (
     _block_matrices,
-    _low_cosets,
+    _disc_components,
     dense_spectrum,
     ghz_overlap_report,
     lanczos_extremal,
@@ -109,6 +109,20 @@ def h_norm(op: Operator) -> float:
     return max(1.0, op.one_norm())
 
 
+def slack(op: Operator) -> float:
+    """lanczos_extremal's rounding margin 4 G eps ||H||_1 for G groups."""
+    return 4 * len(op._groups) * np.finfo(float).eps * h_norm(op)
+
+
+def sector_matrix(op: Operator, s: int) -> np.ndarray:
+    """The dense matrix of op on its sector s, one column per coordinate,
+    from the groups cut to it."""
+    rows, parities = op.sectors
+    groups = op.flip_span.cut(op._groups, rows[s : s + 1], None if parities is None else parities[s : s + 1])
+    size = rows.shape[1] if parities is None else rows.shape[1] // 2
+    return apply_groups(groups, np.eye(size))
+
+
 def x_basis_ising_chain(n: int) -> Operator:
     """-sum X_j X_{j+1}, periodic: the J = 0 chain rotated to the x basis.
     Its flip masks span the even-weight masks, two cosets."""
@@ -166,7 +180,9 @@ class TestLanczos:
         assert np.array_equal(a.coeffs, b.coeffs)
 
     def test_partial_result_flagged_on_iteration_budget(self):
-        op = build_tc_hamiltonian(TCModelConfig(8, 0.5))
+        # the bare chain's sectors hold 2 states, and 10 matvecs converge
+        # its 4 lowest; the Heisenberg chain's hold 64
+        op = chain_n8(HEISENBERG)
         lan = lanczos_extremal(op, k=4, tol=1e-10, max_iter=10, seed=0)
         assert lan.n_converged < 4
         assert lan.n_requested == 4
@@ -239,17 +255,20 @@ class TestLanczos:
         "op, k",
         [
             (x_basis_ising_chain(6), 2),
-            (build_tc_hamiltonian(TCModelConfig(8, 0.0)), 6),
-            (Operator.from_label_terms([(1.0, "III")]), 1),
+            (x_basis_ising_chain(8), 6),
+            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI"), (1.0, "IIX")]), 1),
         ],
-        ids=["j0_n6", "j0_n8", "identity"],
+        ids=["j0_n6", "j0_n8", "x_field"],
     )
     def test_breakdowns_take_the_second_pass(self, monkeypatch, op, k):
         """Where the recurrence leaves only round-off (an invariant subspace
         reached), the single pass cancels most of the norm and the DGKS test
-        repeats it; the vectors stay orthonormal to round-off. The N = 6
-        J = 0 chain runs in the x basis, where its two cosets are both kept
-        and the solve spans all 64 states."""
+        repeats it; the vectors stay orthonormal to round-off. The J = 0
+        chains run in the x basis, where the global flip splits each of their
+        two cosets into halves of 2^(N-2) states; a uniform x field on three
+        sites has four levels in each half of 4. (The J = 0 chain in the z
+        basis and the identity are diagonal: every sector is one state, and
+        no recurrence is left to break down.)"""
         passes = count_repeated_passes(monkeypatch)
         tol = 1e-10
         lan = lanczos_extremal(op, k=k, tol=tol, seed=0)
@@ -261,39 +280,40 @@ class TestLanczos:
 
     def test_steps_away_from_breakdown_take_one_pass(self, monkeypatch):
         """No pass is repeated away from breakdowns, and Simon's estimate asks
-        for the pass against the Krylov basis at 12 of the 85 Lanczos steps
-        of the N = 12 Heisenberg-0.05 chain, where every step ran it
+        for the pass against the Krylov basis at 8 of the 24 + 32 Lanczos
+        steps of the N = 12 Heisenberg-0.05 chain, where every step ran it
         before."""
         passes = count_repeated_passes(monkeypatch)
         lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
-        assert passes["basis"] == 12 and passes["repeated"] == 0
+        assert passes["basis"] == 8 and passes["repeated"] == 0
 
     def test_matvec_count_is_pinned(self, monkeypatch):
         """Each pair takes the Lanczos steps up to the first check of the
         schedule at which its Ritz residual estimate has reached tol, and one
-        true-residual matvec; the residuals are not recomputed afterwards.
-        Both cosets of the N = 12 Heisenberg-0.05 chain are kept, so every
-        matvec is Operator.matvec."""
+        true-residual matvec. The N = 12 Heisenberg-0.05 chain's two lowest
+        levels lie in the two global-flip halves of one coset, 1 024 states
+        each: one pair each, 25 + 33 matvecs where the whole space took 87,
+        none of them Operator.matvec."""
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert counter["matvecs"] == 87
+        assert counter["matvecs"] == 58 and counter["operator"] == 0
 
     def test_projected_matrix_is_diagonalized_on_the_check_schedule(self, monkeypatch, caplog):
-        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 23
-        times for the 45 + 40 steps of the two pairs of the N = 12
+        """T is diagonalized at steps 1, 4, 8, ... of each pair's cycle: 16
+        times for the 24 + 32 steps of the two pairs of the N = 12
         Heisenberg-0.05 chain, where every step did it before. The call's
         one info record counts them."""
         sizes = record_diagonalizations(monkeypatch)
         with caplog.at_level("INFO", logger="tcspin"):
             lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
         assert lan.n_converged == 2
-        assert sizes == [1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 45, 1, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40]
+        assert sizes == [1, 4, 8, 12, 16, 20, 24, 1, 4, 8, 12, 16, 20, 24, 28, 32]
         (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
         # converged, requested, matvecs, thick restarts, steps with a pass,
-        # diagonalizations, kept and all states, kept and all cosets
-        assert record.args == (2, 2, 87, 0, 12, len(sizes), 4096, 4096, 2, 2)
-        assert record.getMessage().endswith("on 4096 of 4096 states (2 of 2 cosets)")
+        # diagonalizations, solved and all states, solved and all sectors
+        assert record.args == (2, 2, 58, 0, 8, len(sizes), 2048, 4096, 2, 4)
+        assert record.getMessage().endswith("on 2048 of 4096 states (2 of 4 sectors)")
 
     def test_check_schedule(self):
         """Every 4 steps after the first, every m / 8 past m = 40."""
@@ -305,10 +325,12 @@ class TestLanczos:
     @pytest.mark.parametrize(
         "op, k, sizes",
         [
-            (Operator.from_label_terms([(1.0, "III")]), 1, [1]),
-            # three levels: the Krylov space is invariant after 3 steps; the
-            # x-basis form keeps both cosets, so the solve spans all 8 states
-            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI")]), 1, [1, 3]),
+            # eight sectors of one state, each holding the level 1: none can
+            # be left out, and each breaks down at its first step
+            (Operator.from_label_terms([(1.0, "III")]), 1, [1] * 8),
+            # three levels: the Krylov space is invariant after 3 steps; both
+            # cosets of 4 hold the ground level -2, and both are solved
+            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI")]), 1, [1, 3, 1, 3]),
         ],
         ids=["identity", "three_levels"],
     )
@@ -321,7 +343,8 @@ class TestLanczos:
     def test_exhausted_budget_forces_a_check(self, monkeypatch):
         """With max_iter = 10 the cycle's last step is the 9th, off the
         schedule; T is diagonalized there for the Ritz pair the last matvec
-        checks. The N = 10 Heisenberg-0.05 chain is one coset, all kept."""
+        checks, in the first global-flip half of the N = 10 Heisenberg-0.05
+        chain's one coset."""
         sizes = record_diagonalizations(monkeypatch)
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=10, seed=0)
@@ -358,8 +381,10 @@ class TestLanczos:
         assert np.linalg.norm(op.matvec(v) - lan.eigenvalues[0] * v) <= tol
 
     def test_residuals_are_the_accepting_checks(self):
-        """The residual each pair was accepted on is the one the matvec
-        oracle recomputes from the returned vectors, bit for bit."""
+        """Each returned residual is the one the matvec oracle recomputes
+        from the returned vector, bit for bit: H is applied on the coset of
+        the pair's sector, whose entries are those of Operator.matvec, and
+        the norm runs over all 2^N amplitudes."""
         for op in (chain_n8(PerturbationSpec("heisenberg_exchange", 0.05)), chain_n8("dzyaloshinskii_moriya")):
             lan = lanczos_extremal(op, k=4, seed=100)
             assert np.array_equal(lan.residuals, matvec_residuals(op, lan))
@@ -382,12 +407,19 @@ class TestLanczos:
         assert lan.n_converged == 4
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
 
-    @pytest.mark.parametrize("max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (40, 40, 1), (60, 60, 1), (80, 74, 2)])
+    @pytest.mark.parametrize(
+        "max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (25, 25, 0), (40, 40, 0), (57, 57, 0), (58, 58, 2), (80, 58, 2)]
+    )
     def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
         """The true-residual check of a pair counts against ``max_iter``: a
         solve that runs out of budget stops at exactly ``max_iter`` matvecs.
-        On the N = 10 Heisenberg-0.05 chain (one coset, all kept) the first
-        pair takes 37 matvecs (36 steps and its residual check) and both 74."""
+        On the N = 10 Heisenberg-0.05 chain (one coset, two global-flip
+        halves of 512 states, one pair each) the first pair takes 25
+        matvecs (24 steps and its residual check) and both 58. The first
+        pair, -9.5, is not the ground level -9.747, which the other half
+        holds: a budget that stops before that half converges returns no
+        pair, since a partial result keeps only the pairs below every level
+        an unfinished sector may hold."""
         counter = count_matvecs(monkeypatch)
         lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=max_iter, seed=0)
         assert counter["matvecs"] == matvecs
@@ -434,16 +466,18 @@ PRUNED_FAMILIES = {
 
 
 class TestPrunedLanczos:
-    """lanczos_extremal on the cosets of the flip span that Gershgorin's
-    bound lets hold the k lowest levels (_low_cosets)."""
+    """lanczos_extremal on the sectors whose Gershgorin disc count lets them
+    hold one of the k lowest levels (_disc_components), one at a time."""
 
-    @pytest.mark.parametrize(
-        "n, states, cosets", [(12, 224, 56), (14, 316, 79), (16, 424, 106)]
-    )
-    def test_bare_chain_counts_are_pinned(self, monkeypatch, caplog, n, states, cosets):
-        """The bare chain keeps a few of its 2^(N-2) cosets of 4, and each of
-        its 22 matvecs applies the cut groups to the kept amplitudes only:
-        Operator.matvec is not called. Seven diagonalizations of T."""
+    @pytest.mark.parametrize("n", [12, 14, 16])
+    def test_bare_chain_counts_are_pinned(self, monkeypatch, caplog, n):
+        """The bare chain's two lowest levels lie in the two global-flip
+        halves of the coset of the all-up state, 2 states each; the count
+        keeps every other sector out. Each pair takes 2 steps and its check,
+        on the cut groups: Operator.matvec is not called. The full-space
+        residuals take one slab on that coset of 4. Where one solve on the
+        cosets kept 224, 316 and 424 states, 22 matvecs and 7
+        diagonalizations of T, it is 4 states, 6 and 4."""
         counter = count_matvecs(monkeypatch)
         sizes = record_diagonalizations(monkeypatch)
         lengths = []
@@ -458,10 +492,10 @@ class TestPrunedLanczos:
             lan = lanczos_extremal(build_tc_hamiltonian(TCModelConfig(n, 0.5)), k=2, seed=100)
         assert lan.n_converged == 2 and lan.residuals.max() <= 1e-10
         (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
-        assert record.args == (2, 2, 22, 0, 4, 7, states, 1 << n, cosets, 1 << (n - 2))
-        assert record.getMessage().endswith(f"on {states} of {1 << n} states ({cosets} of {1 << (n - 2)} cosets)")
-        assert sizes == [1, 4, 8, 12, 1, 4, 8]
-        assert counter["matvecs"] == 0 and lengths == [states] * 22
+        assert record.args == (2, 2, 6, 0, 2, 4, 4, 1 << n, 2, 1 << (n - 1))
+        assert record.getMessage().endswith(f"on 4 of {1 << n} states (2 of {1 << (n - 1)} sectors)")
+        assert sizes == [1, 2, 1, 2]
+        assert counter == {"matvecs": 6, "operator": 0} and lengths == [2] * 6 + [4]
 
     @pytest.mark.parametrize("n", [7, 10])
     @pytest.mark.parametrize("name", sorted(PRUNED_FAMILIES))
@@ -478,62 +512,116 @@ class TestPrunedLanczos:
             assert lan.n_converged == k
             assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:k])) < tol
             assert np.allclose(matvec_residuals(op, lan), lan.residuals, rtol=1e-12, atol=0)
-            kept = _low_cosets(op, k, h_norm(op))
-            assert (len(kept) < len(op.flip_span.cosets)) == (name in ("chain", "j0", "open", "z_field"))
+            candidates, *_ = _disc_components(op, k, slack(op))
+            assert (len(candidates) < len(op.sectors[0])) == (name in ("chain", "j0", "open", "z_field"))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 6),
+        n=st.integers(2, 8),
         rank=st.integers(0, 4),
         n_terms=st.integers(1, 12),
-        k=st.integers(1, 6),
+        flip=st.booleans(),
     )
-    def test_kept_cosets_hold_the_k_lowest_levels(self, seed, n, rank, n_terms, k):
-        """On random Hermitian Pauli sums: every coset holding a level at or
-        below E_{k-1} is kept, and Lanczos on the kept cosets finds the k
-        lowest levels of the dense route."""
+    def test_counts_cover_the_k_lowest_levels(self, seed, n, rank, n_terms, flip):
+        """On random Hermitian Pauli sums, with and without a global flip
+        that commutes with every term (even-weight z masks, the flip in the
+        span): in every sector the count at the first U is at least the
+        number of its dense levels <= E_{k-1}, and Lanczos finds the k lowest
+        levels of the dense route, for k = 1 ... 6."""
         rng = np.random.default_rng(seed)
-        x_basis = tuple(int(x) for x in rng.integers(1, 1 << n, rank))
+        x_basis = tuple(int(x) for x in rng.integers(1, 1 << n, rank)) + (((1 << n) - 1,) if flip else ())
         op = random_operator(rng, n, n_terms, x_basis=x_basis)
-        k = min(k, 1 << n)
+        if flip:
+            even = tuple(replace(t, z_mask=t.z_mask ^ (t.z_mask.bit_count() & 1)) for t in op.terms)
+            op = Operator(n, even + (PauliString(n, (1 << n) - 1, 0, float(rng.standard_normal())),))
+            assert op.sectors[1] is not None
         dense = dense_spectrum(op)
-        cosets = op.flip_span.cosets
-        kept = _low_cosets(op, k, h_norm(op))
-        assert kept.size >= k
-        holding = dense.block_of[dense.eigenvalues <= dense.eigenvalues[k - 1]]
-        assert set(holding.tolist()) <= set(np.flatnonzero(np.isin(cosets[:, 0], kept[:, 0])).tolist())
-        lan = lanczos_extremal(op, k=k, seed=seed % 1000)
-        assert lan.n_converged == k
-        assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:k])) < 1e-8
+        rows, parities = op.sectors
+        levels = [
+            np.linalg.eigvalsh(sector_matrix(op, s))
+            for s in range(len(rows))
+        ]
+        for k in range(1, min(6, 1 << n) + 1):
+            candidates, _, starts, bound = _disc_components(op, k, slack(op))
+            counts = np.zeros(len(rows), dtype=int)
+            counts[candidates] = np.count_nonzero(starts <= bound, axis=1)
+            e_k = dense.eigenvalues[k - 1]
+            assert all(counts[s] >= np.count_nonzero(levels[s] <= e_k + 1e-9) for s in range(len(rows)))
+            lan = lanczos_extremal(op, k=k, seed=seed % 1000)
+            assert lan.n_converged == k
+            assert np.max(np.abs(lan.eigenvalues - dense.eigenvalues[:k])) < 1e-8
 
-    def test_a_coset_whose_bound_equals_u_is_kept(self):
-        """Z_1 + a X_2 has the cosets {0, 2} (diagonal +1) and {1, 3}
+    def test_a_disc_that_starts_at_u_is_counted(self):
+        """Z_1 + a X_2 has the sectors {0, 2} (diagonal +1) and {1, 3}
         (diagonal -1), and every disc has radius a. At k = 1, U = -1, and
-        {0, 2}'s Gershgorin bound 1 - a equals it at a = 2: kept, though its
-        levels are -1 and 3 against the ground level -3. Just below a = 2
-        the bound exceeds U and the coset is dropped."""
+        both discs of {0, 2} start at 1 - a, which equals U at a = 2: that
+        sector counts 2, though its levels are -1 and 3 against the ground
+        level -3. Just below a = 2 its discs start above U: count 0."""
         tie = Operator.from_label_terms([(1.0, "ZI"), (2.0, "IX")])
-        assert _low_cosets(tie, 1, h_norm(tie)).tolist() == [[0, 2], [1, 3]]
+        candidates, minima, starts, bound = _disc_components(tie, 1, slack(tie))
+        assert bound == -1.0 and candidates.tolist() == [1, 0] and minima.tolist() == [-1.0, 1.0]
+        assert np.count_nonzero(starts <= bound, axis=1).tolist() == [2, 2]
         above = Operator.from_label_terms([(1.0, "ZI"), (1.999, "IX")])
-        assert _low_cosets(above, 1, h_norm(above)).tolist() == [[1, 3]]
+        candidates, _, starts, bound = _disc_components(above, 1, slack(above))
+        assert candidates.tolist() == [1] and np.count_nonzero(starts <= bound, axis=1).tolist() == [2]
         for op, ground in ((tie, -3.0), (above, -2.999)):
             lan = lanczos_extremal(op, k=1, seed=0)
             assert lan.eigenvalues[0] == pytest.approx(ground, abs=1e-12)
 
-    def test_at_most_k_cosets_are_all_kept(self):
-        """The N = 8 Heisenberg-0.05 chain has two cosets: both kept at
-        k = 2, with no bound read; at k = 1 only the ground level's."""
-        op = chain_with(8, HEISENBERG)
-        assert len(op.flip_span.cosets) == 2
-        assert _low_cosets(op, 2, h_norm(op)) is op.flip_span.cosets
-        (row,) = _low_cosets(op, 1, h_norm(op))
-        assert np.array_equal(row, op.flip_span.cosets[dense_spectrum(op).block_of[0]])
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_heisenberg_halves_count_one_level_each(self, caplog, n):
+        """The Heisenberg-0.05 chain's cosets split into global-flip halves.
+        The ground coset's two halves each have an isolated lowest disc, so
+        each counts 1 at k = 2 and is solved for one pair; the other coset's
+        halves count 0 and are never solved."""
+        op = chain_with(n, HEISENBERG)
+        rows, parities = op.sectors
+        assert parities.tolist() == [1.0, 1.0, -1.0, -1.0]
+        candidates, _, starts, bound = _disc_components(op, 2, slack(op))
+        assert candidates.tolist() == [0, 2] and np.count_nonzero(starts <= bound, axis=1).tolist() == [1, 1]
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(op, k=2, seed=100)
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        assert record.args[6:] == (1 << (n - 1), 1 << n, 2, 4)
+        assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:2])) < 1e-10
+
+    def test_ghz_pair_lands_in_opposite_halves_with_exact_parity(self):
+        """On the N = 12 Heisenberg-0.05 chain at k = 2 the two vectors come
+        from opposite global-flip halves and keep their parity bit for bit,
+        v[i ^ (2^N - 1)] = p v[i]; so the GHZ overlap of the wrong parity is
+        exactly 0.0, and the GHZ+ and GHZ- states are two different pairs."""
+        lan = lanczos_extremal(chain_with(12, HEISENBERG), k=2, seed=100)
+        flipped = np.arange(1 << 12) ^ ((1 << 12) - 1)
+        parities = [1 if np.array_equal(v[flipped], v) else -1 for v in dense_vectors(lan)]
+        assert sorted(parities) == [-1, 1]
+        for v, p in zip(dense_vectors(lan), parities):
+            assert np.array_equal(v[flipped], p * v)
+        report = ghz_overlap_report(lan, 12)
+        for i, p in enumerate(parities):
+            right, wrong = (report.overlap_plus[i], report.overlap_minus[i])[:: p]
+            assert wrong == 0.0 and right > 0.9
+        assert report.best_plus_index != report.best_minus_index
+
+    def test_a_sole_natural_sector_goes_through_operator_matvec(self, monkeypatch, caplog):
+        """A y field breaks the global flip and spans every mask: one sector,
+        the whole basis in natural order, solved through Operator.matvec call
+        for call, with the accepting checks as its residuals."""
+        op = PRUNED_FAMILIES["y_field"](8)
+        assert op.sectors[1] is None and op.sectors[0].shape == (1, 256)
+        counter = count_matvecs(monkeypatch)
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(op, k=2, seed=100)
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        assert counter["operator"] == counter["matvecs"] == record.args[2] > 0
+        assert record.args[6:] == (256, 256, 1, 1)
+        assert np.array_equal(lan.residuals, matvec_residuals(op, lan))
 
     def test_diagonal_operator(self, caplog):
-        """Rank 0: every coset is one basis state, each disc a point, so the
-        kept states are those at or below the k-th smallest diagonal entry:
-        at k = 3 on sum_i Z_i, the 1 + 6 states of the levels -6 and -4."""
+        """Rank 0: every sector is one basis state, each disc a point, so the
+        solved states are those at or below the k-th smallest diagonal entry:
+        at k = 3 on sum_i Z_i, the 1 + 6 states of the levels -6 and -4 (the
+        six at -4 tie, and none of them can be left out)."""
         op = TestInvariantBlocks.OPERATORS["uniform_z"]()
         with caplog.at_level("INFO", logger="tcspin"):
             lan = lanczos_extremal(op, k=3, seed=0)
@@ -602,30 +690,38 @@ class TestStartStream:
     @pytest.mark.parametrize("name", ["real", "complex"])
     def test_start_vectors_read_the_stream_in_turn(self, monkeypatch, name):
         """The first start vector is the stream from position 0, normalized:
-        dim entries, or for a complex operator dim for the real part and the
-        next dim for the imaginary part. The second starts where the first
-        ended, with the first pair projected out of it. Both operators keep
-        their one coset: the solve spans all 256 states."""
+        dim entries for a sector of dim states, or for a complex operator
+        dim for the real part and the next dim for the imaginary part. The
+        second starts where the first ended. The real N = 8 Heisenberg chain
+        takes its two pairs from two global-flip halves of 64 states, so
+        nothing is projected out of the second start; the complex chain
+        takes both from one coset of 128, and the first pair is projected
+        out of the second."""
         op = chain_n8(HEISENBERG if name == "real" else "dzyaloshinskii_moriya")
         starts = record_start_vectors(monkeypatch)
         lan = lanczos_extremal(op, k=2, seed=5)
-        stream = functools.partial(tcspin.spectra._splitmix64_uniform, 5, count=256)
+        dim = 64 if name == "real" else 128
+        stream = functools.partial(tcspin.spectra._splitmix64_uniform, 5, count=dim)
         if name == "real":
-            v0, v1 = stream(0), stream(256)
+            v0, v1 = stream(0), stream(dim)
         else:
-            v0, v1 = stream(0) + 1j * stream(256), stream(512) + 1j * stream(768)
+            v0, v1 = stream(0) + 1j * stream(dim), stream(2 * dim) + 1j * stream(3 * dim)
+            (coset,) = [row for row in op.sectors[0] if np.any(lan.vector(0)[row])]
+            found = lan.vector(0)[coset]  # the lower pair, converged first
+            v1 = v1 - found * np.vdot(found, v1)
         assert [v.dtype for v in starts] == [v0.dtype] * 2
         assert np.allclose(starts[0], v0 / np.linalg.norm(v0), rtol=0, atol=1e-15)
-        found = lan.coeffs[0]  # the lower pair, converged first
-        v1 = v1 - found * np.vdot(found, v1)
         assert np.allclose(starts[1], v1 / np.linalg.norm(v1), rtol=0, atol=1e-12)
 
     def test_seeds_give_different_vectors_and_one_seed_the_same(self, monkeypatch):
         starts = record_start_vectors(monkeypatch)
         op = chain_with(10, HEISENBERG)
+        first = []
         for seed in (1, 2, 1):
+            first.append(len(starts))
             lanczos_extremal(op, k=1, seed=seed)
-        assert not np.allclose(starts[0], starts[1]) and np.array_equal(starts[0], starts[2])
+        a, b, c = (starts[i] for i in first)
+        assert not np.allclose(a, b) and np.array_equal(a, c)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_the_stream_rejected(self, seed):
@@ -634,15 +730,25 @@ class TestStartStream:
 
 
 def count_matvecs(monkeypatch) -> dict:
-    """Count every Operator.matvec call in ``counter["matvecs"]``."""
-    counter = {"matvecs": 0}
-    matvec = Operator.matvec
+    """Count in ``counter["matvecs"]`` every matvec that lanczos_extremal's
+    one-pair solves make, whether it is Operator.matvec or the groups cut
+    to a sector, and every Operator.matvec call in ``counter["operator"]``."""
+    counter = {"matvecs": 0, "operator": 0}
+    solve, matvec = tcspin.spectra._lowest_deflated_eigenpair, Operator.matvec
 
-    def counting(self, v):
-        counter["matvecs"] += 1
+    def counted(apply):
+        def counting(*args):
+            counter["matvecs"] += 1
+            return apply(*args)
+
+        return counting
+
+    def operator_counting(self, v):
+        counter["operator"] += 1
         return matvec(self, v)
 
-    monkeypatch.setattr(Operator, "matvec", counting)
+    monkeypatch.setattr(tcspin.spectra, "_lowest_deflated_eigenpair", lambda apply, *args: solve(counted(apply), *args))
+    monkeypatch.setattr(Operator, "matvec", operator_counting)
     return counter
 
 
