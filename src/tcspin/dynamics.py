@@ -10,17 +10,21 @@ A psi, stopped by an a-posteriori bound and capped a priori, run only on
 the invariant sectors of H (:attr:`~tcspin.pauli.Operator.sectors`) that
 carry A psi; the parts it leaves out and the rule share one error budget.
 :func:`evolve` and the correlator of an arbitrary state
-(:func:`correlator_krylov_general`) apply a Chebyshev expansion of e^{-iHt}
-over a Gershgorin window of H, cut a priori by a Bessel tail bound, to full
-vectors, one fixed-dt propagator per time step.
+(:func:`correlator_krylov_general`) propagate full vectors by Lanczos
+windows: short runs that each serve as many time samples as their
+a-posteriori bound allows, and restart from the last one. Both kinds of run
+take their steps and checks from one loop (:func:`_krylov_checks`), and
+their a-priori caps from one closed-form Chebyshev tail (:func:`_tail_order`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +35,7 @@ from .spectra import EPS, SpectrumResult, _lanczos_step, _next_check
 
 log = logging.getLogger(__name__)
 _KRYLOV_RECORD = "krylov correlator: %d amplitudes kept, %d Lanczos steps (cap %d), bound %.3g, dropped %.3g"
+_GENERAL_RECORD = "krylov general correlator: %d windows, %d Lanczos steps, window bound %.3g, trajectory bound %.3g of %.3g"
 
 EIGENSTATE_RESIDUAL_TOL = 1e-8
 
@@ -197,197 +202,40 @@ def correlator_spectral(
     return CorrelationSeries(grid=grid, values=values, method="spectral")
 
 
-def _miller_start(z: np.ndarray) -> np.ndarray:
-    """Start order of Miller's recurrence for J_k(z), z > 0: there J_k(z) is
-    far below double precision relative to the largest J_k(z)."""
-    return (z + 30.0 + 8.0 * np.cbrt(z)).astype(np.intp)
+def _tail_order(z: float, scale: float, budget: float) -> int:
+    """The smallest K > z with 2 scale sum_{k>K} (z/2)^k / k! <= budget, z >= 0:
+    cutting e^{-izx} = sum_k (2 - delta_k0) (-i)^k J_k(z) T_k(x) after K errs
+    by at most 2 sum_{k>K} |J_k(z)| on [-1, 1], |J_k(z)| <= (z/2)^k / k! (A&S
+    9.1.62), and past z that sum is under its first term / (1 - z / (2K + 4))."""
 
+    def meets(k: int) -> bool:
+        tail = (k + 1) * math.log(0.5 * z) - math.lgamma(k + 2) - math.log1p(-z / (2.0 * (k + 2))) if z else -math.inf
+        return tail <= math.log(budget / (2.0 * scale))
 
-def _bessel_column(z: float) -> np.ndarray:
-    """J_k(z) for k = 0 .. the start order, z >= 0.
-
-    Miller's backward recurrence J_{k-1} = (2k/z) J_k - J_{k+1}, seeded with
-    1 at the start order and normalized by J_0 + 2 sum_k J_{2k} = 1. Values
-    past 2^500 scale the column by 2^-500, so nothing overflows. z <= 1e-30
-    gives J_0 = 1 alone.
-    """
-    if z <= 1e-30:
-        return np.ones(1)
-    top = int(_miller_start(np.float64(z)))
-    col = np.zeros(top + 2)
-    col[top] = 1.0
-    for k in range(top, 0, -1):
-        col[k - 1] = (2.0 * k / z) * col[k] - col[k + 1]
-        if abs(col[k - 1]) > 2.0**500:
-            col[k - 1 :] *= 2.0**-500
-    col = col[: top + 1]
-    return col / (col[0] + 2.0 * col[2::2].sum())
-
-
-def _chebyshev_vectors(matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float):
-    """phi_k = T_k(H~) phi for k = 0, 1, ... with H~ = (H - centre) / half_width.
-
-    ``matvec`` applies H; ``h_phi`` = H phi gives phi_1 without a matvec;
-    each later vector costs one, and only when it is asked for.
-    """
-    yield phi
-    prev, cur = phi, (h_phi - centre * phi) / half_width
-    while True:
-        yield cur
-        nxt = matvec(cur)
-        nxt -= centre * cur
-        nxt *= 2.0 / half_width
-        nxt -= prev
-        prev, cur = cur, nxt
-
-
-def _window(interval: tuple[float, float]) -> tuple[float, float]:
-    """Centre c and half-width a of the Chebyshev window [c - a, c + a].
-
-    ``interval`` is a Gershgorin enclosure of the spectrum that the vectors
-    see (:func:`~tcspin.pauli.gershgorin_interval`); its half-width is
-    padded by a relative 1e-4, so ||T_k(H~)|| <= 1 for H~ = (H - c) / a.
-    """
-    lo, hi = interval
-    return 0.5 * (lo + hi), 0.5 * (hi - lo) * (1.0 + 1e-4)
-
-
-def _chebyshev_order(z: float, scale: float, budget: float) -> tuple[int, np.ndarray]:
-    """Order K and J_k(z) for k = 0 .. K, z >= 0.
-
-    K is the smallest order above z with 2 * scale * sum_{k>K} |J_k(z)| <=
-    budget: cutting e^{-izx} = sum_k (2 - delta_k0) (-i)^k J_k(z) T_k(x)
-    after K moves it by at most 2 sum_{k>K} |J_k(z)| on [-1, 1]. For k > z,
-    J_k(z) grows with z, so K also bounds every smaller z.
-    """
-    col = _bessel_column(z)
-    tail = np.append(np.cumsum(np.abs(col)[::-1])[::-1][1:], 0.0)  # tail[k] = sum_{j>k}
-    order = min(int(z) + 1, len(col) - 1)
-    order += int(np.argmax(2.0 * scale * tail[order:] <= budget))
-    return order, col[: order + 1]
-
-
-def _expansion_weights(order: int) -> np.ndarray:
-    """(2 - delta_k0) (-i)^k for k = 0 .. order."""
-    weights = np.array([2.0, -2j, -2.0, 2j])[np.arange(order + 1) % 4]
-    weights[0] = 1.0
-    return weights
+    lo = hi = int(z) + 1
+    while not meets(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # meets(hi), and not meets(lo)
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if meets(mid) else (mid, hi)
+    return hi
 
 
 def _check_step_tol(step_tol: float) -> None:
-    if not step_tol > 0.0:  # also rejects NaN, which would cut every series at order a t + 1
+    if not step_tol > 0.0:  # also rejects NaN, which no bound is ever under
         raise ValueError(f"step_tol must be positive, got {step_tol}")
 
 
-def _propagator(op: Operator, dt: float, step_tol: float):
-    """v, [H v] -> e^{-iH dt} v within step_tol * ||v||, for one fixed dt.
-
-    e^{-iH dt} = e^{-ic dt} sum_k (2 - delta_k0) (-i)^k J_k(a dt) T_k(H~) on
-    the window of :func:`_window` (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
-    3967 (1984)), with J_k(-z) = (-1)^k J_k(z) for dt < 0. The coefficients
-    are built once, cut a priori at :func:`_chebyshev_order` with budget
-    ``step_tol``, and serve every call; a call costs a |dt| plus about 15
-    to 20 matvecs (one fewer when H v is passed) and holds three vectors.
-    """
-    centre, half_width = _window(op.gershgorin_interval())
-    order, col = _chebyshev_order(half_width * abs(dt), 1.0, step_tol)
-    coeffs = col * _expansion_weights(order) * np.exp(-1j * centre * dt)
-    if dt < 0:
-        coeffs[1::2] *= -1.0
-
-    def apply(v: np.ndarray, h_v: np.ndarray | None = None) -> np.ndarray:
-        vectors = _chebyshev_vectors(op.matvec, v, op.matvec(v) if h_v is None else h_v, centre, half_width)
-        out = np.zeros(len(v), dtype=np.complex128)
-        for c, vec in zip(coeffs, vectors):
-            out += c * vec
-        return out
-
-    return apply
-
-
-def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> StateVector:
-    """e^{-iHt} v for a normalized state, matrix-free, within ``step_tol``.
-
-    One matvec gives alpha = <v|H|v> and r = ||(H - alpha) v||. If
-    |t| r <= step_tol, v is an eigenvector to that accuracy (Duhamel) and the
-    result is e^{-i alpha t} v; otherwise it is one Chebyshev propagation
-    (:func:`_propagator`) of about a |t| matvecs, a the spectral half-width.
-    Either way the error is bounded a priori by ``step_tol``, so the norm is
-    kept to that accuracy. Raises ModelError for a non-Hermitian ``op`` and
-    ValueError for a non-finite ``t``.
-    """
-    _check_step_tol(step_tol)
-    _check_operands(op, v)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if abs(v.norm - 1.0) > 1e-10:
-        raise ValueError(f"evolve expects a normalized state (norm {v.norm})")
-    amps = v.amplitudes
-    h_v = op.matvec(amps)
-    alpha = float(np.vdot(amps, h_v).real)
-    if abs(t) * float(np.linalg.norm(h_v - alpha * amps)) <= step_tol:
-        return StateVector(v.n_sites, np.exp(-1j * alpha * t) * amps)
-    return StateVector(v.n_sites, _propagator(op, t, step_tol)(amps, h_v))
-
-
-def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
-    """Nodes theta_j and weights w_j, <phi|e^{-iHt}|phi> ~ sum_j w_j
-    e^{-i theta_j t} within ``budget`` for |t| <= ``t_max``, from a Lanczos
-    run on phi; returns (nodes, weights, steps m, the cap on m, the bound).
-    H is ``groups``, ``interval`` encloses H's spectrum
-    (||H|| <= h = max |interval|), and ``rounding`` = (G + 3) EPS h bounds
-    the rounding of a step of G groups summed in order and 3 subtractions.
-
-    m steps from q_1 = phi / ||phi|| give H Q_m = Q_m T_m + beta_m q_{m+1}
-    e_m^T, and T_m's eigenpairs (theta_j, u_j) are an m-node Gauss rule
-    (Golub & Meurant, Matrices, Moments and Quadrature, 2010): weights
-    ||phi||^2 u_1j^2 > 0 summing to ||phi||^2, exact for degree 2m - 1.
-
-    A posteriori, Duhamel on both sides (Saad, SIAM J. Numer. Anal. 29, 209
-    (1992)). With u(t) = e^{-iHt} q_1 and v(t) = Q_m e^{-iT_m t} e_1,
-    v' = -iHv + i beta_m g(t) q_{m+1}, g = e_m^T e^{-iT_m t} e_1, so
-    ||u - v|| <= eps(t) = beta_m int_0^|t| |g| (T_m is real: |g(-t)| =
-    |g(t)|). The rule's error is
-    q_1^H (u - v)(t) = -i beta_m int_0^t g(s) q_1^H e^{-iH(t-s)} q_{m+1} ds,
-    where q_1^H e^{-iH tau} q_{m+1} = (u(-tau) - v(-tau))^H q_{m+1}, as
-    q_{m+1} is orthogonal to Q_m. So it is at most ||phi||^2 eps(t)^2, and
-    eps(t_max) serves every sample. With g = sum_j c_j e^{-i theta_j t},
-    c_j = u_mj u_1j, Cauchy-Schwarz gives int_0^t |g| <= sqrt(t int_0^t
-    |g|^2), where int_0^t |g|^2 = sum_jk c_j c_k sin(D_jk t) / D_jk,
-    D_jk = theta_j - theta_k: m^2 sines, no time samples.
-
-    Round-off: in floating point an F_m joins that relation and the basis
-    is orthonormal only to eta. The same two steps then add
-    ||phi||^2 (1 + eps) rho, rho = sqrt(m) eta + t_max ||F_m||, where
-    sqrt(m) eta bounds ||Q_m^H q_1 - e_1|| and ||Q_m^H q_{m+1}||. A column
-    of F_m is at most ``rounding`` (which also covers a node's phase over
-    t_max) plus what a Gram-Schmidt pass took out of w, measured. The run
-    stops at the first check (m = 1, 4, 8, ...:
-    :func:`~tcspin.spectra._next_check`) with ||phi||^2 (eps^2 + (1 + eps) rho)
-    <= ``budget``. At m = 1, eps = t_max ||(H - alpha) phi|| / ||phi||: a
-    phi that is an eigenvector to that accuracy costs one matvec. Its steps
-    (:func:`~tcspin.spectra._lanczos_step`) keep eta = min(sqrt(EPS),
-    budget / (||phi||^2 h t_max)), the accuracy the budget asks of the
-    phases (sqrt(EPS) when h = 0); a larger eta makes rarer passes take out
-    more, and rho grow.
-
-    A priori, the rule errs by at most 2 ||phi||^2 times the best uniform
-    approximation of e^{-ixt} of degree 2m - 1 on the spectrum, bounded by
-    the Chebyshev cut of :func:`_chebyshev_order`: m is capped where 2m - 1
-    reaches that order for budget / 2, and there the error is within
-    ``budget`` in exact arithmetic (reported if smaller). That order is
-    above z = a t_max (a the window's half-width), so from z >= 2 dim on
-    the cap is the dimension, with no Bessel column. A breakdown,
-    beta_m <= 1e-13 h, stops the run, its beta_m in eps.
-    """
+def _krylov_checks(matvec, phi: np.ndarray, norm: float, h_norm: float, rounding: float, eta: float, cap: int):
+    """The module's one Lanczos loop: at most ``cap`` steps of
+    :func:`~tcspin.spectra._lanczos_step` from q_1 = phi / ``norm`` (=
+    ||phi|| > 0), orthogonal to ``eta`` (``h_norm`` bounds ||H||), give H Q_m
+    = Q_m T_m + beta_m q_{m+1} e_m^T + F_m, a column of F_m at most
+    ``rounding`` plus what a Gram-Schmidt pass took out. At m = 1, 4, 8, ...
+    (:func:`~tcspin.spectra._next_check`), at the cap and at a breakdown
+    (beta_m <= 1e-13 h) it yields (Q_m as rows, T_m, T_m's eigenpairs,
+    beta_m, a squared bound on ||F_m||, whether the run is over)."""
     dim = len(phi)
-    h_norm = max(abs(interval[0]), abs(interval[1]))
-    scale = float(np.vdot(phi, phi).real)
-    z = _window(interval)[1] * t_max
-    cap = dim if z >= 2 * dim else min(_chebyshev_order(z, scale, 0.5 * budget)[0] // 2 + 1, dim)
-    eta = min(math.sqrt(EPS), budget / (scale * h_norm * t_max)) if h_norm else math.sqrt(EPS)
-    matvec = functools.partial(apply_groups, groups)
-    norm = math.sqrt(scale)
     # the first step reads H phi / ||phi||, which rounds unlike H (phi / ||phi||)
     h_q, beta, again = matvec(phi) / norm, 0.0, False
     # the basis, T and the overlaps grow by doubling: memory follows m, not the cap
@@ -395,7 +243,7 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
     basis[0] = phi / norm
     small, omega = np.zeros((2, len(basis), len(basis)))
     omega[0, 0] = 1.0
-    defect = 0.0  # squared bound on ||F_m||, column by column
+    defect = 0.0
     check = 1
     for j in range(cap):
         w, beta, w_omega, again, unpassed = _lanczos_step(
@@ -405,17 +253,12 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
         removed = 0.0 if unpassed is w else float(np.linalg.norm(unpassed - w))
         defect += (rounding + removed) ** 2
         m = j + 1
-        breakdown = beta <= 1e-13 * h_norm
-        if m in (check, cap) or breakdown:
+        last = m == cap or beta <= 1e-13 * h_norm
+        if m == check or last:
             check = _next_check(m)
-            nodes, vectors = np.linalg.eigh(small[:m, :m])
-            c = vectors[0] * vectors[-1]
-            energy = t_max * float(c @ np.sinc(np.subtract.outer(nodes, nodes) * (t_max / math.pi)) @ c)
-            eps_m = beta * math.sqrt(t_max * max(energy, 0.0))
-            rho = math.sqrt(m) * eta + t_max * math.sqrt(defect)
-            bound = scale * (eps_m * eps_m + (1.0 + eps_m) * rho)
-            if bound <= budget or m == cap or breakdown:
-                break
+            yield basis[:m], small[:m, :m], *np.linalg.eigh(small[:m, :m]), beta, defect, last
+            if last:
+                return
         if m == len(basis):
             grow = min(m, cap - m)
             basis = np.concatenate([basis, np.empty((grow, dim), dtype=basis.dtype)])
@@ -424,9 +267,177 @@ def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float
         small[j, m] = small[m, j] = beta
         omega[m, :m] = omega[:m, m] = w_omega
         omega[m, m] = 1.0
-    if m == cap:
+
+
+_PANEL_TOL = 1e-32  # the most an interval between two times adds to _served's quadrature
+
+
+@functools.cache
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:  # numpy.polynomial is imported on first use
+    return np.polynomial.legendre.leggauss(order)
+
+
+def _served(check: tuple, reach: np.ndarray, share: np.ndarray) -> tuple[int, float]:
+    """(n, bound): a check of :func:`_krylov_checks` keeps beta_m sqrt(tau
+    int_0^tau |g|^2) + tau (||F_m|| + ||T_m - U Theta U^T||) within ``share``
+    at the n leading offsets tau of ``reach``, ``bound`` at the n-th. The
+    sinc sum of :func:`_gauss_rule` loses int_0^tau |g|^2 below EPS tau to
+    cancellation; Gauss-Legendre of |g| + (m + 1) EPS on each interval of
+    length h between offsets does not, and errs by at most 4 h times the
+    Chebyshev tail past 2K - 1 at (the nodes' spread) h / 2: <= _PANEL_TOL."""
+    _, matrix, nodes, vectors, beta, defect, _ = check
+    c = vectors[0] * vectors[-1]
+    drift = math.sqrt(defect) + float(np.linalg.norm(matrix - (vectors * nodes) @ vectors.T))
+    energy, lower, n, bound = 0.0, 0.0, 0, 0.0
+    for upper, limit in zip(reach.tolist(), share.tolist()):
+        if (h := upper - lower) > 0.0:
+            x, w = _legendre(_tail_order(0.5 * float(nodes[-1] - nodes[0]) * h, 2.0 * h, _PANEL_TOL) // 2 + 1)
+            g = np.abs(np.exp(-1j * np.outer(lower + 0.5 * h * (1.0 + x), nodes)) @ c) + (len(nodes) + 1) * EPS
+            energy += 0.5 * h * float(w @ (g * g)) + _PANEL_TOL
+            lower = upper
+        at = beta * math.sqrt(upper * energy) + upper * drift
+        if at > limit:
+            break
+        n, bound = n + 1, at
+    return n, bound
+
+
+# A window ends once it serves a time from this step on: the last check within the basis's
+# first 64 rows, and the fastest of 40 ... 127 on the Heisenberg ghz_pair rows (CHANGES.md)
+_WINDOW_STEPS = 63
+
+
+def _trajectory(op: Operator, v: np.ndarray, times: np.ndarray, budget: float, tally: Counter):
+    """Yields e^{-iHt} v at each t of ``times`` (ascending) from Lanczos
+    windows (Park & Light, J. Chem. Phys. 85, 5870 (1986); Hochbruck &
+    Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), within ``budget`` ||v||.
+
+    A time at the current vector's time s is served by it, others by a
+    window of :func:`_krylov_checks` from v(s), which may spend the budget's
+    share of the path 0 -> t_0 -> t_last up to them (e^{-iHt} is unitary, so
+    errors add). Its error is at most ||v(s)|| (beta_m int_0^|tau| |g| + |tau|
+    ||F_m||) (Duhamel as in :func:`_gauss_rule`, with no inner product;
+    :func:`_served`), and eta = min(sqrt(EPS), budget per unit time / h)
+    keeps the passes' part of F_m about within it. The window ends at the
+    first check that serves every time left, serves some from
+    :data:`_WINDOW_STEPS` steps on, or ends the run: a breakdown serves a
+    time at least, and the cap (the first time's a-priori order, at least
+    :data:`_WINDOW_STEPS`, at most the dimension) every time whose order is
+    within it, as m steps err by at most 2 ||v|| times the best degree m - 1
+    approximation of e^{-ix tau} on the spectrum in exact arithmetic (Saad,
+    SIAM J. Numer. Anal. 29, 209 (1992)). It yields ||v(s)|| Q_m e^{-iT_m
+    tau} e_1 (e^{-i alpha tau} v(s) at m = 1); the next starts from the last.
+    ``tally`` gains the windows, steps, largest window bound and their sum.
+    """
+    lo, hi = op.gershgorin_interval()
+    h_norm, half_width = max(abs(lo), abs(hi)), 0.5 * (hi - lo) * (1.0 + 1e-4)
+    rounding = (len(op._groups) + 3) * EPS * h_norm
+    path = abs(times[0]) + (times[-1] - times[0])
+    eta = min(math.sqrt(EPS), budget / (path * h_norm)) if path * h_norm else math.sqrt(EPS)
+    start, k = 0.0, 0
+    while k < len(times):
+        if times[k] == start:
+            yield v
+            k += 1
+            continue
+        norm = float(np.linalg.norm(v))
+        if norm == 0.0:  # e^{-iHt} 0 = 0
+            yield from (v for _ in times[k:])
+            return
+        offsets = times[k:] - start
+        reach = np.maximum.accumulate(np.abs(offsets))
+        share = (budget / path) * (abs(offsets[0]) + (offsets - offsets[0]))
+        orders = (_tail_order(half_width * r, 1.0, 0.5 * s) + 1 for r, s in zip(reach, share))
+        cap = min(max(next(orders), _WINDOW_STEPS), len(v))
+        for check in _krylov_checks(op.matvec, v, norm, h_norm, rounding, eta, cap):
+            served, bound = _served(check, reach, share)
+            basis, _, nodes, vectors, _, _, last = check
+            if len(nodes) == cap:
+                apriori = len(reach) if cap == len(v) else 1 + len(list(itertools.takewhile(cap.__ge__, orders)))
+                served, bound = (apriori, float(share[apriori - 1])) if apriori > served else (served, bound)
+            elif last and not served:
+                served, bound = _served(check, reach[:1], np.full(1, math.inf))
+            if served == len(reach) or last or (served and len(nodes) >= _WINDOW_STEPS):
+                break
+        tally.update(windows=1, steps=len(nodes), bound=bound)
+        tally["largest"] = max(tally["largest"], bound)
+        first = v
+        for tau in offsets[:served]:
+            if len(nodes) == 1:
+                v = np.exp(-1j * nodes[0] * tau) * first
+            else:
+                v = (norm * vectors @ (np.exp(-1j * nodes * tau) * vectors[0])) @ basis
+            yield v
+        start, k = times[k + served - 1], k + served
+
+
+def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> StateVector:
+    """e^{-iHt} v for a normalized state within ``step_tol``: one window of
+    :func:`_trajectory` (an eigenvector to that accuracy costs one matvec and
+    returns e^{-i <v|H|v> t} v; t = 0 returns v). ModelError for a
+    non-Hermitian ``op``, ValueError for a non-finite ``t``."""
+    _check_step_tol(step_tol)
+    _check_operands(op, v)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if abs(v.norm - 1.0) > 1e-10:
+        raise ValueError(f"evolve expects a normalized state (norm {v.norm})")
+    (out,) = _trajectory(op, v.amplitudes, np.array([t]), step_tol, Counter())
+    return StateVector(v.n_sites, out.copy())  # at t = 0, out is v's own array
+
+
+def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
+    """Nodes theta_j and weights w_j, <phi|e^{-iHt}|phi> ~ sum_j w_j
+    e^{-i theta_j t} within ``budget`` for |t| <= ``t_max``, from a Lanczos
+    run on phi (:func:`_krylov_checks`); returns (nodes, weights, steps m,
+    the cap on m, the bound). H is ``groups``, ``interval`` encloses H's
+    spectrum (||H|| <= h = max |interval|), and ``rounding`` = (G + 3) EPS h
+    bounds the rounding of a step of G groups and 3 subtractions (and a
+    node's phase over t_max). T_m's eigenpairs (theta_j, u_j) are an m-node
+    Gauss rule (Golub & Meurant, Matrices, Moments and Quadrature, 2010):
+    weights ||phi||^2 u_1j^2 > 0 summing to ||phi||^2, exact to degree 2m - 1.
+
+    A posteriori, Duhamel on both sides (Saad, SIAM J. Numer. Anal. 29, 209
+    (1992)). With u(t) = e^{-iHt} q_1 and v(t) = Q_m e^{-iT_m t} e_1, v' =
+    -iHv + i beta_m g(t) q_{m+1}, g = e_m^T e^{-iT_m t} e_1, so ||u - v|| <=
+    eps(t) = beta_m int_0^|t| |g| (|g(-t)| = |g(t)|, T_m real). The rule's
+    error q_1^H (u - v)(t) = -i beta_m int_0^t g(s) (u(s - t) - v(s -
+    t))^H q_{m+1} ds, as q_{m+1} is orthogonal to Q_m, is at most ||phi||^2
+    eps(t)^2, and eps(t_max) serves every sample. With g = sum_j c_j e^{-i
+    theta_j t}, c_j = u_mj u_1j, Cauchy-Schwarz gives int_0^t |g| <= sqrt(t
+    int_0^t |g|^2) = sqrt(t sum_jk c_j c_k sin(D_jk t) / D_jk), D_jk =
+    theta_j - theta_k: m^2 sines, no time samples.
+
+    Round-off: F_m joins that relation and the basis is orthonormal only to
+    eta = min(sqrt(EPS), budget / (||phi||^2 h t_max)), which adds ||phi||^2
+    (1 + eps) rho, rho = sqrt(m) eta + t_max ||F_m||; sqrt(m) eta bounds
+    ||Q_m^H q_1 - e_1|| and ||Q_m^H q_{m+1}||. The run stops at the first
+    check with ||phi||^2 (eps^2 + (1 + eps) rho) <= ``budget``. At m = 1, eps
+    = t_max ||(H - alpha) phi|| / ||phi||: an eigenvector costs one matvec.
+
+    A priori, the rule errs by at most 2 ||phi||^2 times the best uniform
+    approximation of e^{-ixt} of degree 2m - 1 on the spectrum: m is capped
+    where 2m - 1 reaches :func:`_tail_order` for budget / 2 at z = a t_max,
+    within ``budget`` in exact arithmetic (reported if smaller). A
+    breakdown stops the run, its beta_m in eps.
+    """
+    h_norm = max(abs(interval[0]), abs(interval[1]))
+    scale = float(np.vdot(phi, phi).real)
+    half_width = 0.5 * (interval[1] - interval[0]) * (1.0 + 1e-4)  # of the Chebyshev window, padded
+    cap = min(_tail_order(half_width * t_max, scale, 0.5 * budget) // 2 + 1, len(phi))
+    eta = min(math.sqrt(EPS), budget / (scale * h_norm * t_max)) if h_norm else math.sqrt(EPS)
+    run = _krylov_checks(functools.partial(apply_groups, groups), phi, math.sqrt(scale), h_norm, rounding, eta, cap)
+    for _, _, nodes, vectors, beta, defect, _ in run:
+        c = vectors[0] * vectors[-1]
+        energy = t_max * float(c @ np.sinc(np.subtract.outer(nodes, nodes) * (t_max / math.pi)) @ c)
+        eps_m = beta * math.sqrt(t_max * max(energy, 0.0))
+        rho = math.sqrt(len(nodes)) * eta + t_max * math.sqrt(defect)
+        bound = scale * (eps_m * eps_m + (1.0 + eps_m) * rho)
+        if bound <= budget:
+            break
+    if len(nodes) == cap:
         bound = min(bound, budget)
-    return nodes, scale * vectors[0] ** 2, m, cap, bound
+    return nodes, scale * vectors[0] ** 2, len(nodes), cap, bound
 
 
 def _drop_light(mass: np.ndarray, allowance: float) -> tuple[np.ndarray, float]:
@@ -459,9 +470,7 @@ def correlator_krylov(
     ~ sum_j w_j e^{-i (theta_j - E_psi) t}, the Gauss rule of
     :func:`_gauss_rule` from m Lanczos steps on phi (Gagliano & Balseiro,
     Phys. Rev. Lett. 59, 2999 (1987)): m matvecs and m x n_samples
-    exponentials serve every sample. A phi carried by a few eigenvectors
-    takes a few steps, where a Chebyshev moment series takes about
-    a max|t| / 2 matvecs whatever phi is, a the spectral half-width.
+    exponentials serve every sample; a phi in a few eigenvectors takes a few.
 
     The error of every sample is bounded by B = (n_samples - 1) *
     ``step_tol``, spent in two parts:
@@ -536,36 +545,25 @@ def correlator_krylov_general(
 ) -> CorrelationSeries:
     """C(t) = <psi(t)| A |chi(t)> with chi = A psi, for an arbitrary state.
 
-    Two trajectories are propagated instead of one, lifting the eigenstate
-    requirement of :func:`correlator_krylov` (needed e.g. for a superposition
-    of the two GHZ-like eigenstates). Both jump to ``t_start`` (unless it is
-    0) and then step by the grid spacing, with one :func:`_propagator` per
-    distinct dt: 2 (a dt + about 17) matvecs per sample. A state confined to
-    a few eigenvectors pays that too; the propagator does not adapt to it.
-
-    The budget B = (n_samples - 1) * ``step_tol`` of :func:`correlator_krylov`
-    is split evenly over the m propagations of each trajectory: each is cut
-    at B / 2m times the norm it moves. The cut is the same at every step, so
-    its errors can add up coherently, but a trajectory stays within B / 2 of
-    exact relative to its norm, and |Delta C| <= B ||A|| ||psi|| ||A psi||
-    to first order in B.
-
-    Raises ModelError for a non-Hermitian ``op`` or ``a``.
+    Two trajectories lift the eigenstate requirement of
+    :func:`correlator_krylov` (e.g. for a superposition of the two GHZ-like
+    eigenstates), each by Lanczos windows on the full vectors
+    (:func:`_trajectory`) within half the budget B = (n_samples - 1) *
+    ``step_tol`` relative to its norm, so |Delta C| <= B ||A|| ||psi|| ||A
+    psi|| to first order. A state in a few eigenvectors, such as a
+    ``ghz_pair`` of the bare chain (a coset of 4), takes one window. Each call
+    logs one ``info`` record: the windows and Lanczos steps (H matvecs) of
+    both, the largest window bound, and the larger trajectory bound with B /
+    2. Raises ModelError for a non-Hermitian ``op`` or ``a``.
     """
     _check_step_tol(step_tol)
     _check_operands(op, psi, a)
-    budget = (grid.n_samples - 1) * step_tol
-    cut = budget / (2 * (grid.n_samples - 1 + (grid.t_start != 0.0)))
-    top, chi = psi.amplitudes, a.matvec(psi.amplitudes)
-    if grid.t_start != 0.0:
-        jump = _propagator(op, grid.t_start, cut)
-        top, chi = jump(top), jump(chi)
-    step = _propagator(op, grid.spacing, cut)
-    values = np.empty(grid.n_samples, dtype=np.complex128)
-    values[0] = np.vdot(a.matvec(top), chi)
-    for i in range(1, grid.n_samples):
-        top, chi = step(top), step(chi)
-        values[i] = np.vdot(a.matvec(top), chi)
+    half, tallies = 0.5 * (grid.n_samples - 1) * step_tol, (Counter(), Counter())
+    top = _trajectory(op, psi.amplitudes, grid.times(), half, tallies[0])
+    chi = _trajectory(op, a.matvec(psi.amplitudes), grid.times(), half, tallies[1])
+    values = [np.vdot(a.matvec(x), y) for x, y in zip(top, chi)]
+    log.info(_GENERAL_RECORD, *(sum(x[key] for x in tallies) for key in ("windows", "steps")),
+             max(x["largest"] for x in tallies), max(x["bound"] for x in tallies), half)
     return CorrelationSeries(grid=grid, values=values, method="krylov_general")
 
 

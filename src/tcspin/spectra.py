@@ -398,8 +398,9 @@ def _lowest_deflated_eigenpair(
         matvecs += 1
         if resid <= tol:
             return (float(theta[0]), ritz, resid), matvecs
-        if beta == 0.0:
-            # invariant subspace exhausted: no restart can improve the pair
+        if beta == 0.0 or matvecs + 2 > budget:
+            # invariant subspace exhausted, so no restart can improve the
+            # pair, or no room left for a restarted cycle's step and check
             return None, matvecs
 
         tally["restarts"] += 1

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -538,6 +539,30 @@ class TestLogLevel:
             # k = 4 on the chain's two cosets, split in four global-flip
             # sectors of 64: all four are solved
             assert all(line.endswith("on 256 of 256 states (4 of 4 sectors)") for line in lanczos), proc.stderr
+
+    @pytest.mark.parametrize("level", [None, "info"])
+    def test_general_correlator_record(self, tmp_path, level):
+        # a ghz_pair takes the arbitrary-state route: one record of its windows
+        cfg = write_config(tmp_path, {**self.DOC, "initial_state": {"type": "ghz_pair"}})
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        env.pop("TCSPIN_DENSE_CAP", None)
+        args = [sys.executable, "-m", "tcspin.cli", "correlate", "--config", cfg, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            args + (["--log-level", level] if level else []),
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        records = [line for line in proc.stderr.splitlines() if "krylov general correlator" in line]
+        if level is None:
+            assert proc.stderr == ""
+        else:
+            assert len(records) == 1 and "krylov correlator" not in proc.stderr, proc.stderr
+            windows, steps, _, trajectory, half = re.fullmatch(
+                r"INFO tcspin\.dynamics: krylov general correlator: (\d+) windows, (\d+) Lanczos steps, "
+                r"window bound (\S+), trajectory bound (\S+) of (\S+)",
+                records[0],
+            ).groups()
+            assert 2 <= int(windows) <= int(steps) and float(trajectory) <= float(half) == 0.5 * 127 * 1e-12
 
 
 class TestValidateCommand:

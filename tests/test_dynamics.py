@@ -6,17 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 
 from tcspin import dynamics, pauli, sweep
 from tcspin.dynamics import (
     CorrelationSeries,
     TimeGrid,
-    _bessel_column,
-    _chebyshev_order,
-    _chebyshev_vectors,
-    _expansion_weights,
-    _window,
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
@@ -36,6 +30,7 @@ from tcspin.oscillator import OscillatorControl, cm_correlator_numeric
 from tcspin.pauli import Operator, StateVector, to_dense
 from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
 
+from chebyshev_oracle import _chebyshev_order, _unrestricted_series, _window
 from conftest import criterion_8_plan, dense_vectors, oracle_extract_oscillation, random_state, sweep_row_operator
 
 SIGMA_Z = Operator.from_label_terms([(1.0, "Z")])
@@ -221,6 +216,16 @@ def _full_lehmann(op, a, psi, times):
     return np.abs(amps) ** 2 @ np.exp(-1j * np.outer(energies - e_psi, times))
 
 
+def _general_lehmann(energies, columns, a_dense, psi, times):
+    """<psi(t)| A |chi(t)>, chi = A psi, from every eigenpair of the full
+    matrix (``energies``, ``columns``): the dense oracle of an arbitrary state."""
+    start, kicked = columns.conj().T @ psi.amplitudes, columns.conj().T @ (a_dense @ psi.amplitudes)
+    return np.array([
+        np.vdot(a_dense @ (columns @ (phase * start)), columns @ (phase * kicked))
+        for phase in np.exp(-1j * np.outer(times, energies))
+    ])
+
+
 class TestSpectralCorrelatorBlocks:
     """The Lehmann sum over the pairs of the touched blocks only, against the
     full matrix's eigenbasis (a different basis inside degenerate clusters
@@ -256,46 +261,6 @@ class TestSpectralCorrelatorBlocks:
 
 
 class TestChebyshevCorrelator:
-    # z <= 1e-5 takes the 2^-500 rescale of Miller's recurrence
-    @pytest.mark.parametrize("z", [0.0, 1e-20, 1e-8, 1e-5, 0.3, 50.0, 780.0])
-    def test_bessel_column_matches_scipy(self, z):
-        column = _bessel_column(z)
-        orders = np.arange(len(column))
-        assert np.max(np.abs(column - scipy.special.jv(orders, z))) < 1e-13
-
-    def test_bessel_series_matches_scipy(self):
-        z = np.array([0.0, 1e-20, 1e-8, 1e-5, 0.3, -0.3, 50.0, -50.0, 780.0, -780.0, 1e-40])
-        rng = np.random.default_rng(5)
-        coeffs = rng.normal(size=900) + 1j * rng.normal(size=900)
-        orders = np.arange(len(coeffs))
-        expected = [np.sum(coeffs * scipy.special.jv(orders, x)) for x in z]
-        # each J_k is within about 1e-14, and the 900 coefficients are O(1)
-        assert np.max(np.abs(_bessel_series(z, coeffs) - expected)) < 1e-12
-        for k in (0, 1, 2, 799):
-            unit = np.zeros(k + 1)
-            unit[k] = 1.0
-            assert np.max(np.abs(_bessel_series(z, unit) - scipy.special.jv(k, z))) < 1e-13
-
-    @pytest.mark.parametrize(
-        "z",
-        [
-            # grids through t = 0 and at negative t, scaled as the correlator scales them
-            6.5 * TimeGrid(-12.0, 12.0, 49).times(),
-            11.0 * TimeGrid(-60.0, 0.0, 33).times(),
-            13.3 * TimeGrid(0.0, 60.0, 128).times(),
-            # |z| <= 1e-5 takes the 2^-500 rescale, 1e-40 the z = 0 branch
-            np.array([1e-40, -1e-20, 1e-12, -3e-8, 1e-5, 0.0, -0.5, 7.0, -900.0]),
-        ],
-        ids=["symmetric", "negative", "positive", "rescaled"],
-    )
-    @pytest.mark.parametrize("complex_coeffs", [True, False])
-    def test_bessel_series_is_bit_identical_to_the_per_order_loop(self, z, complex_coeffs):
-        rng = np.random.default_rng(17)
-        coeffs = rng.normal(size=900)
-        if complex_coeffs:
-            coeffs = coeffs + 1j * rng.normal(size=900)
-        assert _bessel_series(z, coeffs).tobytes() == _bessel_series_per_order(z, coeffs).tobytes()
-
     @pytest.mark.parametrize("spec", PERTURBATIONS)
     @pytest.mark.parametrize("axis", ["z", "x", "y", "z+x/2"])
     @pytest.mark.parametrize("grid", [TimeGrid(-12.0, 12.0, 49), TimeGrid(5.0, 120.0, 192)])
@@ -384,115 +349,6 @@ class TestChebyshevCorrelator:
             correlator_krylov(op, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
 
 
-# The Chebyshev moment route that correlator_krylov ran before its Lanczos
-# quadrature, kept bit for bit as an oracle: the moment recursion of
-# _chebyshev_moments and the Bessel sum of _bessel_series, checked against
-# scipy and against its per-order reference form
-
-
-def _bessel_series(z: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] J_k(z_j) for every z_j, in O(len(z) + len(coeffs)) memory.
-
-    The recurrence of :func:`_bessel_column`, vectorized over z with each
-    column seeded at its own start order. The unnormalized sum and the
-    normalization J_0 + 2 sum_k J_{2k} are both linear in the column, so
-    they accumulate as the orders go down (and take the column's 2^-500
-    rescalings) and are divided once at the end; no table of orders by
-    samples is stored. Even and odd orders are summed apart, so that
-    J_k(-z) = (-1)^k J_k(z) gives negative z. |z| <= 1e-30 gives coeffs[0].
-    """
-    x = np.abs(z)
-    tiny = x <= 1e-30
-    x = np.where(tiny, 1.0, x)
-    starts = dynamics._miller_start(x)
-    # the samples whose column is seeded at each start order
-    by_start = np.argsort(starts, kind="stable")
-    orders, first = np.unique(starts[by_start], return_index=True)
-    seeded = dict(zip(orders.tolist(), np.split(by_start, first[1:])))
-    two_over_x = 2.0 / x
-    sums = np.zeros((2, len(z)), dtype=np.complex128)  # even and odd orders
-    term = np.empty(len(z), dtype=np.complex128)
-    even = np.zeros(len(z))  # unnormalized J_k over even k > 0, doubled (exactly) at the end
-    above = np.zeros(len(z))  # unnormalized J_{k+1}
-    cur = np.zeros(len(z))  # unnormalized J_k
-    below = np.empty(len(z))
-    for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
-        if k in seeded:
-            cur[seeded[k]] = 1.0
-        if k < len(coeffs):
-            sums[k % 2] += np.multiply(coeffs[k], cur, out=term)
-        if k == 0:
-            break
-        if k % 2 == 0:
-            even += cur
-        np.multiply(k, two_over_x, out=below)
-        below *= cur
-        below -= above
-        if np.abs(below).max() > 2.0**500:
-            big = np.abs(below) > 2.0**500
-            for arr in (below, cur, sums[0], sums[1], even):
-                arr[big] *= 2.0**-500
-        above, cur, below = cur, below, above
-    values = (sums[0] + np.sign(z) * sums[1]) / (2.0 * even + cur)
-    values[tiny] = coeffs[0]
-    return values
-
-
-def _chebyshev_moments(
-    matvec, phi: np.ndarray, h_phi: np.ndarray, centre: float, half_width: float, order: int
-) -> np.ndarray:
-    """mu_k = <phi|T_k(H~)|phi> for k = 0 .. order.
-
-    T_2k = 2 T_k^2 - 1 and T_2k+1 = 2 T_k+1 T_k - T_1 give two moments per
-    vector (Weisse et al., Rev. Mod. Phys. 78, 275 (2006), Sec. II), so
-    ceil(order / 2) matvecs do, counting the one that made ``h_phi``.
-    """
-    mu = np.empty(order + 1, dtype=np.complex128)
-    vectors = _chebyshev_vectors(matvec, phi, h_phi, centre, half_width)
-    prev = next(vectors)
-    mu[0] = np.vdot(prev, prev)
-    for k in range(1, (order + 1) // 2 + 1):
-        cur = next(vectors)
-        overlap = np.vdot(cur, prev)
-        mu[2 * k - 1] = overlap if k == 1 else 2.0 * overlap - mu[1]
-        if 2 * k <= order:
-            mu[2 * k] = 2.0 * np.vdot(cur, cur) - mu[0]
-        prev = cur
-    return mu
-
-
-def _bessel_series_per_order(z, coeffs):
-    """The reference form of :func:`_bessel_series`: it seeds the columns by
-    testing ``starts == k`` and builds the 2^-500 overflow mask at every
-    order, and accumulates 2 J_k into the normalization order by order."""
-    x = np.abs(z)
-    tiny = x <= 1e-30
-    x = np.where(tiny, 1.0, x)
-    starts = dynamics._miller_start(x)
-    two_over_x = 2.0 / x
-    sums = np.zeros((2, len(z)), dtype=np.complex128)
-    norm = np.zeros(len(z))
-    above = np.zeros(len(z))
-    cur = np.zeros(len(z))
-    for k in range(max(int(starts.max()), len(coeffs) - 1), -1, -1):
-        cur[starts == k] = 1.0
-        if k < len(coeffs):
-            sums[k % 2] += coeffs[k] * cur
-        if k % 2 == 0:
-            norm += cur if k == 0 else 2.0 * cur
-        if k == 0:
-            break
-        below = (k * two_over_x) * cur - above
-        big = np.abs(below) > 2.0**500
-        if big.any():
-            for arr in (below, cur, sums[0], sums[1], norm):
-                arr[big] *= 2.0**-500
-        above, cur = cur, below
-    values = (sums[0] + np.sign(z) * sums[1]) / norm
-    values[tiny] = coeffs[0]
-    return values
-
-
 # the perturbed plan's N = 12 rows: field seed and Lanczos seed 100
 ROW_PERTURBATIONS = {
     "heisenberg": PerturbationSpec("heisenberg_exchange", 0.05),
@@ -530,21 +386,6 @@ def _sector_lehmann(sectors, phi, e_psi, times):
         weights = np.abs(vectors.T @ phi[rows]) ** 2
         values += weights @ np.exp(-1j * np.outer(energies - e_psi, times))
     return values
-
-
-def _unrestricted_series(op, a, psi, e_psi, grid, step_tol):
-    """The Chebyshev moment series on the full space, with H's own matvec
-    and window: what correlator_krylov ran before it split phi by coset and
-    before its Lanczos quadrature; within B of exact."""
-    amps = psi.amplitudes if psi.amplitudes.imag.any() else psi.amplitudes.real
-    phi = a.matvec(amps)
-    times = grid.times()
-    centre, half_width = _window(op.gershgorin_interval())
-    norm = np.linalg.norm(phi)
-    scale = norm * norm
-    order, _ = _chebyshev_order(half_width * grid.t_end, scale, (grid.n_samples - 1) * step_tol)
-    mu = _chebyshev_moments(op.matvec, phi, op.matvec(phi), centre, half_width, order)
-    return _bessel_series(half_width * times, mu * _expansion_weights(order)) * np.exp(1j * (e_psi - centre) * times)
 
 
 def _drop_light_by_argsort(mass, allowance):
@@ -879,8 +720,9 @@ class TestLanczosQuadrature:
         with caplog.at_level("INFO", logger="tcspin"):
             correlator_krylov(op, magnetization_operator(12, "z"), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
         kept, steps, cap, bound, dropped = _krylov_record(caplog)
-        # m_z psi0 is one P sector of 1024 states; the a-priori cap is order 790 / 2
-        assert (kept, cap) == (1024, 396) and steps < 64
+        # m_z psi0 is one P sector of 1024 states; the a-priori cap is order
+        # 998 / 2 from the closed-form tail (the Bessel column's 790 / 2 was 396)
+        assert (kept, cap) == (1024, 500) and steps < 64
         assert bound + dropped <= (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
 
     def test_first_check_accepts_a_near_eigenvector(self, caplog):
@@ -913,34 +755,35 @@ class TestLanczosQuadrature:
         assert np.array_equal(series.values, np.ones(ROW_GRID.n_samples))
         assert _krylov_record(caplog)[:3] == (1, 1, 1)
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 16, 64, 256])
-    @pytest.mark.parametrize("budget", [1e-10, 1e-3])
-    def test_cap_needs_no_bessel_column_from_z_over_twice_the_dimension(self, dim, budget, monkeypatch):
-        # the Chebyshev order is above z, so the Bessel rule's cap is dim there too
-        calls = []
-        column = dynamics._bessel_column
-        monkeypatch.setattr(dynamics, "_bessel_column", lambda z: calls.append(z) or column(z))
-        groups = ((np.linspace(-1.0, 1.0, dim), None),)
-        phi = np.full(dim, 1.0 / np.sqrt(dim))
-        half_width = _window((-1.0, 1.0))[1]
-        for target in (0.5, 1.0, 2.5, dim - 0.5, 2 * dim - 2.5, 2 * dim - 1, 2 * dim - 0.5, 2 * dim, 2 * dim + 0.5,
-                       4 * dim, 10 * dim + 7):
-            if target <= 0:
-                continue
-            t_max = target / half_width
-            z = half_width * t_max  # as _gauss_rule forms it
-            calls.clear()
-            cap = dynamics._gauss_rule(groups, phi, (-1.0, 1.0), 0.0, t_max, budget)[3]
-            assert bool(calls) == (z < 2 * dim)
-            assert cap == min(_chebyshev_order(z, 1.0, 0.5 * budget)[0] // 2 + 1, dim), z
+    def test_cap_is_at_or_above_the_bessel_cap_and_the_steps_taken(self, quadrature_chains, monkeypatch, caplog):
+        # the closed-form tail of (z/2)^k / k! against the Bessel column's own
+        # tail (the oracle's order): never below it, and at most e/2 times it
+        for z in (0.0, 1e-12, 1e-3, 0.5, 1.0, 2.5, 7.0, 20.0, 63.5, 150.0, 400.0, 1000.0, 3000.0):
+            for scale in (1e-3, 1.0, 4.0):
+                for budget in (1e-14, 1e-12, 1e-10, 1e-6, 1e-2):
+                    order, bessel = dynamics._tail_order(z, scale, budget), _chebyshev_order(z, scale, budget)[0]
+                    assert bessel <= order <= np.e / 2 * bessel + 8, (z, scale, budget)
+        runs = []
+        rule = dynamics._gauss_rule
 
-    def test_z_field_row_computes_no_bessel_column(self, lanczos_row, monkeypatch, caplog):
-        op, psi, e_psi, _ = lanczos_row["z_field"]
-        calls = []
-        monkeypatch.setattr(dynamics, "_bessel_column", lambda z: calls.append(z))
-        with caplog.at_level("INFO", logger="tcspin"):
-            correlator_krylov(op, magnetization_operator(12, "z"), psi, e_psi, ROW_GRID, step_tol=ROW_STEP_TOL)
-        assert calls == [] and _krylov_record(caplog)[:3] == (4, 4, 4)
+        def spying(groups, phi, interval, rounding, t_max, budget):
+            runs.append((len(phi), float(np.vdot(phi, phi).real), _window(interval)[1] * t_max, budget))
+            return rule(groups, phi, interval, rounding, t_max, budget)
+
+        monkeypatch.setattr(dynamics, "_gauss_rule", spying)
+        for family in QUADRATURE_CHAINS:
+            for n in (8, 10):
+                op, psi, e_psi, _ = quadrature_chains(family, n)
+                for axis in ("z", "x"):
+                    for grid in QUADRATURE_GRIDS.values():
+                        runs.clear()
+                        caplog.clear()
+                        with caplog.at_level("INFO", logger="tcspin"):
+                            correlator_krylov(op, magnetization_operator(n, axis), psi, e_psi, grid, step_tol=1e-12)
+                        _, steps, cap, _, _ = _krylov_record(caplog)
+                        ((dim, scale, z, budget),) = runs
+                        bessel_cap = min(_chebyshev_order(z, scale, 0.5 * budget)[0] // 2 + 1, dim)
+                        assert cap >= bessel_cap and cap >= steps, (family, n, axis, grid)
 
 
 def _ghz_pair(op, spectrum):
@@ -972,17 +815,42 @@ class TestGeneralCorrelator:
         # ||m_z|| = 1 and psi is normalized, so the budget bounds |Delta C| itself
         assert np.max(np.abs(series.values - exact)) <= (self.GRID.n_samples - 1) * step_tol
 
-    def test_ghz_pair_costs_about_a_dt_per_step(self, monkeypatch):
-        # one propagator per dt: each trajectory takes under a dt + 20 matvecs
-        # a step (about 17 orders past a dt bring the Bessel tail under the
-        # 5e-13 cut here); Krylov stepping took 30 a step, 11 642 in all
-        op = _chain(8, PERTURBATIONS[1])
+    def test_ghz_pair_costs_one_window_a_trajectory(self, monkeypatch, caplog):
+        # the bare chain's ghz_pair and m_z of it lie in one coset of 4 states:
+        # each trajectory is one window that breaks down there, at m = 2 and 3,
+        # 5 H matvecs where the Chebyshev propagator made 6 096 (a dt + 17 a sample)
+        op = _chain(12, None)
         psi = _ghz_pair(op, dense_spectrum(op))
-        m = magnetization_operator(8, "z")
-        lo, hi = op.gershgorin_interval()
+        m = magnetization_operator(12, "z")
+        checks = []
+        run = dynamics._krylov_checks
+
+        def spying(*args):
+            for check in run(*args):
+                checks.append((len(check[2]), check[-1]))  # (m, whether the run is over)
+                yield check
+
+        monkeypatch.setattr(dynamics, "_krylov_checks", spying)
         calls = _count_matvecs_of(monkeypatch, op)
-        correlator_krylov_general(op, m, psi, self.GRID, step_tol=1e-12)
-        assert len(calls) <= 2 * (0.5 * (hi - lo) * self.GRID.t_end + 20 * self.GRID.n_samples)
+        with caplog.at_level("INFO", logger="tcspin"):
+            correlator_krylov_general(op, m, psi, ROW_GRID, step_tol=ROW_STEP_TOL)
+        assert checks == [(1, False), (2, True), (1, False), (3, True)]
+        windows, steps, _, bound, half = _general_record(caplog)
+        assert (windows, steps, len(calls)) == (2, 5, 5)
+        assert bound <= half == 0.5 * (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
+
+    def test_a_psi_of_zero_takes_no_window(self, monkeypatch, caplog):
+        # m_z annihilates a zero-magnetization basis state, which the J = 0.5
+        # chain's strings mix: chi = 0 stays 0, and only psi's trajectory runs
+        op = _chain(8, None)
+        psi = StateVector.basis_state(8, 0b01011001)
+        with pytest.raises(EigenstateError):
+            dynamics.eigenstate_energy(op, psi)
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov_general(op, magnetization_operator(8, "z"), psi, self.GRID)
+        assert not series.values.any()
+        windows, steps, _, _, _ = _general_record(caplog)
+        assert windows >= 1 and steps >= 1
 
     @pytest.mark.parametrize("step_tol", [0.0, -1.0, float("nan")])
     def test_rejects_non_positive_step_tol(self, step_tol):
@@ -993,10 +861,70 @@ class TestGeneralCorrelator:
             correlator_krylov_general(op, m, psi, self.GRID, step_tol=step_tol)
 
 
+GENERAL_GRIDS = {
+    "t_start=0": TimeGrid(0.0, 60.0, 128),
+    "t_start>0": TimeGrid(10.0, 70.0, 128),
+    "t_start<0": TimeGrid(-30.0, 30.0, 128),
+}
+
+
+@pytest.fixture(scope="module")
+def general_chains():
+    """(op, eigenvalues, eigenvectors, dense m_z, dense spectrum) per (family, N), built on first use."""
+    cache = {}
+
+    def get(family, n):
+        if (family, n) not in cache:
+            op = _chain(n, FOLD_FAMILIES[family])
+            cache[family, n] = (op, *np.linalg.eigh(to_dense(op)), to_dense(magnetization_operator(n, "z")), dense_spectrum(op))
+        return cache[family, n]
+
+    return get
+
+
+def _general_record(caplog):
+    """(windows, Lanczos steps, largest window bound, trajectory bound,
+    B / 2) of the one record a correlator_krylov_general call logs."""
+    records = [r for r in caplog.records if r.name == "tcspin.dynamics"]
+    assert len(records) == 1 and records[0].msg == dynamics._GENERAL_RECORD
+    return records[0].args
+
+
+class TestGeneralRouteAccuracy:
+    """correlator_krylov_general against the dense oracle on every family,
+    for states that are not eigenstates, on grids from t_start = 0, above
+    and below it: within B ||A|| ||psi|| ||A psi||, and its logged bound
+    within B / 2."""
+
+    @pytest.mark.parametrize("grid", GENERAL_GRIDS.values(), ids=GENERAL_GRIDS.keys())
+    @pytest.mark.parametrize("state", ["basis", "ghz_pair", "random"])
+    @pytest.mark.parametrize("n", [6, 8])
+    @pytest.mark.parametrize("family", FOLD_FAMILIES)
+    def test_within_budget_of_the_dense_oracle(self, general_chains, family, n, state, grid, caplog):
+        op, energies, columns, m_dense, spectrum = general_chains(family, n)
+        if state == "basis":
+            psi = StateVector.basis_state(n, 0b0110 << (n - 4))
+            with pytest.raises(EigenstateError):
+                dynamics.eigenstate_energy(op, psi)
+        elif state == "ghz_pair":
+            psi = _ghz_pair(op, spectrum)
+        else:
+            psi = random_state(np.random.default_rng(n), n)
+        m = magnetization_operator(n, "z")
+        step_tol = 1e-12
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov_general(op, m, psi, grid, step_tol=step_tol)
+        budget = (grid.n_samples - 1) * step_tol
+        error = np.max(np.abs(series.values - _general_lehmann(energies, columns, m_dense, psi, grid.times())))
+        assert error <= budget * m.one_norm() * np.linalg.norm(m.matvec(psi.amplitudes))
+        _, _, _, bound, half = _general_record(caplog)
+        assert bound <= half == 0.5 * budget
+
+
 class TestOperandChecks:
     """The four dynamics entry points check site counts, the three
-    correlators a Hermitian observable, and the three Chebyshev routes a
-    Hermitian H, before any work."""
+    correlators a Hermitian observable, and the three matrix-free routes
+    (the Gauss rule and the Lanczos windows) a Hermitian H, before any work."""
 
     # the 2-site H = ZI + 0.3i XX + 0.5 IX: evolve used to return a state of norm 1.08
     NON_HERMITIAN = Operator.from_label_terms([(1.0, "ZI"), (0.3j, "XX"), (0.5, "IX")])
@@ -1076,6 +1004,15 @@ class TestEvolve:
     def test_long_time_matches_dense_matrix_exponential(self):
         op = _chain(8, PERTURBATIONS[1])
         v = random_state(np.random.default_rng(21), 8)
+        out = evolve(op, v, 50.0, step_tol=1e-12)
+        exact = scipy.linalg.expm(-50j * to_dense(op)) @ v.amplitudes
+        assert np.max(np.abs(out.amplitudes - exact)) < 1e-8
+
+    def test_complex_chain_matches_dense_matrix_exponential(self):
+        # a y field makes H complex: the windows run in complex arithmetic
+        op = _chain(8, FOLD_FAMILIES["y_field"])
+        assert np.iscomplexobj(op.matvec(np.ones(1 << 8)))
+        v = random_state(np.random.default_rng(34), 8)
         out = evolve(op, v, 50.0, step_tol=1e-12)
         exact = scipy.linalg.expm(-50j * to_dense(op)) @ v.amplitudes
         assert np.max(np.abs(out.amplitudes - exact)) < 1e-8

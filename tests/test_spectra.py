@@ -408,9 +408,10 @@ class TestLanczos:
         assert np.max(np.abs(lan.eigenvalues - dense_spectrum(op).eigenvalues[:4])) < tol
 
     @pytest.mark.parametrize(
-        "max_iter, matvecs, converged", [(2, 2, 0), (10, 10, 0), (25, 25, 0), (40, 40, 0), (57, 57, 0), (58, 58, 2), (80, 58, 2)]
+        "max_iter, matvecs, converged",
+        [(2, 2, 0), (3, 3, 0), (5, 5, 0), (10, 10, 0), (25, 25, 0), (40, 40, 0), (57, 57, 0), (58, 58, 2), (80, 58, 2)],
     )
-    def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, max_iter, matvecs, converged):
+    def test_max_iter_caps_the_matvecs_with_the_residual_checks(self, monkeypatch, caplog, max_iter, matvecs, converged):
         """The true-residual check of a pair counts against ``max_iter``: a
         solve that runs out of budget stops at exactly ``max_iter`` matvecs.
         On the N = 10 Heisenberg-0.05 chain (one coset, two global-flip
@@ -419,11 +420,16 @@ class TestLanczos:
         pair, -9.5, is not the ground level -9.747, which the other half
         holds: a budget that stops before that half converges returns no
         pair, since a partial result keeps only the pairs below every level
-        an unfinished sector may hold."""
+        an unfinished sector may hold. No cycle is restarted: one whose
+        budget ends logs no thick restart (it logged 1 at max_iter 2, 3, 5,
+        10 and 57)."""
         counter = count_matvecs(monkeypatch)
-        lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=max_iter, seed=0)
+        with caplog.at_level("INFO", logger="tcspin"):
+            lan = lanczos_extremal(chain_with(10, HEISENBERG), k=2, max_iter=max_iter, seed=0)
         assert counter["matvecs"] == matvecs
         assert lan.n_converged == converged
+        (record,) = [r for r in caplog.records if r.name == "tcspin.spectra"]
+        assert record.args[2:4] == (matvecs, 0)  # matvecs, thick restarts
 
     def test_thick_restart_still_converges(self, monkeypatch):
         """Above the lowest two pairs of the N = 10 Heisenberg-0.05 chain the
