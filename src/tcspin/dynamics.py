@@ -11,10 +11,10 @@ the invariant sectors of H (:attr:`~tcspin.pauli.Operator.sectors`) that
 carry A psi; the parts it leaves out and the rule share one error budget.
 :func:`evolve` and the correlator of an arbitrary state
 (:func:`correlator_krylov_general`) propagate full vectors by Lanczos
-windows: short runs that each serve as many time samples as their
-a-posteriori bound allows, and restart from the last one. Both kinds of run
+windows: short runs that each serve as much of the time path as their
+a-posteriori bound allows, and restart where they stop. Both kinds of run
 take their steps and checks from one loop (:func:`_krylov_checks`), and
-their a-priori caps from one closed-form Chebyshev tail (:func:`_tail_order`).
+their a-priori bounds from one closed-form Chebyshev tail (:func:`_tail_order`).
 """
 
 from __future__ import annotations
@@ -226,13 +226,14 @@ def _check_step_tol(step_tol: float) -> None:
         raise ValueError(f"step_tol must be positive, got {step_tol}")
 
 
-def _krylov_checks(matvec, phi: np.ndarray, norm: float, h_norm: float, rounding: float, eta: float, cap: int):
+def _krylov_checks(matvec, phi: np.ndarray, norm: float, h_norm: float, rounding: float, eta: float, cap: int, after=_next_check):
     """The module's one Lanczos loop: at most ``cap`` steps of
     :func:`~tcspin.spectra._lanczos_step` from q_1 = phi / ``norm`` (=
     ||phi|| > 0), orthogonal to ``eta`` (``h_norm`` bounds ||H||), give H Q_m
     = Q_m T_m + beta_m q_{m+1} e_m^T + F_m, a column of F_m at most
-    ``rounding`` plus what a Gram-Schmidt pass took out. At m = 1, 4, 8, ...
-    (:func:`~tcspin.spectra._next_check`), at the cap and at a breakdown
+    ``rounding`` plus what a Gram-Schmidt pass took out. At m = 1 and each
+    m' = ``after(m)`` from there (by default 4, 8, ...:
+    :func:`~tcspin.spectra._next_check`), at the cap and at a breakdown
     (beta_m <= 1e-13 h) it yields (Q_m as rows, T_m, T_m's eigenpairs,
     beta_m, a squared bound on ||F_m||, whether the run is over)."""
     dim = len(phi)
@@ -255,7 +256,7 @@ def _krylov_checks(matvec, phi: np.ndarray, norm: float, h_norm: float, rounding
         m = j + 1
         last = m == cap or beta <= 1e-13 * h_norm
         if m == check or last:
-            check = _next_check(m)
+            check = after(m)
             yield basis[:m], small[:m, :m], *np.linalg.eigh(small[:m, :m]), beta, defect, last
             if last:
                 return
@@ -269,42 +270,65 @@ def _krylov_checks(matvec, phi: np.ndarray, norm: float, h_norm: float, rounding
         omega[m, m] = 1.0
 
 
-_PANEL_TOL = 1e-32  # the most an interval between two times adds to _served's quadrature
+_PANEL_TOL = 1e-32  # the most a unit of time adds to _served's quadrature
+
+# A window's cap: the last check within the basis's first 64 rows, and the fastest
+# window of 40 ... 127 steps on the Heisenberg ghz_pair rows (CHANGES.md)
+_WINDOW_STEPS = 63
+
+# The most phase a step between two stops of a trajectory spans (times its spread)
+_PANEL_Z = 8.0
 
 
 @functools.cache
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:  # numpy.polynomial is imported on first use
-    return np.polynomial.legendre.leggauss(order)
+def _legendre(z: float) -> tuple[np.ndarray, np.ndarray]:  # numpy.polynomial is imported on first use
+    return np.polynomial.legendre.leggauss(_tail_order(z, 2.0, _PANEL_TOL) // 2 + 1)
 
 
-def _served(check: tuple, reach: np.ndarray, share: np.ndarray) -> tuple[int, float]:
-    """(n, bound): a check of :func:`_krylov_checks` keeps beta_m sqrt(tau
-    int_0^tau |g|^2) + tau (||F_m|| + ||T_m - U Theta U^T||) within ``share``
-    at the n leading offsets tau of ``reach``, ``bound`` at the n-th. The
-    sinc sum of :func:`_gauss_rule` loses int_0^tau |g|^2 below EPS tau to
-    cancellation; Gauss-Legendre of |g| + (m + 1) EPS on each interval of
-    length h between offsets does not, and errs by at most 4 h times the
-    Chebyshev tail past 2K - 1 at (the nodes' spread) h / 2: <= _PANEL_TOL."""
+def _served(check: tuple, stops, rate: float) -> tuple[float, tuple | None]:
+    """(bound, stop): the last of ``stops`` (tuples (tau, length, ...), tau
+    non-decreasing) up to which a check of :func:`_krylov_checks` keeps
+    beta_m sqrt(tau int_0^tau |g|^2) + tau (||F_m|| + ||T_m - U Theta U^T||)
+    within ``rate`` times the length, and that bound there (stop None if
+    the first misses). The sinc sum of :func:`_gauss_rule` loses int_0^tau
+    |g|^2 below EPS tau to cancellation; Gauss-Legendre of |g| + (m + 1) EPS
+    on each step of length h between stops does not. Its order is fixed by
+    z = (theta_m - theta_1) h / 2 rounded up to a quarter (at most
+    :data:`_PANEL_Z` on the steps of :func:`_stops`), and it errs by at most
+    4 h times the Chebyshev tail past 2K - 1 at z (:func:`_tail_order`): h
+    _PANEL_TOL."""
     _, matrix, nodes, vectors, beta, defect, _ = check
     c = vectors[0] * vectors[-1]
     drift = math.sqrt(defect) + float(np.linalg.norm(matrix - (vectors * nodes) @ vectors.T))
-    energy, lower, n, bound = 0.0, 0.0, 0, 0.0
-    for upper, limit in zip(reach.tolist(), share.tolist()):
+    spread = float(nodes[-1] - nodes[0])
+    energy, lower, bound, last = 0.0, 0.0, 0.0, None
+    for stop in stops:
+        upper, length = stop[:2]
         if (h := upper - lower) > 0.0:
-            x, w = _legendre(_tail_order(0.5 * float(nodes[-1] - nodes[0]) * h, 2.0 * h, _PANEL_TOL) // 2 + 1)
+            x, w = _legendre(math.ceil(2.0 * spread * h) / 4.0)
             g = np.abs(np.exp(-1j * np.outer(lower + 0.5 * h * (1.0 + x), nodes)) @ c) + (len(nodes) + 1) * EPS
-            energy += 0.5 * h * float(w @ (g * g)) + _PANEL_TOL
+            energy += 0.5 * h * float(w @ (g * g)) + h * _PANEL_TOL
             lower = upper
         at = beta * math.sqrt(upper * energy) + upper * drift
-        if at > limit:
+        if at > rate * length:
             break
-        n, bound = n + 1, at
-    return n, bound
+        bound, last = at, stop
+    return bound, last
 
 
-# A window ends once it serves a time from this step on: the last check within the basis's
-# first 64 rows, and the fastest of 40 ... 127 on the Heisenberg ghz_pair rows (CHANGES.md)
-_WINDOW_STEPS = 63
+def _stops(start: float, times: np.ndarray, stride: float):
+    """(reach, length, u, times reached) at each stop u of the path start ->
+    times[0] -> times[1] ...: every time, and stops between at most
+    ``stride`` apart. The length is the path's up to u, the reach the
+    largest |u' - start| on it."""
+    here, reach, length = start, 0.0, 0.0
+    for j, t in enumerate(times.tolist()):
+        pieces = math.ceil(abs(t - here) / stride)
+        for i in range(1, pieces):
+            u = here + (t - here) * (i / pieces)
+            yield max(reach, abs(u - start)), length + abs(u - here), u, j
+        reach, length, here = max(reach, abs(t - start)), length + abs(t - here), t
+        yield reach, length, t, j + 1
 
 
 def _trajectory(op: Operator, v: np.ndarray, times: np.ndarray, budget: float, tally: Counter):
@@ -312,29 +336,34 @@ def _trajectory(op: Operator, v: np.ndarray, times: np.ndarray, budget: float, t
     windows (Park & Light, J. Chem. Phys. 85, 5870 (1986); Hochbruck &
     Lubich, SIAM J. Numer. Anal. 34, 1911 (1997)), within ``budget`` ||v||.
 
-    A time at the current vector's time s is served by it, others by a
-    window of :func:`_krylov_checks` from v(s), which may spend the budget's
-    share of the path 0 -> t_0 -> t_last up to them (e^{-iHt} is unitary, so
-    errors add). Its error is at most ||v(s)|| (beta_m int_0^|tau| |g| + |tau|
-    ||F_m||) (Duhamel as in :func:`_gauss_rule`, with no inner product;
-    :func:`_served`), and eta = min(sqrt(EPS), budget per unit time / h)
-    keeps the passes' part of F_m about within it. The window ends at the
-    first check that serves every time left, serves some from
-    :data:`_WINDOW_STEPS` steps on, or ends the run: a breakdown serves a
-    time at least, and the cap (the first time's a-priori order, at least
-    :data:`_WINDOW_STEPS`, at most the dimension) every time whose order is
-    within it, as m steps err by at most 2 ||v|| times the best degree m - 1
-    approximation of e^{-ix tau} on the spectrum in exact arithmetic (Saad,
-    SIAM J. Numer. Anal. 29, 209 (1992)). It yields ||v(s)|| Q_m e^{-iT_m
-    tau} e_1 (e^{-i alpha tau} v(s) at m = 1); the next starts from the last.
-    ``tally`` gains the windows, steps, largest window bound and their sum.
+    It walks the path 0 -> t_0 -> t_1 ... by the stops of :func:`_stops`,
+    at most :data:`_PANEL_Z` / a apart (a H's Gershgorin half width). A
+    window of :func:`_krylov_checks` from v(s), the vector at the current
+    stop s, serves each later stop u whose error, at most ||v(s)|| (beta_m
+    int_0^|u - s| |g| + |u - s| ||F_m||) (Duhamel as in :func:`_gauss_rule`,
+    with no inner product; :func:`_served`), stays within the budget's share
+    of the path from s to u (e^{-iHt} is unitary, so errors add); eta =
+    min(sqrt(EPS), budget per unit length / h) keeps the passes' part of F_m
+    about within it. A window ends at the first check that serves every
+    time left, at a breakdown or after :data:`_WINDOW_STEPS` steps; it
+    yields ||v(s)|| Q_m e^{-iT_m (t - s)} e_1 at the times it served
+    (e^{-i alpha (t - s)} v(s) at m = 1), and the next starts from the last
+    stop it served. Where round-off keeps the bound over the share at the
+    first stop, the window serves the stops that its m steps serve in exact
+    arithmetic (at least the first), as m steps err by at most 2 ||v|| times
+    the best degree m - 1 approximation of e^{-ix tau} on the spectrum
+    (Saad, SIAM J. Numer. Anal. 29, 209 (1992)), and its bound stays the
+    a-posteriori one. ``tally`` gains the windows, steps, largest window
+    bound and their sum.
     """
     lo, hi = op.gershgorin_interval()
     h_norm, half_width = max(abs(lo), abs(hi)), 0.5 * (hi - lo) * (1.0 + 1e-4)
     rounding = (len(op._groups) + 3) * EPS * h_norm
     path = abs(times[0]) + (times[-1] - times[0])
-    eta = min(math.sqrt(EPS), budget / (path * h_norm)) if path * h_norm else math.sqrt(EPS)
-    start, k = 0.0, 0
+    rate = budget / path if path else math.inf
+    eta = min(math.sqrt(EPS), rate / h_norm) if h_norm else math.sqrt(EPS)
+    stride = _PANEL_Z / half_width if half_width else math.inf
+    start, k, covered = 0.0, 0, math.inf
     while k < len(times):
         if times[k] == start:
             yield v
@@ -344,37 +373,45 @@ def _trajectory(op: Operator, v: np.ndarray, times: np.ndarray, budget: float, t
         if norm == 0.0:  # e^{-iHt} 0 = 0
             yield from (v for _ in times[k:])
             return
-        offsets = times[k:] - start
-        reach = np.maximum.accumulate(np.abs(offsets))
-        share = (budget / path) * (abs(offsets[0]) + (offsets - offsets[0]))
-        orders = (_tail_order(half_width * r, 1.0, 0.5 * s) + 1 for r, s in zip(reach, share))
-        cap = min(max(next(orders), _WINDOW_STEPS), len(v))
-        for check in _krylov_checks(op.matvec, v, norm, h_norm, rounding, eta, cap):
-            served, bound = _served(check, reach, share)
-            basis, _, nodes, vectors, _, _, last = check
-            if len(nodes) == cap:
-                apriori = len(reach) if cap == len(v) else 1 + len(list(itertools.takewhile(cap.__ge__, orders)))
-                served, bound = (apriori, float(share[apriori - 1])) if apriori > served else (served, bound)
-            elif last and not served:
-                served, bound = _served(check, reach[:1], np.full(1, math.inf))
-            if served == len(reach) or last or (served and len(nodes) >= _WINDOW_STEPS):
+        cap = min(_WINDOW_STEPS, len(v))
+        # a window short of the path left checks only at m = 1 and its cap
+        after = _next_check if abs(times[k] - start) + (times[-1] - times[k]) <= covered else lambda m: cap
+        for check in _krylov_checks(op.matvec, v, norm, h_norm, rounding, eta, cap, after):
+            bound, stop = _served(check, _stops(start, times[k:], stride), rate)
+            if stop and stop[3] == len(times) - k:
                 break
+        basis, _, nodes, vectors, _, _, _ = check
+        if stop is None:
+            exact = itertools.takewhile(
+                lambda s: _tail_order(half_width * s[0], 2.0, rate * s[1]) < len(nodes), _stops(start, times[k:], stride)
+            )
+            bound, stop = _served(check, list(exact) or itertools.islice(_stops(start, times[k:], stride), 1), math.inf)
         tally.update(windows=1, steps=len(nodes), bound=bound)
         tally["largest"] = max(tally["largest"], bound)
-        first = v
-        for tau in offsets[:served]:
+        (u, served), first = stop[2:], v
+        offsets = times[k:k + served] - start
+        if not served or u != times[k + served - 1]:  # a stop between two times
+            offsets = np.append(offsets, u - start)
+        for j, tau in enumerate(offsets):
             if len(nodes) == 1:
                 v = np.exp(-1j * nodes[0] * tau) * first
             else:
                 v = (norm * vectors @ (np.exp(-1j * nodes * tau) * vectors[0])) @ basis
-            yield v
-        start, k = times[k + served - 1], k + served
+            if j < served:
+                yield v
+        start, k, covered = u, k + served, stop[1]
+
+
+def _warn_past(bound: float, budget: float) -> None:
+    if bound > budget:
+        log.warning("round-off puts the Lanczos trajectory's error bound %.3g past its budget %.3g", bound, budget)
 
 
 def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> StateVector:
-    """e^{-iHt} v for a normalized state within ``step_tol``: one window of
-    :func:`_trajectory` (an eigenvector to that accuracy costs one matvec and
-    returns e^{-i <v|H|v> t} v; t = 0 returns v). ModelError for a
+    """e^{-iHt} v for a normalized state within ``step_tol``, by the
+    windows of :func:`_trajectory` (an eigenvector to that accuracy costs one
+    matvec and returns e^{-i <v|H|v> t} v; t = 0 returns v). Logs a warning
+    where round-off keeps the bound past ``step_tol``. ModelError for a
     non-Hermitian ``op``, ValueError for a non-finite ``t``."""
     _check_step_tol(step_tol)
     _check_operands(op, v)
@@ -382,7 +419,9 @@ def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> S
         raise ValueError(f"t must be finite, got {t}")
     if abs(v.norm - 1.0) > 1e-10:
         raise ValueError(f"evolve expects a normalized state (norm {v.norm})")
-    (out,) = _trajectory(op, v.amplitudes, np.array([t]), step_tol, Counter())
+    tally = Counter()
+    (out,) = _trajectory(op, v.amplitudes, np.array([t]), step_tol, tally)
+    _warn_past(tally["bound"], step_tol)
     return StateVector(v.n_sites, out.copy())  # at t = 0, out is v's own array
 
 
@@ -554,7 +593,8 @@ def correlator_krylov_general(
     ``ghz_pair`` of the bare chain (a coset of 4), takes one window. Each call
     logs one ``info`` record: the windows and Lanczos steps (H matvecs) of
     both, the largest window bound, and the larger trajectory bound with B /
-    2. Raises ModelError for a non-Hermitian ``op`` or ``a``.
+    2, and a warning where round-off puts that bound past B / 2. Raises
+    ModelError for a non-Hermitian ``op`` or ``a``.
     """
     _check_step_tol(step_tol)
     _check_operands(op, psi, a)
@@ -564,6 +604,7 @@ def correlator_krylov_general(
     values = [np.vdot(a.matvec(x), y) for x, y in zip(top, chi)]
     log.info(_GENERAL_RECORD, *(sum(x[key] for x in tallies) for key in ("windows", "steps")),
              max(x["largest"] for x in tallies), max(x["bound"] for x in tallies), half)
+    _warn_past(max(x["bound"] for x in tallies), half)
     return CorrelationSeries(grid=grid, values=values, method="krylov_general")
 
 

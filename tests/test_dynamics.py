@@ -920,6 +920,50 @@ class TestGeneralRouteAccuracy:
         _, _, _, bound, half = _general_record(caplog)
         assert bound <= half == 0.5 * budget
 
+    def test_far_first_time_keeps_every_window_short(self, general_chains, monkeypatch, caplog):
+        # the path 0 -> 500 spans some 4 500 radians: windows restart between
+        # stops, so none runs past _WINDOW_STEPS steps (a basis of 63 rows), and
+        # no Gauss-Legendre panel spans more than _PANEL_Z radians
+        op, energies, columns, m_dense, _ = general_chains("heisenberg", 8)
+        psi, m, grid, step_tol = StateVector.basis_state(8, 0b01100000), magnetization_operator(8, "z"), TimeGrid(500.0, 520.0, 32), 1e-10
+        steps, panels = [], []
+        run, rule = dynamics._krylov_checks, dynamics._legendre
+
+        def spying(*args):
+            for check in run(*args):
+                steps.append(len(check[0]))
+                yield check
+
+        def recording(z):
+            panels.append(z)
+            return rule(z)
+
+        monkeypatch.setattr(dynamics, "_krylov_checks", spying)
+        monkeypatch.setattr(dynamics, "_legendre", recording)
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov_general(op, m, psi, grid, step_tol=step_tol)
+        budget = (grid.n_samples - 1) * step_tol
+        error = np.max(np.abs(series.values - _general_lehmann(energies, columns, m_dense, psi, grid.times())))
+        assert error <= budget * m.one_norm() * np.linalg.norm(m.matvec(psi.amplitudes))
+        windows, _, _, bound, half = _general_record(caplog)
+        assert max(steps) == dynamics._WINDOW_STEPS and windows > 50
+        assert max(panels) <= dynamics._PANEL_Z
+        assert bound <= half
+
+    def test_round_off_past_the_budget_is_reported(self, general_chains, caplog):
+        # at step_tol 1e-15 a window's round-off term alone outgrows its share:
+        # each serves what its steps serve in exact arithmetic, the logged bound
+        # still holds the error, and a warning says it passed B / 2
+        op, energies, columns, m_dense, _ = general_chains("heisenberg", 6)
+        psi, m, grid = StateVector.basis_state(6, 0b011000), magnetization_operator(6, "z"), GENERAL_GRIDS["t_start>0"]
+        with caplog.at_level("INFO", logger="tcspin"):
+            series = correlator_krylov_general(op, m, psi, grid, step_tol=1e-15)
+        info, warning = (r for r in caplog.records if r.name == "tcspin.dynamics")
+        _, _, _, bound, half = info.args
+        assert warning.levelname == "WARNING" and warning.args == (bound, half) and bound > half
+        error = np.max(np.abs(series.values - _general_lehmann(energies, columns, m_dense, psi, grid.times())))
+        assert error <= 2.0 * bound * m.one_norm() * np.linalg.norm(m.matvec(psi.amplitudes))
+
 
 class TestOperandChecks:
     """The four dynamics entry points check site counts, the three
