@@ -18,14 +18,12 @@ from .dynamics import (  # noqa: E402
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
-    evolve,
     extract_oscillation,
     gap_frequency_consistency,
 )
 from .models import (  # noqa: E402
     PerturbationSpec,
     TCModelConfig,
-    build_ghz,
     build_perturbation,
     build_tc_hamiltonian,
     magnetization_operator,
@@ -41,8 +39,6 @@ from .pauli import (  # noqa: E402
     PauliString,
     StateVector,
     dense_cap,
-    global_flip_operator,
-    strings_commute,
     to_dense,
 )
 from .spectra import (  # noqa: E402
@@ -83,7 +79,6 @@ __all__ = [
     "TCModelConfig",
     "TimeGrid",
     "baseline_scaling",
-    "build_ghz",
     "build_perturbation",
     "build_tc_hamiltonian",
     "cm_correlator_analytic",
@@ -93,18 +88,15 @@ __all__ = [
     "correlator_spectral",
     "dense_cap",
     "dense_spectrum",
-    "evolve",
     "extract_oscillation",
     "fit_power_law",
     "gap_frequency_consistency",
     "ghz_overlap_report",
-    "global_flip_operator",
     "lanczos_extremal",
     "magnetization_operator",
     "run_sweep",
     "stability_monotonicity_flags",
     "stability_report",
-    "strings_commute",
     "summarize_sweep",
     "to_dense",
 ]

@@ -120,7 +120,6 @@ class SpectrumSolver:
 @dataclass(frozen=True)
 class CorrelateSolver:
     method: Literal["spectral", "krylov", "both"]
-    krylov_dim: int = 30  # accepted and ignored until ROADMAP item 1a drops it, as in SolverSettings
     step_tol: float = 1e-10
     lanczos_k: int = 4
     lanczos_tol: float = 1e-10

@@ -9,8 +9,8 @@ routes for sizes the dense path cannot reach. An eigenstate correlator
 A psi, stopped by an a-posteriori bound and capped a priori, run only on
 the invariant sectors of H (:attr:`~tcspin.pauli.Operator.sectors`) that
 carry A psi; the parts it leaves out and the rule share one error budget.
-:func:`evolve` and the correlator of an arbitrary state
-(:func:`correlator_krylov_general`) propagate full vectors by Lanczos
+The correlator of an arbitrary state
+(:func:`correlator_krylov_general`) propagates full vectors by Lanczos
 windows: short runs that each serve as much of the time path as their
 a-posteriori bound allows, and restart where they stop. Both kinds of run
 take their steps and checks from one loop (:func:`_krylov_checks`), and
@@ -61,6 +61,8 @@ class TimeGrid:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not self.t_end > self.t_start:
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ValueError(f"the span t_end - t_start must be finite, got [{self.t_start}, {self.t_end}]")
 
     @property
     def spacing(self) -> float:
@@ -407,24 +409,6 @@ def _warn_past(bound: float, budget: float) -> None:
         log.warning("round-off puts the Lanczos trajectory's error bound %.3g past its budget %.3g", bound, budget)
 
 
-def evolve(op: Operator, v: StateVector, t: float, step_tol: float = 1e-10) -> StateVector:
-    """e^{-iHt} v for a normalized state within ``step_tol``, by the
-    windows of :func:`_trajectory` (an eigenvector to that accuracy costs one
-    matvec and returns e^{-i <v|H|v> t} v; t = 0 returns v). Logs a warning
-    where round-off keeps the bound past ``step_tol``. ModelError for a
-    non-Hermitian ``op``, ValueError for a non-finite ``t``."""
-    _check_step_tol(step_tol)
-    _check_operands(op, v)
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if abs(v.norm - 1.0) > 1e-10:
-        raise ValueError(f"evolve expects a normalized state (norm {v.norm})")
-    tally = Counter()
-    (out,) = _trajectory(op, v.amplitudes, np.array([t]), step_tol, tally)
-    _warn_past(tally["bound"], step_tol)
-    return StateVector(v.n_sites, out.copy())  # at t = 0, out is v's own array
-
-
 def _gauss_rule(groups, phi: np.ndarray, interval, rounding: float, t_max: float, budget: float):
     """Nodes theta_j and weights w_j, <phi|e^{-iHt}|phi> ~ sum_j w_j
     e^{-i theta_j t} within ``budget`` for |t| <= ``t_max``, from a Lanczos
@@ -531,8 +515,8 @@ def correlator_krylov(
       chain's ground state that is one coset of 4 states; m_z flips P, so
       on the N = 12 Heisenberg chain it is one P half of 1024 states. When
       nothing folds and nothing is dropped, the run is on the full vectors
-      and H's own compiled groups. :func:`evolve` and
-      :func:`correlator_krylov_general` do not cut.
+      and H's own compiled groups. :func:`correlator_krylov_general` does
+      not cut.
     * B - d, on the kept part: the quadrature stops at the bound of
       :func:`_gauss_rule` <= B - d, or at its a-priori cap. Its first check
       is at m = 1, one matvec: if phi is an eigenvector to within B - d

@@ -1,4 +1,4 @@
-"""Builders for the chain Hamiltonian, perturbations, order parameters and states.
+"""Builders for the chain Hamiltonian, perturbations and order parameters.
 
 The main model couples a periodic (or open) ZZ Ising chain to two
 half-chain X strings of opposite sign:
@@ -19,13 +19,12 @@ from typing import Literal
 import numpy as np
 
 from .errors import ConfigError
-from .pauli import Operator, PauliString, StateVector
+from .pauli import Operator, PauliString
 
 Axis = Literal["x", "y", "z"]
 Boundary = Literal["periodic", "open"]
 PerturbationKind = Literal["heisenberg_exchange", "random_onsite_field"]
 Distribution = Literal["uniform_pm1", "gaussian_unit"]
-GHZSign = Literal["plus", "minus"]
 
 _AXIS_MASKS = {"x": (1, 0), "y": (1, 1), "z": (0, 1)}
 
@@ -163,18 +162,6 @@ def add_perturbations(op: Operator, specs: tuple[PerturbationSpec, ...], boundar
     for spec in specs:
         op = op + build_perturbation(op.n_sites, spec, boundary)
     return op.canonicalize() if specs else op
-
-
-def build_ghz(n: int, sign: GHZSign) -> StateVector:
-    """(|0...0> +/- |1...1>)/sqrt(2), normalized."""
-    if n < 1:
-        raise ConfigError(f"n must be positive, got {n}")
-    if sign not in ("plus", "minus"):
-        raise ConfigError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    amps = np.zeros(1 << n, dtype=np.complex128)
-    amps[0] = 1.0 / np.sqrt(2.0)
-    amps[(1 << n) - 1] = (1.0 if sign == "plus" else -1.0) / np.sqrt(2.0)
-    return StateVector(n, amps)
 
 
 def magnetization_operator(n: int, axis: Axis) -> Operator:

@@ -11,6 +11,7 @@ than code reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,33 +19,48 @@ import numpy as np
 from .dynamics import CorrelationSeries, TimeGrid
 from .errors import PlanError
 
+# Bounds on the correlator's power a^2: at least the smallest normal
+# float64, and at most 2^800, which leaves the extraction's Newton sums
+# (n_samples^2 t^2 a^2) 2^224 of room below overflow.
+_TINY = float(np.finfo(np.float64).tiny)
+_POWER_CAP = 2.0**800
+
 
 @dataclass(frozen=True)
 class OscillatorControl:
     """The oscillator on an N grid: a ``baseline`` config's ``oscillator``
     and a sweep plan's ``oscillator_control``.
 
-    ``m0``, ``omega`` and ``hbar`` are shared by every N; ``cutoff`` is the
-    number of Fock levels the numeric correlator truncates to.
+    ``m0``, ``omega`` and ``hbar`` are shared by every N. The correlator's
+    power at N is a^2 with a = :meth:`amplitude`. A control whose a^2 at
+    some N is subnormal or above 2^800 is rejected up front: there the
+    line's extraction overflows, or its power-law fit loses the 1/N law.
     """
 
     n_values: tuple[int, ...]
     m0: float = 1.0
     omega: float = 1.0
     hbar: float = 1.0
-    cutoff: int = 2
 
     def __post_init__(self) -> None:
         if not self.n_values or len(set(self.n_values)) != len(self.n_values):
             raise PlanError(f"n_values must be non-empty and distinct, got {self.n_values}")
-        if self.cutoff < 2:
-            raise PlanError(f"cutoff must be >= 2, got {self.cutoff}")
         for n in self.n_values:
             if n < 1:
                 raise ValueError(f"n_values entries must be >= 1, got {n}")
         for name in ("m0", "omega", "hbar"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for n in self.n_values:
+            try:
+                a = self.amplitude(n)
+            except ZeroDivisionError:  # 2 N m0 omega underflows to 0
+                a = math.inf
+            if not _TINY <= a * a <= _POWER_CAP:
+                raise ValueError(
+                    f"hbar / (2 N m0 omega) at N={n} is {a:.3g}; its square must lie in "
+                    f"[{_TINY:.3g}, 2^800]"
+                )
 
     def amplitude(self, n: int) -> float:
         """hbar / (2 N m0 w), the t=0 correlator value at N = ``n``."""
@@ -58,13 +74,12 @@ def cm_correlator_analytic(control: OscillatorControl, n: int, grid: TimeGrid) -
 
 
 def cm_correlator_numeric(control: OscillatorControl, n: int, grid: TimeGrid) -> CorrelationSeries:
-    """Lehmann sum over the lowest ``control.cutoff`` Fock levels.
+    """Lehmann sum over the Fock levels.
 
     With x = x0 (a + a†), a|0> = 0 and a†|0> = √1|1>, so x|0> = x0 √1 |1>:
-    of the levels k < cutoff only k = 1 (present since cutoff >= 2) carries
-    weight |<k|x|0>|^2, at the gap (E_1 - E_0)/hbar with E_k = hbar w (k + 1/2).
-    The sum is that one line, the same for every cutoff, and no array grows
-    with it; this is the check of the closed form from the ladder algebra.
+    only level k = 1 carries weight |<k|x|0>|^2, at the gap (E_1 - E_0)/hbar
+    with E_k = hbar w (k + 1/2). The sum is that one line at every Fock
+    cutoff >= 2; this is the check of the closed form from the ladder algebra.
     """
     x0 = np.sqrt(control.hbar / (2.0 * n * control.m0 * control.omega))
     weights = (x0 * np.sqrt([1.0])) ** 2  # |<1|x|0>|^2

@@ -36,10 +36,13 @@ import numpy as np
 from .errors import ConfigError, DenseCapError, DimensionError
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_TO_LETTER = {bits: letter for letter, bits in _LETTER_TO_BITS.items()}
 _I_POWER = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 DEFAULT_DENSE_CAP = 14
+
+# Operator.is_hermitian's bound on an imaginary part, relative to the larger of 1
+# and the largest weight
+HERMITIAN_TOL = 1e-12
 
 
 def dense_cap() -> int:
@@ -98,13 +101,6 @@ class PauliString:
             z_mask |= z_bit << pos
         return cls(n_sites=len(letters), x_mask=x_mask, z_mask=z_mask, coeff=coeff)
 
-    def letters(self) -> str:
-        """Letter string, site 1 first."""
-        return "".join(
-            _BITS_TO_LETTER[(self.x_mask >> pos) & 1, (self.z_mask >> pos) & 1]
-            for pos in range(self.n_sites)
-        )
-
     @property
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
@@ -113,22 +109,6 @@ class PauliString:
     def phase(self) -> complex:
         """i^{#Y}, the phase relating X^x Z^z bit action to the letter product."""
         return _I_POWER[self.y_count % 4]
-
-    def __repr__(self) -> str:
-        return f"PauliString({self.coeff!r} * {self.letters()})"
-
-
-def strings_commute(a: PauliString, b: PauliString) -> bool:
-    """Symplectic commutation test.
-
-    Two Pauli strings commute iff the number of sites where both letters are
-    non-identity and differ is even; in mask form that count is
-    popcount(a.x & b.z) + popcount(a.z & b.x).
-    """
-    if a.n_sites != b.n_sites:
-        raise DimensionError(f"strings act on {a.n_sites} vs {b.n_sites} sites")
-    clashes = (a.x_mask & b.z_mask).bit_count() + (a.z_mask & b.x_mask).bit_count()
-    return clashes % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -303,14 +283,6 @@ class Operator:
                 )
         object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def from_label_terms(cls, terms: list[tuple[complex, str]]) -> "Operator":
-        """Build from (coeff, letters) pairs, e.g. ``[(-1.0, "ZZI"), (0.5, "XXX")]``."""
-        if not terms:
-            raise ValueError("cannot infer n_sites from an empty term list")
-        strings = [PauliString.from_letters(letters, coeff) for coeff, letters in terms]
-        return cls(strings[0].n_sites, tuple(strings))
-
     @property
     def n_terms(self) -> int:
         return len(self.terms)
@@ -339,8 +311,9 @@ class Operator:
         object.__setattr__(op, "_is_canonical", True)
         return op
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        """True iff every canonical coefficient is real (within ``tol``).
+    def is_hermitian(self) -> bool:
+        """True iff every canonical coefficient is real (within
+        :data:`HERMITIAN_TOL` of the largest weight, or of 1).
 
         The stored letter products are Hermitian matrices and distinct strings
         are linearly independent, so this is equivalent to comparing against
@@ -348,7 +321,7 @@ class Operator:
         """
         canon = self.canonicalize()
         scale = max((abs(t.coeff) for t in canon.terms), default=1.0)
-        return all(abs(t.coeff.imag) <= tol * max(1.0, scale) for t in canon.terms)
+        return all(abs(t.coeff.imag) <= HERMITIAN_TOL * max(1.0, scale) for t in canon.terms)
 
     def one_norm(self) -> float:
         """Sum of |coeff| over canonical terms; an upper bound on the operator norm."""
@@ -495,9 +468,6 @@ class Operator:
             raise DimensionError(f"cannot add operators on {self.n_sites} and {other.n_sites} sites")
         return Operator(self.n_sites, self.terms + other.terms)
 
-    def __repr__(self) -> str:
-        return f"Operator(n_sites={self.n_sites}, n_terms={self.n_terms})"
-
 
 @dataclass
 class StateVector:
@@ -611,11 +581,4 @@ def to_dense(op: Operator, cap: int | None = None) -> np.ndarray:
     for c, perm in op._groups:
         mat[idx, idx if perm is None else perm] = c
     return mat
-
-
-def global_flip_operator(n: int) -> Operator:
-    """The spin-flip parity operator: the all-X string with weight 1."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    return Operator(n, (PauliString(n, (1 << n) - 1, 0, 1.0),))
 

@@ -23,6 +23,8 @@ from tcspin.models import TCModelConfig, add_perturbations, build_tc_hamiltonian
 from tcspin.pauli import Operator, PauliString, StateVector  # noqa: E402
 from tcspin.sweep import PerturbationFamily, SolverSettings, SweepPlan  # noqa: E402
 
+from oracles import from_label_terms, letters  # noqa: E402
+
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
 # Independent of the package's mask-based dense builder: explicit 2x2
@@ -40,14 +42,14 @@ def kron_dense(op: Operator) -> np.ndarray:
     total = np.zeros((dim, dim), dtype=complex)
     for term in op.terms:
         mat = np.array([[1.0]], dtype=complex)
-        for letter in term.letters():
+        for letter in letters(term):
             mat = np.kron(PAULI_MATRICES[letter], mat)
         total += term.coeff * mat
     return total
 
 
 def kron_string(letters: str, coeff: complex = 1.0) -> np.ndarray:
-    return kron_dense(Operator.from_label_terms([(coeff, letters)]))
+    return kron_dense(from_label_terms([(coeff, letters)]))
 
 
 def orbit_block_spectrum(cfg: TCModelConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

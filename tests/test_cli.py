@@ -355,23 +355,6 @@ class TestBaselineCommand:
         doc = json.loads((out / "baseline_summary.json").read_text())
         assert doc["scaling"] == [{"n": 1, "amplitude": 0.5}]
 
-    def test_cutoff_far_past_memory_writes_cutoff_2s_series(self, tmp_path):
-        # only level 1 enters the Lehmann sum, so no array grows with the cutoff
-        bodies = {}
-        for cutoff in (2, 2**40):
-            doc = {
-                "command": "baseline",
-                "oscillator": {"n_values": [2, 4, 8], "cutoff": cutoff},
-                "time_grid": {"t_start": -10.0, "t_end": 30.0, "n_samples": 161},
-            }
-            out = tmp_path / str(cutoff)
-            assert main(["baseline", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-            # the first line holds the config hash, which covers the cutoff
-            bodies[cutoff] = [(out / f"baseline_numeric_N{n}.csv").read_bytes().split(b"\n", 1) for n in (2, 4, 8)]
-        for (head_2, body_2), (head_big, body_big) in zip(bodies[2], bodies[2**40]):
-            assert head_2 != head_big
-            assert body_2 == body_big
-
     def test_duplicate_n_values_rejected(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -641,8 +624,17 @@ OSCILLATOR_REJECTED = {
     "m0": {"n_values": [2, 4], "m0": -1.0},
     "omega": {"n_values": [2, 4], "omega": 0.0},
     "hbar": {"n_values": [2, 4], "hbar": 0.0},
-    "cutoff": {"n_values": [2, 4], "cutoff": 1},
+    # hbar / (2 N m0 omega) whose square leaves the normal float64 range, or
+    # whose denominator underflows to 0: these validated, then raised in the
+    # run, or (a subnormal square) read an exponent of -0.999999999
+    "amplitude_square_overflows": {"n_values": [2, 4, 8], "m0": 1e-200},
+    "amplitude_square_underflows": {"n_values": [2, 4, 8], "m0": 1e140, "omega": 1e150},
+    "amplitude_square_subnormal": {"n_values": [2, 4, 8], "m0": 2.5e159},
+    "amplitude_denominator_underflows": {"n_values": [2, 4, 8], "m0": 1e-300, "omega": 1e-300},
 }
+
+# a span t_end - t_start that overflows: validated, then every row failed
+SPAN_OVERFLOWS = {"t_start": -1e308, "t_end": 1e308, "n_samples": 64}
 
 REJECTED_UP_FRONT = {
     "plan_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"].update(bogus=1)),
@@ -772,6 +764,13 @@ REJECTED_UP_FRONT = {
         "solver": {"method": "dense"},
     },
     "plan_lanczos_k_one": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_k=1)),
+    "plan_time_grid_span_overflows": _edited(SWEEP_DOC, lambda d: d["plan"].update(time_grid=SPAN_OVERFLOWS)),
+    "correlate_time_grid_span_overflows": _edited(CORRELATE_DOC, lambda d: d.update(time_grid=SPAN_OVERFLOWS)),
+    "baseline_time_grid_span_overflows": {
+        "command": "baseline",
+        "oscillator": {"n_values": [2, 4, 8]},
+        "time_grid": SPAN_OVERFLOWS,
+    },
 }
 
 
@@ -784,6 +783,29 @@ def test_config_rejected_up_front(tmp_path, capsys, name):
     assert main([doc["command"], "--config", cfg, "--out", str(out)]) == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err
+
+
+# keys that no run read, gone from the schema: a config that still sets one
+# is rejected by name
+REMOVED_KEYS = {
+    "cutoff": {
+        "command": "baseline",
+        "oscillator": {"n_values": [2, 4, 8], "cutoff": 2},
+        "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
+    },
+    "krylov_dim": _edited(CORRELATE_DOC, lambda d: d["solver"].update(krylov_dim=30)),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
+def test_removed_key_is_unknown(tmp_path, capsys, key):
+    doc = REMOVED_KEYS[key]
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    for command in ("validate", doc["command"]):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # lanczos_k = 2^N at N = 4 on the Lanczos route, with the cap lowered to 2 for correlate

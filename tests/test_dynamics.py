@@ -14,7 +14,6 @@ from tcspin.dynamics import (
     correlator_krylov,
     correlator_krylov_general,
     correlator_spectral,
-    evolve,
     extract_oscillation,
     gap_frequency_consistency,
 )
@@ -32,9 +31,10 @@ from tcspin.spectra import dense_spectrum, ghz_overlap_report, lanczos_extremal
 
 from chebyshev_oracle import _chebyshev_order, _unrestricted_series, _window
 from conftest import criterion_8_plan, dense_vectors, oracle_extract_oscillation, random_state, sweep_row_operator
+from oracles import evolve, from_label_terms, global_flip_operator, strings_commute
 
-SIGMA_Z = Operator.from_label_terms([(1.0, "Z")])
-SIGMA_X = Operator.from_label_terms([(1.0, "X")])
+SIGMA_Z = from_label_terms([(1.0, "Z")])
+SIGMA_X = from_label_terms([(1.0, "X")])
 
 
 class TestTimeGrid:
@@ -49,9 +49,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(5.0, 5.0, 16)
 
-    @pytest.mark.parametrize("t_start, t_end", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)])
+    @pytest.mark.parametrize(
+        "t_start, t_end", [(0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan), (-1e308, 1e308)]
+    )
     def test_rejects_non_finite_times(self, t_start, t_end):
-        # (0, inf) used to pass, with times() starting [nan, inf, inf]
+        # (0, inf) used to pass, with times() starting [nan, inf, inf]; so did
+        # (-1e308, 1e308), whose span overflows
         with pytest.raises(ValueError, match="finite"):
             TimeGrid(t_start, t_end, 16)
 
@@ -63,7 +66,7 @@ class TestSpectralCorrelator:
         assert np.max(np.abs(series.values - np.exp(-2j * grid.times()))) < 1e-12
 
     def test_identity_observables_give_unity(self):
-        eye = Operator.from_label_terms([(1.0, "I")])
+        eye = from_label_terms([(1.0, "I")])
         grid = TimeGrid(0.0, 5.0, 32)
         series = correlator_spectral(SIGMA_Z, dense_spectrum(SIGMA_Z), eye, StateVector.basis_state(1, 0), grid)
         assert np.max(np.abs(series.values - 1.0)) < 1e-12
@@ -344,7 +347,7 @@ class TestChebyshevCorrelator:
             assert len(calls) > 3 and {x.dtype for _, x in calls[1:]} == {np.dtype(dtype)}
 
     def test_rejects_non_hermitian_hamiltonian(self):
-        op = Operator.from_label_terms([(1.0, "Z"), (0.5j, "X")])
+        op = from_label_terms([(1.0, "Z"), (0.5j, "X")])
         with pytest.raises(ModelError):
             correlator_krylov(op, SIGMA_X, StateVector.basis_state(1, 1), -1.0, TimeGrid(0, 1, 16))
 
@@ -547,8 +550,8 @@ class TestGlobalFlipFold:
     def test_fold_decision_matches_the_commutation_oracle(self, family, boundary):
         for n in range(7, 13):
             op = _chain(n, FOLD_FAMILIES[family], boundary)
-            flip = pauli.global_flip_operator(n).terms[0]
-            oracle = all(pauli.strings_commute(flip, t) for t in op.terms) and _in_span(
+            flip = global_flip_operator(n).terms[0]
+            oracle = all(strings_commute(flip, t) for t in op.terms) and _in_span(
                 n, [t.x_mask for t in op.terms], flip.x_mask
             )
             assert (op.sectors[1] is not None) == oracle
@@ -625,7 +628,7 @@ def _dm_chain(n):
     """The chain with complex Dzyaloshinskii-Moriya bonds 0.1 (X_i Y_i+1 -
     Y_i X_i+1): real weights on Y strings, so H is complex."""
     bonds = [(c, "I" * i + pair + "I" * (n - 2 - i)) for i in range(n - 1) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
-    return (build_tc_hamiltonian(TCModelConfig(n, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+    return (build_tc_hamiltonian(TCModelConfig(n, 0.5)) + from_label_terms(bonds)).canonicalize()
 
 
 QUADRATURE_CHAINS = [*FOLD_FAMILIES, "dzyaloshinskii_moriya"]
@@ -729,7 +732,7 @@ class TestLanczosQuadrature:
         # on H = Z + 5e-9 X, m_z psi0 is an eigenvector to r = 1e-8: the
         # one-sided bound ||phi|| t_max r that the one-matvec shortcut used
         # is 6e-7, over B, while the two-sided (t_max r)^2 is 3.6e-13
-        op = Operator.from_label_terms([(1.0, "Z"), (5e-9, "X")])
+        op = from_label_terms([(1.0, "Z"), (5e-9, "X")])
         spectrum = dense_spectrum(op)
         psi, e_psi = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
         budget = (ROW_GRID.n_samples - 1) * ROW_STEP_TOL
@@ -748,10 +751,10 @@ class TestLanczosQuadrature:
     def test_zero_hamiltonian_on_the_kept_sector(self, caplog):
         # H = ZI + IZ is 0 on basis state 0b10, the one state m_z psi keeps:
         # h = 0 there, and eta must not divide by it
-        op = Operator.from_label_terms([(1.0, "ZI"), (1.0, "IZ")])
+        op = from_label_terms([(1.0, "ZI"), (1.0, "IZ")])
         psi = StateVector.basis_state(2, 0b10)
         with caplog.at_level("INFO", logger="tcspin"):
-            series = correlator_krylov(op, Operator.from_label_terms([(1.0, "ZI")]), psi, 0.0, ROW_GRID)
+            series = correlator_krylov(op, from_label_terms([(1.0, "ZI")]), psi, 0.0, ROW_GRID)
         assert np.array_equal(series.values, np.ones(ROW_GRID.n_samples))
         assert _krylov_record(caplog)[:3] == (1, 1, 1)
 
@@ -971,7 +974,7 @@ class TestOperandChecks:
     (the Gauss rule and the Lanczos windows) a Hermitian H, before any work."""
 
     # the 2-site H = ZI + 0.3i XX + 0.5 IX: evolve used to return a state of norm 1.08
-    NON_HERMITIAN = Operator.from_label_terms([(1.0, "ZI"), (0.3j, "XX"), (0.5, "IX")])
+    NON_HERMITIAN = from_label_terms([(1.0, "ZI"), (0.3j, "XX"), (0.5, "IX")])
     GRID = TimeGrid(0.0, 2.0, 16)
 
     def test_evolve_rejects_non_hermitian_hamiltonian(self):
@@ -999,7 +1002,7 @@ class TestOperandChecks:
         elif wrong == "psi_sites":
             psi = StateVector.basis_state(5, 0)
         else:
-            a, error = Operator.from_label_terms([(1.0, "ZIII"), (0.5j, "XXII")]), ModelError
+            a, error = from_label_terms([(1.0, "ZIII"), (0.5j, "XXII")]), ModelError
         with pytest.raises(error):
             if route == "spectral":
                 correlator_spectral(op, spectrum, a, psi, self.GRID)
@@ -1014,7 +1017,7 @@ class TestOperandChecks:
         op = build_tc_hamiltonian(TCModelConfig(4, 0.5))
         spectrum = dense_spectrum(op)
         psi, energy = spectrum.state(0).normalized(), float(spectrum.eigenvalues[0])
-        a = Operator.from_label_terms([(0.1, "XYII"), (-0.1, "YXII"), (0.1, "IXYI"), (-0.1, "IYXI")])
+        a = from_label_terms([(0.1, "XYII"), (-0.1, "YXII"), (0.1, "IXYI"), (-0.1, "IYXI")])
         if route == "spectral":
             series = correlator_spectral(op, spectrum, a, psi, self.GRID)
         elif route == "krylov":

@@ -8,16 +8,17 @@ from tcspin.models import (
     PerturbationSpec,
     TCModelConfig,
     add_perturbations,
-    build_ghz,
     build_perturbation,
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from tcspin.pauli import StateVector, global_flip_operator, to_dense
+from tcspin.pauli import StateVector, to_dense
+
+from oracles import build_ghz, global_flip_operator, letters
 
 
 def _term_map(op):
-    return {t.letters(): t.coeff for t in op.terms}
+    return {letters(t): t.coeff for t in op.terms}
 
 
 class TestChainHamiltonian:

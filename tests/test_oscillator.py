@@ -1,7 +1,5 @@
 """Center-of-mass oscillator: closed form vs truncated-Fock check, 1/N scaling."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -18,9 +16,8 @@ from tcspin.sweep import fit_power_law
 UNIT_GRID = TimeGrid(0.0, 40.0, 512)
 
 
-def _truncated_matrices(control: OscillatorControl, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Position and Hamiltonian matrices in the lowest ``control.cutoff`` Fock levels."""
-    cutoff = control.cutoff
+def _truncated_matrices(control: OscillatorControl, n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Position and Hamiltonian matrices in the lowest ``cutoff`` Fock levels."""
     lower = np.diag(np.sqrt(np.arange(1.0, cutoff)), 1)  # annihilator
     x0 = np.sqrt(control.hbar / (2.0 * n * control.m0 * control.omega))
     x = x0 * (lower + lower.T)
@@ -28,9 +25,9 @@ def _truncated_matrices(control: OscillatorControl, n: int) -> tuple[np.ndarray,
     return x, h
 
 
-def _matrix_oracle(control: OscillatorControl, n: int, grid: TimeGrid) -> np.ndarray:
-    """The dense Lehmann sum over every truncated level, from the matrices."""
-    x, h = _truncated_matrices(control, n)
+def _matrix_oracle(control: OscillatorControl, n: int, grid: TimeGrid, cutoff: int) -> np.ndarray:
+    """The dense Lehmann sum over every level below ``cutoff``, from the matrices."""
+    x, h = _truncated_matrices(control, n, cutoff)
     energies = np.diag(h)
     weights = np.abs(x[:, 0]) ** 2  # |<k|x|0>|^2
     gaps = (energies - energies[0]) / control.hbar
@@ -66,18 +63,14 @@ class TestTruncatedOscillator:
     """The matrix oracle itself: x Hermitian, H the diagonal ladder."""
 
     def test_position_matrix_hermitian(self):
-        x, _ = _truncated_matrices(OscillatorControl((3,), cutoff=6), 3)
+        x, _ = _truncated_matrices(OscillatorControl((3,)), 3, 6)
         assert np.allclose(x, x.conj().T)
 
     def test_hamiltonian_diagonal_ladder(self):
-        _, h = _truncated_matrices(OscillatorControl((2,), omega=0.8, hbar=1.5, cutoff=4), 2)
+        _, h = _truncated_matrices(OscillatorControl((2,), omega=0.8, hbar=1.5), 2, 4)
         expected = 1.5 * 0.8 * (np.arange(4) + 0.5)
         assert np.allclose(np.diag(h), expected)
         assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
-
-    def test_cutoff_floor(self):
-        with pytest.raises(PlanError, match="cutoff must be >= 2"):
-            OscillatorControl((1,), cutoff=1)
 
 
 # (N, m0, omega, hbar)
@@ -88,22 +81,21 @@ ORACLE_GRIDS = [UNIT_GRID, TimeGrid(-40.0, 25.0, 160), TimeGrid(-20.0, 20.0, 161
 
 class TestNumericCorrelator:
     @pytest.mark.parametrize("n", [1, 7])
-    @pytest.mark.parametrize("cutoff", [2, 5])
-    def test_matches_analytic_exactly(self, n, cutoff):
-        control = OscillatorControl((n,), cutoff=cutoff)
+    def test_matches_analytic_exactly(self, n):
+        control = OscillatorControl((n,))
         analytic = cm_correlator_analytic(control, n, UNIT_GRID)
         numeric = cm_correlator_numeric(control, n, UNIT_GRID)
         assert np.max(np.abs(analytic.values - numeric.values)) < 1e-12
 
     @pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
     def test_ground_correlator_saturates_at_one_ladder_step(self, cutoff):
-        control = OscillatorControl((3,), m0=1.7, omega=0.9, hbar=1.1, cutoff=cutoff)
+        control = OscillatorControl((3,), m0=1.7, omega=0.9, hbar=1.1)
         analytic = cm_correlator_analytic(control, 3, UNIT_GRID)
-        numeric = cm_correlator_numeric(control, 3, UNIT_GRID)
-        assert np.max(np.abs(analytic.values - numeric.values)) < 1e-12
+        truncated = _matrix_oracle(control, 3, UNIT_GRID, cutoff)
+        assert np.max(np.abs(analytic.values - truncated)) < 1e-12
 
     def test_extracted_frequency_is_omega(self):
-        control = OscillatorControl((4,), omega=1.3, cutoff=5)
+        control = OscillatorControl((4,), omega=1.3)
         grid = TimeGrid(0.0, 60.0, 1024)
         rep = extract_oscillation(cm_correlator_numeric(control, 4, grid), 4)
         assert rep.n_peaks == 1
@@ -114,22 +106,10 @@ class TestNumericCorrelator:
     def test_equals_the_matrix_oracle_bit_for_bit(self, params):
         n, m0, omega, hbar = params
         for grid in ORACLE_GRIDS:
+            control = OscillatorControl((n,), m0=m0, omega=omega, hbar=hbar)
+            numeric = cm_correlator_numeric(control, n, grid).values
             for cutoff in range(2, 65):
-                control = OscillatorControl((n,), m0=m0, omega=omega, hbar=hbar, cutoff=cutoff)
-                numeric = cm_correlator_numeric(control, n, grid).values
-                assert numeric.tobytes() == _matrix_oracle(control, n, grid).tobytes(), (grid, cutoff)
-
-    def test_memory_does_not_grow_with_cutoff(self):
-        peaks = []
-        for cutoff in (2, 2**40):
-            control = OscillatorControl((5,), cutoff=cutoff)
-            tracemalloc.start()
-            try:
-                cm_correlator_numeric(control, 5, UNIT_GRID)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[1] <= peaks[0] + 1024, peaks
+                assert numeric.tobytes() == _matrix_oracle(control, n, grid, cutoff).tobytes(), (grid, cutoff)
 
 
 class TestScaling:

@@ -19,13 +19,12 @@ def _json_blocks(text: str) -> list[str]:
     return re.findall(r"^```json\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
 
 
-# the sweep example's hash is the one it had before the schema reader; every
-# hash is taken at the default dense cap, which a correlate config records
+# every hash is taken at the default dense cap, which a correlate config records
 PINNED_HASHES = {
     "spectrum": "75215eaee6e0da31adee42166b4471487002e56a47f38d48b0aa3462c1f75933",
-    "correlate": "58b8ec17b5ccc25c28b61d1a3708adb5b37701000c08d6a596d01ec000584f51",
-    "baseline": "8e3bed28b9055c4c75060c1b8337487d8b7e9fafdc1a0bdca5e5a83776f29203",
-    "sweep": "1ccde0a09a65893c602ba43080f96809cc449a30b20ed8a82532e225b84f7f52",
+    "correlate": "20765d505e1de2f7927f8091ac79365629e9f3a3af0bbc3dafb0702befc677a4",
+    "baseline": "790cae90d60cc6500ca3b6866d0d275c1b7dc2229f259bb3d153fc8046d8db09",
+    "sweep": "bd4ab64a5684ab3210d139ab3ddd3952179f8d87451e1cb3d12a73b750c75125",
 }
 
 

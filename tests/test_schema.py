@@ -37,7 +37,7 @@ PLAN = SweepPlan(
         PerturbationFamily(kind="random_onsite_field", strengths=(0.01,), seeds=(1, 2)),
     ),
     solver=SolverSettings(dense_max_sites=6, lanczos_k=2),
-    oscillator_control=OscillatorControl(n_values=(2, 4, 8), cutoff=3),
+    oscillator_control=OscillatorControl(n_values=(2, 4, 8), m0=0.5),
 )
 TERM = PauliTerm(coeff=(1.0, -0.5), letters="ZX")
 

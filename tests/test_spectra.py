@@ -17,12 +17,11 @@ from tcspin.errors import DenseCapError, ModelError
 from tcspin.models import (
     PerturbationSpec,
     TCModelConfig,
-    build_ghz,
     build_perturbation,
     build_tc_hamiltonian,
     magnetization_operator,
 )
-from tcspin.pauli import Operator, PauliString, StateVector, apply_groups, global_flip_operator, to_dense
+from tcspin.pauli import Operator, PauliString, StateVector, apply_groups, to_dense
 from tcspin.spectra import (
     _block_matrices,
     _disc_components,
@@ -41,6 +40,7 @@ from conftest import (
     orbit_block_spectrum,
     random_operator,
 )
+from oracles import build_ghz, from_label_terms, global_flip_operator
 
 
 def half_string_difference(n: int) -> Operator:
@@ -53,7 +53,7 @@ def half_string_difference(n: int) -> Operator:
 
 class TestDenseSpectrum:
     def test_single_site_x(self):
-        spec = dense_spectrum(Operator.from_label_terms([(1.0, "X")]))
+        spec = dense_spectrum(from_label_terms([(1.0, "X")]))
         assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
         assert spec.residuals.max() < 1e-10
 
@@ -101,7 +101,7 @@ def chain_n8(perturbation: PerturbationSpec | str | None) -> Operator:
     if perturbation != "dzyaloshinskii_moriya":
         return chain_with(8, *([perturbation] if perturbation else []))
     bonds = [(c, "I" * i + pair + "I" * (6 - i)) for i in range(7) for c, pair in ((0.1, "XY"), (-0.1, "YX"))]
-    return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + Operator.from_label_terms(bonds)).canonicalize()
+    return (build_tc_hamiltonian(TCModelConfig(8, 0.5)) + from_label_terms(bonds)).canonicalize()
 
 
 def h_norm(op: Operator) -> float:
@@ -126,7 +126,7 @@ def sector_matrix(op: Operator, s: int) -> np.ndarray:
 def x_basis_ising_chain(n: int) -> Operator:
     """-sum X_j X_{j+1}, periodic: the J = 0 chain rotated to the x basis.
     Its flip masks span the even-weight masks, two cosets."""
-    return Operator.from_label_terms(
+    return from_label_terms(
         [(-1.0, "".join("X" if i in (j, (j + 1) % n) else "I" for i in range(n))) for j in range(n)]
     )
 
@@ -160,7 +160,7 @@ class TestLanczos:
         assert np.allclose(lan.eigenvalues, [-6.0, -6.0], atol=1e-10)
 
     def test_identity_operator(self):
-        op = Operator.from_label_terms([(1.0, "III")])
+        op = from_label_terms([(1.0, "III")])
         lan = lanczos_extremal(op, k=1, seed=0)
         assert lan.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -188,7 +188,7 @@ class TestLanczos:
         assert lan.n_requested == 4
 
     def test_k_bounds(self):
-        op = Operator.from_label_terms([(1.0, "Z")])
+        op = from_label_terms([(1.0, "Z")])
         with pytest.raises(ValueError):
             lanczos_extremal(op, k=0)
         with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ class TestLanczos:
         [
             (x_basis_ising_chain(6), 2),
             (x_basis_ising_chain(8), 6),
-            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI"), (1.0, "IIX")]), 1),
+            (from_label_terms([(1.0, "XII"), (1.0, "IXI"), (1.0, "IIX")]), 1),
         ],
         ids=["j0_n6", "j0_n8", "x_field"],
     )
@@ -327,10 +327,10 @@ class TestLanczos:
         [
             # eight sectors of one state, each holding the level 1: none can
             # be left out, and each breaks down at its first step
-            (Operator.from_label_terms([(1.0, "III")]), 1, [1] * 8),
+            (from_label_terms([(1.0, "III")]), 1, [1] * 8),
             # three levels: the Krylov space is invariant after 3 steps; both
             # cosets of 4 hold the ground level -2, and both are solved
-            (Operator.from_label_terms([(1.0, "XII"), (1.0, "IXI")]), 1, [1, 3, 1, 3]),
+            (from_label_terms([(1.0, "XII"), (1.0, "IXI")]), 1, [1, 3, 1, 3]),
         ],
         ids=["identity", "three_levels"],
     )
@@ -564,11 +564,11 @@ class TestPrunedLanczos:
         both discs of {0, 2} start at 1 - a, which equals U at a = 2: that
         sector counts 2, though its levels are -1 and 3 against the ground
         level -3. Just below a = 2 its discs start above U: count 0."""
-        tie = Operator.from_label_terms([(1.0, "ZI"), (2.0, "IX")])
+        tie = from_label_terms([(1.0, "ZI"), (2.0, "IX")])
         candidates, minima, starts, bound = _disc_components(tie, 1, slack(tie))
         assert bound == -1.0 and candidates.tolist() == [1, 0] and minima.tolist() == [-1.0, 1.0]
         assert np.count_nonzero(starts <= bound, axis=1).tolist() == [2, 2]
-        above = Operator.from_label_terms([(1.0, "ZI"), (1.999, "IX")])
+        above = from_label_terms([(1.0, "ZI"), (1.999, "IX")])
         candidates, _, starts, bound = _disc_components(above, 1, slack(above))
         assert candidates.tolist() == [1] and np.count_nonzero(starts <= bound, axis=1).tolist() == [2]
         for op, ground in ((tie, -3.0), (above, -2.999)):
@@ -825,9 +825,9 @@ class TestInvariantBlocks:
         "x_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="x", seed=3)),
         "y_field": lambda: chain_with(8, PerturbationSpec("random_onsite_field", 0.05, axis="y", seed=3)),
         "heisenberg": lambda: chain_with(8, PerturbationSpec("heisenberg_exchange", 0.05)),
-        "lone_y": lambda: Operator.from_label_terms([(0.7, "IIYIII"), (1.0, "ZZIIII"), (-0.4, "IIIZZI")]),
+        "lone_y": lambda: from_label_terms([(0.7, "IIYIII"), (1.0, "ZZIIII"), (-0.4, "IIIZZI")]),
         # rank 0: one state per block, with binomially degenerate levels
-        "uniform_z": lambda: Operator.from_label_terms([(1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6)]),
+        "uniform_z": lambda: from_label_terms([(1.0, "I" * i + "Z" + "I" * (5 - i)) for i in range(6)]),
     }
 
     @pytest.mark.parametrize("name", sorted(OPERATORS))
@@ -1115,7 +1115,7 @@ class TestGHZReport:
         assert rep.overlap_minus[ground[0]] == pytest.approx(1.0, abs=1e-10)
 
     def test_single_site_x_hosts_plus_state(self):
-        spec = dense_spectrum(Operator.from_label_terms([(1.0, "X")]))
+        spec = dense_spectrum(from_label_terms([(1.0, "X")]))
         rep = ghz_overlap_report(spec, 1)
         # GHZ+ at n=1 is |+>, the eigenvalue +1 state
         assert rep.overlap_plus[1] == pytest.approx(1.0, abs=1e-12)
@@ -1201,7 +1201,7 @@ class TestClusters:
 
     @staticmethod
     def with_levels(eigenvalues) -> tcspin.spectra.SpectrumResult:
-        return replace(dense_spectrum(Operator.from_label_terms([(1.0, "X")])), eigenvalues=np.asarray(eigenvalues))
+        return replace(dense_spectrum(from_label_terms([(1.0, "X")])), eigenvalues=np.asarray(eigenvalues))
 
     @pytest.mark.parametrize(
         "gap, joined",

@@ -1,6 +1,7 @@
 """Sweep harness: determinism, dense-oracle agreement, stability normalization."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from tcspin.dynamics import TimeGrid
 from tcspin.errors import PlanError, TcspinError
 from tcspin.models import PerturbationSpec, TCModelConfig, build_tc_hamiltonian, magnetization_operator
-from tcspin.pauli import Operator
 from tcspin.spectra import dense_spectrum
 from tcspin.oscillator import OscillatorControl
 from tcspin.sweep import (
@@ -25,6 +25,7 @@ from tcspin.sweep import (
 )
 
 from conftest import criterion_8_plan, sweep_row_operator
+from oracles import from_label_terms
 
 GRID = TimeGrid(0.0, 150.0, 192)
 
@@ -428,8 +429,8 @@ class TestRunPoint:
 
     def test_excited_basis_eigenstate_gets_no_gap_check(self):
         # under H = Z the basis state |1> is the ground state, |0> the excited one
-        op = Operator.from_label_terms([(1.0, "Z")])
-        x = Operator.from_label_terms([(1.0, "X")])
+        op = from_label_terms([(1.0, "Z")])
+        x = from_label_terms([(1.0, "X")])
         ground = run_point(op, x, GRID, 1, SolverSettings(), ("krylov",))
         excited = run_point(op, x, GRID, 0, SolverSettings(), ("krylov",))
         assert ground.spectrum is not None and ground.gap_consistent is True
@@ -471,6 +472,26 @@ class TestOscillatorControl:
         exponent, prefactor, _ = fit_power_law([(float(n), a) for n, a in table])
         assert exponent == pytest.approx(-1.0, abs=1e-10)
         assert prefactor == pytest.approx(0.5, rel=1e-8)
+
+    # m0 that puts a^2 = (hbar / (2 N m0 omega))^2 just inside either end of
+    # its range: the smallest normal float64 at N = 8, 2^800 at N = 2
+    EDGES = {
+        "smallest_normal": 1.0 / (16.0 * math.sqrt(1.01 * np.finfo(np.float64).tiny)),
+        "two_to_the_800": 1.0 / (4.0 * math.sqrt(0.999 * 2.0**800)),
+    }
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_pipeline_reads_the_inverse_law_at_the_ends_of_the_range(self, edge):
+        control = OscillatorControl(n_values=(2, 4, 8), m0=self.EDGES[edge])
+        table = oscillator_control_table(control, TimeGrid(0.0, 240.0, 512))
+        exponent, _, _ = fit_power_law([(float(n), a) for n, a in table])
+        assert exponent == pytest.approx(-1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("edge, factor", [("smallest_normal", 1.02), ("two_to_the_800", 0.998)])
+    def test_a_square_past_either_end_is_rejected(self, edge, factor):
+        # a scales as 1/m0, so m0 * sqrt(factor) moves a^2 by 1/factor: out of range
+        with pytest.raises(ValueError, match="its square must lie in"):
+            OscillatorControl(n_values=(2, 4, 8), m0=self.EDGES[edge] * math.sqrt(factor))
 
 
 class TestStability:
