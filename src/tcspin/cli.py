@@ -8,6 +8,14 @@ rejected before anything runs, and the resolved config has every default
 filled in. Wall-clock timings go to a sidecar file that is excluded from the
 determinism contract.
 
+``spectrum``, ``correlate`` and a sweep plan read one optional ``solver``
+section, :class:`tcspin.sweep.SolverSettings`, with the same keys and
+defaults; its ``dense_max_sites`` routes every point by
+:meth:`~tcspin.sweep.SolverSettings.route`, so a ``correlate`` run with a
+plan's solver section reproduces that plan's row. The ``TCSPIN_DENSE_CAP``
+environment variable routes nothing and enters no hash: it only rejects a
+dense route past it (exit 2).
+
 Exit codes: 0 success, 2 config/validation error, 3 numerical failure,
 4 partial sweep (some rows failed).
 """
@@ -44,7 +52,6 @@ from .sweep import (
     SolverSettings,
     SweepPlan,
     basis_state,
-    check_lanczos_keys,
     fit_power_law,
     point_spectrum,
     records_to_csv,
@@ -63,7 +70,8 @@ EXIT_PARTIAL = 4
 
 # ---------------------------------------------------------------------------
 # config schema: one frozen dataclass per section, read and written by
-# tcspin.schema; the sweep plan's sections live in tcspin.sweep
+# tcspin.schema; the sweep plan's sections, and the one solver section of
+# spectrum, correlate and sweep, live in tcspin.sweep
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -106,33 +114,6 @@ OBSERVABLES = {"magnetization": Magnetization, "pauli_terms": PauliTermsObservab
 
 
 @dataclass(frozen=True)
-class SpectrumSolver:
-    method: Literal["dense", "lanczos"]
-    lanczos_k: int = 4
-    lanczos_tol: float = 1e-10
-    lanczos_max_iter: int = 40000
-    lanczos_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_lanczos_keys(self)
-
-
-@dataclass(frozen=True)
-class CorrelateSolver:
-    method: Literal["spectral", "krylov", "both"]
-    step_tol: float = 1e-10
-    lanczos_k: int = 4
-    lanczos_tol: float = 1e-10
-    lanczos_max_iter: int = 40000
-    lanczos_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_lanczos_keys(self)
-        if not self.step_tol > 0:
-            raise ValueError(f"step_tol must be > 0, got {self.step_tol}")
-
-
-@dataclass(frozen=True)
 class InitialState:
     type: Literal["ground", "ghz_pair", "basis"]
     index: int | None = None
@@ -143,15 +124,6 @@ class InitialState:
 
 
 @dataclass(frozen=True)
-class Oscillation:
-    max_peaks: int = 8
-
-    def __post_init__(self) -> None:
-        if self.max_peaks < 1:
-            raise ValueError(f"max_peaks must be >= 1, got {self.max_peaks}")
-
-
-@dataclass(frozen=True)
 class SpectrumOutput:
     include_eigenvectors: bool = False
 
@@ -159,7 +131,7 @@ class SpectrumOutput:
 @dataclass(frozen=True)
 class SpectrumConfig:
     model: TCModelConfig | PauliTermsModel = field(metadata={"tags": MODELS})
-    solver: SpectrumSolver
+    solver: SolverSettings = field(default_factory=SolverSettings)
     perturbations: tuple[PerturbationSpec, ...] = ()
     output: SpectrumOutput = field(default_factory=SpectrumOutput)
 
@@ -170,9 +142,9 @@ class CorrelateConfig:
     observable: Magnetization | PauliTermsObservable = field(metadata={"tags": OBSERVABLES})
     initial_state: InitialState
     time_grid: TimeGrid
-    solver: CorrelateSolver
+    method: Literal["spectral", "krylov", "both"]
+    solver: SolverSettings = field(default_factory=SolverSettings)
     perturbations: tuple[PerturbationSpec, ...] = ()
-    oscillation: Oscillation = field(default_factory=Oscillation)
 
     def __post_init__(self) -> None:
         if self.time_grid.n_samples < MIN_SAMPLES:
@@ -220,67 +192,57 @@ def _observable(cfg: CorrelateConfig, n_sites: int) -> Operator:
 
 def _resolve_config(raw, command: str):
     """The ``command`` config read from ``raw``, its normalized JSON form,
-    and the one SolverSettings, Hamiltonian and observable of a ``spectrum``
-    or ``correlate`` run (each None where the command has none), built once.
+    and the Hamiltonian and observable of a ``spectrum`` or ``correlate``
+    run (each None where the command has none), built once.
 
     Sections are checked on their own while they are read; the checks that
     span sections (Hermitian H and A, :meth:`SolverSettings.check`, the
-    basis index, the spectral route's need for an eigenstate) follow here.
-    Every command but ``baseline`` reads ``TCSPIN_DENSE_CAP`` first, so a
-    malformed value is a config error before anything runs. ``correlate``
-    routes its point by that cap, so its normalized form records it as
-    ``"dense_cap"``; a ``correlate`` config may state it, as any config may
-    state its ``command``, and must then state the cap in force.
+    basis index, the spectral route's need for the dense route and an
+    eigenstate) follow here. Every command but ``baseline`` reads
+    ``TCSPIN_DENSE_CAP`` first, so a malformed value is a config error
+    before anything runs. The cap routes nothing and enters no hash: the
+    ``solver`` section's ``dense_max_sites`` routes every point.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     stated = raw.get("command", command)
     if stated != command:
         raise ConfigError(f"config declares command {stated!r} but {command!r} was invoked")
-    cap = None if command == "baseline" else dense_cap()
-    declared = {"command"}
-    if command == "correlate":
-        declared.add("dense_cap")
-        stated_cap = raw.get("dense_cap", cap)
-        if type(stated_cap) is not int or stated_cap != cap:
-            raise ConfigError(f"config declares dense_cap {stated_cap!r} but TCSPIN_DENSE_CAP gives {cap}")
-    cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k not in declared}, "config")
-    settings = op = observable = None
+    if command != "baseline":
+        dense_cap()
+    cfg = read(SCHEMAS[command], {k: v for k, v in raw.items() if k != "command"}, "config")
+    op = observable = None
     if command in ("spectrum", "correlate"):
         op = _hamiltonian(cfg)
         if not op.is_hermitian():
             raise ConfigError("the Hamiltonian (model plus perturbations) is not Hermitian: a term has a complex weight")
-        n = op.n_sites
-        solver = dump(cfg.solver)
-        method = solver.pop("method")
-        if command == "spectrum":  # the method names the route
-            settings = SolverSettings(dense_max_sites=n if method == "dense" else 0, **solver)
-        else:  # the cap routes a correlate point
-            settings = SolverSettings(dense_max_sites=cap, max_peaks=cfg.oscillation.max_peaks, **solver)
-        if command == "spectrum" or cfg.initial_state.type != "basis":  # a basis state past the cap takes no spectrum
-            settings.check(n)
+        n, settings = op.n_sites, cfg.solver
+    if command == "spectrum":
+        settings.check(n)
     if command == "correlate":
         observable = _observable(cfg, n)
         if not observable.is_hermitian():
             raise ConfigError("the observable is not Hermitian: a term has a complex weight")
-        spectral = cfg.solver.method in ("spectral", "both")
-        state = cfg.initial_state
+        state, dense = cfg.initial_state, settings.route(n) == "dense"
         if state.type == "basis" and not 0 <= state.index < (1 << n):
             raise ConfigError(f"config.initial_state.index must be in [0, {1 << n}), got {state.index}")
-        if spectral and settings.route(n) != "dense":
+        # a basis state takes a spectrum only as an eigenstate on the dense
+        # route; ground and ghz_pair take one on either route
+        basis_eigenstate = state.type == "basis" and dense and basis_state(op, state.index)[1] is not None
+        eigenstate = state.type == "ground" or basis_eigenstate
+        if state.type != "basis" or basis_eigenstate:
+            settings.check(n)
+        if cfg.method != "krylov" and not dense:
             raise ConfigError(
-                f"the spectral route at N={n} exceeds the dense cap {cap}; "
-                "use solver.method 'krylov'"
+                f"the spectral route needs the dense route, and N={n} exceeds solver.dense_max_sites "
+                f"{settings.dense_max_sites}; use method 'krylov'"
             )
-        if spectral and state.type != "ground" and (state.type == "ghz_pair" or basis_state(op, state.index)[1] is None):
+        if cfg.method != "krylov" and not eigenstate:
             raise ConfigError(
                 f"the spectral route needs an eigenstate initial state and {dump(state)} is not one; "
-                "use solver.method 'krylov'"
+                "use method 'krylov'"
             )
-    resolved = {"command": command, **dump(cfg)}
-    if command == "correlate":
-        resolved["dense_cap"] = cap
-    return cfg, resolved, settings, op, observable
+    return cfg, {"command": command, **dump(cfg)}, op, observable
 
 
 def config_hash(resolved: dict) -> str:
@@ -309,8 +271,8 @@ def _write_csv(path: Path, resolved: dict, body: str) -> None:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, op: Operator, resolved: dict, out_dir: Path) -> int:
-    spectrum = point_spectrum(op, settings)
+def cmd_spectrum(cfg: SpectrumConfig, op: Operator, resolved: dict, out_dir: Path) -> int:
+    spectrum = point_spectrum(op, cfg.solver)
     ghz = ghz_overlap_report(spectrum, op.n_sites)
     _write_json(
         out_dir / "spectrum.json",
@@ -322,10 +284,8 @@ def cmd_spectrum(cfg: SpectrumConfig, settings: SolverSettings, op: Operator, re
     return EXIT_OK
 
 
-def cmd_correlate(
-    cfg: CorrelateConfig, settings: SolverSettings, op: Operator, observable: Operator, resolved: dict, out_dir: Path
-) -> int:
-    method = cfg.solver.method
+def cmd_correlate(cfg: CorrelateConfig, op: Operator, observable: Operator, resolved: dict, out_dir: Path) -> int:
+    method = cfg.method
     state = cfg.initial_state
     methods = ("spectral", "krylov") if method == "both" else (method,)
     point = run_point(
@@ -333,7 +293,7 @@ def cmd_correlate(
         observable,
         cfg.time_grid,
         state.index if state.type == "basis" else state.type,
-        settings,
+        cfg.solver,
         methods,
     )
     primary = point.series[methods[0]]
@@ -409,7 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tcspin",
         description="Spin-chain spectra, correlators and scaling sweeps from JSON configs.",
-        epilog="The TCSPIN_DENSE_CAP environment variable overrides the dense-matrix site cap.",
+        epilog="The TCSPIN_DENSE_CAP environment variable overrides the dense-matrix site cap, "
+        "past which a dense route is rejected.",
     )
     parser.add_argument("command", choices=["spectrum", "correlate", "baseline", "sweep", "validate"])
     parser.add_argument("--config", type=str, default=None, help="path to the JSON run config")
@@ -440,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
             resolved = _resolve_config(raw, command)[1]
             print(f"ok {config_hash(resolved)}")
             return EXIT_OK
-        cfg, resolved, settings, op, observable = _resolve_config(raw, args.command)
+        cfg, resolved, op, observable = _resolve_config(raw, args.command)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -452,9 +413,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "spectrum":
-            return cmd_spectrum(cfg, settings, op, resolved, out_dir)
+            return cmd_spectrum(cfg, op, resolved, out_dir)
         if args.command == "correlate":
-            return cmd_correlate(cfg, settings, op, observable, resolved, out_dir)
+            return cmd_correlate(cfg, op, observable, resolved, out_dir)
         if args.command == "baseline":
             return cmd_baseline(cfg, resolved, out_dir)
         return cmd_sweep(cfg, resolved, out_dir, workers=args.workers)

@@ -45,6 +45,14 @@ MIN_SAMPLES = 16
 # Power fractions below this are treated as exhausted when hunting peaks.
 _POWER_FLOOR = 1e-26
 
+# The largest extent n_samples * max(|t_start|, |t_end|) of a TimeGrid. The
+# Newton sums of _spectrum_objective reach 4 n^2 t^2 r^2, r^2 the mean power
+# of the samples they weigh: a least-squares residual plus at most one fitted
+# line, so r <= 2a for a series of peak modulus a. With the oscillator
+# control's a^2 <= 2^800 (oscillator._POWER_CAP) that is at most 2^1004,
+# 2^20 below float64 overflow; a chain's correlator is far smaller.
+_EXTENT_CAP = 2.0**100
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -61,8 +69,12 @@ class TimeGrid:
             raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
         if not self.t_end > self.t_start:
             raise ValueError(f"need t_end > t_start, got [{self.t_start}, {self.t_end}]")
-        if not math.isfinite(self.t_end - self.t_start):
-            raise ValueError(f"the span t_end - t_start must be finite, got [{self.t_start}, {self.t_end}]")
+        extent = self.n_samples * max(abs(self.t_start), abs(self.t_end))
+        if not extent <= _EXTENT_CAP:  # which also keeps the span t_end - t_start finite
+            raise ValueError(
+                f"n_samples * max(|t_start|, |t_end|) must be at most 2^100 for the extraction's sums to stay "
+                f"finite, got {extent:.3g}"
+            )
 
     @property
     def spacing(self) -> float:
@@ -738,9 +750,9 @@ def extract_oscillation(series: CorrelationSeries, max_peaks: int = 8) -> Oscill
             omegas.pop()
             if omegas:
                 dc, amps, work, _ = _joint_solve(times, values, omegas)
-            else:
-                dc, amps, work = complex(np.mean(values)), np.array([], dtype=np.complex128), values - np.mean(values)
             break
+    if not omegas:  # none found, or every one merged away or fell below the floor
+        dc, amps, work = complex(np.mean(values)), np.array([], dtype=np.complex128), values - np.mean(values)
 
     final_power = float(np.mean(np.abs(work) ** 2))
     residual_fraction = min(1.0, final_power / total_power) if total_power > 0 else 0.0

@@ -20,8 +20,9 @@ from .dynamics import CorrelationSeries, TimeGrid
 from .errors import PlanError
 
 # Bounds on the correlator's power a^2: at least the smallest normal
-# float64, and at most 2^800, which leaves the extraction's Newton sums
-# (n_samples^2 t^2 a^2) 2^224 of room below overflow.
+# float64, and at most 2^800, which with a grid's n_samples * |t| <= 2^100
+# (dynamics._EXTENT_CAP) keeps the extraction's Newton sums (4 n_samples^2
+# t^2 r^2, r <= 2a) below 2^1004, 2^20 short of overflow.
 _TINY = float(np.finfo(np.float64).tiny)
 _POWER_CAP = 2.0**800
 

@@ -31,7 +31,7 @@ from .dynamics import (
     extract_oscillation,
     gap_frequency_consistency,
 )
-from .errors import ConfigError, EigenstateError, PlanError, TcspinError
+from .errors import EigenstateError, PlanError, TcspinError
 from .models import (
     Axis,
     Boundary,
@@ -49,28 +49,18 @@ from .schema import dump
 from .spectra import GHZReport, SpectrumResult, dense_spectrum, ghz_overlap_report, lanczos_extremal
 
 
-def check_lanczos_keys(section) -> None:
-    """Range checks of the ``lanczos_*`` keys, shared by every section with them."""
-    if section.lanczos_k < 1:
-        raise ConfigError(f"lanczos_k must be >= 1, got {section.lanczos_k}")
-    if not (section.lanczos_tol > 0 and math.isfinite(section.lanczos_tol)):
-        raise ConfigError(f"lanczos_tol must be finite and > 0, got {section.lanczos_tol}")
-    if section.lanczos_max_iter < 1:
-        raise ConfigError(f"lanczos_max_iter must be >= 1, got {section.lanczos_max_iter}")
-    # the key of lanczos_extremal's splitmix64 start stream is a uint64
-    if not 0 <= section.lanczos_seed < 1 << 64:
-        raise ConfigError(f"lanczos_seed must be in [0, 2**64), got {section.lanczos_seed}")
-
-
 @dataclass(frozen=True)
 class SolverSettings:
-    """Route selection and iterative-solver knobs of :func:`run_point`.
+    """The one ``solver`` section of a sweep plan and of the ``spectrum``
+    and ``correlate`` configs: route selection and iterative-solver knobs of
+    :func:`run_point`.
 
     :meth:`route` is the one routing rule (N <= dense_max_sites is dense,
     larger N Lanczos) and :meth:`check` its up-front checks, for the sweep
-    and every CLI command. ``krylov_dim`` is accepted and ignored; it stays
-    because perfbench plans set it and config hashes cover it (ROADMAP item
-    1a drops it with the next benchmark change).
+    and every CLI command. ``spectrum`` reads no ``step_tol`` or
+    ``max_peaks``, and no command reads ``krylov_dim``; it stays because
+    perfbench plans set it and config hashes cover it (ROADMAP item 1a drops
+    it with the next benchmark change).
     """
 
     dense_max_sites: int = 10
@@ -83,7 +73,15 @@ class SolverSettings:
     max_peaks: int = 8
 
     def __post_init__(self) -> None:
-        check_lanczos_keys(self)
+        if self.lanczos_k < 1:
+            raise PlanError(f"lanczos_k must be >= 1, got {self.lanczos_k}")
+        if not (self.lanczos_tol > 0 and math.isfinite(self.lanczos_tol)):
+            raise PlanError(f"lanczos_tol must be finite and > 0, got {self.lanczos_tol}")
+        if self.lanczos_max_iter < 1:
+            raise PlanError(f"lanczos_max_iter must be >= 1, got {self.lanczos_max_iter}")
+        # the key of lanczos_extremal's splitmix64 start stream is a uint64
+        if not 0 <= self.lanczos_seed < 1 << 64:
+            raise PlanError(f"lanczos_seed must be in [0, 2**64), got {self.lanczos_seed}")
         if not self.step_tol > 0:
             raise PlanError(f"step_tol must be > 0, got {self.step_tol}")
         if self.max_peaks < 1:
@@ -94,7 +92,8 @@ class SolverSettings:
 
     def check(self, n_sites: int) -> None:
         """PlanError unless the route of ``n_sites`` can take its spectrum:
-        dense up to :func:`dense_cap`, Lanczos for lanczos_k <= 2^N pairs."""
+        dense up to :func:`dense_cap`, Lanczos for lanczos_k <= 2^N pairs.
+        The cap only rejects: it routes nothing."""
         if self.route(n_sites) == "dense" and n_sites > dense_cap():
             raise PlanError(f"the dense route at N={n_sites} exceeds the dense cap {dense_cap()}")
         if self.route(n_sites) == "lanczos" and self.lanczos_k > 1 << n_sites:
@@ -136,6 +135,12 @@ class PerturbationFamily:
         )
 
 
+# The oscillator control's phases e^{-i w t} lose digits as w t grows: its
+# amplitudes are off by 3e-11 (relative) at w t = 2^30, 3e-8 at 2^40 and
+# 5e-2 at 2^53, while the power-law fit still reads exponent -1.
+_CONTROL_PHASE_CAP = 2.0**30
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     n_values: tuple[int, ...]
@@ -170,6 +175,13 @@ class SweepPlan:
             self.solver.check(n)
         if self.solver.lanczos_k < 2:
             raise PlanError("solver.lanczos_k must be >= 2 (the energy gap needs two pairs)")
+        control = self.oscillator_control
+        if control is not None:
+            phase = control.omega * max(abs(self.grid.t_start), abs(self.grid.t_end))
+            if phase > _CONTROL_PHASE_CAP:
+                raise PlanError(
+                    f"oscillator_control.omega * max(|t_start|, |t_end|) is {phase:.3g}; it must be at most 2^30"
+                )
 
 
 @dataclass

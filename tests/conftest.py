@@ -260,6 +260,7 @@ def oracle_extract_oscillation(series: CorrelationSeries, max_peaks: int = 8, ta
                 taken.add("merge")
             omegas = kept
             if not omegas:
+                dc, amps, work = complex(np.mean(values)), np.array([], dtype=np.complex128), values - np.mean(values)
                 break
             dc, amps, work = _oracle_joint_solve(times, values, omegas)
         if abs(amps[-1]) < amp_floor:

@@ -2,6 +2,7 @@
 reference rows: a change that moves a row past the benchmark's correctness
 gate fails here first. perfbench's files are only read."""
 
+import csv
 import importlib.util
 import json
 import os
@@ -47,6 +48,57 @@ def test_plan_matches_its_reference_rows(workload, tmp_path):
         # criterion 7: the oscillator-control amplitude falls off as exactly 1/N
         summary = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
         assert GATE.control_exponent_problem(summary) is None
+
+
+def _row_perturbations(plan):
+    """The perturbations config of each row of a one-N, one-J plan, in row
+    order: none for the bare chain, then one per family strength and seed."""
+    yield []
+    for family in plan.get("perturbations", []):
+        keys = {key: family[key] for key in ("axis", "distribution") if key in family}
+        for strength in family["strengths"]:
+            for seed in family.get("seeds", [None]):
+                spec = {"kind": family["kind"], "strength": strength, **keys}
+                yield [spec if seed is None else {**spec, "seed": seed}]
+
+
+def test_spectrum_and_correlate_reproduce_the_perturbed_rows(tmp_path, monkeypatch):
+    """spectrum, correlate and a sweep plan read one solver section and route
+    by its dense_max_sites alone. With the perturbed plan's solver section
+    pasted in and no TCSPIN_DENSE_CAP set, spectrum's ground energy and
+    correlate's dominant line are each row's bits, on the Lanczos route that
+    the default cap of 14 once overrode with the dense one."""
+    monkeypatch.delenv("TCSPIN_DENSE_CAP", raising=False)
+    plan = WORKLOADS.WORKLOADS["perturbed"](WORKLOADS.DEFAULT_SEED)
+    config = tmp_path / "plan.json"
+    config.write_text(json.dumps({"command": "sweep", "plan": plan}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep")]) == 0
+    rows = list(csv.DictReader((tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1:]))
+    (n,), (j,) = plan["n_values"], plan["j_values"]
+    for i, (row, perturbations) in enumerate(zip(rows, _row_perturbations(plan), strict=True)):
+        assert (row["solver"], row["pert_kind"]) == ("lanczos", perturbations[0]["kind"] if perturbations else "none")
+        model = {"type": "tc", "n_sites": n, "j_coupling": j}
+        common = {"model": model, "perturbations": perturbations, "solver": plan["solver"]}
+        docs = {
+            "spectrum": {"command": "spectrum", **common},
+            "correlate": {
+                "command": "correlate",
+                **common,
+                "observable": {"type": "magnetization", "axis": "z"},
+                "initial_state": {"type": "ground"},
+                "time_grid": plan["time_grid"],
+                "method": "krylov",
+            },
+        }
+        for command, doc in docs.items():
+            path = tmp_path / f"{command}{i}.json"
+            path.write_text(json.dumps(doc))
+            assert main([command, "--config", str(path), "--out", str(tmp_path / f"{command}{i}")]) == 0
+        spectrum = json.loads((tmp_path / f"spectrum{i}" / "spectrum.json").read_text())["spectrum"]
+        line = json.loads((tmp_path / f"correlate{i}" / "oscillation.json").read_text())["oscillation"]
+        assert [repr(spectrum["eigenvalues"][0]), repr(line["frequencies"][0]), repr(line["amplitudes"][0])] == [
+            row["ground_energy"], row["dominant_frequency"], row["dominant_amplitude"]
+        ]
 
 
 def test_persistence_lanczos_rows_keep_fewer_than_all_states(tmp_path, caplog):

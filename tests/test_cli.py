@@ -29,7 +29,7 @@ TWO_LEVEL_CORRELATE = {
     },
     "initial_state": {"type": "basis", "index": 1},
     "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
-    "solver": {"method": "both"},
+    "method": "both",
 }
 
 
@@ -53,7 +53,6 @@ class TestSpectrumCommand:
             {
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-                "solver": {"method": "dense"},
             },
         )
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -72,7 +71,6 @@ class TestSpectrumCommand:
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 4, "j_coupling": 0.5},
                 "perturbations": [field],
-                "solver": {"method": "dense"},
                 "output": {"include_eigenvectors": True},
             },
         )
@@ -94,7 +92,6 @@ class TestSpectrumCommand:
             {
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 3, "j_coupling": 1.0},
-                "solver": {"method": "dense"},
             },
         )
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -107,7 +104,7 @@ class TestSpectrumCommand:
             {
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 4, "j_coupling": 1.0},
-                "solver": {"method": "lanczos", "lanczos_k": k},
+                "solver": {"dense_max_sites": 0, "lanczos_k": k},
             },
         )
         assert main(["validate", "--config", cfg]) == 2
@@ -120,7 +117,6 @@ class TestSpectrumCommand:
             {
                 "command": "spectrum",
                 "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5, "frobnicate": 1},
-                "solver": {"method": "dense"},
             },
         )
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -159,7 +155,7 @@ class TestCorrelateCommand:
                 "observable": {"type": "magnetization", "axis": "z"},
                 "initial_state": {"type": "ground"},
                 "time_grid": {"t_start": 0.0, "t_end": 120.0, "n_samples": 128},
-                "solver": {"method": "both", "step_tol": 1e-12},
+                "method": "both",
             },
         )
         out = tmp_path / "out"
@@ -184,7 +180,7 @@ class TestCorrelateCommand:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ground"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "krylov", "step_tol": 1e-12},
+            "method": "krylov",
         }
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -209,7 +205,7 @@ class TestCorrelateCommand:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ground"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "both", "step_tol": 1e-12},
+            "method": "both",
         }
         cfg = write_config(tmp_path, doc)
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -219,12 +215,12 @@ class TestCorrelateCommand:
 
     @pytest.mark.parametrize("max_iter", [8, 30])
     @pytest.mark.parametrize("command", ["correlate", "spectrum"])
-    def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, monkeypatch, capsys, max_iter, command):
+    def test_unconverged_lanczos_is_numerical_failure(self, tmp_path, capsys, max_iter, command):
         # the chain's sectors hold 2 states: 8 matvecs leave one pair below
         # every level an unfinished sector may hold, 30 two of the four asked
-        # for; both commands share run_point's spectrum step and its solver keys
-        monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
+        # for; both commands share run_point's spectrum step and its solver section
         model = {"type": "tc", "n_sites": 8, "j_coupling": 0.5}
+        solver = {"dense_max_sites": 6, "lanczos_k": 4, "lanczos_seed": 0, "lanczos_max_iter": max_iter}
         if command == "correlate":
             doc = {
                 "command": "correlate",
@@ -232,11 +228,12 @@ class TestCorrelateCommand:
                 "observable": {"type": "magnetization", "axis": "z"},
                 "initial_state": {"type": "ground"},
                 "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-                "solver": {"method": "krylov", "lanczos_max_iter": max_iter},
+                "method": "krylov",
+                "solver": solver,
             }
             written = "oscillation.json"
         else:
-            doc = {"command": "spectrum", "model": model, "solver": {"method": "lanczos", "lanczos_max_iter": max_iter}}
+            doc = {"command": "spectrum", "model": model, "solver": solver}
             written = "spectrum.json"
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -245,7 +242,8 @@ class TestCorrelateCommand:
         assert not (out / written).exists()
 
     @pytest.mark.parametrize("method", ["spectral", "both"])
-    def test_spectral_route_above_dense_cap_is_config_error(self, tmp_path, monkeypatch, method):
+    def test_spectral_route_above_dense_cap_is_config_error(self, tmp_path, monkeypatch, capsys, method):
+        # N = 8 is on the dense route (dense_max_sites 10), which the cap of 6 rejects
         monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
         doc = {
             "command": "correlate",
@@ -253,42 +251,66 @@ class TestCorrelateCommand:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ground"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": method},
+            "method": method,
         }
         cfg = write_config(tmp_path, doc)
         assert main(["validate", "--config", cfg]) == 2
         out = tmp_path / "out"
         assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
+        assert "exceeds the dense cap 6" in capsys.readouterr().err
 
-    def test_hash_covers_the_dense_cap(self, tmp_path, capsys, monkeypatch):
-        # the cap routes the point: dense with the gap check at 14, Lanczos
-        # without it at 6; one hash must not stand for both outputs
+    @pytest.mark.parametrize("method", ["spectral", "both"])
+    def test_spectral_route_on_the_lanczos_route_is_config_error(self, tmp_path, capsys, method):
         doc = {
             "command": "correlate",
             "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ground"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "krylov"},
+            "method": method,
+            "solver": {"dense_max_sites": 6},
         }
         cfg = write_config(tmp_path, doc)
-        hashes, checked = {}, {}
-        for cap in (14, 6):
-            monkeypatch.setenv("TCSPIN_DENSE_CAP", str(cap))
+        assert main(["validate", "--config", cfg]) == 2
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "exceeds solver.dense_max_sites 6" in capsys.readouterr().err
+
+    def test_the_cap_changes_no_hash_and_no_byte(self, tmp_path, capsys, monkeypatch):
+        # dense_max_sites routes the point, so every cap that admits the dense
+        # route at N = 8 gives one hash and one output; a lower cap only rejects
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
+            "method": "krylov",
+        }
+        cfg = write_config(tmp_path, doc)
+        hashes, outputs = set(), set()
+        for cap in (None, "14", "8", "30"):
+            if cap is None:
+                monkeypatch.delenv("TCSPIN_DENSE_CAP", raising=False)
+            else:
+                monkeypatch.setenv("TCSPIN_DENSE_CAP", cap)
             assert main(["validate", "--config", cfg]) == 0
-            hashes[cap] = capsys.readouterr().out.split()[1]
+            hashes.add(capsys.readouterr().out.split()[1])
             out = tmp_path / f"cap{cap}"
             assert main(["correlate", "--config", cfg, "--out", str(out)]) == 0
             written = json.loads((out / "oscillation.json").read_text())
-            assert written["config"]["dense_cap"] == cap
-            assert written["config_hash"] == hashes[cap]
-            checked[cap] = "gap_frequency_consistent" in written
-        assert hashes[14] != hashes[6]
-        assert checked == {14: True, 6: False}
+            assert "dense_cap" not in written["config"] and "gap_frequency_consistent" in written
+            outputs.add(tuple((out / name).read_bytes() for name in ("correlation.csv", "oscillation.json")))
+        assert len(hashes) == 1 and len(outputs) == 1
+        assert json.loads(outputs.pop()[1])["config_hash"] == hashes.pop()
+        monkeypatch.setenv("TCSPIN_DENSE_CAP", "7")
+        assert main(["validate", "--config", cfg]) == 2
+        assert main(["correlate", "--config", cfg, "--out", str(tmp_path / "cap7")]) == 2
+        assert not (tmp_path / "cap7").exists()
 
-    def test_embedded_config_validates_as_the_run(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TCSPIN_DENSE_CAP", "14")
+    def test_embedded_config_validates_as_the_run(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["correlate", "--config", write_config(tmp_path, TWO_LEVEL_CORRELATE), "--out", str(out)]) == 0
         written = json.loads((out / "oscillation.json").read_text())
@@ -300,20 +322,21 @@ class TestCorrelateCommand:
         assert main(["correlate", "--config", embedded, "--out", str(rerun)]) == 0
         assert (rerun / "oscillation.json").read_text() == (out / "oscillation.json").read_text()
 
-        # under another cap the stated one is a config error, before any output
-        monkeypatch.setenv("TCSPIN_DENSE_CAP", "6")
-        assert main(["validate", "--config", embedded]) == 2
-        assert "TCSPIN_DENSE_CAP" in capsys.readouterr().err
-        other = tmp_path / "other"
-        assert main(["correlate", "--config", embedded, "--out", str(other)]) == 2
-        assert not other.exists()
-
-    @pytest.mark.parametrize("stated", [6, "14", True, None])
-    def test_stated_dense_cap_must_be_the_cap_in_force(self, tmp_path, capsys, monkeypatch, stated):
-        monkeypatch.setenv("TCSPIN_DENSE_CAP", "14")
-        cfg = write_config(tmp_path, {**TWO_LEVEL_CORRELATE, "dense_cap": stated})
-        assert main(["validate", "--config", cfg]) == 2
-        assert "TCSPIN_DENSE_CAP gives 14" in capsys.readouterr().err
+    def test_every_frequency_merging_away_reports_no_peak(self, tmp_path):
+        # 64 samples over [0, 1e10] alias every line of the bare N = 4 chain:
+        # the pursuit's frequencies all merge away, which once raised IndexError
+        doc = {
+            "command": "correlate",
+            "model": {"type": "tc", "n_sites": 4, "j_coupling": 0.5},
+            "observable": {"type": "magnetization", "axis": "z"},
+            "initial_state": {"type": "ground"},
+            "time_grid": {"t_start": 0.0, "t_end": 1e10, "n_samples": 64},
+            "method": "spectral",
+        }
+        out = tmp_path / "out"
+        assert main(["correlate", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads((out / "oscillation.json").read_text())["oscillation"]
+        assert len(report["amplitudes"]) == len(report["frequencies"])
 
     def test_bad_basis_index_is_config_error(self, tmp_path):
         doc = dict(TWO_LEVEL_CORRELATE)
@@ -485,7 +508,7 @@ class TestRuntimeImports:
 
 
 class TestLogLevel:
-    # the Krylov correlator, and Lanczos below the dense cap, log how hard
+    # the Krylov correlator, and Lanczos past dense_max_sites, log how hard
     # they worked at info, and the default warn level prints none of it
     DOC = {
         "command": "correlate",
@@ -494,18 +517,16 @@ class TestLogLevel:
         "observable": {"type": "magnetization", "axis": "z"},
         "initial_state": {"type": "ground"},
         "time_grid": {"t_start": 0.0, "t_end": 60.0, "n_samples": 128},
-        "solver": {"method": "krylov", "step_tol": 1e-12},
+        "method": "krylov",
     }
 
-    @pytest.mark.parametrize("dense_cap", [None, "6"], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("dense_max_sites", [10, 6], ids=["dense", "lanczos"])
     @pytest.mark.parametrize("level", [None, "info"])
-    def test_krylov_correlator_record(self, tmp_path, level, dense_cap):
-        cfg = write_config(tmp_path, self.DOC)
+    def test_krylov_correlator_record(self, tmp_path, level, dense_max_sites):
+        cfg = write_config(tmp_path, {**self.DOC, "solver": {"dense_max_sites": dense_max_sites, "lanczos_k": 4}})
         src = Path(__file__).resolve().parents[1] / "src"
         env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
         env.pop("TCSPIN_DENSE_CAP", None)
-        if dense_cap:
-            env["TCSPIN_DENSE_CAP"] = dense_cap
         args = [sys.executable, "-m", "tcspin.cli", "correlate", "--config", cfg, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
             args + (["--log-level", level] if level else []),
@@ -518,7 +539,7 @@ class TestLogLevel:
         else:
             # m_z psi0 is one global-flip sector of 64 states
             assert len(records) == 1 and "64 amplitudes kept" in records[0], proc.stderr
-            assert len(lanczos) == (1 if dense_cap else 0), proc.stderr
+            assert len(lanczos) == (1 if dense_max_sites < 8 else 0), proc.stderr
             # k = 4 on the chain's two cosets, split in four global-flip
             # sectors of 64: all four are solved
             assert all(line.endswith("on 256 of 256 states (4 of 4 sectors)") for line in lanczos), proc.stderr
@@ -567,7 +588,7 @@ class TestValidateCommand:
     @pytest.mark.parametrize(
         "doc",
         [
-            {"command": "spectrum", "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5}, "solver": {"method": "dense"}},
+            {"command": "spectrum", "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5}},
             SWEEP_DOC,
         ],
         ids=["spectrum", "sweep"],
@@ -607,13 +628,16 @@ def _edited(doc, edit):
     return doc
 
 
+SPECTRUM_DOC = {"command": "spectrum", "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5}}
+
 CORRELATE_DOC = {
     "command": "correlate",
     "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
     "observable": {"type": "magnetization", "axis": "z"},
     "initial_state": {"type": "ground"},
     "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-    "solver": {"method": "krylov", "step_tol": 1e-12},
+    "method": "krylov",
+    "solver": {"step_tol": 1e-12},
 }
 
 # each config validated (or ran to exit 3, or crashed) before the schema was strict
@@ -635,6 +659,10 @@ OSCILLATOR_REJECTED = {
 
 # a span t_end - t_start that overflows: validated, then every row failed
 SPAN_OVERFLOWS = {"t_start": -1e308, "t_end": 1e308, "n_samples": 64}
+# finite times whose extraction sums overflow: validated, then crashed with
+# OverflowError (correlate) or failed every row (a plan); a baseline ran and
+# wrote phases e^{-i w t} that are rounding noise
+EXTENT_PAST_2_100 = {"t_start": 0.0, "t_end": 1e300, "n_samples": 64}
 
 REJECTED_UP_FRONT = {
     "plan_unknown_key": _edited(SWEEP_DOC, lambda d: d["plan"].update(bogus=1)),
@@ -682,17 +710,15 @@ REJECTED_UP_FRONT = {
     "spectrum_k_not_integer": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "k": "4"},
+        "solver": {"dense_max_sites": 0, "lanczos_k": "4"},
     },
     "spectrum_unknown_pauli_letter": {
         "command": "spectrum",
         "model": {"type": "pauli_terms", "n_sites": 1, "terms": [{"coeff": [1.0, 0.0], "letters": "Q"}]},
-        "solver": {"method": "dense"},
     },
     "spectrum_non_hermitian": {
         "command": "spectrum",
         "model": {"type": "pauli_terms", "n_sites": 1, "terms": [{"coeff": [0.0, 1.0], "letters": "Z"}]},
-        "solver": {"method": "dense"},
     },
     "correlate_non_hermitian": _edited(
         CORRELATE_DOC,
@@ -703,12 +729,12 @@ REJECTED_UP_FRONT = {
     "spectrum_lanczos_tol_negative": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "lanczos_tol": -1},
+        "solver": {"dense_max_sites": 0, "lanczos_tol": -1},
     },
     "spectrum_lanczos_k_zero": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "lanczos_k": 0},
+        "solver": {"dense_max_sites": 0, "lanczos_k": 0},
     },
     "correlate_lanczos_k_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_k=0)),
     "correlate_lanczos_tol_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_tol=0.0)),
@@ -718,7 +744,7 @@ REJECTED_UP_FRONT = {
     "spectrum_lanczos_seed_negative": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "lanczos_seed": -1},
+        "solver": {"dense_max_sites": 0, "lanczos_seed": -1},
     },
     "correlate_lanczos_seed_negative": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_seed=-1)),
     "plan_lanczos_seed_negative": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_seed=-1)),
@@ -727,11 +753,11 @@ REJECTED_UP_FRONT = {
     "spectrum_lanczos_seed_2_64": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "lanczos_seed": 1 << 64},
+        "solver": {"dense_max_sites": 0, "lanczos_seed": 1 << 64},
     },
     "correlate_lanczos_seed_2_64": _edited(CORRELATE_DOC, lambda d: d["solver"].update(lanczos_seed=1 << 64)),
     "plan_lanczos_seed_2_64": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_seed=1 << 64)),
-    "correlate_max_peaks_zero": _edited(CORRELATE_DOC, lambda d: d.update(oscillation={"max_peaks": 0})),
+    "correlate_max_peaks_zero": _edited(CORRELATE_DOC, lambda d: d["solver"].update(max_peaks=0)),
     "plan_max_peaks_zero": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(max_peaks=0)),
     "correlate_observable_non_hermitian": _edited(
         CORRELATE_DOC,
@@ -761,7 +787,7 @@ REJECTED_UP_FRONT = {
     "spectrum_dense_above_cap": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 15, "j_coupling": 0.5},
-        "solver": {"method": "dense"},
+        "solver": {"dense_max_sites": 15},
     },
     "plan_lanczos_k_one": _edited(SWEEP_DOC, lambda d: d["plan"]["solver"].update(lanczos_k=1)),
     "plan_time_grid_span_overflows": _edited(SWEEP_DOC, lambda d: d["plan"].update(time_grid=SPAN_OVERFLOWS)),
@@ -771,6 +797,21 @@ REJECTED_UP_FRONT = {
         "oscillator": {"n_values": [2, 4, 8]},
         "time_grid": SPAN_OVERFLOWS,
     },
+    "plan_time_grid_extent_past_2_100": _edited(SWEEP_DOC, lambda d: d["plan"].update(time_grid=EXTENT_PAST_2_100)),
+    "correlate_time_grid_extent_past_2_100": _edited(CORRELATE_DOC, lambda d: d.update(time_grid=EXTENT_PAST_2_100)),
+    "baseline_time_grid_extent_past_2_100": {
+        "command": "baseline",
+        "oscillator": {"n_values": [2, 4, 8]},
+        "time_grid": EXTENT_PAST_2_100,
+    },
+    # omega * t_end = 2^31: the control's amplitudes lose digits while its fit still reads -1
+    "oscillator_control_phase_past_2_30": _edited(
+        SWEEP_DOC,
+        lambda d: (
+            d["plan"].update(oscillator_control={"n_values": [2, 4, 8], "omega": 2.0**24}),
+            d["plan"]["time_grid"].update(t_end=128.0),
+        ),
+    ),
 }
 
 
@@ -785,42 +826,47 @@ def test_config_rejected_up_front(tmp_path, capsys, name):
     assert "config error" in capsys.readouterr().err
 
 
-# keys that no run read, gone from the schema: a config that still sets one
-# is rejected by name
+# keys gone from the schema, by their path: a config that still sets one is
+# rejected by name. A cutoff read nothing; spectrum's solver.method, correlate's
+# oscillation section and its echoed dense_cap gave way to the one solver section
 REMOVED_KEYS = {
     "cutoff": {
         "command": "baseline",
         "oscillator": {"n_values": [2, 4, 8], "cutoff": 2},
         "time_grid": {"t_start": 0.0, "t_end": 20.0, "n_samples": 64},
     },
-    "krylov_dim": _edited(CORRELATE_DOC, lambda d: d["solver"].update(krylov_dim=30)),
+    "solver.method": {**SPECTRUM_DOC, "solver": {"method": "dense"}},
+    "oscillation": _edited(CORRELATE_DOC, lambda d: d.update(oscillation={"max_peaks": 8})),
+    "dense_cap": _edited(CORRELATE_DOC, lambda d: d.update(dense_cap=14)),
 }
 
 
-@pytest.mark.parametrize("key", sorted(REMOVED_KEYS))
-def test_removed_key_is_unknown(tmp_path, capsys, key):
-    doc = REMOVED_KEYS[key]
+@pytest.mark.parametrize("path", sorted(REMOVED_KEYS))
+def test_removed_key_is_unknown(tmp_path, capsys, monkeypatch, path):
+    monkeypatch.delenv("TCSPIN_DENSE_CAP", raising=False)
+    doc = REMOVED_KEYS[path]
     cfg = write_config(tmp_path, doc)
     out = tmp_path / "out"
     for command in ("validate", doc["command"]):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+        assert f"unknown key(s) ['{path.split('.')[-1]}']" in capsys.readouterr().err
     assert not out.exists()
 
 
-# lanczos_k = 2^N at N = 4 on the Lanczos route, with the cap lowered to 2 for correlate
+# lanczos_k = 2^N at N = 4 on the Lanczos route, past dense_max_sites = 3
 LANCZOS_K_AT_THE_DIMENSION = {
     "sweep": _edited(
         SWEEP_DOC,
         lambda d: (d["plan"].update(n_values=[4]), d["plan"]["solver"].update(dense_max_sites=3, lanczos_k=16)),
     ),
-    "correlate": _edited(CORRELATE_DOC, lambda d: (d["model"].update(n_sites=4), d["solver"].update(lanczos_k=16))),
+    "correlate": _edited(
+        CORRELATE_DOC, lambda d: (d["model"].update(n_sites=4), d["solver"].update(dense_max_sites=3, lanczos_k=16))
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LANCZOS_K_AT_THE_DIMENSION))
-def test_lanczos_k_at_the_dimension_runs(tmp_path, monkeypatch, name):
-    monkeypatch.setenv("TCSPIN_DENSE_CAP", "2")
+def test_lanczos_k_at_the_dimension_runs(tmp_path, name):
     cfg = write_config(tmp_path, LANCZOS_K_AT_THE_DIMENSION[name])
     assert main(["validate", "--config", cfg]) == 0
     assert main([name, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
@@ -835,7 +881,7 @@ LANCZOS_SEED_AT_THE_TOP = {
     "spectrum": {
         "command": "spectrum",
         "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-        "solver": {"method": "lanczos", "lanczos_k": 2, "lanczos_seed": (1 << 64) - 1},
+        "solver": {"dense_max_sites": 4, "lanczos_k": 2, "lanczos_seed": (1 << 64) - 1},
     },
 }
 
@@ -871,17 +917,11 @@ def test_out_naming_a_file_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-SPECTRUM_DOC = {
-    "command": "spectrum",
-    "model": {"type": "tc", "n_sites": 6, "j_coupling": 0.5},
-    "solver": {"method": "dense"},
-}
-
 # a malformed cap once crashed (dense spectrum), passed validate and then
 # exited 3 after creating --out (krylov correlate), or ran with a meaningless cap
 CAP_READERS = {
     "spectrum_dense": SPECTRUM_DOC,
-    "spectrum_lanczos": _edited(SPECTRUM_DOC, lambda d: d["solver"].update(method="lanczos")),
+    "spectrum_lanczos": _edited(SPECTRUM_DOC, lambda d: d.update(solver={"dense_max_sites": 0})),
     "correlate_krylov": CORRELATE_DOC,
     "sweep": SWEEP_DOC,
 }
@@ -908,7 +948,7 @@ class TestInitialStateRouting:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ghz_pair"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "spectral"},
+            "method": "spectral",
         }
         cfg = write_config(tmp_path, doc)
         assert main(["correlate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -920,7 +960,7 @@ class TestInitialStateRouting:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "ghz_pair"},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": "krylov", "step_tol": 1e-12},
+            "method": "krylov",
         }
         cfg = write_config(tmp_path, doc)
         out = tmp_path / "out"
@@ -936,7 +976,8 @@ class TestInitialStateRouting:
             "observable": {"type": "magnetization", "axis": "z"},
             "initial_state": {"type": "basis", "index": 0},
             "time_grid": {"t_start": 0.0, "t_end": 40.0, "n_samples": 64},
-            "solver": {"method": method, "step_tol": 1e-12},
+            "method": method,
+            "solver": {"step_tol": 1e-12},
         }
 
     def test_non_eigenstate_basis_runs_on_krylov_route(self, tmp_path):

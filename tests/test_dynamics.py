@@ -1249,6 +1249,10 @@ def _extraction_corpus():
     noise = np.random.default_rng(5).standard_normal((2, 192))
     noisy = np.exp(1j * grid.times()) + 1e-9 * (noise[0] + 1j * noise[1])
     cases.append(("amplitude floor: a tone in 1e-9 noise", CorrelationSeries(grid, noisy), 8))
+    bare_4 = build_tc_hamiltonian(TCModelConfig(4, 0.5))
+    spec = dense_spectrum(bare_4)
+    aliased = correlator_spectral(bare_4, spec, magnetization_operator(4, "z"), spec.state(0), TimeGrid(0.0, 1e10, 64))
+    cases.append(("merge: every frequency aliased away", aliased, 8))
     return cases
 
 
@@ -1277,7 +1281,7 @@ class TestExtractionOracle:
             for name, series, max_peaks in extraction_corpus
             if _report_bits(extract_oscillation(series, max_peaks)) != _report_bits(oracle_extract_oscillation(series, max_peaks))
         ]
-        assert len(extraction_corpus) == 35 + 5 + 2 + 6
+        assert len(extraction_corpus) == 35 + 5 + 2 + 7
         assert not differ
 
     def test_corpus_reaches_the_merge_and_amplitude_floor_branches(self, extraction_corpus):

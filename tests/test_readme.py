@@ -19,10 +19,10 @@ def _json_blocks(text: str) -> list[str]:
     return re.findall(r"^```json\n(.*?)^```$", text, flags=re.DOTALL | re.MULTILINE)
 
 
-# every hash is taken at the default dense cap, which a correlate config records
+# the dense cap enters no hash; every one is taken with the variable unset
 PINNED_HASHES = {
-    "spectrum": "75215eaee6e0da31adee42166b4471487002e56a47f38d48b0aa3462c1f75933",
-    "correlate": "20765d505e1de2f7927f8091ac79365629e9f3a3af0bbc3dafb0702befc677a4",
+    "spectrum": "14e24e48c4b56a7eb788dc4db4bdfa8b5f738050b89859448ed11d313abc668a",
+    "correlate": "835dbad251ce769198706545b4509a0bc0db87c0a83df7463436e7d7eb0f413c",
     "baseline": "790cae90d60cc6500ca3b6866d0d275c1b7dc2229f259bb3d153fc8046d8db09",
     "sweep": "bd4ab64a5684ab3210d139ab3ddd3952179f8d87451e1cb3d12a73b750c75125",
 }

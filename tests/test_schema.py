@@ -7,16 +7,13 @@ import pytest
 from tcspin.cli import (
     BaselineConfig,
     CorrelateConfig,
-    CorrelateSolver,
     InitialState,
     Magnetization,
-    Oscillation,
     PauliTerm,
     PauliTermsModel,
     PauliTermsObservable,
     SpectrumConfig,
     SpectrumOutput,
-    SpectrumSolver,
     SweepConfig,
 )
 from tcspin.dynamics import TimeGrid
@@ -52,7 +49,7 @@ SECTIONS = [
     SweepConfig(plan=PLAN),
     SpectrumConfig(
         model=PauliTermsModel(n_sites=2, terms=(TERM,)),
-        solver=SpectrumSolver(method="lanczos", lanczos_k=2),
+        solver=SolverSettings(dense_max_sites=0, lanczos_k=2),
         output=SpectrumOutput(include_eigenvectors=True),
     ),
     CorrelateConfig(
@@ -60,16 +57,16 @@ SECTIONS = [
         observable=PauliTermsObservable(terms=(PauliTerm(coeff=(1.0, 0.0), letters="ZIIIII"),)),
         initial_state=InitialState(type="basis", index=3),
         time_grid=GRID,
-        solver=CorrelateSolver(method="krylov", step_tol=1e-12),
+        method="krylov",
+        solver=SolverSettings(step_tol=1e-12, max_peaks=4),
         perturbations=(FIELD,),
-        oscillation=Oscillation(max_peaks=4),
     ),
     CorrelateConfig(
         model=TCModelConfig(n_sites=6, j_coupling=0.5),
         observable=Magnetization(axis="x"),
         initial_state=InitialState(type="ground"),
         time_grid=GRID,
-        solver=CorrelateSolver(method="both"),
+        method="both",
     ),
     BaselineConfig(oscillator=OscillatorControl(n_values=(1, 2), m0=2.0, hbar=0.5), time_grid=GRID),
 ]
@@ -82,12 +79,12 @@ def test_read_inverts_dump(section):
 
 
 def test_dump_fills_defaults_and_tags():
-    doc = dump(SpectrumConfig(model=TCModelConfig(8, 0.5), solver=SpectrumSolver(method="dense")))
+    doc = dump(SpectrumConfig(model=TCModelConfig(8, 0.5)))
     assert doc == {
         "model": {"type": "tc", "n_sites": 8, "j_coupling": 0.5, "boundary": "periodic"},
         "solver": {
-            "method": "dense", "lanczos_k": 4, "lanczos_tol": 1e-10,
-            "lanczos_max_iter": 40000, "lanczos_seed": 0,
+            "dense_max_sites": 10, "lanczos_k": 6, "lanczos_tol": 1e-10, "lanczos_max_iter": 40000,
+            "lanczos_seed": 7, "krylov_dim": 30, "step_tol": 1e-12, "max_peaks": 8,
         },
         "perturbations": [],
         "output": {"include_eigenvectors": False},
@@ -118,7 +115,7 @@ def test_int_is_read_as_float():
         ),
         (
             SpectrumConfig,
-            {"model": {"type": "ising"}, "solver": {"method": "dense"}},
+            {"model": {"type": "ising"}},
             "config.model.type must be one of ['tc', 'pauli_terms']",
         ),
     ],

@@ -493,6 +493,17 @@ class TestOscillatorControl:
         with pytest.raises(ValueError, match="its square must lie in"):
             OscillatorControl(n_values=(2, 4, 8), m0=self.EDGES[edge] * math.sqrt(factor))
 
+    def test_plan_bounds_the_control_phase_at_2_30(self):
+        # omega * t_end = 2^30 reads every amplitude within 1e-10; past it the
+        # phases lose digits (5e-2 at 2^53) while the fit still reads -1
+        grid = TimeGrid(0.0, 128.0, 512)
+        control = OscillatorControl(n_values=(2, 4, 8), omega=2.0**23)
+        small_plan(grid=grid, oscillator_control=control)
+        for n, amplitude in oscillator_control_table(control, grid):
+            assert amplitude == pytest.approx(control.amplitude(n), rel=1e-10)
+        with pytest.raises(PlanError, match="at most 2\\^30"):
+            small_plan(grid=grid, oscillator_control=OscillatorControl(n_values=(2, 4, 8), omega=2.0**24))
+
 
 class TestStability:
     def test_zero_strength_shifts_are_exactly_zero(self):
